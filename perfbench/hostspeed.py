@@ -5,9 +5,9 @@ The machines this benchmark was built on change speed by a factor of 1.5
 to 2 in phases of seconds to minutes that no process inside them causes:
 CPU time equals wall time in both phases, steal time stays near 2%, and no
 hardware counters are exposed.  A call's wall time divided by the kernel's
-time measured around it varies far less: over ten 25 s runs per workload
-the median of that ratio spread 2.7-3.6% between quartiles, the median
-wall time 12-31% (README, "Reference figures").
+time measured around it varies far less: over ten 22 s runs per workload
+the median of that ratio spread 4.3-5.4% between quartiles, the median
+wall time 6-20% (README, "Reference figures").
 
 The kernel does in small what the workloads do in large: the reference
 filter pair over a 10-step scenario (Python float arithmetic, small NumPy
@@ -18,6 +18,7 @@ program, so a change to the program does not change the kernel.
 
 from __future__ import annotations
 
+import gc
 import io
 from pathlib import Path
 from time import perf_counter
@@ -55,7 +56,11 @@ class _Work:
 class Kernel:
     """Times the kernel.  Each timing runs it `repeats` times in a row;
     longer calls need more to sample the machine's speed as well as the
-    call does."""
+    call does.  A garbage collection and one untimed run go first: the
+    first run after a call pays for the garbage and the cold caches the
+    call left behind (about 2.5% on `estimate`), so without them the kernel
+    time, and every time divided by it, would depend on the program's
+    memory footprint as well as on the host's speed."""
 
     def __init__(self, repeats: int = 1):
         self._work = _Work()
@@ -63,6 +68,8 @@ class Kernel:
 
     def __call__(self) -> float:
         """Wall time per kernel run, in seconds."""
+        gc.collect()
+        self._work()
         started = perf_counter()
         for _ in range(self._repeats):
             self._work()

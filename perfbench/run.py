@@ -12,15 +12,16 @@ Workloads (perfbench/README.md has the details):
 - estimate: `dsekit estimate`, Cauchy noise and a window outlier;
 - simulate_long: `dsekit simulate` over a 600 s horizon, Laplace noise.
 
-The run first times three fresh interpreters that import dsekit and build
-the default scenario (setup_s), then runs the workload in a process of
-its own for at least S seconds, checks every output, and prints as its
-last line a JSON object with the keys correct, attempted, failed and
-metrics.  Times are put on the host speed kernel's scale (hostspeed.py).
-Without tracing the metrics are the end-to-end ones; with tracing, the
-per-layer split from perfbench/layertrace.py.  The exit code is 0 when
-every output was correct, 1 when a check failed and 2 when the benchmark
-could not run.
+The run times SETUP_PROBES fresh interpreters that import dsekit and
+build the default scenario, each against fresh interpreters that import
+only numpy and scipy (setup_s), half of them before and half after it runs
+the workload in a process of its own for at least S seconds.  It then
+checks every output and prints as its last line a JSON object with the
+keys correct, attempted, failed and metrics.  Call times are put on the
+host speed kernel's scale (hostspeed.py).  Without tracing the metrics
+are the end-to-end ones; with tracing, the per-layer split from
+perfbench/layertrace.py.  The exit code is 0 when every output was
+correct, 1 when a check failed and 2 when the benchmark could not run.
 """
 
 from __future__ import annotations
@@ -45,12 +46,23 @@ import checks  # noqa: E402
 import hostspeed  # noqa: E402
 import workload as wl  # noqa: E402
 
-SETUP_PROBES = 3
+SETUP_PROBES = 6
 PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import dsekit.cli; "
     "from dsekit.config import build_scenario, default_config; "
     "build_scenario(default_config()); print('ready', flush=True)"
 )
+# The set-up probes are put on the scale of a fixed import of the libraries
+# dsekit uses, timed in fresh interpreters alternating with them: the same
+# kind of work (starting Python, loading extension modules), so it follows
+# the machine's speed phases where the host speed kernel, which computes,
+# does not.  A normalized set-up time reads as seconds on a machine where
+# this import takes NOMINAL_IMPORT_S.
+IMPORT_PROBE = "import numpy, scipy.linalg, scipy.optimize; print('ready', flush=True)"
+NOMINAL_IMPORT_S = 0.50
+# one BLAS thread, so that a probe runs on one CPU and its time does not
+# depend on what else runs on the others
+PROBE_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
 SPAN_METRICS = (
     "scenario.simulate_truth", "scenario.synthesize_measurements", "scenario.filter_series",
@@ -72,21 +84,33 @@ COUNT_METRICS = (
 )
 
 
-def time_setup() -> float:
-    """Median wall time from starting a fresh interpreter until it has
-    imported dsekit and built the default scenario."""
-    samples = []
-    for _ in range(SETUP_PROBES):
-        started = perf_counter()
-        with subprocess.Popen(
-            [sys.executable, "-c", PROBE, str(SRC)], stdout=subprocess.PIPE, text=True
-        ) as proc:
-            line = proc.stdout.readline()
-            samples.append(perf_counter() - started)
-            proc.wait()
-        if line.strip() != "ready" or proc.returncode != 0:
-            raise RuntimeError("setup probe failed")
-    return statistics.median(samples)
+def time_probe(code: str) -> float:
+    """Wall time from starting a fresh interpreter on `code` until it
+    prints that it is ready."""
+    started = perf_counter()
+    with subprocess.Popen(
+        [sys.executable, "-c", code, str(SRC)], stdout=subprocess.PIPE, text=True, env=PROBE_ENV
+    ) as proc:
+        line = proc.stdout.readline()
+        wall = perf_counter() - started
+        proc.wait()
+    if line.strip() != "ready" or proc.returncode != 0:
+        raise RuntimeError("setup probe failed")
+    return wall
+
+
+def time_setup(probes: int) -> tuple[list[float], list[float]]:
+    """Times from starting a fresh interpreter until it has imported dsekit
+    and built the default scenario, each divided by the mean of the import
+    probes on either side of it and put on the nominal scale, and the wall
+    times."""
+    imports = [time_probe(IMPORT_PROBE)]
+    normalized, walls = [], []
+    for _ in range(probes):
+        walls.append(time_probe(PROBE))
+        imports.append(time_probe(IMPORT_PROBE))
+        normalized.append(walls[-1] / (0.5 * (imports[-2] + imports[-1])) * NOMINAL_IMPORT_S)
+    return normalized, walls
 
 
 def grid_rows(config: Path) -> int:
@@ -103,7 +127,7 @@ def run_checks(record: dict, out: Path, seed: int) -> list[str]:
     name = record["workload"]
     calls = [c for c in record["calls"] if c["exit"] == 0]
     if not calls:
-        return []
+        return ["no call exited 0, so no output was checked"]
     problems = []
     if len({c["digest"] for c in calls}) != 1:
         problems.append("outputs differ between repeated calls")
@@ -116,7 +140,7 @@ def run_checks(record: dict, out: Path, seed: int) -> list[str]:
         problems += checks.check_simulate_long(config, call_dir)
     else:
         problems += checks.check_matrix(cli, config, seed, call_dir, work)
-        jobs = os.cpu_count() or 1
+        jobs = len(os.sched_getaffinity(0))
         if record["trace"] and jobs > 1:
             # matrix.csv must not depend on --jobs: repeat the call with one
             # worker per CPU and compare
@@ -140,7 +164,9 @@ def main() -> int:
         print(f"error: no dsekit sources under {SRC}", file=sys.stderr)
         return 2
 
-    setup_wall_s = time_setup()
+    # half the set-up probes run before the workload and half after it, so
+    # that they see the machine at two moments
+    setup_before = time_setup(SETUP_PROBES // 2)
     out = OUT / f"{args.workload}-trace{args.trace}"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
@@ -150,6 +176,9 @@ def main() -> int:
          "--trace", str(args.trace), "--out", str(out)],
         check=True,
     )
+    setup_after = time_setup(SETUP_PROBES - SETUP_PROBES // 2)
+    setup_s = statistics.median(setup_before[0] + setup_after[0])
+    setup_wall_s = statistics.median(setup_before[1] + setup_after[1])
     record = json.loads((out / "record.json").read_text())
     calls = record["calls"]
     per_call = wl.MATRIX_CELLS if args.workload == "matrix" else 1
@@ -169,11 +198,10 @@ def main() -> int:
 
     walls = [c["wall_s"] for c in calls]
     kernels = [c["kernel_s"] for c in calls]
-    latency = statistics.median(hostspeed.normalized(w, k) for w, k in zip(walls, kernels))
-    # the kernel timed right after a probe runs slow on caches the probe
-    # left cold, so set-up is put on the nominal scale with the kernel
-    # times of the workload process, which runs straight after it
-    setup_s = hostspeed.normalized(setup_wall_s, statistics.median(kernels))
+    # a failed call may end early, so only calls that exited 0 are timed;
+    # when none did, the run is not correct and all calls are reported
+    timed = ok_calls or calls
+    latency = statistics.median(hostspeed.normalized(c["wall_s"], c["kernel_s"]) for c in timed)
     scenarios = (attempted - failed) / len(calls)
     if args.trace:
         metrics = {}

@@ -35,7 +35,8 @@ CONFIGS = HERE / "configs"
 MATRIX_RUNS = 1
 MATRIX_CELLS = 4 * 2 * MATRIX_RUNS
 
-# Kernel runs per timing: about 5% of a call's time on either side of it.
+# Kernel runs timed per timing, after one untimed run: about 4-5% of a
+# call's time on either side of it.
 KERNEL_REPEATS = {"matrix": 5, "estimate": 1, "simulate_long": 3}
 
 OUTPUTS = {
@@ -81,7 +82,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, out: Path) -> dic
     calls = []
     began = perf_counter()
     kernel_before = kernel()
-    while perf_counter() - began < seconds:
+    while not calls or perf_counter() - began < seconds:
         error = None
         started = perf_counter()
         try:
