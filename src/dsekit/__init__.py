@@ -27,17 +27,16 @@ from .evaluation import (
 from .filters import (
     CKF,
     RCKF,
-    CubatureSet,
     FilterState,
     HuberConfig,
     HuberResult,
-    NoiseCovariances,
     ProcessModel,
     UpdateIntermediates,
     cholesky_lower,
     ckf_update,
     cubature_points,
     huber_reweight,
+    iter_batch,
     rckf_update,
     run_filter,
     time_predict,
@@ -65,7 +64,9 @@ from .machine import (
     electrical_power,
     measure,
     measurement_covariance,
+    observe_points,
     power_partials,
+    power_variance,
     rk4_step,
     state_derivative,
     stator_currents,
@@ -93,7 +94,9 @@ from .scenario import (
     RunRecord,
     ScenarioConfig,
     Schedule,
+    batch_filters,
     build_fault_profile,
+    equilibrium,
     filter_series,
     initial_filter_state,
     run_scenario,

@@ -33,6 +33,7 @@ from .harness import (
 from .scenario import (
     RunRecord,
     ScenarioConfig,
+    equilibrium,
     filter_series,
     simulate_truth,
     synthesize_measurements,
@@ -145,7 +146,8 @@ def cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
     times = time_grid(cfg)
     try:
-        truth = simulate_truth(cfg)
+        x0 = equilibrium(cfg)
+        truth = simulate_truth(cfg, x0)
         clean, corrupted = synthesize_measurements(truth, cfg)
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
@@ -154,7 +156,7 @@ def cmd_estimate(args) -> int:
         corrupted = _read_measurements_csv(args.measurements, times)
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
     try:
-        estimates, step_times, _ = filter_series(cfg, corrupted, variants, strict=True)
+        estimates, step_times, _ = filter_series(cfg, corrupted, variants, strict=True, x0=x0)
     except (DecompositionFailure, NonFiniteState) as exc:
         step = getattr(exc, "step_index", None)
         where = f" at measurement index {step}" if step is not None else ""
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for the experiment matrix",
+        help="worker processes for the experiment matrix, one chunk of its filter batch each",
     )
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -271,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_experiment.add_argument(
         "--timing",
         action="store_true",
-        help="record mean step wall time per cell (makes matrix.csv machine-dependent)",
+        help="record each filter's mean share of the batch step wall time "
+        "(makes matrix.csv machine-dependent)",
     )
     p_experiment.set_defaults(handler=cmd_experiment)
 

@@ -7,6 +7,16 @@ standardizes each innovation channel by its predicted standard deviation,
 derives Huber weights, and inflates the measurement covariance channel by
 channel before the gain is formed, which bounds the influence a wild
 measurement can exert on the posterior.
+
+Every stage works on a batch: a state carries x_hat as (B, n) and P as
+(B, n, n), and one call advances all members together; a single filter is
+a batch of one, and the unbatched shapes (n,) and (n, n) are accepted too.
+The classical filter is the robust one with an infinite Huber threshold,
+which is exact because R is diagonal, so both variants share one batch.
+A stage that fails on some members raises with exc.members, the indices
+of those members in the batch; the batch engine (iter_batch) freezes them
+and carries on with the rest.  Members never mix: each member's result is
+the same bits whatever else shares its batch.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from time import perf_counter_ns
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DecompositionFailure,
@@ -35,6 +44,9 @@ VARIANTS = (CKF, RCKF)
 # Escalating diagonal loading, applied relative to the mean diagonal.
 JITTER_LADDER = (1e-12, 1e-9, 1e-6)
 
+# Failures that freeze a batch member instead of aborting the batch.
+MEMBER_FAILURES = (DecompositionFailure, NonFiniteState, DegenerateChannel)
+
 
 @dataclass(frozen=True)
 class ProcessModel:
@@ -43,9 +55,9 @@ class ProcessModel:
     transition and observe must be deterministic pure functions mapping a
     length-n state vector plus an input vector to, respectively, the next
     state vector and a length-m measurement vector.  The optional
-    transition_points and observe_points map a whole (2n, n) cubature
-    point array at once, row for row, and must agree with the per-point
-    maps; the filters use them when given to save per-point call overhead.
+    transition_points and observe_points map an (N, n) array of points at
+    once, row for row, and must agree with the per-point maps; without
+    them the filters apply the per-point maps row by row.
     """
 
     n: int
@@ -58,7 +70,8 @@ class ProcessModel:
 
 @dataclass
 class FilterState:
-    """State estimate and error covariance at one step."""
+    """State estimate and error covariance at one step, for one filter
+    (x_hat (n,), P (n, n)) or a batch (x_hat (B, n), P (B, n, n))."""
 
     x_hat: Array
     P: Array
@@ -106,7 +119,11 @@ class UpdateIntermediates:
 
 @dataclass(frozen=True)
 class HuberConfig:
-    """Tuning of the robust update: threshold c and reweight pass count."""
+    """Tuning of the robust update: threshold c and reweight pass count.
+
+    c may also be an array with one threshold per batch member; math.inf
+    makes a member's update the classical one.
+    """
 
     c: float = 1.5
     max_reweight_passes: int = 1
@@ -119,56 +136,124 @@ class HuberResult:
     R_bar: Array
 
 
-def _potrf_lower(A: Array) -> Array | None:
-    """C-ordered lower Cholesky factor of a symmetric matrix, or None when
-    it is not positive definite.  Calls LAPACK directly: the filters
-    factorize three small matrices per step, where the argument checks
-    of np.linalg.cholesky cost several times the factorization."""
-    L, info = dpotrf(A, lower=1, clean=1)
-    if info != 0:
-        return None
-    return np.ascontiguousarray(L)
+def _member_failure(kind: type, message: str, members) -> Exception:
+    exc = kind(message)
+    exc.members = np.atleast_1d(np.asarray(members, dtype=np.intp))
+    return exc
 
 
-def cholesky_lower(P: Array) -> Array:
-    """Lower-triangular S with S @ S.T equal to the symmetrized input.
+def _nonfinite_members(a: Array) -> Array:
+    """Indices along the first axis of the members holding a non-finite entry."""
+    if np.isfinite(a).all():
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
 
-    The input is symmetrized first.  If plain factorization fails,
-    escalating diagonal jitter (1e-12, 1e-9, 1e-6 times the mean diagonal)
-    is tried before giving up.
 
-    Raises:
-        DecompositionFailure: input is not a finite square matrix, or it
-            stays non-factorizable after the largest jitter.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DecompositionFailure(f"expected a square matrix, got shape {P.shape}")
-    if not np.isfinite(P).all():
-        raise DecompositionFailure("matrix contains non-finite entries")
-    sym = 0.5 * (P + P.T)
-    S = _potrf_lower(sym)
-    if S is not None:
-        return S
+def _T(a: Array) -> Array:
+    """Stack of matrices, each transposed."""
+    return a.transpose(0, 2, 1)
+
+
+def _batched(state: FilterState) -> tuple[Array, Array, bool]:
+    x = np.asarray(state.x_hat, dtype=float)
+    P = np.asarray(state.P, dtype=float)
+    if x.ndim == 1:
+        return x[None], P[None], True
+    return x, P, False
+
+
+def _factor_member(sym: Array) -> tuple[Array | None, str]:
+    """Cholesky factor of one symmetric matrix, escalating the jitter
+    ladder when plain factorization fails; (None, reason) when it stays
+    non-factorizable."""
+    if not np.isfinite(sym).all():
+        return None, "matrix contains non-finite entries"
     scale = float(np.trace(sym)) / sym.shape[0]
     if scale <= 0.0:
         scale = 1.0
-    eye = np.eye(sym.shape[0])
-    for jitter in JITTER_LADDER:
-        S = _potrf_lower(sym + (jitter * scale) * eye)
-        if S is not None:
-            return S
-    raise DecompositionFailure(
-        "matrix is not positive definite even after jitter escalation"
-    )
+    for jitter in (0.0,) + JITTER_LADDER:
+        loaded = sym + (jitter * scale) * np.eye(sym.shape[0]) if jitter else sym
+        # a one-member stack, so the factor has the bits of a batched call
+        try:
+            return np.linalg.cholesky(loaded[None])[0], ""
+        except np.linalg.LinAlgError:
+            continue
+    return None, "matrix is not positive definite even after jitter escalation"
+
+
+def cholesky_lower(P: Array) -> Array:
+    """Lower-triangular S with S @ S.T equal to the symmetrized input, for
+    one (n, n) matrix or a stack (B, n, n).
+
+    The input is symmetrized first.  Members whose plain factorization
+    fails get escalating diagonal jitter (1e-12, 1e-9, 1e-6 times their
+    mean diagonal); the others are factorized as they are.
+
+    Raises:
+        DecompositionFailure: input is not a stack of square matrices, or
+            some member is not finite or stays non-factorizable after the
+            largest jitter; exc.members lists those members.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
+        raise DecompositionFailure(f"expected a square matrix, got shape {P.shape}")
+    single = P.ndim == 2
+    stack = P[None] if single else P
+    sym = 0.5 * (stack + _T(stack))
+    try:
+        S = np.linalg.cholesky(sym)
+        # LAPACK lets some non-finite inputs through; their factors are
+        # not finite either
+        factored = np.isfinite(S).all()
+    except np.linalg.LinAlgError:
+        factored = False
+    if not factored:
+        S = np.empty_like(sym)
+        failed: dict[int, str] = {}
+        for b in range(sym.shape[0]):
+            factor, reason = _factor_member(sym[b])
+            if factor is None:
+                failed[b] = reason
+            else:
+                S[b] = factor
+        if failed:
+            raise _member_failure(DecompositionFailure, next(iter(failed.values())), list(failed))
+    return S[0] if single else S
 
 
 def cubature_points(x_hat: Array, S: Array) -> CubatureSet:
-    """Spherical-radial point set for mean x_hat and covariance S @ S.T."""
-    n = x_hat.shape[0]
-    spread = math.sqrt(n) * S.T  # row i is sqrt(n) times column i of S
-    points = np.concatenate((x_hat + spread, x_hat - spread))
+    """Spherical-radial point set for mean x_hat and covariance S @ S.T;
+    points are (2n, n) for one filter and (B, 2n, n) for a batch."""
+    n = x_hat.shape[-1]
+    spread = math.sqrt(n) * np.swapaxes(S, -1, -2)  # row i is sqrt(n) times column i of S
+    centre = x_hat[..., None, :]
+    points = np.empty(spread.shape[:-2] + (2 * n, n))
+    np.add(centre, spread, out=points[..., :n, :])
+    np.subtract(centre, spread, out=points[..., n:, :])
     return CubatureSet(points=points, weight=1.0 / (2 * n))
+
+
+def _map_points(points_map, point_map, points: Array, u) -> Array:
+    """Model map over (B, N, n) points; a NonFiniteState from the map is
+    traced to the members whose points raise it."""
+    B, N, n = points.shape
+    flat = points.reshape(B * N, n)
+    try:
+        if points_map is not None:
+            out = points_map(flat, u)
+        else:
+            out = np.array([point_map(p, u) for p in flat])
+    except NonFiniteState as exc:
+        if B == 1:
+            raise _member_failure(NonFiniteState, str(exc), [0]) from exc
+        bad = []
+        for b in range(B):
+            try:
+                _map_points(points_map, point_map, points[b : b + 1], u)
+            except NonFiniteState:
+                bad.append(b)
+        raise _member_failure(NonFiniteState, str(exc), bad) from exc
+    return np.asarray(out, dtype=float).reshape(B, N, -1)
 
 
 def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) -> FilterState:
@@ -182,24 +267,19 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
         NonFiniteState: a propagated point is not finite.
         DecompositionFailure: the posterior covariance cannot be factorized.
     """
-    n = model.n
-    S = cholesky_lower(state.P)
-    pts = cubature_points(state.x_hat, S).points
-    # the propagated array keeps the layout of the points, so the
-    # covariance product below runs the same BLAS path either way
-    propagated = np.empty_like(pts)
-    if model.transition_points is not None:
-        propagated[...] = model.transition_points(pts, u)
-    else:
-        transition = model.transition
-        for i in range(2 * n):
-            propagated[i] = transition(pts[i], u)
-    if not np.isfinite(propagated).all():
-        raise NonFiniteState("propagated cubature points are not finite")
-    x_pred = np.add.reduce(propagated, axis=0) / (2 * n)
-    centered = propagated - x_pred
-    P_pred = centered.T @ centered / (2 * n) + Q
-    P_pred = 0.5 * (P_pred + P_pred.T)
+    x, P, single = _batched(state)
+    N = 2 * model.n
+    pts = cubature_points(x, cholesky_lower(P)).points
+    propagated = _map_points(model.transition_points, model.transition, pts, u)
+    bad = _nonfinite_members(propagated)
+    if bad.size:
+        raise _member_failure(NonFiniteState, "propagated cubature points are not finite", bad)
+    x_pred = np.add.reduce(propagated, axis=1) / N
+    centered = propagated - x_pred[:, None, :]
+    P_pred = _T(centered) @ centered / N + Q
+    P_pred = 0.5 * (P_pred + _T(P_pred))
+    if single:
+        return FilterState(x_hat=x_pred[0], P=P_pred[0], step_index=state.step_index + 1)
     return FilterState(x_hat=x_pred, P=P_pred, step_index=state.step_index + 1)
 
 
@@ -207,42 +287,55 @@ def _measurement_stats(
     predicted: FilterState, model: ProcessModel, u: Array
 ) -> tuple[Array, Array, Array]:
     """Predicted measurement, centered innovation covariance core (no R),
-    and cross covariance, all from a fresh point set on the prior."""
-    n = model.n
-    S = cholesky_lower(predicted.P)
-    pts = cubature_points(predicted.x_hat, S).points
-    if model.observe_points is not None:
-        Z = model.observe_points(pts, u)
-    else:
-        Z = np.empty((2 * n, model.m))
-        observe = model.observe
-        for i in range(2 * n):
-            Z[i] = observe(pts[i], u)
-    if not np.isfinite(Z).all():
-        raise NonFiniteState("projected measurement points are not finite")
-    z_hat = np.add.reduce(Z, axis=0) / (2 * n)
-    Zc = Z - z_hat
-    Xc = pts - predicted.x_hat
-    core = Zc.T @ Zc / (2 * n)
-    P_xz = Xc.T @ Zc / (2 * n)
+    and cross covariance, all from a fresh point set on the prior; batched
+    (B, ...) whatever the input."""
+    x, P, _ = _batched(predicted)
+    N = 2 * model.n
+    pts = cubature_points(x, cholesky_lower(P)).points
+    Z = _map_points(model.observe_points, model.observe, pts, u)
+    bad = _nonfinite_members(Z)
+    if bad.size:
+        raise _member_failure(NonFiniteState, "projected measurement points are not finite", bad)
+    z_hat = np.add.reduce(Z, axis=1) / N
+    Zc = Z - z_hat[:, None, :]
+    Xc = pts - x[:, None, :]
+    core = _T(Zc) @ Zc / N
+    P_xz = _T(Xc) @ Zc / N
     return z_hat, core, P_xz
 
 
 def _corrected(
     predicted: FilterState, z: Array, z_hat: Array, P_zz: Array, P_xz: Array
 ) -> tuple[FilterState, UpdateIntermediates]:
-    L = cholesky_lower(P_zz)
-    solved, info = dpotrs(L, P_xz.T, lower=1)
-    if info != 0:
-        raise DecompositionFailure(f"triangular solve failed with info {info}")
-    gain = solved.T
+    x, P, single = _batched(predicted)
+    bad = _nonfinite_members(P_zz)
+    if bad.size:
+        raise _member_failure(DecompositionFailure, "matrix contains non-finite entries", bad)
+    # gain @ P_zz = P_xz, solved as P_zz @ gain.T = P_xz.T
+    try:
+        gain = _T(np.linalg.solve(P_zz, _T(P_xz)))
+    except np.linalg.LinAlgError as exc:
+        bad = []
+        for b in range(P_zz.shape[0]):
+            try:
+                np.linalg.solve(P_zz[b : b + 1], _T(P_xz[b : b + 1]))
+            except np.linalg.LinAlgError:
+                bad.append(b)
+        raise _member_failure(DecompositionFailure, "innovation covariance is singular", bad) from exc
     innovation = z - z_hat
-    x = predicted.x_hat + gain @ innovation
-    P = predicted.P - gain @ P_zz @ gain.T
-    P = 0.5 * (P + P.T)
-    if not (np.isfinite(x).all() and np.isfinite(P).all()):
-        raise NonFiniteState("corrected estimate is not finite")
-    state = FilterState(x_hat=x, P=P, step_index=predicted.step_index)
+    x_post = x + (gain @ innovation[:, :, None])[:, :, 0]
+    P_post = P - gain @ P_zz @ _T(gain)
+    P_post = 0.5 * (P_post + _T(P_post))
+    if not (np.isfinite(x_post).all() and np.isfinite(P_post).all()):
+        bad = np.flatnonzero(
+            ~(np.isfinite(x_post).all(axis=1) & np.isfinite(P_post).all(axis=(1, 2)))
+        )
+        raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
+    if single:
+        x_post, P_post, z_hat, P_zz, P_xz, gain, innovation = (
+            a[0] for a in (x_post, P_post, z_hat, P_zz, P_xz, gain, innovation)
+        )
+    state = FilterState(x_hat=x_post, P=P_post, step_index=predicted.step_index)
     info = UpdateIntermediates(
         z_hat=z_hat, P_zz=P_zz, P_xz=P_xz, gain=gain, innovation=innovation
     )
@@ -255,12 +348,10 @@ def ckf_update(
     """Classical measurement update on a predicted state.
 
     The innovation covariance is the centered point statistic plus R; the
-    gain solves gain @ P_zz = P_xz through the Cholesky factor of P_zz.
+    gain solves gain @ P_zz = P_xz.
     """
-    z = np.asarray(z, dtype=float)
     z_hat, core, P_xz = _measurement_stats(predicted, model, u)
-    P_zz = core + R
-    return _corrected(predicted, z, z_hat, P_zz, P_xz)
+    return _corrected(predicted, np.asarray(z, dtype=float), z_hat, core + R, P_xz)
 
 
 def huber_reweight(
@@ -272,25 +363,34 @@ def huber_reweight(
     diagonal entry.  Channels inside the threshold keep weight one;
     outside, the weight decays as c / |r| and the matching R diagonal
     entry is divided by that weight.  R is treated as diagonal: the
-    returned R_bar carries zero off-diagonals.
+    returned R_bar carries zero off-diagonals.  Shapes are (m,) and
+    (m, m) for one filter or (B, m) and (B, m, m) for a batch, with c
+    a float or one threshold per member.
 
     Raises:
         InvalidConfig: threshold c is not strictly positive.
-        DegenerateChannel: some P_zz diagonal entry is not positive.
+        DegenerateChannel: some P_zz diagonal entry is not positive;
+            exc.members lists the members concerned.
     """
-    if not config.c > 0.0:
+    c = np.asarray(config.c, dtype=float)
+    if not np.all(c > 0.0):
         raise InvalidConfig(f"Huber threshold must be positive, got {config.c}")
-    diag = np.diag(P_zz)
+    innovation = np.asarray(innovation, dtype=float)
+    diag = np.diagonal(P_zz, axis1=-2, axis2=-1)
     if np.any(diag <= 0.0):
-        bad = int(np.argmin(diag))
-        raise DegenerateChannel(
-            f"channel {bad} has nonpositive predicted variance {diag[bad]}"
+        rows = diag.reshape(-1, diag.shape[-1])
+        members = np.flatnonzero((rows <= 0.0).any(axis=1))
+        bad = int(np.argmin(rows[members[0]]))
+        raise _member_failure(
+            DegenerateChannel,
+            f"channel {bad} has nonpositive predicted variance {rows[members[0], bad]}",
+            members,
         )
     standardized = innovation / np.sqrt(diag)
-    weights = np.ones_like(standardized)
-    outside = np.abs(standardized) > config.c
-    weights[outside] = config.c / np.abs(standardized[outside])
-    R_bar = np.diag(np.diag(R) / weights)
+    magnitude = np.abs(standardized)
+    c = c[..., None]
+    weights = np.divide(c, magnitude, out=np.ones(magnitude.shape), where=magnitude > c)
+    R_bar = np.eye(weights.shape[-1]) * (np.diagonal(R, axis1=-2, axis2=-1) / weights)[..., None, :]
     return HuberResult(standardized_residuals=standardized, weights=weights, R_bar=R_bar)
 
 
@@ -308,7 +408,7 @@ def rckf_update(
     configured number of reweight passes.  Every pass re-standardizes the
     innovation against the current P_zz, but the inflation always divides
     the original R, so weights never compound.  With all channels inside
-    the threshold the result coincides with ckf_update.
+    the threshold, or c infinite, the result coincides with ckf_update.
     """
     if config is None:
         config = HuberConfig()
@@ -325,7 +425,84 @@ def rckf_update(
         result = huber_reweight(innovation, P_zz, R, config)
         P_zz = core + result.R_bar
     state, info = _corrected(predicted, z, z_hat, P_zz, P_xz)
+    if np.ndim(predicted.x_hat) == 1:
+        result = HuberResult(*(a[0] for a in (result.standardized_residuals, result.weights, result.R_bar)))
     return state, info, result
+
+
+def iter_batch(
+    model: ProcessModel,
+    init: FilterState,
+    inputs: Sequence[Array],
+    measurements: Array,
+    Q: Array,
+    R_provider,
+    huber: HuberConfig,
+    observe_inputs: Sequence[Array] | None = None,
+) -> Iterator[tuple[Array, FilterState, list[tuple[int, Exception]]]]:
+    """Advance a batch of filters in lockstep over a measurement sequence.
+
+    Args:
+        model: process model shared by the members.
+        init: batched prior at step 0, x_hat (B, n) and P (B, n, n).
+        inputs: transition input per step, shared by the members.
+        measurements: (T, B, m), the measurement of each member per step.
+        Q: process noise covariance, fixed across steps.
+        R_provider: fixed (m, m) diagonal measurement covariance, or a
+            callable (step, predicted_batch, observe_input) -> (A, m, m)
+            with one diagonal matrix per live member.
+        huber: c is one threshold per member (math.inf for the
+            classical filter) or one for all; max_reweight_passes is
+            shared.
+        observe_inputs: optional per-step input for the measurement map;
+            defaults to the transition input of the same step.
+
+    Yields once per step (members, posterior, failed): the indices of the
+    members still live after the step, their batched posterior, and
+    (member, exception) for each member frozen at this step.  A frozen
+    member's exception carries the measurement index as a message prefix
+    and as exc.step_index; it takes no further steps and does not touch
+    the other members.
+    """
+    measurements = np.asarray(measurements, dtype=float)
+    members = np.arange(measurements.shape[1])
+    thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
+    state = FilterState(init.x_hat, init.P, init.step_index)
+    fixed_R = None if callable(R_provider) else np.asarray(R_provider, dtype=float)
+    for k in range(measurements.shape[0]):
+        u = inputs[k]
+        u_obs = observe_inputs[k] if observe_inputs is not None else u
+        failed: list[tuple[int, Exception]] = []
+        while members.size:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    predicted = time_predict(state, model, u, Q)
+                    R = fixed_R if fixed_R is not None else R_provider(k, predicted, u_obs)
+                    if np.isinf(thresholds).all():
+                        # the same bits as the robust update with c = inf
+                        state, _ = ckf_update(predicted, measurements[k], model, u_obs, R)
+                    else:
+                        config = HuberConfig(thresholds, huber.max_reweight_passes)
+                        state, _, _ = rckf_update(
+                            predicted, measurements[k], model, u_obs, R, config
+                        )
+                break
+            except MEMBER_FAILURES as exc:
+                bad = getattr(exc, "members", None)
+                if bad is None or not bad.size:
+                    raise
+                for b in bad:
+                    wrapped = type(exc)(f"measurement index {k}: {exc}")
+                    wrapped.step_index = k
+                    failed.append((int(members[b]), wrapped))
+                keep = np.setdiff1d(np.arange(members.size), bad)
+                members = members[keep]
+                state = FilterState(state.x_hat[keep], state.P[keep], state.step_index)
+                thresholds = thresholds[keep]
+                measurements = measurements[:, keep]
+        yield members, state, failed
+        if not members.size:
+            return
 
 
 def iter_filter(
@@ -339,12 +516,12 @@ def iter_filter(
     huber: HuberConfig | None = None,
     observe_inputs: Sequence[Array] | None = None,
 ) -> Iterator[tuple[FilterState, int]]:
-    """Step one filter variant over a measurement sequence on demand.
+    """Step one filter variant, a batch of one, over a measurement sequence.
 
     Takes the arguments of run_filter, which are checked on call, and
     returns an iterator yielding (posterior, step_ns) once per
     measurement, where step_ns is the wall time of the predict-plus-update
-    step in nanoseconds.  Several variants can so be advanced in lockstep.
+    step in nanoseconds.
 
     Raises:
         DecompositionFailure, NonFiniteState: from the iterator, with the
@@ -362,34 +539,35 @@ def iter_filter(
         raise ValueError("observe_inputs length must match measurements")
     if huber is None:
         huber = HuberConfig()
-    Q = np.asarray(Q, dtype=float)
-    fixed_R = R_provider if isinstance(R_provider, np.ndarray) else None
-    return _filter_steps(
-        model, variant == RCKF, init, inputs, measurements, Q,
-        R_provider, fixed_R, huber, observe_inputs,
+    c = huber.c if variant == RCKF else math.inf
+    if callable(R_provider):
+        user_provider = R_provider
+
+        def R_provider(k, predicted, u_obs):
+            state = FilterState(predicted.x_hat[0], predicted.P[0], predicted.step_index)
+            return np.asarray(user_provider(k, state, u_obs), dtype=float)[None]
+
+    steps = iter_batch(
+        model,
+        FilterState(np.asarray(init.x_hat, dtype=float)[None], np.asarray(init.P, dtype=float)[None],
+                    init.step_index),
+        inputs,
+        np.asarray(measurements, dtype=float).reshape(len(measurements), 1, model.m),
+        np.asarray(Q, dtype=float),
+        R_provider,
+        HuberConfig(c, huber.max_reweight_passes),
+        observe_inputs,
     )
+    return _single_steps(steps)
 
 
-def _filter_steps(
-    model, robust, init, inputs, measurements, Q, R_provider, fixed_R, huber, observe_inputs
-):
-    state = init
-    for k in range(len(measurements)):
-        u = inputs[k]
-        u_obs = observe_inputs[k] if observe_inputs is not None else u
+def _single_steps(steps) -> Iterator[tuple[FilterState, int]]:
+    started = perf_counter_ns()
+    for _, state, failed in steps:
+        if failed:
+            raise failed[0][1]
+        yield FilterState(state.x_hat[0], state.P[0], state.step_index), perf_counter_ns() - started
         started = perf_counter_ns()
-        try:
-            predicted = time_predict(state, model, u, Q)
-            R = fixed_R if fixed_R is not None else R_provider(k, predicted, u_obs)
-            if robust:
-                state, _, _ = rckf_update(predicted, measurements[k], model, u_obs, R, huber)
-            else:
-                state, _ = ckf_update(predicted, measurements[k], model, u_obs, R)
-        except (DecompositionFailure, NonFiniteState) as exc:
-            wrapped = type(exc)(f"measurement index {k}: {exc}")
-            wrapped.step_index = k
-            raise wrapped from exc
-        yield state, perf_counter_ns() - started
 
 
 def run_filter(
@@ -413,9 +591,9 @@ def run_filter(
         inputs: transition input per step, same length as measurements.
         measurements: measurement vector per step.
         Q: process noise covariance, fixed across steps.
-        R_provider: fixed measurement covariance matrix, or a callable
-            (step, predicted_state, observe_input) -> matrix evaluated
-            after each prediction.
+        R_provider: fixed diagonal measurement covariance matrix, or a
+            callable (step, predicted_state, observe_input) -> matrix
+            evaluated after each prediction.
         huber: robust update tuning, used by the rckf variant only.
         observe_inputs: optional per-step input vector for the measurement
             map; defaults to the transition input of the same step.

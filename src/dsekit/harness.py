@@ -1,16 +1,20 @@
 """Experiment matrix execution, benchmarking, and CSV serialization.
 
 The matrix crosses the four noise presets with the two outlier manners
-over a list of seeds, runs both filter variants on every cell, and
-collects per-variable indicator rows.  Work items are dispatched to a
-process pool when more than one job is requested; results are merged in
-the deterministic (noise, manner, seed) order either way.
+over a list of seeds and runs both filter variants on every cell.  The
+cells differ only in seed, noise and outliers, so they share one
+equilibrium and one truth trajectory, and all their filters run as one
+lockstep batch; with more than one job the batch is cut into one chunk per
+worker process.  Rows are merged in the deterministic (noise, manner,
+seed) order either way, and a member's numbers do not depend on the batch
+it ran in.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from time import perf_counter_ns
 
 import numpy as np
 
@@ -18,8 +22,17 @@ from .config import NOISE_PRESETS, with_noise_preset, with_outliers, with_seed
 from .errors import DsekitError
 from .evaluation import VARIABLES, report_from_run
 from .filters import CKF, RCKF
-from .noise import OutlierSpec
-from .scenario import ScenarioConfig, filter_series, run_scenario, simulate_truth, synthesize_measurements
+from .noise import OutlierSpec, outlier_rows
+from .scenario import (
+    RunRecord,
+    ScenarioConfig,
+    batch_filters,
+    equilibrium,
+    filter_series,
+    simulate_truth,
+    synthesize_measurements,
+    time_grid,
+)
 
 # Outlier placements used by the experiment matrix: one hit mid-run, and
 # a one-second burst shortly after the fault.
@@ -98,37 +111,50 @@ def _cell_key(preset: int, manner: str, seed: int) -> str:
     return f"noise{preset}/{manner}/seed{seed}"
 
 
-def _run_cell(item) -> tuple[list[MatrixRow], dict[str, str]]:
-    cfg, preset, manner, seed, timing = item
-    key = _cell_key(preset, manner, seed)
-    try:
-        record = run_scenario(cfg)
-    except DsekitError as exc:
-        return [], {key: str(exc)}
-    rows: list[MatrixRow] = []
-    failures: dict[str, str] = {}
-    for variant in (CKF, RCKF):
-        if variant not in record.estimates:
-            failures[f"{key}/{variant}"] = record.failures[variant]
-            continue
-        report = report_from_run(record, variant)
-        mean_ms = (
-            float(record.step_times_ns[variant].mean()) / 1e6 if timing else None
-        )
-        for variable in VARIABLES:
-            rows.append(
-                MatrixRow(
-                    noise=preset,
-                    manner=manner,
-                    filter=variant,
-                    seed=seed,
-                    variable=variable,
-                    epsilon1=report.epsilon1.get(variable),
-                    epsilon2=report.epsilon2[variable],
-                    mean_step_ms=mean_ms,
+def _run_cells(item) -> list[tuple[list[MatrixRow], dict[str, str]]]:
+    """Rows and failures of each cell of a chunk, its filters run as one
+    batch."""
+    cfg, truth, x0, cells, timing = item
+    record_of: dict[int, tuple] = {}
+    out: list[tuple[list[MatrixRow], dict[str, str]]] = []
+    for i, (cell_cfg, preset, manner, seed) in enumerate(cells):
+        try:
+            record_of[i] = synthesize_measurements(truth, cell_cfg)
+            out.append(([], {}))
+        except DsekitError as exc:
+            out.append(([], {_cell_key(preset, manner, seed): str(exc)}))
+    live = sorted(record_of)
+    if not live:
+        return out
+    corrupted = np.stack([record_of[i][1] for i in live])
+    results = filter_series(cfg, corrupted, (CKF, RCKF), x0=x0)
+    times = time_grid(cfg)
+    for i, (estimates, step_times, failures) in zip(live, results):
+        _, preset, manner, seed = cells[i]
+        key = _cell_key(preset, manner, seed)
+        clean, cell_corrupted = record_of[i]
+        record = RunRecord(times, truth, clean, cell_corrupted, estimates, step_times, failures)
+        rows, cell_failures = out[i]
+        for variant in (CKF, RCKF):
+            if variant not in estimates:
+                cell_failures[f"{key}/{variant}"] = failures[variant]
+                continue
+            report = report_from_run(record, variant)
+            mean_ms = float(step_times[variant].mean()) / 1e6 if timing else None
+            for variable in VARIABLES:
+                rows.append(
+                    MatrixRow(
+                        noise=preset,
+                        manner=manner,
+                        filter=variant,
+                        seed=seed,
+                        variable=variable,
+                        epsilon1=report.epsilon1.get(variable),
+                        epsilon2=report.epsilon2[variable],
+                        mean_step_ms=mean_ms,
+                    )
                 )
-            )
-    return rows, failures
+    return out
 
 
 def run_experiment(
@@ -140,26 +166,49 @@ def run_experiment(
     """Run the full noise-by-manner matrix over the given seeds.
 
     Cell failures are collected, not raised; rows from failed cells are
-    simply absent.  With timing enabled the mean wall time per filter step
-    is recorded, which makes the output machine-dependent.
+    simply absent.  A cell whose outliers fall off the horizon fails before
+    any integration.  With timing enabled the mean wall time per filter
+    step is recorded, which makes the output machine-dependent.
     """
     seeds = sorted(int(s) for s in seeds)
-    items = []
+    rows_on_grid = len(time_grid(cfg))
+    cells = []
+    results: dict[int, tuple[list[MatrixRow], dict[str, str]]] = {}
     for preset in NOISE_PRESETS:
         for manner in MANNERS:
             spec = manner_outliers(manner, cfg.outliers)
             for seed in seeds:
                 cell_cfg = with_seed(with_outliers(with_noise_preset(cfg, preset), spec), seed)
-                items.append((cell_cfg, preset, manner, seed, timing))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, items, chunksize=1))
+                try:
+                    outlier_rows(spec, cfg.dt, rows_on_grid)
+                except DsekitError as exc:
+                    results[len(cells)] = ([], {_cell_key(preset, manner, seed): str(exc)})
+                cells.append((cell_cfg, preset, manner, seed))
+    live = [i for i in range(len(cells)) if i not in results]
+    if live:
+        try:
+            x0 = equilibrium(cfg)
+            truth = simulate_truth(cfg, x0)
+        except DsekitError as exc:
+            for i in live:
+                _, preset, manner, seed = cells[i]
+                results[i] = ([], {_cell_key(preset, manner, seed): str(exc)})
+            live = []
+    # one chunk of the batch per worker
+    chunks = [c.tolist() for c in np.array_split(live, max(1, min(jobs, len(live))))] if live else []
+    items = [(cfg, truth, x0, [cells[i] for i in chunk], timing) for chunk in chunks]
+    if len(items) > 1:
+        with ProcessPoolExecutor(max_workers=len(items)) as pool:
+            outcomes = list(pool.map(_run_cells, items))
     else:
-        results = [_run_cell(item) for item in items]
+        outcomes = [_run_cells(item) for item in items]
+    for chunk, outcome in zip(chunks, outcomes):
+        results.update(zip(chunk, outcome))
     rows: list[MatrixRow] = []
     failures: dict[str, str] = {}
     failed_cells = 0
-    for cell_rows, cell_failures in results:
+    for i in range(len(cells)):
+        cell_rows, cell_failures = results[i]
         rows.extend(cell_rows)
         failures.update(cell_failures)
         if not cell_rows:
@@ -167,7 +216,7 @@ def run_experiment(
     return ExperimentMatrix(
         rows=tuple(rows),
         failures=failures,
-        cells_total=len(items),
+        cells_total=len(cells),
         cells_failed=failed_cells,
     )
 
@@ -209,23 +258,36 @@ def bench_filters(
     """Time both filter variants on one scenario.
 
     The horizon is extended so warmup + steps measurements exist; the
-    first warmup step times are discarded.  The variants run in lockstep
-    over the series, which is filtered BENCH_PASSES times; each step keeps
-    its fastest time, so a step slowed by preemption or other load in one
-    pass is timed clean in another.  Timing covers the predict-plus-update
-    work only, not simulation or synthesis.
+    first warmup step times are discarded.  Each variant runs as its own
+    batch of one, and the two are stepped in turn, so both are timed under
+    the same machine load.  The series is filtered BENCH_PASSES times;
+    each step keeps its fastest time, so a step slowed by preemption or
+    other load in one pass is timed clean in another.  Timing covers the
+    predict-plus-update work only, not simulation or synthesis.
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     needed = (steps + warmup) * cfg.dt
     bench_cfg = replace(cfg, t_end=max(cfg.t_end, needed))
-    truth = simulate_truth(bench_cfg)
+    x0 = equilibrium(bench_cfg)
+    truth = simulate_truth(bench_cfg, x0)
     _, corrupted = synthesize_measurements(truth, bench_cfg)
     best: dict[str, np.ndarray] = {}
     for _ in range(BENCH_PASSES):
-        _, step_times, _ = filter_series(bench_cfg, corrupted, (CKF, RCKF), strict=True)
-        for variant, times in step_times.items():
-            best[variant] = np.minimum(best[variant], times) if variant in best else times
+        runs = {
+            variant: batch_filters(bench_cfg, corrupted[None], (variant,), x0)[1]
+            for variant in (CKF, RCKF)
+        }
+        times = {variant: np.empty(len(corrupted) - 1) for variant in runs}
+        for k in range(len(corrupted) - 1):
+            for variant, run in runs.items():
+                started = perf_counter_ns()
+                _, _, failed = next(run)
+                times[variant][k] = perf_counter_ns() - started
+                if failed:
+                    raise failed[0][1]
+        for variant, t in times.items():
+            best[variant] = np.minimum(best[variant], t) if variant in best else t
     return {
         variant: TimingReport.from_times_ns(variant, times[warmup:])
         for variant, times in best.items()

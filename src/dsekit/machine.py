@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -154,36 +155,42 @@ def _params_tuple(p: MachineParams) -> tuple:
     )
 
 
-def _currents(d, eq, ed, ut, phi, xdp, xqp):
-    th = d - phi
-    i_d = (eq - ut * math.cos(th)) / xdp
-    i_q = (ut * math.sin(th) - ed) / xqp
-    return i_d, i_q
+# The model formulas below are written once and evaluated either on floats
+# with the math module or elementwise on arrays with _ARRAY_MATH, in the
+# same operation order, so both give the same bits.  np.float_power is the
+# C pow that a float's ** calls; x ** 2 on an array squares instead, which
+# differs in the last bit for about one value in a thousand.
+_ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, pow=np.float_power)
+
+# Up to this many rows an array map evaluates its formula row by row on
+# floats, where numpy's cost per call would outweigh the work; from there
+# on, elementwise on arrays.  An RK4 step is about ten times the work of a
+# measurement, so it stays on floats for more rows.
+RK4_FLOAT_ROWS = 24
+FLOAT_ROWS = 8
 
 
-def _power(d, eq, ed, ut, phi, xdp, xqp):
-    th = d - phi
-    s = math.sin(th)
-    c = math.cos(th)
-    return (
-        0.5 * ut * ut * math.sin(2.0 * th) * (1.0 / xqp - 1.0 / xdp)
-        + ut * s * eq / xdp
-        - ut * c * ed / xqp
-    )
+def _air_gap(th, eq, ed, ut, xdp, xqp, xp):
+    """(u_t cos th, u_t sin th, electrical power) at angle difference th.
 
-
-def _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide_by_speed):
-    xd, xdp, xq, xqp, td0, tq0, tj, damp, w0 = pt
-    th = d - phi
-    cos_th = math.cos(th)
-    sin_th = math.sin(th)
-    i_d = (eq - ut * cos_th) / xdp
-    i_q = (ut * sin_th - ed) / xqp
+    The power is the closed-form three-term expression; it equals
+    u_d * i_d + u_q * i_q with u_d = u_t sin th and u_q = u_t cos th.
+    """
+    ut_cos = ut * xp.cos(th)
+    ut_sin = ut * xp.sin(th)
     p_e = (
-        0.5 * ut * ut * math.sin(2.0 * th) * (1.0 / xqp - 1.0 / xdp)
-        + ut * sin_th * eq / xdp
-        - ut * cos_th * ed / xqp
+        0.5 * ut * ut * xp.sin(2.0 * th) * (1.0 / xqp - 1.0 / xdp)
+        + ut_sin * eq / xdp
+        - ut_cos * ed / xqp
     )
+    return ut_cos, ut_sin, p_e
+
+
+def _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide_by_speed, xp):
+    xd, xdp, xq, xqp, td0, tq0, tj, damp, w0 = pt
+    ut_cos, ut_sin, p_e = _air_gap(d - phi, eq, ed, ut, xdp, xqp, xp)
+    i_d = (eq - ut_cos) / xdp
+    i_q = (ut_sin - ed) / xqp
     t_e = p_e / (1.0 + w) if divide_by_speed else p_e
     return (
         w0 * w,
@@ -193,20 +200,20 @@ def _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide_by_speed):
     )
 
 
-def _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt):
-    k1 = _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide)
+def _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp):
+    k1 = _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide, xp)
     h = 0.5 * dt
     k2 = _derivative(
         d + h * k1[0], w + h * k1[1], eq + h * k1[2], ed + h * k1[3],
-        tm, ef, ut, phi, pt, divide,
+        tm, ef, ut, phi, pt, divide, xp,
     )
     k3 = _derivative(
         d + h * k2[0], w + h * k2[1], eq + h * k2[2], ed + h * k2[3],
-        tm, ef, ut, phi, pt, divide,
+        tm, ef, ut, phi, pt, divide, xp,
     )
     k4 = _derivative(
         d + dt * k3[0], w + dt * k3[1], eq + dt * k3[2], ed + dt * k3[3],
-        tm, ef, ut, phi, pt, divide,
+        tm, ef, ut, phi, pt, divide, xp,
     )
     sixth = dt / 6.0
     return (
@@ -217,13 +224,85 @@ def _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt):
     )
 
 
+def _power_partials(d, eq, ed, ut, phi, xdp, xqp, xp):
+    th = d - phi
+    k = 1.0 / xqp - 1.0 / xdp
+    s = xp.sin(th)
+    c = xp.cos(th)
+    s2 = xp.sin(2.0 * th)
+    c2 = xp.cos(2.0 * th)
+    d_ut = ut * s2 * k + s * eq / xdp - c * ed / xqp
+    d_phi = -ut * ut * c2 * k - ut * c * eq / xdp - ut * s * ed / xqp
+    return d_ut, d_phi
+
+
+def _power_variance(d, eq, ed, ut, phi, params, sigmas, xp):
+    d_ut, d_phi = _power_partials(d, eq, ed, ut, phi, params.x_d_prime, params.x_q_prime, xp)
+    return xp.pow(d_ut * sigmas.sigma_u * ut, 2.0) + xp.pow(d_phi * sigmas.sigma_phi, 2.0)
+
+
+def _rows_map(formula, x, u, width: int, float_rows: int = FLOAT_ROWS) -> np.ndarray:
+    """formula(d, w, eq, ed, t_m, e_f, u_t, phi, xp), a tuple of width
+    outputs, over the states in the rows of x (N, 4) under one input
+    vector u or one per row, as an (N, width) array.  A row whose
+    evaluation overflows comes out not finite."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if x.shape[0] > float_rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = formula(*x.T, *(u.T if u.ndim == 2 else u.tolist()), _ARRAY_MATH)
+        out = np.empty((x.shape[0], width))
+        for j, column in enumerate(columns):
+            out[:, j] = column
+        return out
+    rows = x.tolist()
+    inputs = u.tolist() if u.ndim == 2 else [u.tolist()] * len(rows)
+    out = []
+    for row, row_inputs in zip(rows, inputs):
+        try:
+            out.append(formula(*row, *row_inputs, math))
+        except (OverflowError, ValueError):
+            out.append((math.nan,) * width)
+    return np.array(out, dtype=float).reshape(len(rows), width)
+
+
+def _measurement(params: MachineParams):
+    xdp, xqp = params.x_d_prime, params.x_q_prime
+
+    def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
+        return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, xdp, xqp, xp)[2]
+
+    return formula
+
+
+def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.ndarray:
+    """Noise-free measurement rows (delta, 1 + delta_omega, power) of the
+    states in the rows of x, under one input vector u or one per row."""
+    return _rows_map(_measurement(params), x, u, 3)
+
+
+def power_variance(
+    x: np.ndarray, u: np.ndarray, params: MachineParams, sigmas: MeasurementSigmas
+) -> np.ndarray:
+    """Power channel variance of measurement_covariance for the states in
+    the rows of x, under one input vector u or one per row."""
+
+    def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
+        return (_power_variance(d, eq, ed, ut, phi, params, sigmas, xp),)
+
+    return _rows_map(formula, x, u, 1)[:, 0]
+
+
 def stator_currents(state: MachineState, inputs: MachineInputs, params: MachineParams) -> StatorCurrents:
     """d/q axis stator currents from the transient EMFs and the terminal bus."""
-    i_d, i_q = _currents(
-        state.delta, state.e_q_prime, state.e_d_prime,
-        inputs.u_t, inputs.phi, params.x_d_prime, params.x_q_prime,
+    ut_cos, ut_sin, _ = _air_gap(
+        state.delta - inputs.phi, state.e_q_prime, state.e_d_prime,
+        inputs.u_t, params.x_d_prime, params.x_q_prime, math,
     )
-    return StatorCurrents(i_d=i_d, i_q=i_q)
+    return StatorCurrents(
+        i_d=(state.e_q_prime - ut_cos) / params.x_d_prime,
+        i_q=(ut_sin - state.e_d_prime) / params.x_q_prime,
+    )
 
 
 def electrical_power(state: MachineState, inputs: MachineInputs, params: MachineParams) -> float:
@@ -233,10 +312,10 @@ def electrical_power(state: MachineState, inputs: MachineInputs, params: Machine
     difference delta - phi; it equals u_d * i_d + u_q * i_q with
     u_d = u_t sin(delta - phi) and u_q = u_t cos(delta - phi).
     """
-    return _power(
-        state.delta, state.e_q_prime, state.e_d_prime,
-        inputs.u_t, inputs.phi, params.x_d_prime, params.x_q_prime,
-    )
+    return _air_gap(
+        state.delta - inputs.phi, state.e_q_prime, state.e_d_prime,
+        inputs.u_t, params.x_d_prime, params.x_q_prime, math,
+    )[2]
 
 
 def state_derivative(
@@ -254,7 +333,7 @@ def state_derivative(
     out = _derivative(
         state.delta, state.delta_omega, state.e_q_prime, state.e_d_prime,
         inputs.t_m, inputs.e_f, inputs.u_t, inputs.phi,
-        _params_tuple(params), torque_mode == DIVIDE_BY_SPEED,
+        _params_tuple(params), torque_mode == DIVIDE_BY_SPEED, math,
     )
     return np.array(out)
 
@@ -273,7 +352,7 @@ def rk4_step(
     d, w, eq, ed = _rk4(
         state.delta, state.delta_omega, state.e_q_prime, state.e_d_prime,
         inputs.t_m, inputs.e_f, inputs.u_t, inputs.phi,
-        _params_tuple(params), torque_mode == DIVIDE_BY_SPEED, dt,
+        _params_tuple(params), torque_mode == DIVIDE_BY_SPEED, dt, math,
     )
     if not (math.isfinite(d) and math.isfinite(w) and math.isfinite(eq) and math.isfinite(ed)):
         raise NonFiniteState("integration step produced a non-finite state")
@@ -298,22 +377,10 @@ def power_partials(
 ) -> tuple[float, float]:
     """Analytic partial derivatives of electrical power with respect to the
     terminal voltage magnitude and phase, in that order."""
-    th = state.delta - inputs.phi
-    ut = inputs.u_t
-    xdp = params.x_d_prime
-    xqp = params.x_q_prime
-    k = 1.0 / xqp - 1.0 / xdp
-    s = math.sin(th)
-    c = math.cos(th)
-    s2 = math.sin(2.0 * th)
-    c2 = math.cos(2.0 * th)
-    d_ut = ut * s2 * k + s * state.e_q_prime / xdp - c * state.e_d_prime / xqp
-    d_phi = (
-        -ut * ut * c2 * k
-        - ut * c * state.e_q_prime / xdp
-        - ut * s * state.e_d_prime / xqp
+    return _power_partials(
+        state.delta, state.e_q_prime, state.e_d_prime, inputs.u_t, inputs.phi,
+        params.x_d_prime, params.x_q_prime, math,
     )
-    return d_ut, d_phi
 
 
 def measurement_covariance(
@@ -328,8 +395,10 @@ def measurement_covariance(
     variance is propagated to first order from the terminal voltage
     magnitude and phase uncertainties; sigma_u scales with u_t.
     """
-    d_ut, d_phi = power_partials(state, inputs, params)
-    var_pe = (d_ut * sigmas.sigma_u * inputs.u_t) ** 2 + (d_phi * sigmas.sigma_phi) ** 2
+    var_pe = _power_variance(
+        state.delta, state.e_q_prime, state.e_d_prime, inputs.u_t, inputs.phi,
+        params, sigmas, math,
+    )
     return np.diag(
         (sigmas.sigma_delta**2, sigmas.sigma_omega**2, var_pe)
     )
@@ -342,49 +411,39 @@ def as_process_model(
 
     transition advances one RK4 step of length dt with the input vector
     (t_m, e_f, u_t, phi) held over the step; observe produces the triple
-    (delta, 1 + delta_omega, electrical power).
+    (delta, 1 + delta_omega, electrical power).  transition_points and
+    observe_points evaluate the same formulas over an (N, 4) array of
+    points, and give the same bits as the per-point maps; transition_points
+    raises NonFiniteState when a propagated point is not finite.
     """
     _check_torque_mode(torque_mode)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     pt = _params_tuple(params)
-    xdp = params.x_d_prime
-    xqp = params.x_q_prime
     divide = torque_mode == DIVIDE_BY_SPEED
 
     def transition(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         d, w, eq, ed = x.tolist()
         tm, ef, ut, phi = u.tolist()
         try:
-            out = _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt)
+            out = _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, math)
         except (OverflowError, ValueError) as exc:
             raise NonFiniteState(f"integration step overflowed: {exc}") from exc
         return np.array(out)
+
+    measurement = _measurement(params)
+
+    def step(d, w, eq, ed, tm, ef, ut, phi, xp):
+        return _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp)
 
     def observe(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        d, w, eq, ed = x.tolist()
-        ut = u[2]
-        phi = u[3]
-        return np.array((d, 1.0 + w, _power(d, eq, ed, ut, phi, xdp, xqp)))
+        return np.array(measurement(*x.tolist(), *u.tolist(), math))
 
     def transition_points(points: np.ndarray, u: np.ndarray) -> np.ndarray:
-        tm, ef, ut, phi = u.tolist()
-        try:
-            out = [
-                _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt)
-                for d, w, eq, ed in points.tolist()
-            ]
-        except (OverflowError, ValueError) as exc:
-            raise NonFiniteState(f"integration step overflowed: {exc}") from exc
-        return np.array(out)
-
-    def observe_points(points: np.ndarray, u: np.ndarray) -> np.ndarray:
-        ut = float(u[2])
-        phi = float(u[3])
-        return np.array([
-            (d, 1.0 + w, _power(d, eq, ed, ut, phi, xdp, xqp))
-            for d, w, eq, ed in points.tolist()
-        ])
+        out = _rows_map(step, points, u, 4, RK4_FLOAT_ROWS)
+        if not np.isfinite(out).all():
+            raise NonFiniteState("integration step produced a non-finite state")
+        return out
 
     return ProcessModel(
         n=4,
@@ -392,5 +451,5 @@ def as_process_model(
         transition=transition,
         observe=observe,
         transition_points=transition_points,
-        observe_points=observe_points,
+        observe_points=lambda points, u: _rows_map(measurement, points, u, 3),
     )

@@ -248,6 +248,24 @@ def _grid_index(t: float, dt: float, steps: int, what: str) -> int:
     return idx
 
 
+def outlier_rows(spec: OutlierSpec, dt: float, steps: int) -> tuple[int, int] | None:
+    """First and last grid row an outlier spec hits on a series of the
+    given length, or None for no outliers.
+
+    Raises:
+        OutOfRange: a requested time falls off the simulated horizon.
+    """
+    if spec.manner == OUTLIER_NONE:
+        return None
+    if spec.manner == OUTLIER_SINGLE:
+        idx = _grid_index(spec.time, dt, steps, "outlier time")
+        return idx, idx
+    return (
+        _grid_index(spec.t_start, dt, steps, "window start"),
+        _grid_index(spec.t_end, dt, steps, "window end"),
+    )
+
+
 def inject_outliers(series: np.ndarray, spec: OutlierSpec, dt: float) -> np.ndarray:
     """Scale the selected channel over the selected steps; everything else
     is returned bit for bit.
@@ -260,15 +278,7 @@ def inject_outliers(series: np.ndarray, spec: OutlierSpec, dt: float) -> np.ndar
     """
     series = np.asarray(series, dtype=float)
     out = series.copy()
-    if spec.manner == OUTLIER_NONE:
-        return out
-    steps = series.shape[0]
-    ch = spec.channel_index()
-    if spec.manner == OUTLIER_SINGLE:
-        idx = _grid_index(spec.time, dt, steps, "outlier time")
-        out[idx, ch] *= spec.scale
-        return out
-    lo = _grid_index(spec.t_start, dt, steps, "window start")
-    hi = _grid_index(spec.t_end, dt, steps, "window end")
-    out[lo : hi + 1, ch] *= spec.scale
+    rows = outlier_rows(spec, dt, series.shape[0])
+    if rows is not None:
+        out[rows[0] : rows[1] + 1, spec.channel_index()] *= spec.scale
     return out

@@ -13,23 +13,25 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
+from time import perf_counter_ns
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DecompositionFailure, InvalidWindow, NoConvergence, NonFiniteState
-from .filters import CKF, RCKF, FilterState, HuberConfig, iter_filter
+from .errors import InvalidWindow, NoConvergence, NonFiniteState
+from .filters import CKF, RCKF, VARIANTS, FilterState, HuberConfig, iter_batch
 from .machine import (
     POWER_EQUALS_TORQUE,
     MachineInputs,
     MachineParams,
     MachineState,
     MeasurementSigmas,
+    _air_gap,
     _check_torque_mode,
     as_process_model,
-    measure,
-    measurement_covariance,
+    observe_points,
+    power_variance,
     state_derivative,
 )
 from .noise import (
@@ -221,12 +223,7 @@ def steady_state_init(
         return eq, ed
 
     def power(theta: float) -> float:
-        eq, ed = emfs(theta)
-        return (
-            0.5 * ut * ut * math.sin(2.0 * theta) * (1.0 / xqp - 1.0 / xdp)
-            + ut * math.sin(theta) * eq / xdp
-            - ut * math.cos(theta) * ed / xqp
-        )
+        return _air_gap(theta, *emfs(theta), ut, xdp, xqp, math)[2]
 
     def state_at(theta: float) -> MachineState:
         eq, ed = emfs(theta)
@@ -311,11 +308,22 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(steps + 1) * cfg.dt
 
 
-def simulate_truth(cfg: ScenarioConfig) -> np.ndarray:
+def equilibrium(cfg: ScenarioConfig) -> MachineState:
+    """Pre-fault equilibrium of a scenario, shared by its truth and its
+    filter prior.
+
+    Raises:
+        NoConvergence: no pre-fault equilibrium exists.
+    """
+    return steady_state_init(cfg.profile.at(0.0), cfg.machine, cfg.torque_mode)
+
+
+def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.ndarray:
     """Integrate the noise-free trajectory from the pre-fault equilibrium.
 
     Returns a (steps + 1, 4) array, one state row per grid point, with
-    inputs held constant over each step.
+    inputs held constant over each step.  x0, when given, is the
+    equilibrium already solved for cfg.
 
     Raises:
         NoConvergence: no pre-fault equilibrium exists.
@@ -325,7 +333,8 @@ def simulate_truth(cfg: ScenarioConfig) -> np.ndarray:
     times = time_grid(cfg)
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(times)
-    x0 = steady_state_init(cfg.profile.at(0.0), cfg.machine, cfg.torque_mode)
+    if x0 is None:
+        x0 = equilibrium(cfg)
     out = np.empty((len(times), 4))
     out[0] = x0.as_array()
     x = out[0]
@@ -348,7 +357,7 @@ def synthesize_measurements(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clean and corrupted measurement series for a truth trajectory.
 
-    The clean series applies the measurement map row by row.  Channel
+    The clean series applies the measurement map to every row.  Channel
     noise follows cfg.noise; a None spec on the power channel means
     Gaussian noise whose per-step std comes from the measurement
     covariance evaluated on the truth.  Outliers are injected last.
@@ -356,26 +365,13 @@ def synthesize_measurements(
     Returns:
         (clean, corrupted), both (steps + 1, 3).
     """
-    times = time_grid(cfg)
-    u_arr = cfg.profile.as_array(times)
-    rows = truth.shape[0]
-    clean = np.empty((rows, 3))
-    pe_sigma = np.empty(rows)
-    for k in range(rows):
-        state = MachineState.from_array(truth[k])
-        inputs = MachineInputs.from_array(u_arr[k])
-        m = measure(state, inputs, cfg.machine)
-        clean[k, 0] = m.delta_z
-        clean[k, 1] = m.omega_z
-        clean[k, 2] = m.p_e_z
-        R = measurement_covariance(state, inputs, cfg.machine, cfg.sigmas)
-        pe_sigma[k] = math.sqrt(R[2, 2])
-
+    u_arr = cfg.profile.as_array(time_grid(cfg))
+    clean = observe_points(truth, u_arr, cfg.machine)
     specs = list(cfg.noise)
     per_step = None
     if specs[2] is None:
         specs[2] = NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)
-        per_step = {2: pe_sigma}
+        per_step = {2: np.sqrt(power_variance(truth, u_arr, cfg.machine, cfg.sigmas))}
     streams = [SeededStream(cfg.seed, (0, ch)) for ch in range(3)]
     corrupted = corrupt(clean, specs, streams, per_step)
     corrupted = inject_outliers(corrupted, cfg.outliers, cfg.dt)
@@ -383,25 +379,26 @@ def synthesize_measurements(
 
 
 def initial_filter_state(
-    cfg: ScenarioConfig, corrupted: np.ndarray
+    cfg: ScenarioConfig, corrupted: np.ndarray, x0: MachineState | None = None
 ) -> FilterState:
     """Prior built from the first corrupted measurement row.
 
     Angle and speed come straight from the measurements; the EMFs take the
-    pre-fault equilibrium values inflated by the configured relative bias,
-    so the estimator never peeks at the truth.
+    pre-fault equilibrium values (x0 when given) inflated by the
+    configured relative bias, so the estimator never peeks at the truth.
     """
-    eq0 = steady_state_init(cfg.profile.at(0.0), cfg.machine, cfg.torque_mode)
+    if x0 is None:
+        x0 = equilibrium(cfg)
     bias = 1.0 + cfg.init.eprime_bias
-    x0 = np.array(
+    x_hat = np.array(
         (
             corrupted[0, 0],
             corrupted[0, 1] - 1.0,
-            eq0.e_q_prime * bias,
-            eq0.e_d_prime * bias,
+            x0.e_q_prime * bias,
+            x0.e_d_prime * bias,
         )
     )
-    return FilterState(x_hat=x0, P=np.diag(cfg.init.p0_diag), step_index=0)
+    return FilterState(x_hat=x_hat, P=np.diag(cfg.init.p0_diag), step_index=0)
 
 
 @dataclass(frozen=True)
@@ -423,79 +420,117 @@ class RunRecord:
     failures: dict[str, str]
 
 
+def batch_filters(
+    cfg: ScenarioConfig,
+    series: np.ndarray,
+    variants: Sequence[str],
+    x0: MachineState,
+):
+    """Every requested variant on every measurement series of a stack
+    (cells, rows, 3), as one batch; member c * len(variants) + v filters
+    series c with variant v.  The measurement covariance fed to the
+    filters is re-evaluated each step at the predicted state, never at the
+    truth.
+
+    Returns:
+        (prior, steps): the members' prior means (members, 4) and the
+        filters.iter_batch iterator that advances them.
+    """
+    unknown = set(variants) - set(VARIANTS)
+    if unknown:
+        raise ValueError(f"unknown filter variant {sorted(unknown)[0]!r}")
+    times = time_grid(cfg)
+    if series.shape[1] != len(times):
+        raise ValueError(
+            f"measurement series has {series.shape[1]} rows, grid has {len(times)}"
+        )
+    model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
+    u_arr = cfg.profile.as_array(times)
+    params, sigmas = cfg.machine, cfg.sigmas
+    base_R = np.diag((sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0))
+
+    def r_provider(step: int, predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
+        R = np.repeat(base_R[None], predicted.x_hat.shape[0], axis=0)
+        R[:, 2, 2] = power_variance(predicted.x_hat, u_obs, params, sigmas)
+        return R
+
+    repeats = len(variants)
+    prior = np.repeat([initial_filter_state(cfg, s, x0).x_hat for s in series], repeats, axis=0)
+    init = FilterState(
+        x_hat=prior, P=np.repeat(np.diag(cfg.init.p0_diag)[None], len(prior), axis=0)
+    )
+    thresholds = np.tile([cfg.huber.c if v == RCKF else math.inf for v in variants], len(series))
+    steps = iter_batch(
+        model,
+        init,
+        u_arr[:-1],
+        np.repeat(series[:, 1:].transpose(1, 0, 2), repeats, axis=1),
+        np.diag(cfg.init.q_diag),
+        r_provider,
+        HuberConfig(thresholds, cfg.huber.max_reweight_passes),
+        observe_inputs=u_arr[1:],
+    )
+    return prior, steps
+
+
 def filter_series(
     cfg: ScenarioConfig,
     corrupted: np.ndarray,
     variants: Sequence[str] = (CKF, RCKF),
     strict: bool = False,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, str]]:
-    """Run filter variants over a corrupted measurement series.
+    x0: MachineState | None = None,
+):
+    """Run filter variants over corrupted measurement series, as one batch.
 
-    The measurement covariance fed to the filters is re-evaluated each
-    step at the predicted state, never at the truth.  The variants advance
-    in lockstep, one step each in turn, so their step times are taken
-    under the same machine load.  A variant that diverges is recorded in
-    the returned failures map and dropped, or re-raised when strict is
-    set.
+    corrupted is one series (rows, 3) or a stack of series (cells, rows,
+    3) that share cfg's grid, inputs and filter tuning.  Every series gets
+    every requested variant, and all of them advance in lockstep as one
+    batch (batch_filters); each member's estimates are the bits it gets
+    alone.  A member that diverges is recorded in its failures map and
+    dropped, or re-raised when strict is set.  A member's step time is the
+    batch's step wall time divided by the members live at that step.  x0
+    is the equilibrium already solved for cfg, if any.
 
     Returns:
-        (estimates, step_times_ns, failures), each keyed by variant name.
+        (estimates, step_times_ns, failures), each keyed by variant name,
+        for one series; a list of such triples, one per series, for a
+        stack.
     """
-    times = time_grid(cfg)
-    if corrupted.shape[0] != len(times):
-        raise ValueError(
-            f"measurement series has {corrupted.shape[0]} rows, grid has {len(times)}"
-        )
-    model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
-    u_arr = cfg.profile.as_array(times)
-    transition_inputs = list(u_arr[:-1])
-    observe_inputs = list(u_arr[1:])
-    measurements = list(corrupted[1:])
-    Q = np.diag(cfg.init.q_diag)
-    init = initial_filter_state(cfg, corrupted)
-    params = cfg.machine
-    sigmas = cfg.sigmas
+    corrupted = np.asarray(corrupted, dtype=float)
+    stacked = corrupted.ndim == 3
+    series = corrupted if stacked else corrupted[None]
+    if x0 is None:
+        x0 = equilibrium(cfg)
+    prior, batch = batch_filters(cfg, series, variants, x0)
+    cells, steps = series.shape[0], series.shape[1] - 1
+    estimates = np.empty((len(prior), steps + 1, 4))
+    estimates[:, 0] = prior
+    step_ns = np.zeros((len(prior), steps))
+    failed: dict[int, Exception] = {}
+    started = perf_counter_ns()
+    for k, (members, state, frozen) in enumerate(batch):
+        elapsed = perf_counter_ns() - started
+        for member, exc in frozen:
+            if strict:
+                raise exc
+            failed[member] = exc
+        if members.size:
+            estimates[members, k + 1] = state.x_hat
+            step_ns[members, k] = elapsed / members.size
+        started = perf_counter_ns()
 
-    def r_provider(step: int, predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
-        state = MachineState.from_array(predicted.x_hat)
-        return measurement_covariance(
-            state, MachineInputs.from_array(u_obs), params, sigmas
-        )
-
-    runs = {
-        variant: iter_filter(
-            model,
-            variant,
-            init,
-            transition_inputs,
-            measurements,
-            Q,
-            r_provider,
-            huber=cfg.huber,
-            observe_inputs=observe_inputs,
-        )
-        for variant in variants
-    }
-    states: dict[str, list[FilterState]] = {variant: [init] for variant in runs}
-    collected: dict[str, list[int]] = {variant: [] for variant in runs}
-    failures: dict[str, str] = {}
-    for _ in measurements:
-        for variant in tuple(runs):
-            try:
-                state, step_ns = next(runs[variant])
-            except (DecompositionFailure, NonFiniteState) as exc:
-                if strict:
-                    raise
-                failures[variant] = str(exc)
-                del runs[variant]
-                continue
-            states[variant].append(state)
-            collected[variant].append(step_ns)
-    estimates = {
-        variant: np.vstack([s.x_hat for s in states[variant]]) for variant in runs
-    }
-    step_times = {variant: np.asarray(collected[variant]) for variant in runs}
-    return estimates, step_times, failures
+    results = []
+    for c in range(cells):
+        out: tuple[dict, dict, dict] = ({}, {}, {})
+        for v, variant in enumerate(variants):
+            member = c * len(variants) + v
+            if member in failed:
+                out[2][variant] = str(failed[member])
+            else:
+                out[0][variant] = estimates[member]
+                out[1][variant] = step_ns[member]
+        results.append(out)
+    return results if stacked else results[0]
 
 
 def run_scenario(
@@ -508,9 +543,10 @@ def run_scenario(
     run, unless strict is set.
     """
     times = time_grid(cfg)
-    truth = simulate_truth(cfg)
+    x0 = equilibrium(cfg)
+    truth = simulate_truth(cfg, x0)
     clean, corrupted = synthesize_measurements(truth, cfg)
-    estimates, step_times, failures = filter_series(cfg, corrupted, variants, strict)
+    estimates, step_times, failures = filter_series(cfg, corrupted, variants, strict, x0)
     return RunRecord(
         times=times,
         truth=truth,

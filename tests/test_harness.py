@@ -104,6 +104,34 @@ class TestRunExperiment:
             f"noise{p}/single/seed1" for p in (1, 2, 3, 4)
         }
 
+    def test_outlier_placement_fails_before_integration(self, monkeypatch):
+        # neither the 6 s single outlier nor the 2-3 s window fits a 1.5 s
+        # horizon: every cell fails on its outlier placement alone
+        import dsekit.harness as harness
+
+        def no_truth(*args, **kwargs):
+            raise AssertionError("truth integrated for cells that cannot run")
+
+        monkeypatch.setattr(harness, "simulate_truth", no_truth)
+        matrix = run_experiment(small_config(t_end=1.5), seeds=[1])
+        assert matrix.cells_failed == matrix.cells_total == 8
+        assert not matrix.rows
+        assert all("outside the simulated horizon" in m for m in matrix.failures.values())
+
+    def test_one_equilibrium_for_the_whole_matrix(self, monkeypatch):
+        import dsekit.scenario as scenario
+
+        calls = []
+        solve = scenario.steady_state_init
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "steady_state_init", counted)
+        run_experiment(small_config(t_end=4.0), seeds=[1, 2])
+        assert len(calls) == 1
+
 
 class TestSummarize:
     def _matrix(self):

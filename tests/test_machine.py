@@ -21,7 +21,9 @@ from dsekit.machine import (
     electrical_power,
     measure,
     measurement_covariance,
+    observe_points,
     power_partials,
+    power_variance,
     rk4_step,
     state_derivative,
     stator_currents,
@@ -280,6 +282,34 @@ class TestProcessModelWrapper:
         ):
             expected = np.array([single(p, inputs) for p in points])
             assert_allclose(batch(points, inputs), expected, rtol=0.0, atol=0.0)
+
+    def test_point_maps_equal_per_point_maps_at_every_size(self):
+        # small point sets are evaluated on floats and larger ones on
+        # arrays; both must give the per-point bits
+        rng = np.random.default_rng(7)
+        sigmas = MeasurementSigmas()
+        for torque_mode in (POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED):
+            model = as_process_model(DEFAULT_PARAMS, 0.02, torque_mode)
+            for size in (1, 8, 9, 24, 25, 100):
+                states = [random_state(rng) for _ in range(size)]
+                points = np.array([s.as_array() for s in states])
+                inputs = random_inputs(rng)
+                u = inputs.as_array()
+                expected = np.array([model.transition(p, u) for p in points])
+                assert_allclose(model.transition_points(points, u), expected, rtol=0.0, atol=0.0)
+                expected = np.array([measure(s, inputs, DEFAULT_PARAMS).as_array() for s in states])
+                assert_allclose(model.observe_points(points, u), expected, rtol=0.0, atol=0.0)
+                expected = [measurement_covariance(s, inputs, DEFAULT_PARAMS, sigmas)[2, 2] for s in states]
+                assert_allclose(
+                    power_variance(points, u, DEFAULT_PARAMS, sigmas), expected, rtol=0.0, atol=0.0
+                )
+                # one input row per state, as measurement synthesis passes them
+                rows = np.array([random_inputs(rng).as_array() for _ in range(size)])
+                expected = np.array([
+                    measure(s, MachineInputs.from_array(r), DEFAULT_PARAMS).as_array()
+                    for s, r in zip(states, rows)
+                ])
+                assert_allclose(observe_points(points, rows, DEFAULT_PARAMS), expected, rtol=0.0, atol=0.0)
 
     def test_dimensions(self):
         model = as_process_model(DEFAULT_PARAMS, 0.02)

@@ -366,6 +366,22 @@ class TestFilterSeries:
             filter_series(cfg, corrupted, variants=(CKF,), strict=True)
 
 
+    def test_stack_of_series_gives_one_result_per_series(self):
+        cfg = make_config(t_end=2.0)
+        truth = simulate_truth(cfg)
+        series = np.stack([
+            synthesize_measurements(truth, replace(cfg, seed=seed))[1] for seed in (1, 2)
+        ])
+        results = filter_series(cfg, series)
+        assert len(results) == 2
+        for one, result in zip(series, results):
+            alone = filter_series(cfg, one)
+            for variant in (CKF, RCKF):
+                np.testing.assert_array_equal(result[0][variant], alone[0][variant])
+                # each member's step time is its share of the batch's step
+                assert result[1][variant].shape == (len(one) - 1,)
+
+
 class TestRunScenario:
     def test_default_run_produces_both_variants(self):
         noise = (
@@ -385,6 +401,24 @@ class TestRunScenario:
         init = initial_filter_state(cfg, record.corrupted)
         np.testing.assert_array_equal(record.estimates[CKF][0], init.x_hat)
         np.testing.assert_array_equal(record.estimates[RCKF][0], init.x_hat)
+
+    def test_one_equilibrium_per_run(self, monkeypatch):
+        import dsekit.scenario as scenario
+
+        calls = []
+        solve = scenario.steady_state_init
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "steady_state_init", counted)
+        record = run_scenario(make_config(t_end=2.0))
+        assert len(calls) == 1
+        # the truth and the filter prior share that equilibrium
+        x0 = solve(BASE, DEFAULT_PARAMS)
+        np.testing.assert_array_equal(record.truth[0], x0.as_array())
+        assert record.estimates[CKF][0, 2] == x0.e_q_prime * 1.1
 
     def test_estimates_track_truth_under_white_noise(self):
         noise = (
