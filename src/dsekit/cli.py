@@ -2,7 +2,8 @@
 
 Subcommands: simulate (truth and measurement CSVs), estimate (filter runs
 plus metrics), experiment (the noise-by-manner matrix), and bench (filter
-step timing).  Exit codes: 0 success, 2 configuration problem, 3 truth
+step timing).  Exit codes: 0 success, 2 configuration problem (including
+an experiment horizon too short for the matrix's outliers), 3 truth
 simulation failure, 4 filter divergence, 5 every experiment cell failed.
 """
 
@@ -24,12 +25,17 @@ from .errors import (
 from .evaluation import VARIABLES, MetricsReport, report_from_run
 from .filters import CKF, RCKF
 from .harness import (
+    FLOAT_FORMAT,
+    MANNERS,
+    MATRIX_HORIZON,
     bench_filters,
     format_float,
+    manner_outliers,
     run_experiment,
     write_matrix_csv,
     write_summary_csv,
 )
+from .noise import outlier_rows
 from .scenario import (
     RunRecord,
     ScenarioConfig,
@@ -51,12 +57,21 @@ MEASUREMENTS_HEADER = ("t", "delta_z_rad", "omega_z_pu", "pe_z_pu")
 METRICS_HEADER = ("variable", "epsilon1", "epsilon2")
 
 
+# Rows formatted by one % operation when a series is written: whole
+# blocks cut the per-value cost, and a bounded block keeps the text in
+# memory small beside the table.
+CSV_BLOCK_ROWS = 1024
+
+
 def _write_series_csv(path, header, times, table) -> None:
+    """Time column plus table rows, every value as format_float writes it."""
+    data = np.column_stack((times, table))
+    row_format = ",".join([FLOAT_FORMAT] * data.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for t, row in zip(times, table):
-            cells = [format_float(t)] + [format_float(v) for v in row]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[start : start + CSV_BLOCK_ROWS]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_metrics_csv(path, report: MetricsReport) -> None:
@@ -186,6 +201,17 @@ def cmd_experiment(args) -> int:
     if args.runs < 1:
         print(f"--runs must be at least 1, got {args.runs}", file=sys.stderr)
         return EXIT_CONFIG
+    rows = len(time_grid(cfg))
+    for manner in MANNERS:
+        try:
+            outlier_rows(manner_outliers(manner, cfg.outliers), cfg.dt, rows)
+        except DsekitError as exc:
+            print(
+                f"the experiment matrix needs a horizon of at least {MATRIX_HORIZON} s, "
+                f"scenario.t_end is {cfg.t_end} s: {exc}",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
     seeds = [cfg.seed + i for i in range(args.runs)]
     matrix = run_experiment(cfg, seeds, jobs=args.jobs, timing=args.timing)
     for key, message in sorted(matrix.failures.items()):

@@ -23,10 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter_ns
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+# The batched LAPACK kernels behind np.linalg.cholesky and np.linalg.solve.
+# Called directly, they skip the wrappers' argument handling, about half of
+# each call at the filter's sizes; under errstate a member that fails comes
+# out NaN instead of raising, so the finiteness gate after each call also
+# catches the failures.  The exceptions come from the per-member scans,
+# which keep to the np.linalg functions.
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DecompositionFailure,
@@ -142,9 +151,17 @@ def _member_failure(kind: type, message: str, members) -> Exception:
     return exc
 
 
+def _all_finite(a: Array) -> bool:
+    """Whole-array gate: True proves every entry finite.  The sum of the
+    squares is NaN or infinite when an entry is, and can also overflow on
+    finite entries, so False only sends the caller to its exact scan."""
+    flat = a.reshape(-1)
+    return math.isfinite(np.dot(flat, flat))
+
+
 def _nonfinite_members(a: Array) -> Array:
     """Indices along the first axis of the members holding a non-finite entry."""
-    if np.isfinite(a).all():
+    if _all_finite(a):
         return np.empty(0, dtype=np.intp)
     return np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
 
@@ -152,6 +169,14 @@ def _nonfinite_members(a: Array) -> Array:
 def _T(a: Array) -> Array:
     """Stack of matrices, each transposed."""
     return a.transpose(0, 2, 1)
+
+
+def _symmetrized(a: Array) -> Array:
+    """Stack of matrices, each replaced by the mean of itself and its
+    transpose."""
+    sym = a + _T(a)
+    sym *= 0.5
+    return sym
 
 
 def _batched(state: FilterState) -> tuple[Array, Array, bool]:
@@ -199,15 +224,12 @@ def cholesky_lower(P: Array) -> Array:
         raise DecompositionFailure(f"expected a square matrix, got shape {P.shape}")
     single = P.ndim == 2
     stack = P[None] if single else P
-    sym = 0.5 * (stack + _T(stack))
-    try:
-        S = np.linalg.cholesky(sym)
-        # LAPACK lets some non-finite inputs through; their factors are
-        # not finite either
-        factored = np.isfinite(S).all()
-    except np.linalg.LinAlgError:
-        factored = False
-    if not factored:
+    sym = _symmetrized(stack)
+    with np.errstate(all="ignore"):
+        S = _umath_linalg.cholesky_lo(sym, signature="d->d")
+    # a member that fails comes out NaN; LAPACK lets some non-finite
+    # inputs through, and their factors are not finite either
+    if not _all_finite(S):
         S = np.empty_like(sym)
         failed: dict[int, str] = {}
         for b in range(sym.shape[0]):
@@ -221,15 +243,23 @@ def cholesky_lower(P: Array) -> Array:
     return S[0] if single else S
 
 
+@lru_cache(maxsize=None)
+def _cubature_pattern(n: int) -> tuple[Array, Array]:
+    """Column of S behind each of the 2n points, and its signed scale
+    +/- sqrt(n), for points x_hat + scale * column."""
+    columns = np.concatenate((np.arange(n), np.arange(n)))
+    scale = np.concatenate((np.full(n, math.sqrt(n)), np.full(n, -math.sqrt(n))))[:, None]
+    columns.flags.writeable = scale.flags.writeable = False
+    return columns, scale
+
+
 def cubature_points(x_hat: Array, S: Array) -> CubatureSet:
     """Spherical-radial point set for mean x_hat and covariance S @ S.T;
     points are (2n, n) for one filter and (B, 2n, n) for a batch."""
     n = x_hat.shape[-1]
-    spread = math.sqrt(n) * np.swapaxes(S, -1, -2)  # row i is sqrt(n) times column i of S
-    centre = x_hat[..., None, :]
-    points = np.empty(spread.shape[:-2] + (2 * n, n))
-    np.add(centre, spread, out=points[..., :n, :])
-    np.subtract(centre, spread, out=points[..., n:, :])
+    columns, scale = _cubature_pattern(n)
+    # x + (-sqrt(n) * s) is x - sqrt(n) * s, bit for bit
+    points = x_hat[..., None, :] + np.asarray(S).take(columns, axis=-1).swapaxes(-1, -2) * scale
     return CubatureSet(points=points, weight=1.0 / (2 * n))
 
 
@@ -256,6 +286,25 @@ def _map_points(points_map, point_map, points: Array, u) -> Array:
     return np.asarray(out, dtype=float).reshape(B, N, -1)
 
 
+def _mapped_points(
+    x: Array, P: Array, points_map, point_map, u: Array, what: str
+) -> tuple[Array, Array, Array]:
+    """Cubature points on (x, P), and the mean of their images under a
+    model map with each image's deviation from it, all (B, ...).
+
+    Raises:
+        DecompositionFailure: P cannot be factorized.
+        NonFiniteState: an image is not finite.
+    """
+    pts = cubature_points(x, cholesky_lower(P)).points
+    images = _map_points(points_map, point_map, pts, u)
+    bad = _nonfinite_members(images)
+    if bad.size:
+        raise _member_failure(NonFiniteState, f"{what} points are not finite", bad)
+    mean = np.add.reduce(images, axis=1) / pts.shape[1]
+    return pts, mean, images - mean[:, None, :]
+
+
 def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) -> FilterState:
     """Propagate the posterior through the transition map.
 
@@ -268,16 +317,13 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
         DecompositionFailure: the posterior covariance cannot be factorized.
     """
     x, P, single = _batched(state)
-    N = 2 * model.n
-    pts = cubature_points(x, cholesky_lower(P)).points
-    propagated = _map_points(model.transition_points, model.transition, pts, u)
-    bad = _nonfinite_members(propagated)
-    if bad.size:
-        raise _member_failure(NonFiniteState, "propagated cubature points are not finite", bad)
-    x_pred = np.add.reduce(propagated, axis=1) / N
-    centered = propagated - x_pred[:, None, :]
-    P_pred = _T(centered) @ centered / N + Q
-    P_pred = 0.5 * (P_pred + _T(P_pred))
+    _, x_pred, centered = _mapped_points(
+        x, P, model.transition_points, model.transition, u, "propagated cubature"
+    )
+    P_pred = _T(centered) @ centered
+    P_pred /= centered.shape[1]
+    P_pred += Q
+    P_pred = _symmetrized(P_pred)
     if single:
         return FilterState(x_hat=x_pred[0], P=P_pred[0], step_index=state.step_index + 1)
     return FilterState(x_hat=x_pred, P=P_pred, step_index=state.step_index + 1)
@@ -290,47 +336,47 @@ def _measurement_stats(
     and cross covariance, all from a fresh point set on the prior; batched
     (B, ...) whatever the input."""
     x, P, _ = _batched(predicted)
-    N = 2 * model.n
-    pts = cubature_points(x, cholesky_lower(P)).points
-    Z = _map_points(model.observe_points, model.observe, pts, u)
-    bad = _nonfinite_members(Z)
-    if bad.size:
-        raise _member_failure(NonFiniteState, "projected measurement points are not finite", bad)
-    z_hat = np.add.reduce(Z, axis=1) / N
-    Zc = Z - z_hat[:, None, :]
-    Xc = pts - x[:, None, :]
-    core = _T(Zc) @ Zc / N
-    P_xz = _T(Xc) @ Zc / N
+    pts, z_hat, Zc = _mapped_points(
+        x, P, model.observe_points, model.observe, u, "projected measurement"
+    )
+    N = pts.shape[1]
+    core = _T(Zc) @ Zc
+    core /= N
+    P_xz = _T(pts - x[:, None, :]) @ Zc
+    P_xz /= N
     return z_hat, core, P_xz
 
 
 def _corrected(
-    predicted: FilterState, z: Array, z_hat: Array, P_zz: Array, P_xz: Array
+    predicted: FilterState, innovation: Array, z_hat: Array, P_zz: Array, P_xz: Array
 ) -> tuple[FilterState, UpdateIntermediates]:
     x, P, single = _batched(predicted)
     bad = _nonfinite_members(P_zz)
     if bad.size:
         raise _member_failure(DecompositionFailure, "matrix contains non-finite entries", bad)
-    # gain @ P_zz = P_xz, solved as P_zz @ gain.T = P_xz.T
-    try:
-        gain = _T(np.linalg.solve(P_zz, _T(P_xz)))
-    except np.linalg.LinAlgError as exc:
-        bad = []
-        for b in range(P_zz.shape[0]):
-            try:
-                np.linalg.solve(P_zz[b : b + 1], _T(P_xz[b : b + 1]))
-            except np.linalg.LinAlgError:
-                bad.append(b)
-        raise _member_failure(DecompositionFailure, "innovation covariance is singular", bad) from exc
-    innovation = z - z_hat
+    # gain @ P_zz = P_xz, solved as P_zz @ gain.T = P_xz.T; a singular
+    # member's gain comes out NaN, and so does its posterior
+    with np.errstate(all="ignore"):
+        gain = _T(_umath_linalg.solve(P_zz, _T(P_xz), signature="dd->d"))
     x_post = x + (gain @ innovation[:, :, None])[:, :, 0]
-    P_post = P - gain @ P_zz @ _T(gain)
-    P_post = 0.5 * (P_post + _T(P_post))
-    if not (np.isfinite(x_post).all() and np.isfinite(P_post).all()):
+    P_post = _symmetrized(P - gain @ P_zz @ _T(gain))
+    if not (_all_finite(x_post) and _all_finite(P_post)):
         bad = np.flatnonzero(
             ~(np.isfinite(x_post).all(axis=1) & np.isfinite(P_post).all(axis=(1, 2)))
         )
-        raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
+        singular, cause = [], None
+        for b in bad:
+            try:
+                np.linalg.solve(P_zz[b : b + 1], _T(P_xz[b : b + 1]))
+            except np.linalg.LinAlgError as exc:
+                singular.append(b)
+                cause = cause or exc
+        if singular:
+            raise _member_failure(
+                DecompositionFailure, "innovation covariance is singular", singular
+            ) from cause
+        if bad.size:
+            raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
     if single:
         x_post, P_post, z_hat, P_zz, P_xz, gain, innovation = (
             a[0] for a in (x_post, P_post, z_hat, P_zz, P_xz, gain, innovation)
@@ -351,7 +397,14 @@ def ckf_update(
     gain solves gain @ P_zz = P_xz.
     """
     z_hat, core, P_xz = _measurement_stats(predicted, model, u)
-    return _corrected(predicted, np.asarray(z, dtype=float), z_hat, core + R, P_xz)
+    return _corrected(predicted, np.asarray(z, dtype=float) - z_hat, z_hat, core + R, P_xz)
+
+
+@lru_cache(maxsize=None)
+def _identity(m: int) -> Array:
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def huber_reweight(
@@ -373,11 +426,13 @@ def huber_reweight(
             exc.members lists the members concerned.
     """
     c = np.asarray(config.c, dtype=float)
-    if not np.all(c > 0.0):
+    # a NaN threshold makes the minimum NaN, which is not positive either
+    if not c.min(initial=math.inf) > 0.0:
         raise InvalidConfig(f"Huber threshold must be positive, got {config.c}")
     innovation = np.asarray(innovation, dtype=float)
-    diag = np.diagonal(P_zz, axis1=-2, axis2=-1)
-    if np.any(diag <= 0.0):
+    diag = P_zz.diagonal(0, -2, -1)
+    # fmin passes over NaN entries, which are not nonpositive
+    if np.fmin.reduce(diag, axis=None, initial=math.inf) <= 0.0:
         rows = diag.reshape(-1, diag.shape[-1])
         members = np.flatnonzero((rows <= 0.0).any(axis=1))
         bad = int(np.argmin(rows[members[0]]))
@@ -389,8 +444,10 @@ def huber_reweight(
     standardized = innovation / np.sqrt(diag)
     magnitude = np.abs(standardized)
     c = c[..., None]
-    weights = np.divide(c, magnitude, out=np.ones(magnitude.shape), where=magnitude > c)
-    R_bar = np.eye(weights.shape[-1]) * (np.diagonal(R, axis1=-2, axis2=-1) / weights)[..., None, :]
+    weights = np.empty(magnitude.shape)
+    weights.fill(1.0)
+    np.divide(c, magnitude, out=weights, where=magnitude > c)
+    R_bar = _identity(weights.shape[-1]) * (R.diagonal(0, -2, -1) / weights)[..., None, :]
     return HuberResult(standardized_residuals=standardized, weights=weights, R_bar=R_bar)
 
 
@@ -424,7 +481,7 @@ def rckf_update(
     for _ in range(config.max_reweight_passes):
         result = huber_reweight(innovation, P_zz, R, config)
         P_zz = core + result.R_bar
-    state, info = _corrected(predicted, z, z_hat, P_zz, P_xz)
+    state, info = _corrected(predicted, innovation, z_hat, P_zz, P_xz)
     if np.ndim(predicted.x_hat) == 1:
         result = HuberResult(*(a[0] for a in (result.standardized_residuals, result.weights, result.R_bar)))
     return state, info, result
@@ -469,6 +526,11 @@ def iter_batch(
     thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
     state = FilterState(init.x_hat, init.P, init.step_index)
     fixed_R = None if callable(R_provider) else np.asarray(R_provider, dtype=float)
+    # one Q per member, which spares the predict's add a broadcast; it and
+    # the update's tuning change only when a member freezes
+    Q = np.array(np.broadcast_to(np.asarray(Q, dtype=float), np.shape(init.P)))
+    classical = np.isinf(thresholds).all()
+    config = HuberConfig(thresholds, huber.max_reweight_passes)
     for k in range(measurements.shape[0]):
         u = inputs[k]
         u_obs = observe_inputs[k] if observe_inputs is not None else u
@@ -478,11 +540,10 @@ def iter_batch(
                 with np.errstate(over="ignore", invalid="ignore"):
                     predicted = time_predict(state, model, u, Q)
                     R = fixed_R if fixed_R is not None else R_provider(k, predicted, u_obs)
-                    if np.isinf(thresholds).all():
+                    if classical:
                         # the same bits as the robust update with c = inf
                         state, _ = ckf_update(predicted, measurements[k], model, u_obs, R)
                     else:
-                        config = HuberConfig(thresholds, huber.max_reweight_passes)
                         state, _, _ = rckf_update(
                             predicted, measurements[k], model, u_obs, R, config
                         )
@@ -499,6 +560,9 @@ def iter_batch(
                 members = members[keep]
                 state = FilterState(state.x_hat[keep], state.P[keep], state.step_index)
                 thresholds = thresholds[keep]
+                Q = Q[keep]
+                classical = np.isinf(thresholds).all()
+                config = HuberConfig(thresholds, huber.max_reweight_passes)
                 measurements = measurements[:, keep]
         yield members, state, failed
         if not members.size:

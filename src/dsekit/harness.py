@@ -39,6 +39,8 @@ from .scenario import (
 SINGLE_OUTLIER_TIME = 6.0
 WINDOW_OUTLIER_SPAN = (2.0, 3.0)
 MANNERS = ("single", "window")
+# The shortest horizon that hosts every manner's outliers.
+MATRIX_HORIZON = max(SINGLE_OUTLIER_TIME, WINDOW_OUTLIER_SPAN[1])
 
 # Passes over the series in bench_filters; each step reports its fastest.
 BENCH_PASSES = 5
@@ -294,11 +296,15 @@ def bench_filters(
     }
 
 
+# 17 significant digits: every double reads back as itself.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(value) -> str:
     """17 significant digit decimal form, empty string for missing."""
     if value is None:
         return ""
-    return "%.17g" % value
+    return FLOAT_FORMAT % value
 
 
 def write_matrix_csv(path, matrix: ExperimentMatrix) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from time import perf_counter_ns
 from typing import Sequence
 
@@ -447,10 +448,14 @@ def batch_filters(
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(times)
     params, sigmas = cfg.machine, cfg.sigmas
-    base_R = np.diag((sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0))
+    # one base R per live member, rebuilt only when a member freezes
+    base_R = np.diag((sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0))[None]
 
     def r_provider(step: int, predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
-        R = np.repeat(base_R[None], predicted.x_hat.shape[0], axis=0)
+        nonlocal base_R
+        if len(base_R) != len(predicted.x_hat):
+            base_R = base_R[:1].repeat(len(predicted.x_hat), axis=0)
+        R = base_R.copy()
         R[:, 2, 2] = power_variance(predicted.x_hat, u_obs, params, sigmas)
         return R
 
@@ -507,17 +512,26 @@ def filter_series(
     estimates[:, 0] = prior
     step_ns = np.zeros((len(prior), steps))
     failed: dict[int, Exception] = {}
+    stepped: list[tuple[np.ndarray, np.ndarray, int]] = []
     started = perf_counter_ns()
-    for k, (members, state, frozen) in enumerate(batch):
+    for members, state, frozen in batch:
         elapsed = perf_counter_ns() - started
         for member, exc in frozen:
             if strict:
                 raise exc
             failed[member] = exc
-        if members.size:
-            estimates[members, k + 1] = state.x_hat
-            step_ns[members, k] = elapsed / members.size
+        stepped.append((members, state.x_hat, elapsed))
         started = perf_counter_ns()
+    # iter_batch yields one members array until a member freezes, so the
+    # steps are written one stretch of unchanged members at a time
+    k = 0
+    for _, stretch in groupby(stepped, key=lambda step: id(step[0])):
+        members, posteriors, elapsed = zip(*stretch)
+        members = members[0]
+        if members.size:
+            estimates[members, k + 1 : k + 1 + len(posteriors)] = np.stack(posteriors, axis=1)
+            step_ns[members, k : k + len(elapsed)] = np.array(elapsed) / members.size
+        k += len(posteriors)
 
     results = []
     for c in range(cells):

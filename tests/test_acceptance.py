@@ -43,7 +43,16 @@ from dsekit.machine import (
     stator_currents,
 )
 from dsekit.noise import OutlierSpec, SeededStream, draw_cauchy, draw_laplace
-from dsekit.scenario import initial_filter_state, run_scenario, steady_state_init, time_grid
+from dsekit.scenario import (
+    RunRecord,
+    equilibrium,
+    filter_series,
+    initial_filter_state,
+    simulate_truth,
+    steady_state_init,
+    synthesize_measurements,
+    time_grid,
+)
 
 
 def default_scenario():
@@ -133,61 +142,56 @@ def test_robust_variant_coincides_on_inliers():
     one: posterior difference 1e-12 on every all-inlier step across 50
     Gaussian-white runs, and mean end-to-end relative error within 5%."""
     seeds = range(50)
+    base = white_noise_scenario(seeds[0])
+    x0 = equilibrium(base)
+    truth = simulate_truth(base, x0)
+    times = time_grid(base)
+    synthesized = [synthesize_measurements(truth, white_noise_scenario(seed)) for seed in seeds]
+    corrupted = np.stack([series for _, series in synthesized])
     eps2 = {CKF: {}, RCKF: {}}
-    inlier_steps = 0
-    checked_steps = 0
-    worst_state = 0.0
-    worst_cov = 0.0
-    for seed in seeds:
-        cfg = white_noise_scenario(seed)
-        record = run_scenario(cfg)
-        assert not record.failures
+    for (clean, series), (estimates, step_times, failures) in zip(
+        synthesized, filter_series(base, corrupted, x0=x0)
+    ):
+        assert not failures
+        record = RunRecord(times, truth, clean, series, estimates, step_times, failures)
         for variant in (CKF, RCKF):
             report = report_from_run(record, variant)
             for variable, value in report.epsilon2.items():
                 eps2[variant].setdefault(variable, []).append(value)
 
-        # replay the classical trajectory, branching each step into both
-        # updates from the shared prediction
-        model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
-        times = time_grid(cfg)
-        u_arr = cfg.profile.as_array(times)
-        Q = np.diag(cfg.init.q_diag)
-        init = initial_filter_state(cfg, record.corrupted)
-        states = run_filter(
-            model,
-            CKF,
-            init,
-            list(u_arr[:-1]),
-            list(record.corrupted[1:]),
-            Q,
-            lambda k, s, u: measurement_covariance(
-                MachineState.from_array(s.x_hat),
-                MachineInputs.from_array(u),
-                cfg.machine,
-                cfg.sigmas,
-            ),
-            observe_inputs=list(u_arr[1:]),
-        )
-        for k in range(len(times) - 1):
-            predicted = time_predict(states[k], model, u_arr[k], Q)
-            R = measurement_covariance(
-                MachineState.from_array(predicted.x_hat),
-                MachineInputs.from_array(u_arr[k + 1]),
-                cfg.machine,
-                cfg.sigmas,
+    # step the classical filters of all seeds as one batch, branching each
+    # step into both updates from the shared prediction
+    model = as_process_model(base.machine, base.dt, base.torque_mode)
+    u_arr = base.profile.as_array(times)
+    Q = np.diag(base.init.q_diag)
+    state = FilterState(
+        x_hat=np.stack([initial_filter_state(base, series, x0).x_hat for series in corrupted]),
+        P=np.repeat(np.diag(base.init.p0_diag)[None], len(corrupted), axis=0),
+    )
+    inlier_steps = 0
+    checked_steps = 0
+    worst_state = 0.0
+    worst_cov = 0.0
+    for k in range(len(times) - 1):
+        predicted = time_predict(state, model, u_arr[k], Q)
+        inputs = MachineInputs.from_array(u_arr[k + 1])
+        R = np.stack([
+            measurement_covariance(MachineState.from_array(x), inputs, base.machine, base.sigmas)
+            for x in predicted.x_hat
+        ])
+        z = corrupted[:, k + 1]
+        classical, info = ckf_update(predicted, z, model, u_arr[k + 1], R)
+        robust, _, _ = rckf_update(predicted, z, model, u_arr[k + 1], R, base.huber)
+        standardized = info.innovation / np.sqrt(np.diagonal(info.P_zz, axis1=1, axis2=2))
+        inlier = np.all(np.abs(standardized) <= base.huber.c, axis=1)
+        checked_steps += inlier.size
+        inlier_steps += int(inlier.sum())
+        if inlier.any():
+            worst_state = max(
+                worst_state, np.abs(classical.x_hat[inlier] - robust.x_hat[inlier]).max()
             )
-            z = record.corrupted[k + 1]
-            classical, info = ckf_update(predicted, z, model, u_arr[k + 1], R)
-            robust, _, _ = rckf_update(predicted, z, model, u_arr[k + 1], R, cfg.huber)
-            standardized = info.innovation / np.sqrt(np.diag(info.P_zz))
-            checked_steps += 1
-            if np.all(np.abs(standardized) <= cfg.huber.c):
-                inlier_steps += 1
-                worst_state = max(
-                    worst_state, np.abs(classical.x_hat - robust.x_hat).max()
-                )
-                worst_cov = max(worst_cov, np.abs(classical.P - robust.P).max())
+            worst_cov = max(worst_cov, np.abs(classical.P[inlier] - robust.P[inlier]).max())
+        state = classical
     assert inlier_steps > 0.3 * checked_steps
     assert worst_state <= 1e-12
     assert worst_cov <= 1e-12
@@ -243,13 +247,17 @@ def test_outlier_transient_containment():
     spec = OutlierSpec.single_at(6.0)
     base = with_outliers(with_noise_preset(default_scenario(), 1), spec)
     idx = 300  # 6.0 s on the 0.02 s grid
+    x0 = equilibrium(base)
+    truth = simulate_truth(base, x0)
+    corrupted = np.stack(
+        [synthesize_measurements(truth, with_seed(base, seed))[1] for seed in range(100)]
+    )
+    truth_speed = truth[idx, 1]
     wins = 0
-    for seed in range(100):
-        record = run_scenario(with_seed(base, seed))
-        assert not record.failures
-        truth_speed = record.truth[idx, 1]
-        ckf_err = abs(record.estimates[CKF][idx, 1] - truth_speed)
-        rckf_err = abs(record.estimates[RCKF][idx, 1] - truth_speed)
+    for estimates, _, failures in filter_series(base, corrupted, x0=x0):
+        assert not failures
+        ckf_err = abs(estimates[CKF][idx, 1] - truth_speed)
+        rckf_err = abs(estimates[RCKF][idx, 1] - truth_speed)
         wins += rckf_err < ckf_err
     assert wins >= 95, f"{wins}/100 contained"
 

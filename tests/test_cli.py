@@ -5,12 +5,15 @@ checked directly; one smoke test exercises the installed entry point.
 """
 
 import json
+import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from dsekit.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_ALL_CELLS_FAILED,
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -19,6 +22,7 @@ from dsekit.cli import (
     MEASUREMENTS_HEADER,
     METRICS_HEADER,
     TRUTH_HEADER,
+    _write_series_csv,
     main,
 )
 from dsekit.config import default_config
@@ -41,6 +45,28 @@ def run(*argv):
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-300,
+)
+
+
+@pytest.mark.parametrize(
+    "rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
+)
+def test_series_csv_matches_per_value_formatting(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    table.flat[: len(EDGE_VALUES)] = EDGE_VALUES[: table.size]
+    times = np.arange(rows) * 0.02
+    times[-1] = -0.0
+    path = tmp_path / "series.csv"
+    _write_series_csv(path, ("t", "a", "b", "c"), times, table)
+    expected = "t,a,b,c\n" + "".join(
+        ",".join("%.17g" % v for v in (t, *row)) + "\n" for t, row in zip(times, table)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 class TestSimulate:
@@ -250,17 +276,36 @@ class TestExperiment:
         assert code == EXIT_CONFIG
 
     def test_all_cells_failing_exits_5(self, tmp_path, capsys):
-        # past the pull-out torque every cell fails at initialization
-        cfg = write_config(
-            tmp_path,
-            lambda d: d["scenario"]["base_inputs"].update(t_m=1.2),
-        )
+        # past the pull-out torque every cell fails at initialization; the
+        # horizon hosts every outlier, so nothing else can fail them
+        def mutate(doc):
+            doc["scenario"]["t_end"] = 8.0
+            doc["scenario"]["base_inputs"].update(t_m=1.2)
+
+        cfg = write_config(tmp_path, mutate)
         code = run(
             "experiment", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--quiet",
             "--runs", "1", "--jobs", "1",
         )
         assert code == EXIT_ALL_CELLS_FAILED
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed" in err
+        assert "pull-out power" in err
+        assert "outside the simulated horizon" not in err
+
+    @pytest.mark.parametrize("t_end", [2.0, 5.0])
+    def test_horizon_too_short_for_the_matrix_exits_2(self, tmp_path, capsys, t_end):
+        cfg = write_config(tmp_path, lambda d: d["scenario"].update(t_end=t_end))
+        out = tmp_path / "o"
+        code = run(
+            "experiment", "--config", cfg, "--out-dir", str(out), "--quiet",
+            "--runs", "1", "--jobs", "1",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "needs a horizon of at least 6.0 s" in err
+        assert f"scenario.t_end is {t_end} s" in err
+        assert not (out / "matrix.csv").exists()
 
 
 class TestBench:

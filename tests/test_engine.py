@@ -6,19 +6,33 @@ posterior covariance stays symmetric positive definite."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsekit.config import build_scenario, default_config, with_noise_preset, with_outliers, with_seed
-from dsekit.errors import NonFiniteState
-from dsekit.filters import CKF, RCKF
+from dsekit.errors import DecompositionFailure, DegenerateChannel, NonFiniteState
+from dsekit.filters import (
+    CKF,
+    RCKF,
+    FilterState,
+    HuberConfig,
+    ProcessModel,
+    ckf_update,
+    iter_batch,
+    rckf_update,
+    time_predict,
+)
+from dsekit.machine import as_process_model, power_variance
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
     batch_filters,
     equilibrium,
     filter_series,
+    initial_filter_state,
     simulate_truth,
     synthesize_measurements,
+    time_grid,
 )
 
 
@@ -130,3 +144,203 @@ def test_nan_member_is_frozen_at_its_step_and_leaves_the_others_alone():
         assert step == k
         assert isinstance(exc, NonFiniteState)
         assert exc.step_index == k
+
+
+# ---------------------------------------------------------------------------
+# Every path by which the engine freezes a member, each beside a healthy
+# companion that must get the bits it gets without the failing member.
+
+LINEAR_H = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+LINEAR = ProcessModel(
+    n=4, m=3, transition=lambda x, u: 0.9 * x, observe=lambda x, u: LINEAR_H @ x
+)
+MARKED = 50.0  # a linear member whose last state entry exceeds this is the failing one
+
+
+def trajectories(steps):
+    """({member: [(x_hat, P) per step]}, {member: (step, exception)})."""
+    paths, frozen = {}, {}
+    for k, (members, state, failed) in enumerate(steps):
+        for member, exc in failed:
+            frozen[member] = (k, exc)
+        for i, member in enumerate(members.tolist()):
+            paths.setdefault(member, []).append((state.x_hat[i], state.P[i]))
+    return paths, frozen
+
+
+def assert_same_path(got, want):
+    assert len(got) == len(want)
+    for (x, P), (x_ref, P_ref) in zip(got, want):
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(P, P_ref)
+
+
+def assert_frozen(frozen, member, kind, step, message):
+    got_step, exc = frozen[member]
+    assert type(exc) is kind
+    assert got_step == step
+    assert exc.step_index == step
+    assert str(exc) == f"measurement index {step}: {message}"
+
+
+def linear_run(x0, P0, thresholds, R_provider, steps=8):
+    x0 = np.asarray(x0, dtype=float)
+    measurements = np.tile(np.array([0.3, 0.3, 1.1]), (steps, len(x0), 1))
+    return trajectories(
+        iter_batch(
+            LINEAR,
+            FilterState(x0, np.asarray(P0, dtype=float)),
+            [np.zeros(1)] * steps,
+            measurements,
+            np.eye(4) * 1e-3,
+            R_provider,
+            HuberConfig(np.asarray(thresholds, dtype=float)),
+        )
+    )
+
+
+LINEAR_X0 = [[0.1, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1000.0]]
+
+
+def test_nan_measurement_freezes_with_message_and_step():
+    k = 5
+    series = corrupted_series([(11, 4, OutlierSpec.none()), (12, 2, OutlierSpec.none())])
+    series[1, k + 1, 0] = math.nan
+    paths, frozen = trajectories(batch_filters(CFG, series, (CKF, RCKF), X0)[1])
+    alone, none_frozen = trajectories(batch_filters(CFG, series[:1], (CKF, RCKF), X0)[1])
+    assert sorted(frozen) == [2, 3] and not none_frozen
+    for member in (2, 3):
+        assert_frozen(frozen, member, NonFiniteState, k, "corrected estimate is not finite")
+    for member in (0, 1):
+        assert_same_path(paths[member], alone[member])
+
+
+@pytest.mark.parametrize("variants", [(RCKF,), (CKF, RCKF)])
+def test_rk4_overflow_freezes_with_message_and_step(variants):
+    # a prior speed deviation of 1e307 overflows the first RK4 step; one
+    # variant keeps the batch on the row-by-row float map, two put it on
+    # the array map
+    series = corrupted_series([(21, 1, OutlierSpec.none()), (22, 3, OutlierSpec.none())])
+    series[1, 0, 1] = 1e307
+    paths, frozen = trajectories(batch_filters(CFG, series, variants, X0)[1])
+    alone, _ = trajectories(batch_filters(CFG, series[:1], variants, X0)[1])
+    width = len(variants)
+    assert sorted(frozen) == list(range(width, 2 * width))
+    for member in range(width, 2 * width):
+        assert_frozen(
+            frozen, member, NonFiniteState, 0, "integration step produced a non-finite state"
+        )
+    for member in range(width):
+        assert_same_path(paths[member], alone[member])
+
+
+def test_non_positive_definite_prior_freezes_after_the_jitter_ladder():
+    P_bad = np.diag([1e-2, -1e-4, 1e-2, 1e-2])
+    R = np.eye(3) * 0.01
+    P0 = np.stack([np.eye(4) * 0.01, P_bad])
+    paths, frozen = linear_run(LINEAR_X0, P0, [1.5, 1.5], R)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [1.5], R)
+    assert sorted(frozen) == [1]
+    assert_frozen(
+        frozen, 1, DecompositionFailure, 0,
+        "matrix is not positive definite even after jitter escalation",
+    )
+    assert_same_path(paths[0], alone[0])
+
+
+def marked_R(from_step, entry):
+    """R provider that, from a given step on, sets R[2, 2] of the marked
+    members to entry (or the whole R to zero when entry is None)."""
+
+    def provider(step, predicted, u_obs):
+        R = np.repeat((np.eye(3) * 0.01)[None], len(predicted.x_hat), axis=0)
+        if step >= from_step:
+            marked = predicted.x_hat[:, 3] > MARKED
+            if entry is None:
+                R[marked] = 0.0
+            else:
+                R[marked, 2, 2] = entry
+        return R
+
+    return provider
+
+
+def test_nonpositive_innovation_variance_freezes_the_member():
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    provider = marked_R(3, -math.inf)
+    paths, frozen = linear_run(LINEAR_X0, P0, [math.inf, 1.5], provider)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [math.inf], provider)
+    assert sorted(frozen) == [1]
+    assert_frozen(
+        frozen, 1, DegenerateChannel, 3, "channel 2 has nonpositive predicted variance -inf"
+    )
+    assert_same_path(paths[0], alone[0])
+
+
+@pytest.mark.parametrize("thresholds", [[math.inf, math.inf], [1.5, 1.5]])
+def test_singular_innovation_covariance_freezes_the_member(thresholds):
+    # the two equal rows of LINEAR_H make the point statistic singular, so
+    # the marked member's P_zz is singular once its R is zero
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    provider = marked_R(4, None)
+    paths, frozen = linear_run(LINEAR_X0, P0, thresholds, provider)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], thresholds[:1], provider)
+    assert sorted(frozen) == [1]
+    assert_frozen(frozen, 1, DecompositionFailure, 4, "innovation covariance is singular")
+    assert_same_path(paths[0], alone[0])
+
+
+# ---------------------------------------------------------------------------
+# The engine is the composition of the public stages.
+
+def estimate_like_config():
+    doc = default_config()
+    doc["scenario"]["t_end"] = 1.0
+    doc["scenario"]["fault"]["t_on"] = 0.3
+    doc["noise"]["preset"] = 4
+    doc["outliers"] = {
+        "manner": "window", "t_start": 0.4, "t_end": 0.6, "channel": "omega", "scale": 1.1
+    }
+    return build_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "thresholds, passes",
+    [([1.5], 1), ([math.inf], 1), ([math.inf, 1.5, 0.5, math.inf], 1), ([1.5, math.inf, 1.0], 2)],
+)
+def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
+    cfg = estimate_like_config()
+    x0 = equilibrium(cfg)
+    truth = simulate_truth(cfg, x0)
+    seeds = range(31, 31 + len(thresholds))
+    series = np.stack([synthesize_measurements(truth, with_seed(cfg, s))[1] for s in seeds])
+    model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
+    u_arr = cfg.profile.as_array(time_grid(cfg))
+    Q = np.diag(cfg.init.q_diag)
+
+    def provider(step, predicted, u_obs):
+        R = np.zeros((len(predicted.x_hat), 3, 3))
+        R[:, 0, 0] = cfg.sigmas.sigma_delta**2
+        R[:, 1, 1] = cfg.sigmas.sigma_omega**2
+        R[:, 2, 2] = power_variance(predicted.x_hat, u_obs, cfg.machine, cfg.sigmas)
+        return R
+
+    prior = np.stack([initial_filter_state(cfg, s, x0).x_hat for s in series])
+    init = FilterState(prior, np.repeat(np.diag(cfg.init.p0_diag)[None], len(prior), axis=0))
+    z = series[:, 1:].transpose(1, 0, 2)
+    huber = HuberConfig(np.array(thresholds), passes)
+    steps = iter_batch(model, init, u_arr[:-1], z, Q, provider, huber, observe_inputs=u_arr[1:])
+
+    state = init
+    classical = np.isinf(thresholds).all()
+    for k, (members, posterior, failed) in enumerate(steps):
+        assert not failed and members.size == len(thresholds)
+        predicted = time_predict(state, model, u_arr[k], Q)
+        R = provider(k, predicted, u_arr[k + 1])
+        if classical:
+            state, _ = ckf_update(predicted, z[k], model, u_arr[k + 1], R)
+        else:
+            state, _, _ = rckf_update(predicted, z[k], model, u_arr[k + 1], R, huber)
+        assert posterior.step_index == state.step_index == k + 1
+        np.testing.assert_array_equal(posterior.x_hat, state.x_hat)
+        np.testing.assert_array_equal(posterior.P, state.P)

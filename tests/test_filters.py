@@ -229,6 +229,15 @@ class TestHuberReweight:
         with pytest.raises(DegenerateChannel, match="channel 1"):
             huber_reweight(np.zeros(2), np.diag([1.0, 0.0]), np.eye(2), self.cfg())
 
+    def test_degenerate_member_found_beside_a_nan_member(self):
+        # a NaN variance is not nonpositive, and must not hide a member
+        # whose variance is
+        P_zz = np.stack([np.diag([np.nan, 1.0]), np.diag([1.0, -2.0])])
+        message = "channel 1 has nonpositive predicted variance -2.0"
+        with pytest.raises(DegenerateChannel, match=message) as info:
+            huber_reweight(np.zeros((2, 2)), P_zz, np.eye(2)[None].repeat(2, 0), self.cfg())
+        assert info.value.members.tolist() == [1]
+
 
 class TestRckfUpdate:
     def setup_case(self, seed=8):
