@@ -142,11 +142,16 @@ class MeasurementSigmas:
 
 
 def _params_tuple(p: MachineParams) -> tuple:
+    """The constants the formulas read, with their constant subexpressions
+    (the saliency term 1 / x_q' - 1 / x_d' and the reactance drops
+    x_d - x_d', x_q - x_q') evaluated once, from the same operands with the
+    same operations as the formulas would, so they give the same bits."""
     return (
-        p.x_d,
         p.x_d_prime,
-        p.x_q,
         p.x_q_prime,
+        1.0 / p.x_q_prime - 1.0 / p.x_d_prime,
+        p.x_d - p.x_d_prime,
+        p.x_q - p.x_q_prime,
         p.t_d0_prime,
         p.t_q0_prime,
         p.t_j,
@@ -164,69 +169,65 @@ _ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, pow=np.float_power)
 
 # Up to this many rows an array map evaluates its formula row by row on
 # floats, where numpy's cost per call would outweigh the work; from there
-# on, elementwise on arrays.  Both took equal time at about 24 rows for an
-# RK4 step and 12-16 rows for the measurement maps on a 2-core x86 VM.
+# on, elementwise on arrays.  Float time over array time on a 2-core x86 VM
+# (median of 21 paired timings): an RK4 step 0.82 at 24 rows, 0.95 at 28
+# and 1.0-1.1 at 32; observe_points 0.67 at 8 rows and 1.14 at 16;
+# power_variance, which shares FLOAT_ROWS, 0.92 at 16.  The filters map 8
+# cubature points per member, so these batches come in multiples of 8 rows.
 RK4_FLOAT_ROWS = 24
 FLOAT_ROWS = 8
 
 
-def _air_gap(th, eq, ed, ut, xdp, xqp, xp):
-    """(u_t cos th, u_t sin th, electrical power) at angle difference th.
+def _air_gap(th, eq, ed, ut, xdp, xqp, k, xp):
+    """(u_t cos th, u_t sin th, electrical power) at angle difference th,
+    with k the saliency term 1 / x_q' - 1 / x_d' of _params_tuple.
 
     The power is the closed-form three-term expression; it equals
     u_d * i_d + u_q * i_q with u_d = u_t sin th and u_q = u_t cos th.
     """
     ut_cos = ut * xp.cos(th)
     ut_sin = ut * xp.sin(th)
-    p_e = (
-        0.5 * ut * ut * xp.sin(2.0 * th) * (1.0 / xqp - 1.0 / xdp)
-        + ut_sin * eq / xdp
-        - ut_cos * ed / xqp
-    )
+    p_e = 0.5 * ut * ut * xp.sin(2.0 * th) * k + ut_sin * eq / xdp - ut_cos * ed / xqp
     return ut_cos, ut_sin, p_e
 
 
 def _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide_by_speed, xp):
-    xd, xdp, xq, xqp, td0, tq0, tj, damp, w0 = pt
-    ut_cos, ut_sin, p_e = _air_gap(d - phi, eq, ed, ut, xdp, xqp, xp)
+    xdp, xqp, k, xd_drop, xq_drop, td0, tq0, tj, damp, w0 = pt
+    ut_cos, ut_sin, p_e = _air_gap(d - phi, eq, ed, ut, xdp, xqp, k, xp)
     i_d = (eq - ut_cos) / xdp
     i_q = (ut_sin - ed) / xqp
     t_e = p_e / (1.0 + w) if divide_by_speed else p_e
     return (
         w0 * w,
         (tm - t_e - damp * w) / tj,
-        (ef - eq - (xd - xdp) * i_d) / td0,
-        (-ed + (xq - xqp) * i_q) / tq0,
+        (ef - eq - xd_drop * i_d) / td0,
+        (-ed + xq_drop * i_q) / tq0,
     )
 
 
 def _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp):
-    k1 = _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide, xp)
+    a0, a1, a2, a3 = _derivative(d, w, eq, ed, tm, ef, ut, phi, pt, divide, xp)
     h = 0.5 * dt
-    k2 = _derivative(
-        d + h * k1[0], w + h * k1[1], eq + h * k1[2], ed + h * k1[3],
-        tm, ef, ut, phi, pt, divide, xp,
+    b0, b1, b2, b3 = _derivative(
+        d + h * a0, w + h * a1, eq + h * a2, ed + h * a3, tm, ef, ut, phi, pt, divide, xp
     )
-    k3 = _derivative(
-        d + h * k2[0], w + h * k2[1], eq + h * k2[2], ed + h * k2[3],
-        tm, ef, ut, phi, pt, divide, xp,
+    c0, c1, c2, c3 = _derivative(
+        d + h * b0, w + h * b1, eq + h * b2, ed + h * b3, tm, ef, ut, phi, pt, divide, xp
     )
-    k4 = _derivative(
-        d + dt * k3[0], w + dt * k3[1], eq + dt * k3[2], ed + dt * k3[3],
-        tm, ef, ut, phi, pt, divide, xp,
+    e0, e1, e2, e3 = _derivative(
+        d + dt * c0, w + dt * c1, eq + dt * c2, ed + dt * c3, tm, ef, ut, phi, pt, divide, xp
     )
     sixth = dt / 6.0
     return (
-        d + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        w + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-        eq + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-        ed + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
+        d + sixth * (a0 + 2.0 * (b0 + c0) + e0),
+        w + sixth * (a1 + 2.0 * (b1 + c1) + e1),
+        eq + sixth * (a2 + 2.0 * (b2 + c2) + e2),
+        ed + sixth * (a3 + 2.0 * (b3 + c3) + e3),
     )
 
 
-def _power_partials(d, eq, ed, ut, phi, xdp, xqp, xp):
+def _power_partials(d, eq, ed, ut, phi, xdp, xqp, k, xp):
     th = d - phi
-    k = 1.0 / xqp - 1.0 / xdp
     s = xp.sin(th)
     c = xp.cos(th)
     s2 = xp.sin(2.0 * th)
@@ -236,20 +237,27 @@ def _power_partials(d, eq, ed, ut, phi, xdp, xqp, xp):
     return d_ut, d_phi
 
 
-def _power_variance(d, eq, ed, ut, phi, params, sigmas, xp):
-    d_ut, d_phi = _power_partials(d, eq, ed, ut, phi, params.x_d_prime, params.x_q_prime, xp)
-    return xp.pow(d_ut * sigmas.sigma_u * ut, 2.0) + xp.pow(d_phi * sigmas.sigma_phi, 2.0)
+def _power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp):
+    d_ut, d_phi = _power_partials(d, eq, ed, ut, phi, xdp, xqp, k, xp)
+    return xp.pow(d_ut * sigma_u * ut, 2.0) + xp.pow(d_phi * sigma_phi, 2.0)
+
+
+# What a float evaluation of the formulas raises where the elementwise one
+# gives a non-finite value instead: an overflowing power, a math domain
+# error such as the sine of an infinity, and a division by zero (the
+# divide_by_speed torque at a speed deviation of exactly -1).
+_FLOAT_FAULTS = (ArithmeticError, ValueError)
 
 
 def _rows_map(formula, x, u, width: int, float_rows: int = FLOAT_ROWS) -> np.ndarray:
     """formula(d, w, eq, ed, t_m, e_f, u_t, phi, xp), a tuple of width
     outputs, over the states in the rows of x (N, 4) under one input
     vector u or one per row, as an (N, width) array.  A row whose
-    evaluation overflows comes out not finite."""
+    evaluation overflows or divides by zero comes out not finite."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape[0] > float_rows:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             columns = formula(*x.T, *(u.T if u.ndim == 2 else u.tolist()), _ARRAY_MATH)
         out = np.empty((x.shape[0], width))
         for j, column in enumerate(columns):
@@ -261,16 +269,16 @@ def _rows_map(formula, x, u, width: int, float_rows: int = FLOAT_ROWS) -> np.nda
     for row, row_inputs in zip(rows, inputs):
         try:
             out.append(formula(*row, *row_inputs, math))
-        except (OverflowError, ValueError):
+        except _FLOAT_FAULTS:
             out.append((math.nan,) * width)
     return np.array(out, dtype=float).reshape(len(rows), width)
 
 
 def _measurement(params: MachineParams):
-    xdp, xqp = params.x_d_prime, params.x_q_prime
+    xdp, xqp, k = _params_tuple(params)[:3]
 
     def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
-        return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, xdp, xqp, xp)[2]
+        return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, xdp, xqp, k, xp)[2]
 
     return formula
 
@@ -286,9 +294,11 @@ def power_variance(
 ) -> np.ndarray:
     """Power channel variance of measurement_covariance for the states in
     the rows of x, under one input vector u or one per row."""
+    xdp, xqp, k = _params_tuple(params)[:3]
+    sigma_u, sigma_phi = sigmas.sigma_u, sigmas.sigma_phi
 
     def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
-        return (_power_variance(d, eq, ed, ut, phi, params, sigmas, xp),)
+        return (_power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp),)
 
     return _rows_map(formula, x, u, 1)[:, 0]
 
@@ -297,7 +307,7 @@ def stator_currents(state: MachineState, inputs: MachineInputs, params: MachineP
     """d/q axis stator currents from the transient EMFs and the terminal bus."""
     ut_cos, ut_sin, _ = _air_gap(
         state.delta - inputs.phi, state.e_q_prime, state.e_d_prime,
-        inputs.u_t, params.x_d_prime, params.x_q_prime, math,
+        inputs.u_t, *_params_tuple(params)[:3], math,
     )
     return StatorCurrents(
         i_d=(state.e_q_prime - ut_cos) / params.x_d_prime,
@@ -314,7 +324,7 @@ def electrical_power(state: MachineState, inputs: MachineInputs, params: Machine
     """
     return _air_gap(
         state.delta - inputs.phi, state.e_q_prime, state.e_d_prime,
-        inputs.u_t, params.x_d_prime, params.x_q_prime, math,
+        inputs.u_t, *_params_tuple(params)[:3], math,
     )[2]
 
 
@@ -379,7 +389,7 @@ def power_partials(
     terminal voltage magnitude and phase, in that order."""
     return _power_partials(
         state.delta, state.e_q_prime, state.e_d_prime, inputs.u_t, inputs.phi,
-        params.x_d_prime, params.x_q_prime, math,
+        *_params_tuple(params)[:3], math,
     )
 
 
@@ -397,7 +407,7 @@ def measurement_covariance(
     """
     var_pe = _power_variance(
         state.delta, state.e_q_prime, state.e_d_prime, inputs.u_t, inputs.phi,
-        params, sigmas, math,
+        *_params_tuple(params)[:3], sigmas.sigma_u, sigmas.sigma_phi, math,
     )
     return np.diag(
         (sigmas.sigma_delta**2, sigmas.sigma_omega**2, var_pe)
@@ -427,7 +437,7 @@ def as_process_model(
         tm, ef, ut, phi = u.tolist()
         try:
             out = _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, math)
-        except (OverflowError, ValueError) as exc:
+        except _FLOAT_FAULTS as exc:
             raise NonFiniteState(f"integration step overflowed: {exc}") from exc
         return np.array(out)
 

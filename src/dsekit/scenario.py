@@ -23,13 +23,17 @@ from scipy.optimize import brentq
 from .errors import InvalidWindow, NoConvergence, NonFiniteState
 from .filters import CKF, RCKF, VARIANTS, FilterState, HuberConfig, iter_batch
 from .machine import (
+    DIVIDE_BY_SPEED,
     POWER_EQUALS_TORQUE,
     MachineInputs,
     MachineParams,
     MachineState,
     MeasurementSigmas,
+    _FLOAT_FAULTS,
     _air_gap,
     _check_torque_mode,
+    _params_tuple,
+    _rk4,
     as_process_model,
     observe_points,
     power_variance,
@@ -46,6 +50,9 @@ from .noise import (
 
 HOLD = "hold"
 LINEAR = "linear"
+
+# Rows of inputs read and of truth states stored at a time by simulate_truth.
+TRUTH_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -213,18 +220,18 @@ def steady_state_init(
             the residual check fails.
     """
     _check_torque_mode(torque_mode)
-    xd, xdp = params.x_d, params.x_d_prime
-    xq, xqp = params.x_q, params.x_q_prime
+    xdp, xqp, k, xd_drop, xq_drop = _params_tuple(params)[:5]
+    xd, xq = params.x_d, params.x_q
     ut, ef, tm, phi = inputs.u_t, inputs.e_f, inputs.t_m, inputs.phi
 
     def emfs(theta: float) -> tuple[float, float]:
         # zero EMF rates solved for e_q_prime, e_d_prime at fixed theta
-        eq = (xdp * ef + (xd - xdp) * ut * math.cos(theta)) / xd
-        ed = (xq - xqp) * ut * math.sin(theta) / xq
+        eq = (xdp * ef + xd_drop * ut * math.cos(theta)) / xd
+        ed = xq_drop * ut * math.sin(theta) / xq
         return eq, ed
 
     def power(theta: float) -> float:
-        return _air_gap(theta, *emfs(theta), ut, xdp, xqp, math)[2]
+        return _air_gap(theta, *emfs(theta), ut, xdp, xqp, k, math)[2]
 
     def state_at(theta: float) -> MachineState:
         eq, ed = emfs(theta)
@@ -332,24 +339,33 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
             failing step.
     """
     times = time_grid(cfg)
-    model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
-    u_arr = cfg.profile.as_array(times)
+    steps = len(times) - 1
+    inputs = cfg.profile.as_array(times[:-1])
     if x0 is None:
         x0 = equilibrium(cfg)
-    out = np.empty((len(times), 4))
-    out[0] = x0.as_array()
-    x = out[0]
-    for k in range(len(times) - 1):
-        try:
-            x = model.transition(x, u_arr[k])
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"truth integration failed at step {k + 1}: {exc}") from exc
-        if not (
-            math.isfinite(x[0]) and math.isfinite(x[1])
-            and math.isfinite(x[2]) and math.isfinite(x[3])
-        ):
-            raise NonFiniteState(f"truth integration failed at step {k + 1}")
-        out[k + 1] = x
+    pt = _params_tuple(cfg.machine)
+    divide, dt = cfg.torque_mode == DIVIDE_BY_SPEED, cfg.dt
+    isfinite = math.isfinite
+    out = np.empty((steps + 1, 4))
+    x = (x0.delta, x0.delta_omega, x0.e_q_prime, x0.e_d_prime)
+    out[0] = x
+    flat = out.reshape(-1)
+    # the float RK4 steps a tuple state; inputs are read and states stored
+    # a block of rows at a time, since a list of every row of a long
+    # horizon would take more memory than the array it fills
+    for a in range(0, steps, TRUTH_BLOCK_ROWS):
+        block = []
+        for k, (tm, ef, ut, phi) in enumerate(inputs[a : a + TRUTH_BLOCK_ROWS].tolist(), a + 1):
+            try:
+                x = _rk4(*x, tm, ef, ut, phi, pt, divide, dt, math)
+            except _FLOAT_FAULTS as exc:
+                raise NonFiniteState(
+                    f"truth integration failed at step {k}: integration step overflowed: {exc}"
+                ) from exc
+            if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
+                raise NonFiniteState(f"truth integration failed at step {k}")
+            block.extend(x)
+        flat[4 * (a + 1) : 4 * (a + 1) + len(block)] = block
     return out
 
 

@@ -109,6 +109,23 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run("simulate", "--config", cfg, "--out-dir", str(out), "--quiet") == EXIT_SIMULATION
 
+    @pytest.mark.parametrize(
+        "dip, message",
+        [
+            # the sine of an infinite angle raises inside the RK4 step
+            (1e200, "truth integration failed at step 61: integration step overflowed: "),
+            # the power comes out inf - inf = nan without raising
+            (1e308, "truth integration failed at step 61\n"),
+        ],
+    )
+    def test_failing_truth_exits_3_with_its_step(self, tmp_path, capsys, dip, message):
+        cfg = write_config(tmp_path, lambda d: d["scenario"]["fault"].update(u_t_dip=dip))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out-dir", str(out), "--quiet") == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert err.startswith("simulation failed: " + message)
+        assert not out.exists()
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -224,6 +241,33 @@ class TestEstimate:
         )
         assert code == EXIT_DIVERGENCE
         assert "measurement index" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("variant", ["ckf", "both"])
+    def test_division_by_zero_speed_exits_4(self, tmp_path, capsys, variant):
+        # a speed sample of exactly 0 puts the prior at a speed deviation of
+        # -1, where the divide_by_speed torque divides by zero: one variant
+        # maps its points on floats and two on arrays, and both report it
+        cfg = write_config(
+            tmp_path, lambda d: d["filter"].update(torque_mode="divide_by_speed")
+        )
+        sim = tmp_path / "sim"
+        run("simulate", "--config", cfg, "--out-dir", str(sim), "--quiet")
+        path = sim / "measurements.csv"
+        lines = path.read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[2] = "0"
+        lines[1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--measurements", str(path), "--filter", variant,
+        )
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "filter diverged at measurement index 0: measurement index 0: "
+            "integration step produced a non-finite state\n"
+        )
 
 
 class TestExperiment:

@@ -4,6 +4,8 @@ member is frozen with its step index and leaves the others untouched; every
 posterior covariance stays symmetric positive definite."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from dsekit.filters import (
     rckf_update,
     time_predict,
 )
-from dsekit.machine import as_process_model, power_variance
+from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
     batch_filters,
@@ -224,6 +226,30 @@ def test_rk4_overflow_freezes_with_message_and_step(variants):
     series[1, 0, 1] = 1e307
     paths, frozen = trajectories(batch_filters(CFG, series, variants, X0)[1])
     alone, _ = trajectories(batch_filters(CFG, series[:1], variants, X0)[1])
+    width = len(variants)
+    assert sorted(frozen) == list(range(width, 2 * width))
+    for member in range(width, 2 * width):
+        assert_frozen(
+            frozen, member, NonFiniteState, 0, "integration step produced a non-finite state"
+        )
+    for member in range(width):
+        assert_same_path(paths[member], alone[member])
+
+
+@pytest.mark.parametrize("variants", [(RCKF,), (CKF, RCKF)])
+def test_division_by_zero_speed_freezes_with_message_and_step(variants):
+    # under divide_by_speed a prior speed deviation of exactly -1 divides
+    # the power by zero in the first RK4 stage; one variant keeps the batch
+    # on the row-by-row float map, two put it on the array map, and both
+    # freeze the member the same way
+    cfg = replace(CFG, torque_mode=DIVIDE_BY_SPEED)
+    x0 = equilibrium(cfg)
+    series = corrupted_series([(31, 1, OutlierSpec.none()), (32, 3, OutlierSpec.none())])
+    series[1, 0, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths, frozen = trajectories(batch_filters(cfg, series, variants, x0)[1])
+    alone, _ = trajectories(batch_filters(cfg, series[:1], variants, x0)[1])
     width = len(variants)
     assert sorted(frozen) == list(range(width, 2 * width))
     for member in range(width, 2 * width):

@@ -2,6 +2,7 @@
 measurement map, and covariance propagation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ from dsekit.machine import (
     rk4_step,
     state_derivative,
     stator_currents,
+)
+from oracles import machine_rk4
+
+
+# A second profile, on which a reassociated constant subexpression of the
+# formulas (such as (x_d' - x_q') / (x_d' x_q') for 1 / x_q' - 1 / x_d')
+# changes the last bit where on DEFAULT_PARAMS it happens not to.
+ODD_PARAMS = MachineParams(
+    x_d=1.9, x_d_prime=0.33, x_q=1.6, x_q_prime=0.71,
+    t_d0_prime=7.3, t_q0_prime=0.47, t_j=11.7, damping=1.3,
 )
 
 
@@ -323,3 +334,35 @@ class TestProcessModelWrapper:
             model.transition(huge, np.array([0.8, 2.0, 1.0, 0.0]))
         with pytest.raises(NonFiniteState):
             model.transition_points(huge[None, :], np.array([0.8, 2.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, ODD_PARAMS])
+    @pytest.mark.parametrize("torque_mode", [POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED])
+    def test_transition_points_equal_the_unhoisted_formula(self, torque_mode, params):
+        # the hoisted constants must leave every bit of the RK4 step as it
+        # was, on the float rows and on the array path alike
+        rng = np.random.default_rng(8)
+        model = as_process_model(params, 0.02, torque_mode)
+        divide = torque_mode == DIVIDE_BY_SPEED
+        for size in range(1, 101):
+            points = np.array([random_state(rng).as_array() for _ in range(size)])
+            u = random_inputs(rng).as_array()
+            expected = np.array([machine_rk4(p, u, params, 0.02, divide) for p in points])
+            np.testing.assert_array_equal(model.transition_points(points, u), expected)
+
+    @pytest.mark.parametrize("rows", [1, 30])
+    def test_division_by_zero_speed_is_a_non_finite_state(self, rows):
+        # a speed deviation of exactly -1 divides the power by zero: the
+        # float rows and the array path both give a non-finite row, without
+        # a warning
+        model = as_process_model(DEFAULT_PARAMS, 0.02, DIVIDE_BY_SPEED)
+        rng = np.random.default_rng(rows)
+        points = np.array([random_state(rng).as_array() for _ in range(rows)])
+        points[rows // 2, 1] = -1.0
+        u = np.array([0.8, 2.0, 1.0, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match="integration step produced a non-finite state"):
+                model.transition_points(points, u)
+            with pytest.raises(NonFiniteState, match="integration step overflowed: ") as info:
+                model.transition(points[rows // 2], u)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)

@@ -11,6 +11,8 @@ from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
 from dsekit.machine import (
     DEFAULT_PARAMS,
+    DIVIDE_BY_SPEED,
+    POWER_EQUALS_TORQUE,
     MachineInputs,
     MachineState,
     electrical_power,
@@ -18,6 +20,7 @@ from dsekit.machine import (
 )
 from dsekit.noise import GAUSSIAN_WHITE, NoiseSpec, OutlierSpec
 from dsekit.scenario import (
+    TRUTH_BLOCK_ROWS,
     FaultSpec,
     InitSpec,
     InputProfile,
@@ -33,6 +36,8 @@ from dsekit.scenario import (
     synthesize_measurements,
     time_grid,
 )
+from oracles import machine_trajectory
+from test_machine import ODD_PARAMS
 
 BASE = MachineInputs(t_m=0.8, e_f=2.0, u_t=1.0, phi=0.0)
 
@@ -241,6 +246,73 @@ class TestSimulateTruth:
         d2 = np.abs(halved - quartered[::2]).max()
         assert d1 <= 1e-7
         assert 12.0 <= d1 / d2 <= 20.0
+
+
+STAGED_FAULT = FaultSpec(
+    t_on=1.2, duration=0.3, u_t_dip=0.2, u_t_post=0.95, duration_partial=0.1, u_t_partial=0.6
+)
+
+
+class TestTruthKernel:
+    """simulate_truth runs the float RK4 on a tuple state, a block of rows
+    at a time; it must give the bits of the model's formula stepped one
+    row at a time, and report a failing step as the model map would."""
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, ODD_PARAMS])
+    @pytest.mark.parametrize("torque_mode", [POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED])
+    @pytest.mark.parametrize("steps", [1, TRUTH_BLOCK_ROWS, TRUTH_BLOCK_ROWS + 1, 1500])
+    def test_equals_the_unhoisted_formula_bit_for_bit(self, torque_mode, params, steps):
+        fault = STAGED_FAULT if steps > 100 else None
+        cfg = replace(
+            make_config(fault=fault, t_end=steps * 0.02), machine=params, torque_mode=torque_mode
+        )
+        x0 = steady_state_init(BASE, params, torque_mode)
+        # start off equilibrium so the speed term of divide_by_speed matters
+        x0 = replace(x0, delta_omega=0.003)
+        truth = simulate_truth(cfg, x0)
+        inputs = cfg.profile.as_array(time_grid(cfg))[:-1]
+        expected = machine_trajectory(
+            truth[0], inputs, params, cfg.dt, torque_mode == DIVIDE_BY_SPEED
+        )
+        assert truth.shape == (steps + 1, 4)
+        np.testing.assert_array_equal(truth, expected)
+        if fault is not None:
+            # the staged clearing changes the inputs mid-run
+            assert len(np.unique(inputs[:, 2])) == 4
+
+    @pytest.mark.parametrize(
+        "prior, dip, step",
+        [({"delta_omega": 1e307}, 0.35, 1), ({}, 1e200, 61)],
+    )
+    def test_a_step_raising_inside_the_formula_is_named(self, prior, dip, step):
+        cfg = make_config(fault=replace(STAGED_FAULT, u_t_dip=dip), t_end=2.0)
+        x0 = replace(steady_state_init(BASE, DEFAULT_PARAMS), **prior)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_truth(cfg, x0)
+        cause = info.value.__cause__
+        assert isinstance(cause, (ArithmeticError, ValueError))
+        assert str(info.value) == (
+            f"truth integration failed at step {step}: integration step overflowed: {cause}"
+        )
+
+    def test_a_step_coming_out_non_finite_is_named(self):
+        # a terminal voltage of 1e308 makes the power inf - inf = nan
+        # without any operation raising
+        cfg = make_config(fault=replace(STAGED_FAULT, u_t_dip=1e308), t_end=2.0)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_truth(cfg)
+        assert str(info.value) == "truth integration failed at step 61"
+        assert info.value.__cause__ is None
+
+    def test_division_by_zero_speed_is_a_non_finite_state(self):
+        cfg = replace(make_config(t_end=2.0), torque_mode=DIVIDE_BY_SPEED)
+        x0 = replace(steady_state_init(BASE, DEFAULT_PARAMS, DIVIDE_BY_SPEED), delta_omega=-1.0)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_truth(cfg, x0)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert str(info.value).startswith(
+            "truth integration failed at step 1: integration step overflowed: "
+        )
 
 
 class TestSynthesizeMeasurements:
