@@ -12,7 +12,6 @@ from .config import (
     default_config,
     load_config,
     noise_preset,
-    scenario_from_file,
     with_noise_preset,
     with_outliers,
     with_seed,
@@ -29,9 +28,7 @@ from .filters import (
     RCKF,
     FilterState,
     HuberConfig,
-    HuberResult,
     ProcessModel,
-    UpdateIntermediates,
     cholesky_lower,
     ckf_update,
     cubature_points,
@@ -57,17 +54,13 @@ from .machine import (
     MachineInputs,
     MachineParams,
     MachineState,
-    Measurement,
     MeasurementSigmas,
-    StatorCurrents,
     as_process_model,
     electrical_power,
-    measure,
     measurement_covariance,
     observe_points,
     power_partials,
     power_variance,
-    rk4_step,
     state_derivative,
     stator_currents,
 )

@@ -16,14 +16,9 @@ import sys
 import numpy as np
 
 from .config import build_scenario, default_config, load_config
-from .errors import (
-    ConfigError,
-    DecompositionFailure,
-    DsekitError,
-    NonFiniteState,
-)
+from .errors import ConfigError, DsekitError
 from .evaluation import VARIABLES, MetricsReport, report_from_run
-from .filters import CKF, RCKF
+from .filters import CKF, MEMBER_FAILURES, RCKF
 from .harness import (
     FLOAT_FORMAT,
     MANNERS,
@@ -172,10 +167,9 @@ def cmd_estimate(args) -> int:
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
     try:
         estimates, step_times, _ = filter_series(cfg, corrupted, variants, strict=True, x0=x0)
-    except (DecompositionFailure, NonFiniteState) as exc:
-        step = getattr(exc, "step_index", None)
-        where = f" at measurement index {step}" if step is not None else ""
-        print(f"filter diverged{where}: {exc}", file=sys.stderr)
+    except MEMBER_FAILURES as exc:
+        # the message already begins with "measurement index k: "
+        print(f"filter diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     record = RunRecord(
         times=times,
@@ -239,7 +233,7 @@ def cmd_bench(args) -> int:
     cfg = _load_scenario(args)
     try:
         reports = bench_filters(cfg, args.steps)
-    except (DecompositionFailure, NonFiniteState) as exc:
+    except MEMBER_FAILURES as exc:
         print(f"filter diverged during bench: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except DsekitError as exc:

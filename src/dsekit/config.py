@@ -387,10 +387,6 @@ def build_scenario(doc: dict) -> ScenarioConfig:
         raise ConfigError("scenario", str(exc)) from None
 
 
-def scenario_from_file(path) -> ScenarioConfig:
-    return build_scenario(load_config(path))
-
-
 def with_noise_preset(cfg: ScenarioConfig, preset: int) -> ScenarioConfig:
     return replace(cfg, noise=noise_preset(preset, cfg.sigmas))
 

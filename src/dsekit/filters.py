@@ -10,9 +10,10 @@ measurement can exert on the posterior.
 
 Every stage works on a batch: a state carries x_hat as (B, n) and P as
 (B, n, n), and one call advances all members together; a single filter is
-a batch of one, and the unbatched shapes (n,) and (n, n) are accepted too.
-The classical filter is the robust one with an infinite Huber threshold,
-which is exact because R is diagonal, so both variants share one batch.
+a batch of one.  run_filter takes and returns one filter's shapes, (n,)
+and (n, n), and runs the filter as such a batch.  The classical filter is
+the robust one with an infinite Huber threshold, which is exact because R
+is diagonal, so both variants share one batch.
 A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
 and carries on with the rest.  Members never mix: each member's result is
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from time import perf_counter_ns
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -79,8 +79,9 @@ class ProcessModel:
 
 @dataclass
 class FilterState:
-    """State estimate and error covariance at one step, for one filter
-    (x_hat (n,), P (n, n)) or a batch (x_hat (B, n), P (B, n, n))."""
+    """State estimate and error covariance at one step: x_hat (B, n) and
+    P (B, n, n) for a batch of B filters, as the stages take and return
+    them; run_filter's states are one filter's, x_hat (n,) and P (n, n)."""
 
     x_hat: Array
     P: Array
@@ -93,26 +94,6 @@ class CubatureSet:
 
     points: Array
     weight: float
-
-
-@dataclass(frozen=True)
-class NoiseCovariances:
-    """Process and measurement noise covariances used by one step."""
-
-    Q: Array
-    R: Array
-
-    def validate(self) -> None:
-        for name, m in (("Q", self.Q), ("R", self.R)):
-            a = np.asarray(m, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise InvalidConfig(f"{name} must be square, got shape {a.shape}")
-            if not np.isfinite(a).all():
-                raise InvalidConfig(f"{name} contains non-finite entries")
-            if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-                raise InvalidConfig(f"{name} is not symmetric")
-        if np.any(np.diag(np.asarray(self.R, dtype=float)) <= 0.0):
-            raise InvalidConfig("R must have strictly positive diagonal")
 
 
 @dataclass(frozen=True)
@@ -177,14 +158,6 @@ def _symmetrized(a: Array) -> Array:
     sym = a + _T(a)
     sym *= 0.5
     return sym
-
-
-def _batched(state: FilterState) -> tuple[Array, Array, bool]:
-    x = np.asarray(state.x_hat, dtype=float)
-    P = np.asarray(state.P, dtype=float)
-    if x.ndim == 1:
-        return x[None], P[None], True
-    return x, P, False
 
 
 def _factor_member(sym: Array) -> tuple[Array | None, str]:
@@ -316,28 +289,24 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
         NonFiniteState: a propagated point is not finite.
         DecompositionFailure: the posterior covariance cannot be factorized.
     """
-    x, P, single = _batched(state)
     _, x_pred, centered = _mapped_points(
-        x, P, model.transition_points, model.transition, u, "propagated cubature"
+        state.x_hat, state.P, model.transition_points, model.transition, u,
+        "propagated cubature",
     )
     P_pred = _T(centered) @ centered
     P_pred /= centered.shape[1]
     P_pred += Q
-    P_pred = _symmetrized(P_pred)
-    if single:
-        return FilterState(x_hat=x_pred[0], P=P_pred[0], step_index=state.step_index + 1)
-    return FilterState(x_hat=x_pred, P=P_pred, step_index=state.step_index + 1)
+    return FilterState(x_hat=x_pred, P=_symmetrized(P_pred), step_index=state.step_index + 1)
 
 
 def _measurement_stats(
     predicted: FilterState, model: ProcessModel, u: Array
 ) -> tuple[Array, Array, Array]:
     """Predicted measurement, centered innovation covariance core (no R),
-    and cross covariance, all from a fresh point set on the prior; batched
-    (B, ...) whatever the input."""
-    x, P, _ = _batched(predicted)
+    and cross covariance, all (B, ...) from a fresh point set on the prior."""
+    x = predicted.x_hat
     pts, z_hat, Zc = _mapped_points(
-        x, P, model.observe_points, model.observe, u, "projected measurement"
+        x, predicted.P, model.observe_points, model.observe, u, "projected measurement"
     )
     N = pts.shape[1]
     core = _T(Zc) @ Zc
@@ -347,10 +316,32 @@ def _measurement_stats(
     return z_hat, core, P_xz
 
 
+def _channel_variances(P_zz: Array) -> Array:
+    """The P_zz diagonal entries, (m,) or (B, m), the predicted variance of
+    each channel.
+
+    Raises:
+        DegenerateChannel: some entry is not positive; exc.members lists
+            the members concerned.
+    """
+    diag = P_zz.diagonal(0, -2, -1)
+    # fmin passes over NaN entries, which are not nonpositive
+    if np.fmin.reduce(diag, axis=None, initial=math.inf) <= 0.0:
+        rows = diag.reshape(-1, diag.shape[-1])
+        members = np.flatnonzero((rows <= 0.0).any(axis=1))
+        bad = int(np.argmin(rows[members[0]]))
+        raise _member_failure(
+            DegenerateChannel,
+            f"channel {bad} has nonpositive predicted variance {rows[members[0], bad]}",
+            members,
+        )
+    return diag
+
+
 def _corrected(
     predicted: FilterState, innovation: Array, z_hat: Array, P_zz: Array, P_xz: Array
 ) -> tuple[FilterState, UpdateIntermediates]:
-    x, P, single = _batched(predicted)
+    x, P = predicted.x_hat, predicted.P
     bad = _nonfinite_members(P_zz)
     if bad.size:
         raise _member_failure(DecompositionFailure, "matrix contains non-finite entries", bad)
@@ -377,10 +368,6 @@ def _corrected(
             ) from cause
         if bad.size:
             raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
-    if single:
-        x_post, P_post, z_hat, P_zz, P_xz, gain, innovation = (
-            a[0] for a in (x_post, P_post, z_hat, P_zz, P_xz, gain, innovation)
-        )
     state = FilterState(x_hat=x_post, P=P_post, step_index=predicted.step_index)
     info = UpdateIntermediates(
         z_hat=z_hat, P_zz=P_zz, P_xz=P_xz, gain=gain, innovation=innovation
@@ -395,9 +382,15 @@ def ckf_update(
 
     The innovation covariance is the centered point statistic plus R; the
     gain solves gain @ P_zz = P_xz.
+
+    Raises:
+        DegenerateChannel: some P_zz diagonal entry is not positive, as in
+            huber_reweight; exc.members lists the members concerned.
     """
     z_hat, core, P_xz = _measurement_stats(predicted, model, u)
-    return _corrected(predicted, np.asarray(z, dtype=float) - z_hat, z_hat, core + R, P_xz)
+    P_zz = core + R
+    _channel_variances(P_zz)
+    return _corrected(predicted, np.asarray(z, dtype=float) - z_hat, z_hat, P_zz, P_xz)
 
 
 @lru_cache(maxsize=None)
@@ -430,18 +423,7 @@ def huber_reweight(
     if not c.min(initial=math.inf) > 0.0:
         raise InvalidConfig(f"Huber threshold must be positive, got {config.c}")
     innovation = np.asarray(innovation, dtype=float)
-    diag = P_zz.diagonal(0, -2, -1)
-    # fmin passes over NaN entries, which are not nonpositive
-    if np.fmin.reduce(diag, axis=None, initial=math.inf) <= 0.0:
-        rows = diag.reshape(-1, diag.shape[-1])
-        members = np.flatnonzero((rows <= 0.0).any(axis=1))
-        bad = int(np.argmin(rows[members[0]]))
-        raise _member_failure(
-            DegenerateChannel,
-            f"channel {bad} has nonpositive predicted variance {rows[members[0], bad]}",
-            members,
-        )
-    standardized = innovation / np.sqrt(diag)
+    standardized = innovation / np.sqrt(_channel_variances(P_zz))
     magnitude = np.abs(standardized)
     c = c[..., None]
     weights = np.empty(magnitude.shape)
@@ -482,8 +464,6 @@ def rckf_update(
         result = huber_reweight(innovation, P_zz, R, config)
         P_zz = core + result.R_bar
     state, info = _corrected(predicted, innovation, z_hat, P_zz, P_xz)
-    if np.ndim(predicted.x_hat) == 1:
-        result = HuberResult(*(a[0] for a in (result.standardized_residuals, result.weights, result.R_bar)))
     return state, info, result
 
 
@@ -569,7 +549,7 @@ def iter_batch(
             return
 
 
-def iter_filter(
+def run_filter(
     model: ProcessModel,
     variant: str,
     init: FilterState,
@@ -579,17 +559,31 @@ def iter_filter(
     R_provider,
     huber: HuberConfig | None = None,
     observe_inputs: Sequence[Array] | None = None,
-) -> Iterator[tuple[FilterState, int]]:
-    """Step one filter variant, a batch of one, over a measurement sequence.
+) -> list[FilterState]:
+    """Run one filter variant, a batch of one, over a measurement sequence.
 
-    Takes the arguments of run_filter, which are checked on call, and
-    returns an iterator yielding (posterior, step_ns) once per
-    measurement, where step_ns is the wall time of the predict-plus-update
-    step in nanoseconds.
+    Args:
+        model: process model shared by both variants.
+        variant: "ckf" or "rckf".
+        init: prior at step 0, x_hat (n,) and P (n, n); returned unchanged
+            as the first element.
+        inputs: transition input per step, same length as measurements.
+        measurements: measurement vector per step.
+        Q: process noise covariance, fixed across steps.
+        R_provider: fixed diagonal measurement covariance matrix, or a
+            callable (step, predicted_state, observe_input) -> matrix
+            evaluated after each prediction on the one filter's state.
+        huber: robust update tuning, used by the rckf variant only.
+        observe_inputs: optional per-step input vector for the measurement
+            map; defaults to the transition input of the same step.
+
+    Returns:
+        List of length len(measurements) + 1: the prior followed by one
+        posterior per measurement, each x_hat (n,) and P (n, n).
 
     Raises:
-        DecompositionFailure, NonFiniteState: from the iterator, with the
-            offending measurement index prefixed and stored as
+        DecompositionFailure, NonFiniteState, DegenerateChannel: re-raised
+            with the offending measurement index prefixed and stored as
             exc.step_index.
     """
     if variant not in VARIANTS:
@@ -622,61 +616,9 @@ def iter_filter(
         HuberConfig(c, huber.max_reweight_passes),
         observe_inputs,
     )
-    return _single_steps(steps)
-
-
-def _single_steps(steps) -> Iterator[tuple[FilterState, int]]:
-    started = perf_counter_ns()
+    states = [init]
     for _, state, failed in steps:
         if failed:
             raise failed[0][1]
-        yield FilterState(state.x_hat[0], state.P[0], state.step_index), perf_counter_ns() - started
-        started = perf_counter_ns()
-
-
-def run_filter(
-    model: ProcessModel,
-    variant: str,
-    init: FilterState,
-    inputs: Sequence[Array],
-    measurements: Sequence[Array],
-    Q: Array,
-    R_provider,
-    huber: HuberConfig | None = None,
-    observe_inputs: Sequence[Array] | None = None,
-    step_times_ns: list | None = None,
-) -> list[FilterState]:
-    """Run one filter variant over a measurement sequence.
-
-    Args:
-        model: process model shared by both variants.
-        variant: "ckf" or "rckf".
-        init: prior at step 0; returned unchanged as the first element.
-        inputs: transition input per step, same length as measurements.
-        measurements: measurement vector per step.
-        Q: process noise covariance, fixed across steps.
-        R_provider: fixed diagonal measurement covariance matrix, or a
-            callable (step, predicted_state, observe_input) -> matrix
-            evaluated after each prediction.
-        huber: robust update tuning, used by the rckf variant only.
-        observe_inputs: optional per-step input vector for the measurement
-            map; defaults to the transition input of the same step.
-        step_times_ns: optional list collecting the wall time of each
-            predict-plus-update step, in nanoseconds.
-
-    Returns:
-        List of length len(measurements) + 1: the prior followed by one
-        posterior per measurement.
-
-    Raises:
-        DecompositionFailure, NonFiniteState: re-raised with the offending
-            measurement index prefixed and stored as exc.step_index.
-    """
-    states = [init]
-    for state, step_ns in iter_filter(
-        model, variant, init, inputs, measurements, Q, R_provider, huber, observe_inputs
-    ):
-        if step_times_ns is not None:
-            step_times_ns.append(step_ns)
-        states.append(state)
+        states.append(FilterState(state.x_hat[0], state.P[0], state.step_index))
     return states

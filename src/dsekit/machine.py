@@ -112,19 +112,6 @@ class StatorCurrents:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One measurement triple: rotor angle, rotor speed (1 + delta_omega),
-    and electrical power."""
-
-    delta_z: float
-    omega_z: float
-    p_e_z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.delta_z, self.omega_z, self.p_e_z))
-
-
-@dataclass(frozen=True)
 class MeasurementSigmas:
     """Measurement noise magnitudes: angle stds in radians, speed std in
     p.u., and the terminal voltage std relative to its magnitude."""
@@ -346,40 +333,6 @@ def state_derivative(
         _params_tuple(params), torque_mode == DIVIDE_BY_SPEED, math,
     )
     return np.array(out)
-
-
-def rk4_step(
-    state: MachineState,
-    inputs: MachineInputs,
-    params: MachineParams,
-    dt: float,
-    torque_mode: str = POWER_EQUALS_TORQUE,
-) -> MachineState:
-    """One classical fourth-order Runge-Kutta step with inputs held constant."""
-    _check_torque_mode(torque_mode)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    d, w, eq, ed = _rk4(
-        state.delta, state.delta_omega, state.e_q_prime, state.e_d_prime,
-        inputs.t_m, inputs.e_f, inputs.u_t, inputs.phi,
-        _params_tuple(params), torque_mode == DIVIDE_BY_SPEED, dt, math,
-    )
-    if not (math.isfinite(d) and math.isfinite(w) and math.isfinite(eq) and math.isfinite(ed)):
-        raise NonFiniteState("integration step produced a non-finite state")
-    return MachineState(d, w, eq, ed)
-
-
-def measure(state: MachineState, inputs: MachineInputs, params: MachineParams) -> Measurement:
-    """Noise-free measurement triple for one state.
-
-    The speed channel reports 1 + delta_omega; the power channel reuses
-    electrical_power so both always agree bit for bit.
-    """
-    return Measurement(
-        delta_z=state.delta,
-        omega_z=1.0 + state.delta_omega,
-        p_e_z=electrical_power(state, inputs, params),
-    )
 
 
 def power_partials(

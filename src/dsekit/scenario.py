@@ -10,7 +10,6 @@ variants consume them.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -32,12 +31,12 @@ from .machine import (
     _FLOAT_FAULTS,
     _air_gap,
     _check_torque_mode,
+    _derivative,
     _params_tuple,
     _rk4,
     as_process_model,
     observe_points,
     power_variance,
-    state_derivative,
 )
 from .noise import (
     GAUSSIAN_WHITE,
@@ -48,29 +47,22 @@ from .noise import (
     inject_outliers,
 )
 
-HOLD = "hold"
-LINEAR = "linear"
-
 # Rows of inputs read and of truth states stored at a time by simulate_truth.
 TRUTH_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Piecewise scalar signal over time.
+    """Piecewise constant scalar signal over time.
 
-    times must start at 0 and increase strictly; mode "hold" keeps each
-    value until the next breakpoint, "linear" interpolates between them.
-    Beyond the last breakpoint the final value holds.
+    times must start at 0 and increase strictly; each value holds from its
+    breakpoint until the next, and the final value beyond the last.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    mode: str = HOLD
 
     def __post_init__(self):
-        if self.mode not in (HOLD, LINEAR):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
         if len(self.times) != len(self.values) or not self.times:
             raise ValueError("times and values must be equal-length and nonempty")
         if self.times[0] != 0.0:
@@ -82,23 +74,12 @@ class Schedule:
 
     @classmethod
     def constant(cls, value: float) -> "Schedule":
-        return cls(times=(0.0,), values=(value,), mode=HOLD)
-
-    def at(self, t: float) -> float:
-        if t <= 0.0:
-            return self.values[0]
-        if self.mode == HOLD:
-            i = bisect.bisect_right(self.times, t) - 1
-            return self.values[i]
-        return float(np.interp(t, self.times, self.values))
+        return cls(times=(0.0,), values=(value,))
 
     def as_array(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.mode == HOLD:
-            idx = np.searchsorted(self.times, times, side="right") - 1
-            idx = np.clip(idx, 0, len(self.values) - 1)
-            return np.asarray(self.values, dtype=float)[idx]
-        return np.interp(times, self.times, self.values)
+        idx = np.searchsorted(self.times, np.asarray(times, dtype=float), side="right") - 1
+        idx = np.clip(idx, 0, len(self.values) - 1)
+        return np.asarray(self.values, dtype=float)[idx]
 
 
 @dataclass(frozen=True)
@@ -117,11 +98,6 @@ class InputProfile:
             e_f=Schedule.constant(inputs.e_f),
             u_t=Schedule.constant(inputs.u_t),
             phi=Schedule.constant(inputs.phi),
-        )
-
-    def at(self, t: float) -> MachineInputs:
-        return MachineInputs(
-            t_m=self.t_m.at(t), e_f=self.e_f.at(t), u_t=self.u_t.at(t), phi=self.phi.at(t)
         )
 
     def as_array(self, times: np.ndarray) -> np.ndarray:
@@ -196,7 +172,7 @@ def build_fault_profile(
         values.append(fault.u_t_partial)
     times.append(t_off)
     values.append(fault.u_t_post)
-    u_t = Schedule(times=tuple(times), values=tuple(values), mode=HOLD)
+    u_t = Schedule(times=tuple(times), values=tuple(values))
     return replace(profile, u_t=u_t)
 
 
@@ -220,7 +196,9 @@ def steady_state_init(
             the residual check fails.
     """
     _check_torque_mode(torque_mode)
-    xdp, xqp, k, xd_drop, xq_drop = _params_tuple(params)[:5]
+    pt = _params_tuple(params)
+    xdp, xqp, k, xd_drop, xq_drop = pt[:5]
+    divide = torque_mode == DIVIDE_BY_SPEED
     xd, xq = params.x_d, params.x_q
     ut, ef, tm, phi = inputs.u_t, inputs.e_f, inputs.t_m, inputs.phi
 
@@ -238,9 +216,11 @@ def steady_state_init(
         return MachineState(delta=theta + phi, delta_omega=0.0, e_q_prime=eq, e_d_prime=ed)
 
     def check(state: MachineState) -> MachineState:
-        residual = float(
-            np.abs(state_derivative(state, inputs, params, torque_mode)).max()
+        rates = _derivative(
+            state.delta, state.delta_omega, state.e_q_prime, state.e_d_prime,
+            tm, ef, ut, phi, pt, divide, math,
         )
+        residual = float(np.abs(rates).max())
         if residual > tol:
             raise NoConvergence(
                 f"equilibrium residual {residual:.3e} exceeds tolerance {tol:.1e}"
@@ -323,7 +303,8 @@ def equilibrium(cfg: ScenarioConfig) -> MachineState:
     Raises:
         NoConvergence: no pre-fault equilibrium exists.
     """
-    return steady_state_init(cfg.profile.at(0.0), cfg.machine, cfg.torque_mode)
+    inputs = MachineInputs.from_array(cfg.profile.as_array(np.zeros(1))[0])
+    return steady_state_init(inputs, cfg.machine, cfg.torque_mode)
 
 
 def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.ndarray:

@@ -265,8 +265,24 @@ class TestEstimate:
         )
         assert code == EXIT_DIVERGENCE
         assert capsys.readouterr().err == (
-            "filter diverged at measurement index 0: measurement index 0: "
+            "filter diverged: measurement index 0: "
             "integration step produced a non-finite state\n"
+        )
+
+    @pytest.mark.parametrize("variant", ["ckf", "rckf", "both"])
+    def test_bolted_fault_exits_4(self, tmp_path, capsys, variant):
+        # a dip to zero voltage makes the power channel's predicted
+        # variance exactly 0, which every variant reports the same way
+        # whether or not it shares its batch
+        cfg = write_config(tmp_path, lambda d: d["scenario"]["fault"].update(u_t_dip=0.0))
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--filter", variant,
+        )
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "filter diverged: measurement index 59: "
+            "channel 2 has nonpositive predicted variance 0.0\n"
         )
 
 
@@ -360,6 +376,14 @@ class TestBench:
         assert lines[0].split()[:2] == ["variant", "steps"]
         assert lines[1].startswith("ckf")
         assert lines[2].startswith("rckf")
+
+    def test_bolted_fault_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lambda d: d["scenario"]["fault"].update(u_t_dip=0.0))
+        assert run("bench", "--config", cfg, "--steps", "100") == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "filter diverged during bench: measurement index 59: "
+            "channel 2 has nonpositive predicted variance 0.0\n"
+        )
 
     def test_too_few_steps_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)

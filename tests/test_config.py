@@ -13,7 +13,6 @@ from dsekit.config import (
     default_config,
     load_config,
     noise_preset,
-    scenario_from_file,
     with_noise_preset,
     with_outliers,
     with_seed,
@@ -48,7 +47,7 @@ class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(default_config()))
-        cfg = scenario_from_file(path)
+        cfg = build_scenario(load_config(path))
         assert cfg.dt == 0.02
         assert cfg.seed == 20260819
 
@@ -137,7 +136,7 @@ class TestScenarioSection:
 
     def test_fault_may_be_null(self):
         cfg = build(lambda d: d["scenario"].update(fault=None))
-        assert cfg.profile.u_t.at(5.0) == 1.0
+        assert cfg.profile.u_t.as_array([5.0])[0] == 1.0
 
     def test_fault_outside_horizon(self):
         expect_error(
@@ -157,7 +156,7 @@ class TestScenarioSection:
                 duration=0.1, duration_partial=0.05, u_t_partial=0.7
             )
         )
-        assert cfg.profile.u_t.at(1.26) == 0.7
+        assert cfg.profile.u_t.as_array([1.26])[0] == 0.7
 
     def test_staged_fault_needs_both_keys(self):
         expect_error(
@@ -365,12 +364,12 @@ class TestShippedConfigs:
         assert doc == default_config()
 
     def test_case2_json_builds(self):
-        cfg = scenario_from_file(self.CONFIGS / "case2.json")
+        cfg = build_scenario(load_config(self.CONFIGS / "case2.json"))
         assert cfg.t_end == 10.0
         # staged clearing: partial recovery at 1.05 s, full at 1.1 s
-        assert cfg.profile.u_t.at(1.04) == 0.35
-        assert cfg.profile.u_t.at(1.06) == 0.7
-        assert cfg.profile.u_t.at(1.2) == 0.95
+        assert cfg.profile.u_t.as_array([1.04])[0] == 0.35
+        assert cfg.profile.u_t.as_array([1.06])[0] == 0.7
+        assert cfg.profile.u_t.as_array([1.2])[0] == 0.95
 
 
 class TestReplacements:

@@ -291,11 +291,16 @@ def marked_R(from_step, entry):
     return provider
 
 
-def test_nonpositive_innovation_variance_freezes_the_member():
+@pytest.mark.parametrize(
+    "thresholds", [[math.inf, 1.5], [math.inf, math.inf]], ids=["mixed", "classical"]
+)
+def test_nonpositive_innovation_variance_freezes_the_member(thresholds):
+    # an all-classical batch takes the classical update, which must gate
+    # the predicted variances as the robust update does
     P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
     provider = marked_R(3, -math.inf)
-    paths, frozen = linear_run(LINEAR_X0, P0, [math.inf, 1.5], provider)
-    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [math.inf], provider)
+    paths, frozen = linear_run(LINEAR_X0, P0, thresholds, provider)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], thresholds[:1], provider)
     assert sorted(frozen) == [1]
     assert_frozen(
         frozen, 1, DegenerateChannel, 3, "channel 2 has nonpositive predicted variance -inf"

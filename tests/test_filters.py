@@ -1,6 +1,7 @@
 """Filter core: square roots, cubature statistics, updates, robust weights."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from dsekit.filters import (
     RCKF,
     FilterState,
     HuberConfig,
-    NoiseCovariances,
     ProcessModel,
     cholesky_lower,
     ckf_update,
     cubature_points,
     huber_reweight,
-    iter_filter,
     rckf_update,
     run_filter,
     time_predict,
@@ -39,6 +38,22 @@ def linear_model(A, H):
         m=m,
         transition=lambda x, u: A @ x,
         observe=lambda x, u: H @ x,
+    )
+
+
+def batch_of_one(state):
+    """One filter's state in the batched shapes the stages take."""
+    return FilterState(state.x_hat[None], state.P[None], state.step_index)
+
+
+def member0(result):
+    """Member 0 of a batched stage result, or of a tuple of them, in one
+    filter's shapes."""
+    if isinstance(result, tuple):
+        return tuple(member0(r) for r in result)
+    values = {f.name: getattr(result, f.name) for f in fields(result)}
+    return type(result)(
+        **{k: v[0] if isinstance(v, np.ndarray) else v for k, v in values.items()}
     )
 
 
@@ -114,7 +129,9 @@ class TestTimePredict:
         P = random_spd(rng, 4)
         x = rng.standard_normal(4)
         model = ProcessModel(n=4, m=1, transition=lambda s, u: s, observe=lambda s, u: s[:1])
-        pred = time_predict(FilterState(x, P, 5), model, np.zeros(1), np.zeros((4, 4)))
+        pred = member0(
+            time_predict(batch_of_one(FilterState(x, P, 5)), model, np.zeros(1), np.zeros((4, 4)))
+        )
         assert pred.step_index == 6
         assert np.abs(pred.x_hat - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
         assert np.abs(pred.P - P).max() <= 1e-10 * np.abs(P).max()
@@ -126,7 +143,7 @@ class TestTimePredict:
         P = random_spd(rng, 4)
         x = rng.standard_normal(4)
         model = linear_model(A, np.eye(4)[:2])
-        pred = time_predict(FilterState(x, P), model, np.zeros(1), Q)
+        pred = member0(time_predict(batch_of_one(FilterState(x, P)), model, np.zeros(1), Q))
         assert_allclose(pred.x_hat, A @ x, rtol=1e-12, atol=1e-13)
         assert_allclose(pred.P, A @ P @ A.T + Q, rtol=1e-10, atol=1e-12)
         assert_allclose(pred.P, pred.P.T, rtol=0.0, atol=1e-15)
@@ -138,7 +155,10 @@ class TestTimePredict:
             observe=lambda s, u: s[:1],
         )
         with pytest.raises(NonFiniteState):
-            time_predict(FilterState(np.zeros(2), np.eye(2)), model, np.zeros(1), np.zeros((2, 2)))
+            time_predict(
+                batch_of_one(FilterState(np.zeros(2), np.eye(2))), model, np.zeros(1),
+                np.zeros((2, 2)),
+            )
 
 
 class TestCkfUpdate:
@@ -150,7 +170,9 @@ class TestCkfUpdate:
         x = rng.standard_normal(4)
         z = rng.standard_normal(3)
         model = linear_model(np.eye(4), H)
-        posterior, info = ckf_update(FilterState(x, P, 2), z, model, np.zeros(1), R)
+        posterior, info = member0(
+            ckf_update(batch_of_one(FilterState(x, P, 2)), z[None], model, np.zeros(1), R)
+        )
         S = H @ P @ H.T + R
         K = P @ H.T @ np.linalg.inv(S)
         x_exact = x + K @ (z - H @ x)
@@ -169,9 +191,10 @@ class TestCkfUpdate:
             P = random_spd(rng, 4)
             x = rng.standard_normal(4)
             z = rng.standard_normal(3)
-            posterior, _ = ckf_update(
-                FilterState(x, P), z, linear_model(np.eye(4), H), np.zeros(1), R
-            )
+            posterior, _ = member0(ckf_update(
+                batch_of_one(FilterState(x, P)), z[None], linear_model(np.eye(4), H),
+                np.zeros(1), R,
+            ))
             asym = np.abs(posterior.P - posterior.P.T).max()
             assert asym <= 1e-12 * max(1.0, np.abs(posterior.P).max())
             eigs = np.linalg.eigvalsh(posterior.P)
@@ -251,8 +274,10 @@ class TestRckfUpdate:
     def test_coincides_with_ckf_for_inliers(self):
         model, prior, H, R = self.setup_case()
         z = H @ prior.x_hat  # zero innovation, every channel inside c
-        c_state, _ = ckf_update(prior, z, model, np.zeros(1), R)
-        r_state, _, hub = rckf_update(prior, z, model, np.zeros(1), R)
+        c_state, _ = member0(ckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R))
+        r_state, _, hub = member0(
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R)
+        )
         assert np.all(hub.weights == 1.0)
         assert np.abs(c_state.x_hat - r_state.x_hat).max() <= 1e-15
         assert np.abs(c_state.P - r_state.P).max() <= 1e-15
@@ -261,8 +286,10 @@ class TestRckfUpdate:
         model, prior, H, R = self.setup_case()
         z = H @ prior.x_hat
         z[1] += 50.0 * math.sqrt(R[1, 1])
-        c_state, _ = ckf_update(prior, z, model, np.zeros(1), R)
-        r_state, _, hub = rckf_update(prior, z, model, np.zeros(1), R)
+        c_state, _ = member0(ckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R))
+        r_state, _, hub = member0(
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R)
+        )
         assert hub.weights[1] < 1.0
         assert hub.R_bar[1, 1] > R[1, 1]
         move_ckf = np.linalg.norm(c_state.x_hat - prior.x_hat)
@@ -274,10 +301,13 @@ class TestRckfUpdate:
         model, prior, H, R = self.setup_case(9)
         z = H @ prior.x_hat
         z[0] += 30.0 * math.sqrt(R[0, 0])
-        one, _, hub1 = rckf_update(prior, z, model, np.zeros(1), R, HuberConfig(c=1.5))
-        three, _, hub3 = rckf_update(
-            prior, z, model, np.zeros(1), R, HuberConfig(c=1.5, max_reweight_passes=3)
+        one, _, hub1 = member0(
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R, HuberConfig(c=1.5))
         )
+        three, _, hub3 = member0(rckf_update(
+            batch_of_one(prior), z[None], model, np.zeros(1), R,
+            HuberConfig(c=1.5, max_reweight_passes=3),
+        ))
         # inflating P_zz shrinks |r'|, so later passes back off, but the
         # inflation is always relative to the original R
         assert hub3.weights[0] >= hub1.weights[0]
@@ -288,7 +318,7 @@ class TestRckfUpdate:
         model, prior, H, R = self.setup_case()
         with pytest.raises(InvalidConfig):
             rckf_update(
-                prior, np.zeros(3), model, np.zeros(1), R,
+                batch_of_one(prior), np.zeros((1, 3)), model, np.zeros(1), R,
                 HuberConfig(c=1.5, max_reweight_passes=0),
             )
 
@@ -354,50 +384,3 @@ class TestRunFilter:
             run_filter(model, "ukf", init, [], [], np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="equal length"):
             run_filter(model, CKF, init, [np.zeros(1)], [], np.eye(2), np.eye(2))
-
-    def test_iter_filter_yields_run_filter_posteriors(self):
-        model = linear_model(np.eye(2) * 0.9, np.eye(2))
-        init = FilterState(np.ones(2), np.eye(2))
-        args = (
-            model, RCKF, init, [np.zeros(1)] * 4, [np.full(2, 0.5)] * 4,
-            np.eye(2) * 0.01, np.eye(2),
-        )
-        stepped = list(iter_filter(*args))
-        states = run_filter(*args)
-        assert len(stepped) == 4
-        for (state, step_ns), ref in zip(stepped, states[1:]):
-            assert step_ns > 0
-            np.testing.assert_array_equal(state.x_hat, ref.x_hat)
-            np.testing.assert_array_equal(state.P, ref.P)
-
-    def test_iter_filter_checks_arguments_on_call(self):
-        model = linear_model(np.eye(2), np.eye(2))
-        init = FilterState(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match="variant"):
-            iter_filter(model, "ukf", init, [], [], np.eye(2), np.eye(2))
-
-    def test_step_times_collected(self):
-        model = linear_model(np.eye(2), np.eye(2))
-        init = FilterState(np.zeros(2), np.eye(2))
-        times = []
-        run_filter(
-            model, RCKF, init, [np.zeros(1)] * 5, [np.zeros(2)] * 5,
-            np.eye(2) * 0.01, np.eye(2), step_times_ns=times,
-        )
-        assert len(times) == 5
-        assert all(t > 0 for t in times)
-
-
-class TestNoiseCovariances:
-    def test_valid_pair_passes(self):
-        NoiseCovariances(Q=np.eye(3) * 0.1, R=np.eye(2)).validate()
-
-    def test_asymmetric_q_rejected(self):
-        Q = np.eye(2)
-        Q[0, 1] = 0.5
-        with pytest.raises(InvalidConfig, match="symmetric"):
-            NoiseCovariances(Q=Q, R=np.eye(2)).validate()
-
-    def test_nonpositive_r_diagonal_rejected(self):
-        with pytest.raises(InvalidConfig, match="positive"):
-            NoiseCovariances(Q=np.eye(2), R=np.diag([1.0, 0.0])).validate()

@@ -20,12 +20,10 @@ from dsekit.machine import (
     MeasurementSigmas,
     as_process_model,
     electrical_power,
-    measure,
     measurement_covariance,
     observe_points,
     power_partials,
     power_variance,
-    rk4_step,
     state_derivative,
     stator_currents,
 )
@@ -180,9 +178,10 @@ class TestRk4Step:
             rhs, (0.0, steps * dt), list(state.as_array()),
             method="RK45", rtol=1e-12, atol=1e-14, dense_output=True,
         )
+        step = as_process_model(DEFAULT_PARAMS, dt).transition
         x = state
         for _ in range(steps):
-            x = rk4_step(x, inputs, DEFAULT_PARAMS, dt)
+            x = MachineState.from_array(step(x.as_array(), inputs.as_array()))
         reference = sol.sol(steps * dt)
         # classical RK4 at dt = 0.02 lands near 5e-6 on this swing; the
         # bound guards against wiring mistakes, the order test below pins
@@ -206,19 +205,18 @@ class TestRk4Step:
 
         def global_error(dt):
             n = int(round(horizon / dt))
+            step = as_process_model(DEFAULT_PARAMS, dt).transition
             x = start
             for _ in range(n):
-                x = rk4_step(x, inputs, DEFAULT_PARAMS, dt)
+                x = MachineState.from_array(step(x.as_array(), inputs.as_array()))
             return np.abs(x.as_array() - reference).max()
 
         ratio = global_error(0.04) / global_error(0.02)
         assert 12.0 <= ratio <= 20.0
 
     def test_rejects_nonpositive_dt(self):
-        state = MachineState(0.0, 0.0, 1.0, 0.0)
-        inputs = MachineInputs(t_m=0.0, e_f=1.0, u_t=1.0, phi=0.0)
         with pytest.raises(ValueError, match="dt"):
-            rk4_step(state, inputs, DEFAULT_PARAMS, 0.0)
+            as_process_model(DEFAULT_PARAMS, 0.0)
 
 
 class TestMeasure:
@@ -226,11 +224,13 @@ class TestMeasure:
         rng = np.random.default_rng(2)
         state = random_state(rng)
         inputs = random_inputs(rng)
-        m = measure(state, inputs, DEFAULT_PARAMS)
-        assert m.delta_z == state.delta
-        assert m.omega_z == 1.0 + state.delta_omega
+        delta_z, omega_z, p_e_z = observe_points(
+            state.as_array()[None], inputs.as_array(), DEFAULT_PARAMS
+        )[0]
+        assert delta_z == state.delta
+        assert omega_z == 1.0 + state.delta_omega
         # shared code path: bit-for-bit equality, not approximate
-        assert m.p_e_z == electrical_power(state, inputs, DEFAULT_PARAMS)
+        assert p_e_z == electrical_power(state, inputs, DEFAULT_PARAMS)
 
 
 class TestMeasurementCovariance:
@@ -262,24 +262,28 @@ class TestMeasurementCovariance:
 
 
 class TestProcessModelWrapper:
-    def test_transition_equals_rk4_step(self):
+    def test_transition_equals_the_oracle_rk4(self):
         rng = np.random.default_rng(4)
         model = as_process_model(DEFAULT_PARAMS, 0.02)
         for _ in range(20):
             state = random_state(rng)
             inputs = random_inputs(rng)
             via_model = model.transition(state.as_array(), inputs.as_array())
-            via_step = rk4_step(state, inputs, DEFAULT_PARAMS, 0.02).as_array()
+            via_step = np.array(
+                machine_rk4(state.as_array(), inputs.as_array(), DEFAULT_PARAMS, 0.02, False)
+            )
             assert_allclose(via_model, via_step, rtol=0.0, atol=0.0)
 
-    def test_observe_equals_measure(self):
+    def test_observe_equals_observe_points(self):
         rng = np.random.default_rng(5)
         model = as_process_model(DEFAULT_PARAMS, 0.02)
         for _ in range(20):
             state = random_state(rng)
             inputs = random_inputs(rng)
             via_model = model.observe(state.as_array(), inputs.as_array())
-            via_measure = measure(state, inputs, DEFAULT_PARAMS).as_array()
+            via_measure = observe_points(
+                state.as_array()[None], inputs.as_array(), DEFAULT_PARAMS
+            )[0]
             assert_allclose(via_model, via_measure, rtol=0.0, atol=0.0)
 
     def test_point_maps_equal_per_point_maps(self):
@@ -308,7 +312,9 @@ class TestProcessModelWrapper:
                 u = inputs.as_array()
                 expected = np.array([model.transition(p, u) for p in points])
                 assert_allclose(model.transition_points(points, u), expected, rtol=0.0, atol=0.0)
-                expected = np.array([measure(s, inputs, DEFAULT_PARAMS).as_array() for s in states])
+                expected = np.array(
+                    [observe_points(s.as_array()[None], u, DEFAULT_PARAMS)[0] for s in states]
+                )
                 assert_allclose(model.observe_points(points, u), expected, rtol=0.0, atol=0.0)
                 expected = [measurement_covariance(s, inputs, DEFAULT_PARAMS, sigmas)[2, 2] for s in states]
                 assert_allclose(
@@ -317,7 +323,7 @@ class TestProcessModelWrapper:
                 # one input row per state, as measurement synthesis passes them
                 rows = np.array([random_inputs(rng).as_array() for _ in range(size)])
                 expected = np.array([
-                    measure(s, MachineInputs.from_array(r), DEFAULT_PARAMS).as_array()
+                    observe_points(s.as_array()[None], r, DEFAULT_PARAMS)[0]
                     for s, r in zip(states, rows)
                 ])
                 assert_allclose(observe_points(points, rows, DEFAULT_PARAMS), expected, rtol=0.0, atol=0.0)

@@ -72,34 +72,27 @@ def make_config(
 class TestSchedule:
     def test_constant(self):
         s = Schedule.constant(1.5)
-        assert s.at(0.0) == 1.5
-        assert s.at(99.0) == 1.5
+        assert s.as_array([0.0])[0] == 1.5
+        assert s.as_array([99.0])[0] == 1.5
 
     def test_hold_switches_at_breakpoint(self):
-        s = Schedule(times=(0.0, 1.0, 2.0), values=(5.0, 6.0, 7.0), mode="hold")
-        assert s.at(0.999999) == 5.0
-        assert s.at(1.0) == 6.0
-        assert s.at(1.999999) == 6.0
-        assert s.at(2.0) == 7.0
-        assert s.at(10.0) == 7.0
-
-    def test_linear_interpolates(self):
-        s = Schedule(times=(0.0, 2.0), values=(0.0, 4.0), mode="linear")
-        assert s.at(0.5) == pytest.approx(1.0, abs=1e-15)
-        assert s.at(5.0) == 4.0
+        s = Schedule(times=(0.0, 1.0, 2.0), values=(5.0, 6.0, 7.0))
+        assert s.as_array([0.999999])[0] == 5.0
+        assert s.as_array([1.0])[0] == 6.0
+        assert s.as_array([1.999999])[0] == 6.0
+        assert s.as_array([2.0])[0] == 7.0
+        assert s.as_array([10.0])[0] == 7.0
 
     def test_as_array_matches_pointwise(self):
-        s = Schedule(times=(0.0, 1.0, 2.0), values=(5.0, 6.0, 7.0), mode="hold")
+        s = Schedule(times=(0.0, 1.0, 2.0), values=(5.0, 6.0, 7.0))
         times = np.arange(0.0, 3.0, 0.25)
-        np.testing.assert_array_equal(s.as_array(times), [s.at(t) for t in times])
+        np.testing.assert_array_equal(s.as_array(times), [s.as_array([t])[0] for t in times])
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Schedule(times=(0.5,), values=(1.0,))
         with pytest.raises(ValueError):
             Schedule(times=(0.0, 1.0, 1.0), values=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            Schedule(times=(0.0,), values=(1.0,), mode="spline")
         with pytest.raises(ValueError):
             Schedule(times=(0.0, 1.0), values=(1.0,))
 
@@ -109,16 +102,16 @@ class TestFaultProfile:
         profile = build_fault_profile(
             BASE, FaultSpec(t_on=1.2, duration=0.1, u_t_dip=0.35, u_t_post=0.95), 20.0
         )
-        assert profile.u_t.at(0.0) == 1.0
-        assert profile.u_t.at(1.19) == 1.0
-        assert profile.u_t.at(1.2) == 0.35
-        assert profile.u_t.at(1.29) == 0.35
-        assert profile.u_t.at(1.3) == 0.95
-        assert profile.u_t.at(20.0) == 0.95
+        assert profile.u_t.as_array([0.0])[0] == 1.0
+        assert profile.u_t.as_array([1.19])[0] == 1.0
+        assert profile.u_t.as_array([1.2])[0] == 0.35
+        assert profile.u_t.as_array([1.29])[0] == 0.35
+        assert profile.u_t.as_array([1.3])[0] == 0.95
+        assert profile.u_t.as_array([20.0])[0] == 0.95
         # the other inputs stay constant through the fault
-        assert profile.t_m.at(1.25) == BASE.t_m
-        assert profile.e_f.at(1.25) == BASE.e_f
-        assert profile.phi.at(1.25) == BASE.phi
+        assert profile.t_m.as_array([1.25])[0] == BASE.t_m
+        assert profile.e_f.as_array([1.25])[0] == BASE.e_f
+        assert profile.phi.as_array([1.25])[0] == BASE.phi
 
     def test_no_fault_is_constant(self):
         profile = build_fault_profile(BASE, None, 20.0)
@@ -132,12 +125,12 @@ class TestFaultProfile:
             duration_partial=0.05, u_t_partial=0.7,
         )
         profile = build_fault_profile(BASE, fault, 10.0)
-        assert profile.u_t.at(0.99) == 1.0
-        assert profile.u_t.at(1.0) == 0.35
-        assert profile.u_t.at(1.049) == 0.35
-        assert profile.u_t.at(1.05) == 0.7
-        assert profile.u_t.at(1.099) == 0.7
-        assert profile.u_t.at(1.1) == 0.95
+        assert profile.u_t.as_array([0.99])[0] == 1.0
+        assert profile.u_t.as_array([1.0])[0] == 0.35
+        assert profile.u_t.as_array([1.049])[0] == 0.35
+        assert profile.u_t.as_array([1.05])[0] == 0.7
+        assert profile.u_t.as_array([1.099])[0] == 0.7
+        assert profile.u_t.as_array([1.1])[0] == 0.95
 
     def test_partial_stage_validation(self):
         with pytest.raises(InvalidWindow):
