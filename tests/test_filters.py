@@ -384,3 +384,29 @@ class TestRunFilter:
             run_filter(model, "ukf", init, [], [], np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="equal length"):
             run_filter(model, CKF, init, [np.zeros(1)], [], np.eye(2), np.eye(2))
+
+    def test_rejects_observe_inputs_of_another_length(self):
+        model = linear_model(np.eye(2), np.eye(2))
+        init = FilterState(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="observe_inputs length"):
+            run_filter(
+                model, CKF, init, [np.zeros(1)] * 2, [np.zeros(2)] * 2, np.eye(2), np.eye(2),
+                observe_inputs=[np.zeros(1)],
+            )
+
+    def test_rckf_posteriors_equal_stepping_the_stages(self):
+        # run_filter is a batch of one over the public stages
+        model = linear_model(np.eye(2) * 0.9, np.eye(2))
+        init = FilterState(np.ones(2), np.eye(2))
+        Q, R = np.eye(2) * 0.01, np.eye(2)
+        measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.full(2, 0.5), np.zeros(2)]
+        states = run_filter(model, RCKF, init, [np.zeros(1)] * 4, measurements, Q, R)
+        assert len(states) == 5
+        state = batch_of_one(init)
+        for z, ref in zip(measurements, states[1:]):
+            predicted = time_predict(state, model, np.zeros(1), Q)
+            state, _, _ = rckf_update(predicted, z[None], model, np.zeros(1), R, HuberConfig())
+            stepped = member0(state)
+            assert stepped.step_index == ref.step_index
+            np.testing.assert_array_equal(stepped.x_hat, ref.x_hat)
+            np.testing.assert_array_equal(stepped.P, ref.P)
