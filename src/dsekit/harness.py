@@ -12,7 +12,6 @@ it ran in.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter_ns
 
@@ -200,6 +199,10 @@ def run_experiment(
     chunks = [c.tolist() for c in np.array_split(live, max(1, min(jobs, len(live))))] if live else []
     items = [(cfg, truth, x0, [cells[i] for i in chunk], timing) for chunk in chunks]
     if len(items) > 1:
+        # imported here: the pool's modules would add to the start-up
+        # time of every command, and only this path uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(items)) as pool:
             outcomes = list(pool.map(_run_cells, items))
     else:

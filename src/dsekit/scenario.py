@@ -17,7 +17,6 @@ from time import perf_counter_ns
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidWindow, NoConvergence, NonFiniteState
 from .filters import CKF, RCKF, VARIANTS, FilterState, HuberConfig, iter_batch
@@ -176,6 +175,66 @@ def build_fault_profile(
     return replace(profile, u_t=u_t)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f between xa and xb by Brent's method (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of SciPy's scipy/optimize/Zeros/brentq.c that
+    keeps its operations and their order, so that it returns the root
+    scipy.optimize.brentq returns, to the last bit.
+
+    Raises:
+        ValueError: f(xa) and f(xb) have the same sign.
+        NoConvergence: no root within maxiter iterations.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoConvergence(f"Brent's method did not converge within {maxiter} iterations")
+
+
 def steady_state_init(
     inputs: MachineInputs,
     params: MachineParams,
@@ -192,8 +251,8 @@ def steady_state_init(
     checked against tol.
 
     Raises:
-        NoConvergence: t_m exceeds the pull-out power of the branch, or
-            the residual check fails.
+        NoConvergence: t_m exceeds the pull-out power of the branch, the
+            root solve does not converge, or the residual check fails.
     """
     _check_torque_mode(torque_mode)
     pt = _params_tuple(params)
@@ -239,7 +298,7 @@ def steady_state_init(
         p = power(theta)
         if (p - tm) * (p_prev - tm) <= 0.0:
             lo, hi = sorted((theta_prev, theta))
-            root = brentq(lambda th: power(th) - tm, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            root = _brentq(lambda th: power(th) - tm, lo, hi, xtol=1e-15, rtol=8.9e-16)
             return check(state_at(root))
         if (p - p_prev) * h <= 0.0:
             break

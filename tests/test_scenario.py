@@ -3,17 +3,26 @@ measurement synthesis, and the paired filter runs."""
 
 import math
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from dsekit import scenario
+from dsekit.config import build_scenario, load_config
 from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
 from dsekit.machine import (
     DEFAULT_PARAMS,
     DIVIDE_BY_SPEED,
     POWER_EQUALS_TORQUE,
+    TORQUE_MODES,
     MachineInputs,
+    MachineParams,
     MachineState,
     electrical_power,
     state_derivative,
@@ -27,7 +36,9 @@ from dsekit.scenario import (
     RunRecord,
     Schedule,
     ScenarioConfig,
+    _brentq,
     build_fault_profile,
+    equilibrium,
     filter_series,
     initial_filter_state,
     run_scenario,
@@ -192,6 +203,96 @@ class TestSteadyState:
         inputs = MachineInputs(t_m=1.2, e_f=2.0, u_t=1.0, phi=0.0)
         with pytest.raises(NoConvergence):
             steady_state_init(inputs, DEFAULT_PARAMS)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_FILES = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/configs/*.json"))
+
+
+@st.composite
+def machines(draw):
+    xdp = draw(st.floats(0.1, 0.6))
+    xqp = draw(st.floats(0.1, 0.9))
+    return MachineParams(
+        x_d=xdp + draw(st.floats(0.1, 2.0)),
+        x_d_prime=xdp,
+        x_q=xqp + draw(st.floats(0.05, 1.5)),
+        x_q_prime=xqp,
+        t_d0_prime=draw(st.floats(1.0, 10.0)),
+        t_q0_prime=draw(st.floats(0.05, 2.0)),
+        t_j=draw(st.floats(2.0, 20.0)),
+        damping=draw(st.floats(0.0, 5.0)),
+    )
+
+
+INPUTS = st.builds(
+    MachineInputs,
+    t_m=st.floats(-1.5, 1.5),
+    e_f=st.floats(0.5, 3.0),
+    u_t=st.floats(0.2, 1.5),
+    phi=st.floats(-3.0, 3.0),
+)
+
+
+def recorded_brackets(inputs, params, torque_mode):
+    """(f, lo, hi, xtol, rtol) of every root solve steady_state_init makes,
+    whether or not it then finds an equilibrium."""
+    brackets = []
+
+    def record(f, lo, hi, xtol, rtol):
+        brackets.append((f, lo, hi, xtol, rtol))
+        return _brentq(f, lo, hi, xtol, rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_brentq", record)
+        try:
+            steady_state_init(inputs, params, torque_mode)
+        except NoConvergence:
+            pass
+    return brackets
+
+
+class TestBrentPort:
+    """The equilibrium's root solve is a port of SciPy's brentq; SciPy
+    serves here as the oracle, which the port must match bit for bit."""
+
+    @settings(max_examples=300)
+    @given(params=machines(), inputs=INPUTS, torque_mode=st.sampled_from(TORQUE_MODES))
+    def test_equals_scipy_on_every_bracket_of_the_walk(self, params, inputs, torque_mode):
+        for f, lo, hi, xtol, rtol in recorded_brackets(inputs, params, torque_mode):
+            want = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+            assert _brentq(f, lo, hi, xtol, rtol).hex() == want.hex()
+
+    @pytest.mark.parametrize("torque_mode", TORQUE_MODES)
+    @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_shipped_config_equilibria_equal_scipy(self, path, torque_mode, monkeypatch):
+        cfg = replace(build_scenario(load_config(path)), torque_mode=torque_mode)
+        ours = equilibrium(cfg).as_array()
+        monkeypatch.setattr(scenario, "_brentq", brentq)
+        assert equilibrium(cfg).as_array().tobytes() == ours.tobytes()
+
+    def test_same_sign_bracket_is_rejected(self):
+        def f(x):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            _brentq(f, -1.0, 1.0, 1e-15, 8.9e-16)
+
+    def test_no_convergence_within_maxiter(self, monkeypatch):
+        (f, lo, hi, xtol, rtol), = recorded_brackets(BASE, DEFAULT_PARAMS, POWER_EQUALS_TORQUE)
+        root, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
+        n = info.iterations
+        assert n > 1
+        assert _brentq(f, lo, hi, xtol, rtol, maxiter=n).hex() == root.hex()
+        with pytest.raises(RuntimeError):
+            brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=n - 1)
+        with pytest.raises(NoConvergence, match=f"within {n - 1} iterations"):
+            _brentq(f, lo, hi, xtol, rtol, maxiter=n - 1)
+        monkeypatch.setattr(scenario, "_brentq", partial(_brentq, maxiter=n - 1))
+        with pytest.raises(NoConvergence):
+            steady_state_init(BASE, DEFAULT_PARAMS)
 
 
 class TestTimeGrid:
