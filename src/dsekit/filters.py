@@ -18,6 +18,13 @@ A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
 and carries on with the rest.  Members never mix: each member's result is
 the same bits whatever else shares its batch.
+
+The stages compute under the caller's floating-point error state: a
+failing member's numbers come out NaN or infinite and are caught by the
+finiteness gates, not by the error state.  iter_batch, and run_filter
+through it, runs each step under np.errstate(all="ignore"), so a batch
+step emits no floating-point warning.  A stage called directly on a
+failing member may emit numpy's RuntimeWarning before it raises.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ import numpy as np
 
 # The batched LAPACK kernels behind np.linalg.cholesky and np.linalg.solve.
 # Called directly, they skip the wrappers' argument handling, about half of
-# each call at the filter's sizes; under errstate a member that fails comes
-# out NaN instead of raising, so the finiteness gate after each call also
-# catches the failures.  The exceptions come from the per-member scans,
+# each call at the filter's sizes; a member that fails comes out NaN
+# instead of raising, so the finiteness gate after each call also catches
+# the failures.  The exceptions come from the per-member scans,
 # which keep to the np.linalg functions.
 from numpy.linalg import _umath_linalg
 
@@ -113,10 +120,27 @@ class HuberConfig:
 
     c may also be an array with one threshold per batch member; math.inf
     makes a member's update the classical one.
+
+    Raises:
+        InvalidConfig: some threshold is not strictly positive, or
+            max_reweight_passes is below one.
     """
 
     c: float = 1.5
     max_reweight_passes: int = 1
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        # a NaN threshold makes the minimum NaN, which is not positive either
+        if not c.min(initial=math.inf) > 0.0:
+            raise InvalidConfig(f"Huber threshold must be positive, got {self.c}")
+        if self.max_reweight_passes < 1:
+            raise InvalidConfig(
+                f"max_reweight_passes must be at least 1, got {self.max_reweight_passes}"
+            )
+        # the thresholds as a float column, c[..., None], for huber_reweight;
+        # not a field, so the config's fields are the two tuning values
+        object.__setattr__(self, "_column", c[..., None])
 
 
 @dataclass(frozen=True)
@@ -137,13 +161,18 @@ def _all_finite(a: Array) -> bool:
     squares is NaN or infinite when an entry is, and can also overflow on
     finite entries, so False only sends the caller to its exact scan."""
     flat = a.reshape(-1)
-    return math.isfinite(np.dot(flat, flat))
+    # the method skips np.dot's dispatch through __array_function__
+    return math.isfinite(flat.dot(flat))
+
+
+_NO_MEMBERS = np.empty(0, dtype=np.intp)
+_NO_MEMBERS.flags.writeable = False
 
 
 def _nonfinite_members(a: Array) -> Array:
     """Indices along the first axis of the members holding a non-finite entry."""
     if _all_finite(a):
-        return np.empty(0, dtype=np.intp)
+        return _NO_MEMBERS
     return np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
 
 
@@ -185,7 +214,10 @@ def cholesky_lower(P: Array) -> Array:
 
     The input is symmetrized first.  Members whose plain factorization
     fails get escalating diagonal jitter (1e-12, 1e-9, 1e-6 times their
-    mean diagonal); the others are factorized as they are.
+    mean diagonal); the others are factorized as they are.  The batched
+    factorization runs under the caller's floating-point error state, so a
+    direct call on a member that does not factorize may emit numpy's
+    RuntimeWarning before the jitter ladder or the exception.
 
     Raises:
         DecompositionFailure: input is not a stack of square matrices, or
@@ -198,8 +230,7 @@ def cholesky_lower(P: Array) -> Array:
     single = P.ndim == 2
     stack = P[None] if single else P
     sym = _symmetrized(stack)
-    with np.errstate(all="ignore"):
-        S = _umath_linalg.cholesky_lo(sym, signature="d->d")
+    S = _umath_linalg.cholesky_lo(sym, signature="d->d")
     # a member that fails comes out NaN; LAPACK lets some non-finite
     # inputs through, and their factors are not finite either
     if not _all_finite(S):
@@ -226,14 +257,17 @@ def _cubature_pattern(n: int) -> tuple[Array, Array]:
     return columns, scale
 
 
+def _points(x_hat: Array, S: Array) -> Array:
+    """The cubature points of cubature_points, as one array."""
+    columns, scale = _cubature_pattern(x_hat.shape[-1])
+    # x + (-sqrt(n) * s) is x - sqrt(n) * s, bit for bit
+    return x_hat[..., None, :] + S.take(columns, axis=-1).swapaxes(-1, -2) * scale
+
+
 def cubature_points(x_hat: Array, S: Array) -> CubatureSet:
     """Spherical-radial point set for mean x_hat and covariance S @ S.T;
     points are (2n, n) for one filter and (B, 2n, n) for a batch."""
-    n = x_hat.shape[-1]
-    columns, scale = _cubature_pattern(n)
-    # x + (-sqrt(n) * s) is x - sqrt(n) * s, bit for bit
-    points = x_hat[..., None, :] + np.asarray(S).take(columns, axis=-1).swapaxes(-1, -2) * scale
-    return CubatureSet(points=points, weight=1.0 / (2 * n))
+    return CubatureSet(points=_points(x_hat, np.asarray(S)), weight=1.0 / (2 * x_hat.shape[-1]))
 
 
 def _map_points(points_map, point_map, points: Array, u) -> Array:
@@ -269,7 +303,7 @@ def _mapped_points(
         DecompositionFailure: P cannot be factorized.
         NonFiniteState: an image is not finite.
     """
-    pts = cubature_points(x, cholesky_lower(P)).points
+    pts = _points(x, cholesky_lower(P))
     images = _map_points(points_map, point_map, pts, u)
     bad = _nonfinite_members(images)
     if bad.size:
@@ -347,8 +381,7 @@ def _corrected(
         raise _member_failure(DecompositionFailure, "matrix contains non-finite entries", bad)
     # gain @ P_zz = P_xz, solved as P_zz @ gain.T = P_xz.T; a singular
     # member's gain comes out NaN, and so does its posterior
-    with np.errstate(all="ignore"):
-        gain = _T(_umath_linalg.solve(P_zz, _T(P_xz), signature="dd->d"))
+    gain = _T(_umath_linalg.solve(P_zz, _T(P_xz), signature="dd->d"))
     x_post = x + (gain @ innovation[:, :, None])[:, :, 0]
     P_post = _symmetrized(P - gain @ P_zz @ _T(gain))
     if not (_all_finite(x_post) and _all_finite(P_post)):
@@ -381,7 +414,9 @@ def ckf_update(
     """Classical measurement update on a predicted state.
 
     The innovation covariance is the centered point statistic plus R; the
-    gain solves gain @ P_zz = P_xz.
+    gain solves gain @ P_zz = P_xz.  The update computes under the
+    caller's floating-point error state, so a direct call on a failing
+    member may emit numpy's RuntimeWarning before it raises.
 
     Raises:
         DegenerateChannel: some P_zz diagonal entry is not positive, as in
@@ -411,21 +446,17 @@ def huber_reweight(
     entry is divided by that weight.  R is treated as diagonal: the
     returned R_bar carries zero off-diagonals.  Shapes are (m,) and
     (m, m) for one filter or (B, m) and (B, m, m) for a batch, with c
-    a float or one threshold per member.
+    a float or one threshold per member; HuberConfig checked c when it
+    was made.
 
     Raises:
-        InvalidConfig: threshold c is not strictly positive.
         DegenerateChannel: some P_zz diagonal entry is not positive;
             exc.members lists the members concerned.
     """
-    c = np.asarray(config.c, dtype=float)
-    # a NaN threshold makes the minimum NaN, which is not positive either
-    if not c.min(initial=math.inf) > 0.0:
-        raise InvalidConfig(f"Huber threshold must be positive, got {config.c}")
-    innovation = np.asarray(innovation, dtype=float)
-    standardized = innovation / np.sqrt(_channel_variances(P_zz))
+    standardized = np.asarray(innovation, dtype=float) / np.sqrt(_channel_variances(P_zz))
     magnitude = np.abs(standardized)
-    c = c[..., None]
+    c = config._column
+    # c / |r| only where |r| > c, so a zero residual divides nothing
     weights = np.empty(magnitude.shape)
     weights.fill(1.0)
     np.divide(c, magnitude, out=weights, where=magnitude > c)
@@ -448,13 +479,13 @@ def rckf_update(
     innovation against the current P_zz, but the inflation always divides
     the original R, so weights never compound.  With all channels inside
     the threshold, or c infinite, the result coincides with ckf_update.
+    Like ckf_update it computes under the caller's floating-point error
+    state, so a direct call on a failing member may emit numpy's
+    RuntimeWarning before it raises; HuberConfig checked the tuning when
+    it was made.
     """
     if config is None:
         config = HuberConfig()
-    if config.max_reweight_passes < 1:
-        raise InvalidConfig(
-            f"max_reweight_passes must be at least 1, got {config.max_reweight_passes}"
-        )
     z = np.asarray(z, dtype=float)
     z_hat, core, P_xz = _measurement_stats(predicted, model, u)
     P_zz = core + R
@@ -494,6 +525,10 @@ def iter_batch(
         observe_inputs: optional per-step input for the measurement map;
             defaults to the transition input of the same step.
 
+    Each step runs under np.errstate(all="ignore"): a member whose numbers
+    stop being finite is frozen by the stages' finiteness gates, and the
+    step emits no floating-point warning.
+
     Yields once per step (members, posterior, failed): the indices of the
     members still live after the step, their batched posterior, and
     (member, exception) for each member frozen at this step.  A frozen
@@ -517,7 +552,7 @@ def iter_batch(
         failed: list[tuple[int, Exception]] = []
         while members.size:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(all="ignore"):
                     predicted = time_predict(state, model, u, Q)
                     R = fixed_R if fixed_R is not None else R_provider(k, predicted, u_obs)
                     if classical:

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NonFiniteState
-from .filters import ProcessModel
+from .filters import ProcessModel, _all_finite
 
 POWER_EQUALS_TORQUE = "power_equals_torque"
 DIVIDE_BY_SPEED = "divide_by_speed"
@@ -276,18 +276,24 @@ def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.nd
     return _rows_map(_measurement(params), x, u, 3)
 
 
-def power_variance(
-    x: np.ndarray, u: np.ndarray, params: MachineParams, sigmas: MeasurementSigmas
-) -> np.ndarray:
-    """Power channel variance of measurement_covariance for the states in
-    the rows of x, under one input vector u or one per row."""
+def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
+    """power_variance with the machine and the sigmas bound once: a map
+    (x, u) -> (N,) for a caller that evaluates it at every step."""
     xdp, xqp, k = _params_tuple(params)[:3]
     sigma_u, sigma_phi = sigmas.sigma_u, sigmas.sigma_phi
 
     def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
         return (_power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp),)
 
-    return _rows_map(formula, x, u, 1)[:, 0]
+    return lambda x, u: _rows_map(formula, x, u, 1)[:, 0]
+
+
+def power_variance(
+    x: np.ndarray, u: np.ndarray, params: MachineParams, sigmas: MeasurementSigmas
+) -> np.ndarray:
+    """Power channel variance of measurement_covariance for the states in
+    the rows of x, under one input vector u or one per row."""
+    return power_variance_map(params, sigmas)(x, u)
 
 
 def stator_currents(state: MachineState, inputs: MachineInputs, params: MachineParams) -> StatorCurrents:
@@ -377,7 +383,11 @@ def as_process_model(
     (delta, 1 + delta_omega, electrical power).  transition_points and
     observe_points evaluate the same formulas over an (N, 4) array of
     points, and give the same bits as the per-point maps; transition_points
-    raises NonFiniteState when a propagated point is not finite.
+    raises NonFiniteState when a propagated point is not finite.  Its check
+    is the filters' whole-array gate, the sum of the squares, which under
+    the caller's error state may draw numpy's overflow RuntimeWarning when
+    an entry exceeds about 1e154 in magnitude; the filter engine's steps
+    ignore it.
     """
     _check_torque_mode(torque_mode)
     if not dt > 0.0:
@@ -404,7 +414,9 @@ def as_process_model(
 
     def transition_points(points: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = _rows_map(step, points, u, 4, RK4_FLOAT_ROWS)
-        if not np.isfinite(out).all():
+        # the gate's sum of squares can overflow on finite entries, and
+        # then the exact scan decides
+        if not (_all_finite(out) or np.isfinite(out).all()):
             raise NonFiniteState("integration step produced a non-finite state")
         return out
 

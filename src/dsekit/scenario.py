@@ -36,6 +36,7 @@ from .machine import (
     as_process_model,
     observe_points,
     power_variance,
+    power_variance_map,
 )
 from .noise import (
     GAUSSIAN_WHITE,
@@ -503,7 +504,8 @@ def batch_filters(
         )
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(times)
-    params, sigmas = cfg.machine, cfg.sigmas
+    sigmas = cfg.sigmas
+    variance = power_variance_map(cfg.machine, sigmas)
     # one base R per live member, rebuilt only when a member freezes
     base_R = np.diag((sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0))[None]
 
@@ -512,7 +514,7 @@ def batch_filters(
         if len(base_R) != len(predicted.x_hat):
             base_R = base_R[:1].repeat(len(predicted.x_hat), axis=0)
         R = base_R.copy()
-        R[:, 2, 2] = power_variance(predicted.x_hat, u_obs, params, sigmas)
+        R[:, 2, 2] = variance(predicted.x_hat, u_obs)
         return R
 
     repeats = len(variants)

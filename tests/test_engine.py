@@ -321,6 +321,27 @@ def test_singular_innovation_covariance_freezes_the_member(thresholds):
     assert_same_path(paths[0], alone[0])
 
 
+def test_failing_members_freeze_without_a_warning():
+    # the stages compute under the step's error state: a factorization and
+    # a solve that fail inside a mixed batch must freeze their members and
+    # let no floating-point warning out of the step
+    x0 = [LINEAR_X0[0], LINEAR_X0[0], LINEAR_X0[1]]
+    P0 = np.stack([np.eye(4) * 0.01, np.diag([1e-2, -1e-4, 1e-2, 1e-2]), np.eye(4) * 0.01])
+    thresholds = [math.inf, 1.5, 1.5]
+    provider = marked_R(4, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths, frozen = linear_run(x0, P0, thresholds, provider)
+    alone, _ = linear_run(x0[:1], P0[:1], thresholds[:1], provider)
+    assert sorted(frozen) == [1, 2]
+    assert_frozen(
+        frozen, 1, DecompositionFailure, 0,
+        "matrix is not positive definite even after jitter escalation",
+    )
+    assert_frozen(frozen, 2, DecompositionFailure, 4, "innovation covariance is singular")
+    assert_same_path(paths[0], alone[0])
+
+
 # ---------------------------------------------------------------------------
 # The engine is the composition of the public stages.
 

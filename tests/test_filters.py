@@ -203,6 +203,22 @@ class TestCkfUpdate:
             assert np.trace(posterior.P) <= np.trace(P) + 1e-12
 
 
+class TestHuberConfig:
+    # the tuning is checked once, when the config is made, not by every
+    # update that reads it
+
+    @pytest.mark.parametrize(
+        "c", [0.0, math.nan, np.array([1.5, math.inf, -1.0])], ids=["zero", "nan", "array"]
+    )
+    def test_rejects_a_nonpositive_threshold(self, c):
+        with pytest.raises(InvalidConfig, match="Huber threshold must be positive"):
+            HuberConfig(c=c)
+
+    def test_rejects_zero_passes(self):
+        with pytest.raises(InvalidConfig, match="max_reweight_passes must be at least 1, got 0"):
+            HuberConfig(c=1.5, max_reweight_passes=0)
+
+
 class TestHuberReweight:
     def cfg(self, c=1.5):
         return HuberConfig(c=c)

@@ -341,6 +341,24 @@ class TestProcessModelWrapper:
         with pytest.raises(NonFiniteState):
             model.transition_points(huge[None, :], np.array([0.8, 2.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("rows", [1, 30])
+    def test_finite_row_whose_squares_overflow_is_not_flagged(self, rows):
+        # an e_q' of 1e160 propagates to a finite row near 1e160, whose
+        # squares overflow the whole-array gate; the exact scan must then
+        # pass it.  The errstate is the filter engine's, under which the
+        # gate's overflow draws no warning.
+        model = as_process_model(DEFAULT_PARAMS, 0.02)
+        points = np.tile([0.1, 0.0, 1.0, 0.2], (rows, 1))
+        points[rows // 2, 2] = 1e160
+        u = np.array([0.8, 2.0, 1.0, 0.0])
+        with np.errstate(all="ignore"):
+            out = model.transition_points(points, u)
+        assert np.isfinite(out).all()
+        assert np.abs(out[rows // 2]).max() > 1e155
+        np.testing.assert_array_equal(
+            out, [machine_rk4(p, u, DEFAULT_PARAMS, 0.02, False) for p in points]
+        )
+
     @pytest.mark.parametrize("params", [DEFAULT_PARAMS, ODD_PARAMS])
     @pytest.mark.parametrize("torque_mode", [POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED])
     def test_transition_points_equal_the_unhoisted_formula(self, torque_mode, params):
