@@ -14,6 +14,10 @@ a batch of one.  run_filter takes and returns one filter's shapes, (n,)
 and (n, n), and runs the filter as such a batch.  The classical filter is
 the robust one with an infinite Huber threshold, which is exact because R
 is diagonal, so both variants share one batch.
+The stages take P symmetric and return it symmetric: time_predict and the
+updates each symmetrize the covariance they return, and factorize the one
+they are given as it is.  cholesky_lower symmetrizes its input, and
+iter_batch symmetrizes its prior once.
 A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
 and carries on with the rest.  Members never mix: each member's result is
@@ -103,7 +107,10 @@ class CubatureSet:
     weight: float
 
 
-@dataclass(frozen=True)
+# The update records are slotted, not frozen: a frozen dataclass sets each
+# field through object.__setattr__, several times the cost of a slot store,
+# and records of arrays were never hashable anyway.
+@dataclass(slots=True)
 class UpdateIntermediates:
     """Innovations-side quantities produced by a measurement update."""
 
@@ -143,7 +150,7 @@ class HuberConfig:
         object.__setattr__(self, "_column", c[..., None])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HuberResult:
     standardized_residuals: Array
     weights: Array
@@ -156,13 +163,24 @@ def _member_failure(kind: type, message: str, members) -> Exception:
     return exc
 
 
+# a step gates about six array sizes, and they change only as members freeze
+@lru_cache(maxsize=32)
+def _tiny(size: int) -> Array:
+    tiny = np.full(size, 2.0**-512)
+    tiny.flags.writeable = False
+    return tiny
+
+
 def _all_finite(a: Array) -> bool:
-    """Whole-array gate: True proves every entry finite.  The sum of the
-    squares is NaN or infinite when an entry is, and can also overflow on
-    finite entries, so False only sends the caller to its exact scan."""
+    """Whole-array gate: True exactly when every entry is finite.  It takes
+    one dot product with 2**-512: no sum of finite terms below 2**512 in
+    magnitude overflows, while an infinite or NaN entry makes the sum
+    infinite or NaN.  (Against zeros it would be exact too, but inf * 0
+    raises the invalid flag, a warning on a direct call; here only
+    infinities of both signs in one array do.)"""
     flat = a.reshape(-1)
     # the method skips np.dot's dispatch through __array_function__
-    return math.isfinite(flat.dot(flat))
+    return math.isfinite(flat.dot(_tiny(flat.size)))
 
 
 _NO_MEMBERS = np.empty(0, dtype=np.intp)
@@ -212,12 +230,14 @@ def cholesky_lower(P: Array) -> Array:
     """Lower-triangular S with S @ S.T equal to the symmetrized input, for
     one (n, n) matrix or a stack (B, n, n).
 
-    The input is symmetrized first.  Members whose plain factorization
-    fails get escalating diagonal jitter (1e-12, 1e-9, 1e-6 times their
-    mean diagonal); the others are factorized as they are.  The batched
-    factorization runs under the caller's floating-point error state, so a
-    direct call on a member that does not factorize may emit numpy's
-    RuntimeWarning before the jitter ladder or the exception.
+    The input is symmetrized first; of the functions here, only this one
+    and iter_batch (once, on its prior) symmetrize a covariance they are
+    given.  Members whose plain factorization fails get escalating
+    diagonal jitter (1e-12, 1e-9, 1e-6 times their mean diagonal); the
+    others are factorized as they are.  The batched factorization runs
+    under the caller's floating-point error state, so a direct call on a
+    member that does not factorize may emit numpy's RuntimeWarning before
+    the jitter ladder or the exception.
 
     Raises:
         DecompositionFailure: input is not a stack of square matrices, or
@@ -227,9 +247,14 @@ def cholesky_lower(P: Array) -> Array:
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
         raise DecompositionFailure(f"expected a square matrix, got shape {P.shape}")
-    single = P.ndim == 2
-    stack = P[None] if single else P
-    sym = _symmetrized(stack)
+    S = _factored(_symmetrized(P[None] if P.ndim == 2 else P))
+    return S[0] if P.ndim == 2 else S
+
+
+def _factored(sym: Array) -> Array:
+    """cholesky_lower of a stack (B, n, n) that is already symmetric, as
+    the stages' covariances are: the same factors, jitter ladder and
+    exceptions, without the symmetrization."""
     S = _umath_linalg.cholesky_lo(sym, signature="d->d")
     # a member that fails comes out NaN; LAPACK lets some non-finite
     # inputs through, and their factors are not finite either
@@ -244,7 +269,7 @@ def cholesky_lower(P: Array) -> Array:
                 S[b] = factor
         if failed:
             raise _member_failure(DecompositionFailure, next(iter(failed.values())), list(failed))
-    return S[0] if single else S
+    return S
 
 
 @lru_cache(maxsize=None)
@@ -297,13 +322,14 @@ def _mapped_points(
     x: Array, P: Array, points_map, point_map, u: Array, what: str
 ) -> tuple[Array, Array, Array]:
     """Cubature points on (x, P), and the mean of their images under a
-    model map with each image's deviation from it, all (B, ...).
+    model map with each image's deviation from it, all (B, ...).  P is
+    factorized as it is, so it must be symmetric.
 
     Raises:
         DecompositionFailure: P cannot be factorized.
         NonFiniteState: an image is not finite.
     """
-    pts = _points(x, cholesky_lower(P))
+    pts = _points(x, _factored(P))
     images = _map_points(points_map, point_map, pts, u)
     bad = _nonfinite_members(images)
     if bad.size:
@@ -317,7 +343,8 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
 
     Returns the predicted state with step_index advanced by one.  The
     predicted covariance is the centered sample covariance of the
-    propagated points plus Q, symmetrized.
+    propagated points plus Q, symmetrized.  state.P must be symmetric, as
+    the stages return it: it is factorized as it is.
 
     Raises:
         NonFiniteState: a propagated point is not finite.
@@ -414,7 +441,9 @@ def ckf_update(
     """Classical measurement update on a predicted state.
 
     The innovation covariance is the centered point statistic plus R; the
-    gain solves gain @ P_zz = P_xz.  The update computes under the
+    gain solves gain @ P_zz = P_xz.  predicted.P must be symmetric, as
+    time_predict returns it; the posterior covariance comes out
+    symmetrized.  The update computes under the
     caller's floating-point error state, so a direct call on a failing
     member may emit numpy's RuntimeWarning before it raises.
 
@@ -479,10 +508,10 @@ def rckf_update(
     innovation against the current P_zz, but the inflation always divides
     the original R, so weights never compound.  With all channels inside
     the threshold, or c infinite, the result coincides with ckf_update.
-    Like ckf_update it computes under the caller's floating-point error
-    state, so a direct call on a failing member may emit numpy's
-    RuntimeWarning before it raises; HuberConfig checked the tuning when
-    it was made.
+    Like ckf_update it takes predicted.P symmetric and computes under the
+    caller's floating-point error state, so a direct call on a failing
+    member may emit numpy's RuntimeWarning before it raises; HuberConfig
+    checked the tuning when it was made.
     """
     if config is None:
         config = HuberConfig()
@@ -527,7 +556,8 @@ def iter_batch(
 
     Each step runs under np.errstate(all="ignore"): a member whose numbers
     stop being finite is frozen by the stages' finiteness gates, and the
-    step emits no floating-point warning.
+    step emits no floating-point warning.  init.P is symmetrized once,
+    before the first step; the stages keep it symmetric from there.
 
     Yields once per step (members, posterior, failed): the indices of the
     members still live after the step, their batched posterior, and
@@ -539,11 +569,12 @@ def iter_batch(
     measurements = np.asarray(measurements, dtype=float)
     members = np.arange(measurements.shape[1])
     thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
-    state = FilterState(init.x_hat, init.P, init.step_index)
+    P0 = _symmetrized(np.asarray(init.P, dtype=float))
+    state = FilterState(init.x_hat, P0, init.step_index)
     fixed_R = None if callable(R_provider) else np.asarray(R_provider, dtype=float)
     # one Q per member, which spares the predict's add a broadcast; it and
     # the update's tuning change only when a member freezes
-    Q = np.array(np.broadcast_to(np.asarray(Q, dtype=float), np.shape(init.P)))
+    Q = np.array(np.broadcast_to(np.asarray(Q, dtype=float), P0.shape))
     classical = np.isinf(thresholds).all()
     config = HuberConfig(thresholds, huber.max_reweight_passes)
     for k in range(measurements.shape[0]):

@@ -157,12 +157,14 @@ _ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, pow=np.float_power)
 # Up to this many rows an array map evaluates its formula row by row on
 # floats, where numpy's cost per call would outweigh the work; from there
 # on, elementwise on arrays.  Float time over array time on a 2-core x86 VM
-# (median of 21 paired timings): an RK4 step 0.82 at 24 rows, 0.95 at 28
-# and 1.0-1.1 at 32; observe_points 0.67 at 8 rows and 1.14 at 16;
-# power_variance, which shares FLOAT_ROWS, 0.92 at 16.  The filters map 8
-# cubature points per member, so these batches come in multiples of 8 rows.
+# (median of 21 paired timings, range over three such medians): an RK4 step
+# 0.74-0.83 at 24 rows, 0.94-1.10 at 32 and 1.17-1.27 at 40;
+# observe_points 0.92-1.00 at 16 rows and 1.28-1.37 at 24; power_variance,
+# which shares FLOAT_ROWS, 0.78 at 16 and 1.08-1.13 at 24.  The filters map
+# 8 cubature points per member, so these batches come in multiples of 8
+# rows, and R is evaluated at one row per member.
 RK4_FLOAT_ROWS = 24
-FLOAT_ROWS = 8
+FLOAT_ROWS = 16
 
 
 def _air_gap(th, eq, ed, ut, xdp, xqp, k, xp):
@@ -252,13 +254,15 @@ def _rows_map(formula, x, u, width: int, float_rows: int = FLOAT_ROWS) -> np.nda
         return out
     rows = x.tolist()
     inputs = u.tolist() if u.ndim == 2 else [u.tolist()] * len(rows)
+    # one flat list of floats, which np.fromiter reads far faster than
+    # np.array reads a list of tuples
     out = []
     for row, row_inputs in zip(rows, inputs):
         try:
-            out.append(formula(*row, *row_inputs, math))
+            out.extend(formula(*row, *row_inputs, math))
         except _FLOAT_FAULTS:
-            out.append((math.nan,) * width)
-    return np.array(out, dtype=float).reshape(len(rows), width)
+            out.extend((math.nan,) * width)
+    return np.fromiter(out, dtype=float, count=len(out)).reshape(len(rows), width)
 
 
 def _measurement(params: MachineParams):
@@ -384,10 +388,10 @@ def as_process_model(
     observe_points evaluate the same formulas over an (N, 4) array of
     points, and give the same bits as the per-point maps; transition_points
     raises NonFiniteState when a propagated point is not finite.  Its check
-    is the filters' whole-array gate, the sum of the squares, which under
-    the caller's error state may draw numpy's overflow RuntimeWarning when
-    an entry exceeds about 1e154 in magnitude; the filter engine's steps
-    ignore it.
+    is the filters' whole-array gate, which passes every finite point set
+    without a warning; on an infinite entry it may draw numpy's invalid
+    RuntimeWarning under the caller's error state before it raises, which
+    the filter engine's steps ignore.
     """
     _check_torque_mode(torque_mode)
     if not dt > 0.0:
@@ -414,9 +418,7 @@ def as_process_model(
 
     def transition_points(points: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = _rows_map(step, points, u, 4, RK4_FLOAT_ROWS)
-        # the gate's sum of squares can overflow on finite entries, and
-        # then the exact scan decides
-        if not (_all_finite(out) or np.isfinite(out).all()):
+        if not _all_finite(out):
             raise NonFiniteState("integration step produced a non-finite state")
         return out
 

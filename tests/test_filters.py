@@ -19,6 +19,7 @@ from dsekit.filters import (
     FilterState,
     HuberConfig,
     ProcessModel,
+    _factored,
     cholesky_lower,
     ckf_update,
     cubature_points,
@@ -93,6 +94,28 @@ class TestCholeskyLower:
             cholesky_lower(np.ones((2, 3)))
         with pytest.raises(DecompositionFailure):
             cholesky_lower(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+    def test_factoring_a_symmetric_stack_gives_the_public_bits(self):
+        # the stages factorize their covariances without symmetrizing
+        # them again; on a symmetric stack that must be cholesky_lower
+        rng = np.random.default_rng(11)
+        stack = np.array([random_spd(rng, 4) for _ in range(6)])
+        stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+        np.testing.assert_array_equal(_factored(stack), cholesky_lower(stack))
+        # a singular member that the jitter ladder rescues, among healthy ones
+        stack[2] = np.diag([1.0, 0.0, 2.0, 3.0])
+        with np.errstate(invalid="ignore"):
+            S = _factored(stack)
+            np.testing.assert_array_equal(S, cholesky_lower(stack))
+        assert np.isfinite(S).all()
+        # an indefinite member fails alone, and is named
+        stack[4] = np.diag([1.0, -1.0, 2.0, 3.0])
+        for factor in (_factored, cholesky_lower):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                DecompositionFailure, match="not positive definite even after jitter"
+            ) as info:
+                factor(stack)
+            np.testing.assert_array_equal(info.value.members, [4])
 
 
 class TestCubaturePoints:
@@ -409,6 +432,23 @@ class TestRunFilter:
                 model, CKF, init, [np.zeros(1)] * 2, [np.zeros(2)] * 2, np.eye(2), np.eye(2),
                 observe_inputs=[np.zeros(1)],
             )
+
+    def test_prior_is_symmetrized_once(self):
+        # the stages factorize P as it is; the engine symmetrizes the prior
+        # before the first step, so a skewed prior runs as its mean with
+        # its transpose
+        model = linear_model(np.eye(2) * 0.9, np.eye(2))
+        skewed = np.array([[1.0, 0.3], [0.1, 2.0]])
+        Q, R = np.eye(2) * 0.01, np.eye(2)
+        measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.zeros(2)]
+        runs = [
+            run_filter(model, RCKF, FilterState(np.ones(2), P0), [np.zeros(1)] * 3,
+                       measurements, Q, R)
+            for P0 in (skewed, 0.5 * (skewed + skewed.T))
+        ]
+        for a, b in zip(runs[0][1:], runs[1][1:]):
+            np.testing.assert_array_equal(a.x_hat, b.x_hat)
+            np.testing.assert_array_equal(a.P, b.P)
 
     def test_rckf_posteriors_equal_stepping_the_stages(self):
         # run_filter is a batch of one over the public stages

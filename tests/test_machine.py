@@ -13,6 +13,7 @@ from dsekit.errors import NonFiniteState
 from dsekit.machine import (
     DEFAULT_PARAMS,
     DIVIDE_BY_SPEED,
+    FLOAT_ROWS,
     POWER_EQUALS_TORQUE,
     MachineInputs,
     MachineParams,
@@ -305,7 +306,7 @@ class TestProcessModelWrapper:
         sigmas = MeasurementSigmas()
         for torque_mode in (POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED):
             model = as_process_model(DEFAULT_PARAMS, 0.02, torque_mode)
-            for size in (1, 8, 9, 24, 25, 100):
+            for size in (1, 8, 16, 17, 24, 25, 100):
                 states = [random_state(rng) for _ in range(size)]
                 points = np.array([s.as_array() for s in states])
                 inputs = random_inputs(rng)
@@ -327,6 +328,20 @@ class TestProcessModelWrapper:
                     for s, r in zip(states, rows)
                 ])
                 assert_allclose(observe_points(points, rows, DEFAULT_PARAMS), expected, rtol=0.0, atol=0.0)
+                # a row whose evaluation faults (the sine of an infinite
+                # angle) comes out NaN on the float rows and not finite on
+                # the arrays; the other rows keep their bits
+                faulty = points.copy()
+                faulty[size // 2, 0] = math.inf
+                others = np.arange(size) != size // 2
+                for got, clean in (
+                    (model.observe_points(faulty, u), model.observe_points(points, u)),
+                    (power_variance(faulty, u, DEFAULT_PARAMS, sigmas),
+                     power_variance(points, u, DEFAULT_PARAMS, sigmas)),
+                ):
+                    np.testing.assert_array_equal(got[others], clean[others])
+                    assert not np.isfinite(got[size // 2]).all()
+                    assert np.isnan(got[size // 2]).all() or size > FLOAT_ROWS
 
     def test_dimensions(self):
         model = as_process_model(DEFAULT_PARAMS, 0.02)
@@ -344,14 +359,14 @@ class TestProcessModelWrapper:
     @pytest.mark.parametrize("rows", [1, 30])
     def test_finite_row_whose_squares_overflow_is_not_flagged(self, rows):
         # an e_q' of 1e160 propagates to a finite row near 1e160, whose
-        # squares overflow the whole-array gate; the exact scan must then
-        # pass it.  The errstate is the filter engine's, under which the
-        # gate's overflow draws no warning.
+        # squares would overflow; the finiteness gate must pass it without
+        # a warning, called directly outside any errstate
         model = as_process_model(DEFAULT_PARAMS, 0.02)
         points = np.tile([0.1, 0.0, 1.0, 0.2], (rows, 1))
         points[rows // 2, 2] = 1e160
         u = np.array([0.8, 2.0, 1.0, 0.0])
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = model.transition_points(points, u)
         assert np.isfinite(out).all()
         assert np.abs(out[rows // 2]).max() > 1e155
