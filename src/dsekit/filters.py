@@ -107,9 +107,8 @@ class CubatureSet:
     weight: float
 
 
-# The update records are slotted, not frozen: a frozen dataclass sets each
-# field through object.__setattr__, several times the cost of a slot store,
-# and records of arrays were never hashable anyway.
+# Slotted, not frozen: a frozen dataclass sets each field through
+# object.__setattr__, and records of arrays were never hashable anyway.
 @dataclass(slots=True)
 class UpdateIntermediates:
     """Innovations-side quantities produced by a measurement update."""
@@ -230,14 +229,12 @@ def cholesky_lower(P: Array) -> Array:
     """Lower-triangular S with S @ S.T equal to the symmetrized input, for
     one (n, n) matrix or a stack (B, n, n).
 
-    The input is symmetrized first; of the functions here, only this one
-    and iter_batch (once, on its prior) symmetrize a covariance they are
-    given.  Members whose plain factorization fails get escalating
-    diagonal jitter (1e-12, 1e-9, 1e-6 times their mean diagonal); the
-    others are factorized as they are.  The batched factorization runs
-    under the caller's floating-point error state, so a direct call on a
-    member that does not factorize may emit numpy's RuntimeWarning before
-    the jitter ladder or the exception.
+    The input is symmetrized first.  Members whose plain factorization
+    fails get escalating diagonal jitter (1e-12, 1e-9, 1e-6 times their
+    mean diagonal); the others are factorized as they are.  The batched
+    factorization runs under the caller's floating-point error state, so a
+    direct call on a member that does not factorize may emit numpy's
+    RuntimeWarning before the jitter ladder or the exception.
 
     Raises:
         DecompositionFailure: input is not a stack of square matrices, or
@@ -322,8 +319,7 @@ def _mapped_points(
     x: Array, P: Array, points_map, point_map, u: Array, what: str
 ) -> tuple[Array, Array, Array]:
     """Cubature points on (x, P), and the mean of their images under a
-    model map with each image's deviation from it, all (B, ...).  P is
-    factorized as it is, so it must be symmetric.
+    model map with each image's deviation from it, all (B, ...).
 
     Raises:
         DecompositionFailure: P cannot be factorized.
@@ -508,10 +504,10 @@ def rckf_update(
     innovation against the current P_zz, but the inflation always divides
     the original R, so weights never compound.  With all channels inside
     the threshold, or c infinite, the result coincides with ckf_update.
-    Like ckf_update it takes predicted.P symmetric and computes under the
-    caller's floating-point error state, so a direct call on a failing
-    member may emit numpy's RuntimeWarning before it raises; HuberConfig
-    checked the tuning when it was made.
+    Like ckf_update it computes under the caller's floating-point error
+    state, so a direct call on a failing member may emit numpy's
+    RuntimeWarning before it raises; HuberConfig checked the tuning when
+    it was made.
     """
     if config is None:
         config = HuberConfig()
