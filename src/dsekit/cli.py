@@ -110,7 +110,8 @@ def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:
             str(path),
             f"expected {times.size} rows to match the configured grid, got {data.shape[0]}",
         )
-    if np.abs(data[:, 0] - times).max() > 1e-9:
+    # written so that a NaN time, which compares False, is rejected too
+    if not (np.abs(data[:, 0] - times) <= 1e-9).all():
         raise ConfigError(str(path), "time column does not match the configured grid")
     return data[:, 1:]
 

@@ -11,6 +11,7 @@ variants consume them.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from time import perf_counter_ns
@@ -47,7 +48,7 @@ from .noise import (
     inject_outliers,
 )
 
-# Rows of inputs read and of truth states stored at a time by simulate_truth.
+# Rows of truth states stored at a time by simulate_truth.
 TRUTH_BLOCK_ROWS = 1024
 
 
@@ -374,6 +375,12 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     inputs held constant over each step.  x0, when given, is the
     equilibrium already solved for cfg.
 
+    Under constant inputs a step is a function of the state's bits alone,
+    so once the state repeats exactly, every later row repeats a row
+    already computed.  The integration stops there and copies the cycle
+    to the next input change: the cost follows the transient, not the
+    horizon, and the output bits are those of stepping every row.
+
     Raises:
         NoConvergence: no pre-fault equilibrium exists.
         NonFiniteState: the integration blew up; the message carries the
@@ -386,27 +393,53 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
         x0 = equilibrium(cfg)
     pt = _params_tuple(cfg.machine)
     divide, dt = cfg.torque_mode == DIVIDE_BY_SPEED, cfg.dt
-    isfinite = math.isfinite
+    isfinite, pack = math.isfinite, struct.Struct("4d").pack
     out = np.empty((steps + 1, 4))
     x = (x0.delta, x0.delta_omega, x0.e_q_prime, x0.e_d_prime)
     out[0] = x
     flat = out.reshape(-1)
-    # the float RK4 steps a tuple state; inputs are read and states stored
-    # a block of rows at a time, since a list of every row of a long
-    # horizon would take more memory than the array it fills
-    for a in range(0, steps, TRUTH_BLOCK_ROWS):
-        block = []
-        for k, (tm, ef, ut, phi) in enumerate(inputs[a : a + TRUTH_BLOCK_ROWS].tolist(), a + 1):
-            try:
-                x = _rk4(*x, tm, ef, ut, phi, pt, divide, dt, math)
-            except _FLOAT_FAULTS as exc:
-                raise NonFiniteState(
-                    f"truth integration failed at step {k}: integration step overflowed: {exc}"
-                ) from exc
-            if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
-                raise NonFiniteState(f"truth integration failed at step {k}")
-            block.extend(x)
-        flat[4 * (a + 1) : 4 * (a + 1) + len(block)] = block
+    # segments of input rows with the same bits; -0.0 and 0.0 are
+    # different inputs to a step
+    bits = inputs.view(np.uint64)
+    cuts = (np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist()
+    for a, e in zip([0, *cuts], [*cuts, steps]):
+        tm, ef, ut, phi = inputs[a].tolist()
+        # Brent's cycle detection: the saved state moves to the newest one
+        # when the steps since it was saved reach a power of two
+        saved, t, power = x, a, 1
+        k, cycle = a, 0
+        # the float RK4 steps a tuple state; states are stored a block of
+        # rows at a time, since a list of every row of a long horizon would
+        # take more memory than the array it fills
+        while k < e and not cycle:
+            first = k + 1
+            block = []
+            for k in range(first, min(first + TRUTH_BLOCK_ROWS, e + 1)):
+                try:
+                    x = _rk4(*x, tm, ef, ut, phi, pt, divide, dt, math)
+                except _FLOAT_FAULTS as exc:
+                    raise NonFiniteState(
+                        f"truth integration failed at step {k}: integration step overflowed: {exc}"
+                    ) from exc
+                if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
+                    raise NonFiniteState(f"truth integration failed at step {k}")
+                block.extend(x)
+                # == is the cheap filter; it holds for -0.0 against 0.0
+                if x == saved and pack(*x) == pack(*saved):
+                    cycle = k - t
+                    break
+                if k - t == power:
+                    saved, t, power = x, k, 2 * power
+            flat[4 * first : 4 * (k + 1)] = block
+        if cycle:
+            # rows from k - cycle on repeat with period cycle, and out[r:s]
+            # always holds whole periods, so each copy doubles it
+            r, s = k + 1 - cycle, k + 1
+            while s <= e:
+                m = min(s - r, e + 1 - s)
+                out[s : s + m] = out[r : r + m]
+                s += m
+            x = tuple(out[e].tolist())
     return out
 
 

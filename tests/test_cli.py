@@ -225,6 +225,23 @@ class TestEstimate:
         )
         assert code == EXIT_CONFIG
 
+    def test_nan_time_cell_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        sim = tmp_path / "sim"
+        run("simulate", "--config", cfg, "--out-dir", str(sim), "--quiet")
+        path = sim / "measurements.csv"
+        lines = path.read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[0] = "nan"
+        lines[5] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--measurements", str(path),
+        )
+        assert code == EXIT_CONFIG
+        assert "time column does not match the configured grid" in capsys.readouterr().err
+
     def test_non_finite_measurement_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         sim = tmp_path / "sim"

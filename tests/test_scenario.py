@@ -24,6 +24,7 @@ from dsekit.machine import (
     MachineInputs,
     MachineParams,
     MachineState,
+    _rk4,
     electrical_power,
     state_derivative,
 )
@@ -373,6 +374,83 @@ class TestTruthKernel:
         if fault is not None:
             # the staged clearing changes the inputs mid-run
             assert len(np.unique(inputs[:, 2])) == 4
+
+    @staticmethod
+    def counted_truth(cfg, monkeypatch):
+        """simulate_truth(cfg) and the mechanical torque of each RK4 step
+        it integrated."""
+        torques = []
+
+        def rk4(*args):
+            torques.append(args[4])
+            return _rk4(*args)
+
+        monkeypatch.setattr(scenario, "_rk4", rk4)
+        return simulate_truth(cfg), torques
+
+    @staticmethod
+    def oracle(cfg):
+        inputs = cfg.profile.as_array(time_grid(cfg))[:-1]
+        x0 = equilibrium(cfg).as_array()
+        return machine_trajectory(x0, inputs, cfg.machine, cfg.dt, False), inputs
+
+    def test_a_repeating_state_is_replayed_bit_for_bit(self, monkeypatch):
+        # the settled swing repeats its bits after about 312 s
+        cfg = make_config(t_end=600.0)
+        truth, torques = self.counted_truth(cfg, monkeypatch)
+        k = len(torques)
+        expected, inputs = self.oracle(cfg)
+        np.testing.assert_array_equal(truth.view(np.uint64), expected.view(np.uint64))
+        steps = len(truth) - 1
+        # every step up to the one that repeated an earlier state was
+        # integrated once, and none after it
+        assert k < steps
+        bits = truth.view(np.uint64)
+        period = next(p for p in range(1, k + 1) if (bits[k] == bits[k - p]).all())
+        np.testing.assert_array_equal(bits[k + 1 :], bits[k + 1 - period : -period])
+        # the replay starts mid-block: the rows before it were still in
+        # the block list when the state repeated
+        segment_start = int(np.flatnonzero((inputs[1:] != inputs[:-1]).any(axis=1))[-1]) + 1
+        assert (k - segment_start) % TRUTH_BLOCK_ROWS != 0
+
+    def test_integration_resumes_when_the_inputs_change_after_a_replay(self, monkeypatch):
+        cfg = make_config(t_end=420.0)
+        t_m = Schedule(times=(0.0, 400.0), values=(BASE.t_m, BASE.t_m + 0.01))
+        cfg = replace(cfg, profile=replace(cfg.profile, t_m=t_m))
+        truth, torques = self.counted_truth(cfg, monkeypatch)
+        expected, _ = self.oracle(cfg)
+        np.testing.assert_array_equal(truth.view(np.uint64), expected.view(np.uint64))
+        # the settled swing was replayed before 400 s, and every step after
+        # the torque change was integrated
+        after = int(round(20.0 / cfg.dt))
+        assert torques.count(t_m.values[0]) < len(truth) - 1 - after
+        assert torques.count(t_m.values[1]) == after
+        assert truth[-1, 0] - truth[-after - 1, 0] > 1e-4
+
+    def test_a_zero_of_the_other_sign_is_not_a_repeat(self, monkeypatch):
+        # -0.0 == 0.0, yet a step may map the two apart: here the angle's
+        # sign bit flips at every step, a cycle of period 2, not 1
+        monkeypatch.setattr(scenario, "_rk4", lambda d, w, eq, ed, *_: (-d, w, eq, ed))
+        cfg = make_config(fault=None, t_end=1.0)
+        truth = simulate_truth(cfg, replace(equilibrium(cfg), delta=0.0))
+        assert (truth[:, 0] == 0.0).all()
+        np.testing.assert_array_equal(np.signbit(truth[:, 0]), np.arange(len(truth)) % 2 == 1)
+
+    def test_each_input_segment_detects_its_own_cycle(self, monkeypatch):
+        # to this map phi = -0.0 is another input than 0.0: the angle climbs
+        # for 20 steps, then walks back down through the states it climbed
+        # through, the one saved at step 15 included, and they are no cycle
+        # under the second input
+        def rk4(d, w, eq, ed, tm, ef, ut, phi, *_):
+            return d + math.copysign(1.0, phi), w, eq, ed
+
+        monkeypatch.setattr(scenario, "_rk4", rk4)
+        cfg = make_config(fault=None, t_end=0.8)
+        phi = Schedule(times=(0.0, 0.39), values=(0.0, -0.0))
+        cfg = replace(cfg, profile=replace(cfg.profile, phi=phi))
+        truth = simulate_truth(cfg, replace(equilibrium(cfg), delta=0.0))
+        j = np.arange(len(truth))
+        np.testing.assert_array_equal(truth[:, 0], np.minimum(j, 40 - j))
 
     @pytest.mark.parametrize(
         "prior, dip, step",
