@@ -17,19 +17,8 @@ import numpy as np
 
 from .config import build_scenario, default_config, load_config
 from .errors import ConfigError, DsekitError
-from .evaluation import VARIABLES, MetricsReport, report_from_run
+from .evaluation import FLOAT_FORMAT, VARIABLES, MetricsReport, format_float, report_from_run
 from .filters import CKF, MEMBER_FAILURES, RCKF
-from .harness import (
-    FLOAT_FORMAT,
-    MANNERS,
-    MATRIX_HORIZON,
-    bench_filters,
-    format_float,
-    manner_outliers,
-    run_experiment,
-    write_matrix_csv,
-    write_summary_csv,
-)
 from .noise import outlier_rows
 from .scenario import (
     RunRecord,
@@ -192,6 +181,17 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    # the harness is imported by the two commands that run it, so that the
+    # others do not load it
+    from .harness import (
+        MANNERS,
+        MATRIX_HORIZON,
+        manner_outliers,
+        run_experiment,
+        write_matrix_csv,
+        write_summary_csv,
+    )
+
     cfg = _load_scenario(args)
     if args.runs < 1:
         print(f"--runs must be at least 1, got {args.runs}", file=sys.stderr)
@@ -228,6 +228,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .harness import bench_filters
+
     if args.steps < 100:
         print(f"--steps must be at least 100, got {args.steps}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,6 +23,16 @@ from .errors import (
 VARIABLES = ("delta", "omega", "eqp", "edp")
 MEASURED_CHANNEL = {"delta": 0, "omega": 1}
 
+# 17 significant digits: every double reads back as itself.
+FLOAT_FORMAT = "%.17g"
+
+
+def format_float(value) -> str:
+    """17 significant digit decimal form, empty string for missing."""
+    if value is None:
+        return ""
+    return FLOAT_FORMAT % value
+
 
 def epsilon1(
     estimates: np.ndarray, truth: np.ndarray, measurements: np.ndarray | None

@@ -72,20 +72,16 @@ MEMBER_FAILURES = (DecompositionFailure, NonFiniteState, DegenerateChannel)
 class ProcessModel:
     """Discrete-time nonlinear state-space model.
 
-    transition and observe must be deterministic pure functions mapping a
-    length-n state vector plus an input vector to, respectively, the next
-    state vector and a length-m measurement vector.  The optional
-    transition_points and observe_points map an (N, n) array of points at
-    once, row for row, and must agree with the per-point maps; without
-    them the filters apply the per-point maps row by row.
+    transition_points and observe_points must be deterministic pure
+    functions mapping an (N, n) array of states, row for row, plus an input
+    vector to, respectively, the (N, n) next states and the (N, m)
+    measurements.  A row's image must not depend on the other rows.
     """
 
     n: int
     m: int
-    transition: Callable[[Array, Array], Array]
-    observe: Callable[[Array, Array], Array]
-    transition_points: Callable[[Array, Array], Array] | None = None
-    observe_points: Callable[[Array, Array], Array] | None = None
+    transition_points: Callable[[Array, Array], Array]
+    observe_points: Callable[[Array, Array], Array]
 
 
 @dataclass
@@ -162,6 +158,15 @@ def _member_failure(kind: type, message: str, members) -> Exception:
     return exc
 
 
+# The largest array that _all_finite gates with a dot product.  OpenBLAS's
+# ddot runs on one thread up to 10000 elements and on every CPU above, and
+# worker processes that each start BLAS threads oversubscribe the machine.
+# Up to here the dot is the faster gate: 0.3-0.6 of np.isfinite(a).all()'s
+# time on one BLAS thread, from 128 to 8192 elements (2-core x86 VM,
+# OpenBLAS 0.3.31).
+GATE_DOT_SIZE = 8192
+
+
 # a step gates about six array sizes, and they change only as members freeze
 @lru_cache(maxsize=32)
 def _tiny(size: int) -> Array:
@@ -171,13 +176,15 @@ def _tiny(size: int) -> Array:
 
 
 def _all_finite(a: Array) -> bool:
-    """Whole-array gate: True exactly when every entry is finite.  It takes
-    one dot product with 2**-512: no sum of finite terms below 2**512 in
-    magnitude overflows, while an infinite or NaN entry makes the sum
-    infinite or NaN.  (Against zeros it would be exact too, but inf * 0
-    raises the invalid flag, a warning on a direct call; here only
-    infinities of both signs in one array do.)"""
+    """Whole-array gate: True exactly when every entry is finite.  Up to
+    GATE_DOT_SIZE entries it takes one dot product with 2**-512: no sum of
+    finite terms below 2**512 in magnitude overflows, while an infinite or
+    NaN entry makes the sum infinite or NaN.  (Against zeros it would be
+    exact too, but inf * 0 raises the invalid flag, a warning on a direct
+    call; here only infinities of both signs in one array do.)"""
     flat = a.reshape(-1)
+    if flat.size > GATE_DOT_SIZE:
+        return bool(np.isfinite(flat).all())
     # the method skips np.dot's dispatch through __array_function__
     return math.isfinite(flat.dot(_tiny(flat.size)))
 
@@ -292,31 +299,30 @@ def cubature_points(x_hat: Array, S: Array) -> CubatureSet:
     return CubatureSet(points=_points(x_hat, np.asarray(S)), weight=1.0 / (2 * x_hat.shape[-1]))
 
 
-def _map_points(points_map, point_map, points: Array, u) -> Array:
-    """Model map over (B, N, n) points; a NonFiniteState from the map is
-    traced to the members whose points raise it."""
+def _map_points(points_map, points: Array, u) -> Array:
+    """Model map over (B, N, n) points, as a C-contiguous array: the
+    layout of a map's output, which may follow that of its input, would
+    otherwise change the bits of the reductions over the points.  A
+    NonFiniteState from the map is traced to the members whose points
+    raise it."""
     B, N, n = points.shape
-    flat = points.reshape(B * N, n)
     try:
-        if points_map is not None:
-            out = points_map(flat, u)
-        else:
-            out = np.array([point_map(p, u) for p in flat])
+        out = points_map(points.reshape(B * N, n), u)
     except NonFiniteState as exc:
         if B == 1:
             raise _member_failure(NonFiniteState, str(exc), [0]) from exc
         bad = []
         for b in range(B):
             try:
-                _map_points(points_map, point_map, points[b : b + 1], u)
+                _map_points(points_map, points[b : b + 1], u)
             except NonFiniteState:
                 bad.append(b)
         raise _member_failure(NonFiniteState, str(exc), bad) from exc
-    return np.asarray(out, dtype=float).reshape(B, N, -1)
+    return np.ascontiguousarray(out, dtype=float).reshape(B, N, -1)
 
 
 def _mapped_points(
-    x: Array, P: Array, points_map, point_map, u: Array, what: str
+    x: Array, P: Array, points_map, u: Array, what: str
 ) -> tuple[Array, Array, Array]:
     """Cubature points on (x, P), and the mean of their images under a
     model map with each image's deviation from it, all (B, ...).
@@ -326,7 +332,7 @@ def _mapped_points(
         NonFiniteState: an image is not finite.
     """
     pts = _points(x, _factored(P))
-    images = _map_points(points_map, point_map, pts, u)
+    images = _map_points(points_map, pts, u)
     bad = _nonfinite_members(images)
     if bad.size:
         raise _member_failure(NonFiniteState, f"{what} points are not finite", bad)
@@ -347,8 +353,7 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
         DecompositionFailure: the posterior covariance cannot be factorized.
     """
     _, x_pred, centered = _mapped_points(
-        state.x_hat, state.P, model.transition_points, model.transition, u,
-        "propagated cubature",
+        state.x_hat, state.P, model.transition_points, u, "propagated cubature"
     )
     P_pred = _T(centered) @ centered
     P_pred /= centered.shape[1]
@@ -363,7 +368,7 @@ def _measurement_stats(
     and cross covariance, all (B, ...) from a fresh point set on the prior."""
     x = predicted.x_hat
     pts, z_hat, Zc = _mapped_points(
-        x, predicted.P, model.observe_points, model.observe, u, "projected measurement"
+        x, predicted.P, model.observe_points, u, "projected measurement"
     )
     N = pts.shape[1]
     core = _T(Zc) @ Zc

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import NOISE_PRESETS, with_noise_preset, with_outliers, with_seed
 from .errors import DsekitError
-from .evaluation import VARIABLES, report_from_run
+from .evaluation import VARIABLES, format_float, report_from_run
 from .filters import CKF, RCKF
 from .noise import OutlierSpec, outlier_rows
 from .scenario import (
@@ -297,17 +297,6 @@ def bench_filters(
         variant: TimingReport.from_times_ns(variant, times[warmup:])
         for variant, times in best.items()
     }
-
-
-# 17 significant digits: every double reads back as itself.
-FLOAT_FORMAT = "%.17g"
-
-
-def format_float(value) -> str:
-    """17 significant digit decimal form, empty string for missing."""
-    if value is None:
-        return ""
-    return FLOAT_FORMAT % value
 
 
 def write_matrix_csv(path, matrix: ExperimentMatrix) -> None:

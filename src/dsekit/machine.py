@@ -382,39 +382,25 @@ def as_process_model(
 ) -> ProcessModel:
     """Wrap the generator as a discrete-time model for the filters.
 
-    transition advances one RK4 step of length dt with the input vector
-    (t_m, e_f, u_t, phi) held over the step; observe produces the triple
-    (delta, 1 + delta_omega, electrical power).  transition_points and
-    observe_points evaluate the same formulas over an (N, 4) array of
-    points, and give the same bits as the per-point maps; transition_points
-    raises NonFiniteState when a propagated point is not finite.  Its check
-    is the filters' whole-array gate, which passes every finite point set
-    without a warning; on an infinite entry it may draw numpy's invalid
-    RuntimeWarning under the caller's error state before it raises, which
-    the filter engine's steps ignore.
+    transition_points advances each row of an (N, 4) array of states by one
+    RK4 step of length dt with the input vector (t_m, e_f, u_t, phi) held
+    over the step; observe_points maps each row to the triple (delta,
+    1 + delta_omega, electrical power).  Every row gets the same bits at
+    any N.  transition_points raises NonFiniteState when a propagated
+    point is not finite.  Its check is the filters' whole-array gate,
+    which passes every finite point set without a warning; on an infinite
+    entry it may draw numpy's invalid RuntimeWarning under the caller's
+    error state before it raises, which the filter engine's steps ignore.
     """
     _check_torque_mode(torque_mode)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     pt = _params_tuple(params)
     divide = torque_mode == DIVIDE_BY_SPEED
-
-    def transition(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        d, w, eq, ed = x.tolist()
-        tm, ef, ut, phi = u.tolist()
-        try:
-            out = _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, math)
-        except _FLOAT_FAULTS as exc:
-            raise NonFiniteState(f"integration step overflowed: {exc}") from exc
-        return np.array(out)
-
     measurement = _measurement(params)
 
     def step(d, w, eq, ed, tm, ef, ut, phi, xp):
         return _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp)
-
-    def observe(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array(measurement(*x.tolist(), *u.tolist(), math))
 
     def transition_points(points: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = _rows_map(step, points, u, 4, RK4_FLOAT_ROWS)
@@ -425,8 +411,6 @@ def as_process_model(
     return ProcessModel(
         n=4,
         m=3,
-        transition=transition,
-        observe=observe,
         transition_points=transition_points,
         observe_points=lambda points, u: _rows_map(measurement, points, u, 3),
     )

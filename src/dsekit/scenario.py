@@ -388,7 +388,6 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     """
     times = time_grid(cfg)
     steps = len(times) - 1
-    inputs = cfg.profile.as_array(times[:-1])
     if x0 is None:
         x0 = equilibrium(cfg)
     pt = _params_tuple(cfg.machine)
@@ -398,12 +397,15 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     x = (x0.delta, x0.delta_omega, x0.e_q_prime, x0.e_d_prime)
     out[0] = x
     flat = out.reshape(-1)
-    # segments of input rows with the same bits; -0.0 and 0.0 are
-    # different inputs to a step
-    bits = inputs.view(np.uint64)
-    cuts = (np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist()
+    # step k holds the inputs at t_k, which change only at the first grid
+    # point at or after a schedule breakpoint; a cut where no value changes
+    # costs a restart of the cycle search, not a bit of the output
+    profile = cfg.profile
+    schedules = (profile.t_m, profile.e_f, profile.u_t, profile.phi)
+    breakpoints = [t for schedule in schedules for t in schedule.times[1:]]
+    cuts = sorted({c for c in np.searchsorted(times, breakpoints).tolist() if c < steps})
     for a, e in zip([0, *cuts], [*cuts, steps]):
-        tm, ef, ut, phi = inputs[a].tolist()
+        tm, ef, ut, phi = profile.as_array(times[a : a + 1])[0].tolist()
         # Brent's cycle detection: the saved state moves to the newest one
         # when the steps since it was saved reach a power of two
         saved, t, power = x, a, 1

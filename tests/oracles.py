@@ -122,6 +122,14 @@ def machine_rk4(x, u, params, dt, divide_by_speed):
     return _rk4(*x, *u, pt, divide_by_speed, dt, math)
 
 
+def machine_observe(x, u, params):
+    """The noise-free measurement (delta, 1 + delta_omega, electrical
+    power) of state x under inputs u, as a tuple of floats."""
+    d, w, eq, ed = x
+    tm, ef, ut, phi = u
+    return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, params.x_d_prime, params.x_q_prime, math)[2]
+
+
 def machine_trajectory(x0, inputs, params, dt, divide_by_speed):
     """States (len(inputs) + 1, 4) from x0 with each row of inputs held
     over one step."""

@@ -72,7 +72,7 @@ def test_linear_gaussian_equivalence():
     measurements = simulate_linear(rng, A, H, Q, R, x0, steps=200)
 
     model = ProcessModel(
-        n=4, m=3, transition=lambda x, u: A @ x, observe=lambda x, u: H @ x
+        n=4, m=3, transition_points=lambda x, u: x @ A.T, observe_points=lambda x, u: x @ H.T
     )
     init = FilterState(x_hat=x0.copy(), P=P0.copy())
     start = time.perf_counter()

@@ -1,7 +1,8 @@
 """The runtime needs no SciPy and no process pool: in a fresh interpreter
 where SciPy cannot be imported, every command runs, and importing the
 command line module, building a scenario and solving its equilibrium load
-neither."""
+neither.  Nor do they, or the simulate and estimate commands, load the
+experiment harness, which the experiment command does."""
 
 import json
 import subprocess
@@ -23,13 +24,23 @@ import dsekit.cli
 from dsekit.config import build_scenario, load_config
 from dsekit.scenario import equilibrium
 
+
+def watched():
+    return sorted(
+        name for name, module in sys.modules.items()
+        if module is not None
+        and (
+            name.split(".")[0] == "scipy"
+            or name in ("concurrent.futures.process", "dsekit.harness")
+        )
+    )
+
+
 equilibrium(build_scenario(load_config(sys.argv[2])))
-loaded = sorted(
-    name for name, module in sys.modules.items()
-    if module is not None
-    and (name.split(".")[0] == "scipy" or name == "concurrent.futures.process")
-)
-codes = [dsekit.cli.main(argv) for argv in json.loads(sys.argv[3])]
+loaded, codes = [watched()], []
+for argv in json.loads(sys.argv[3]):
+    codes.append(dsekit.cli.main(argv))
+    loaded.append(watched())
 print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
@@ -56,4 +67,5 @@ def test_commands_run_without_scipy_or_a_process_pool(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"loaded": [], "codes": [0, 0, 0]}
+    # after the set-up, then after each command in turn
+    assert result == {"loaded": [[], [], [], ["dsekit.harness"]], "codes": [0, 0, 0]}

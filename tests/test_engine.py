@@ -154,7 +154,7 @@ def test_nan_member_is_frozen_at_its_step_and_leaves_the_others_alone():
 
 LINEAR_H = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 LINEAR = ProcessModel(
-    n=4, m=3, transition=lambda x, u: 0.9 * x, observe=lambda x, u: LINEAR_H @ x
+    n=4, m=3, transition_points=lambda x, u: 0.9 * x, observe_points=lambda x, u: x @ LINEAR_H.T
 )
 MARKED = 50.0  # a linear member whose last state entry exceeds this is the failing one
 

@@ -15,10 +15,12 @@ from dsekit.errors import (
 )
 from dsekit.filters import (
     CKF,
+    GATE_DOT_SIZE,
     RCKF,
     FilterState,
     HuberConfig,
     ProcessModel,
+    _all_finite,
     _factored,
     cholesky_lower,
     ckf_update,
@@ -37,8 +39,8 @@ def linear_model(A, H):
     return ProcessModel(
         n=n,
         m=m,
-        transition=lambda x, u: A @ x,
-        observe=lambda x, u: H @ x,
+        transition_points=lambda x, u: x @ A.T,
+        observe_points=lambda x, u: x @ H.T,
     )
 
 
@@ -118,6 +120,40 @@ class TestCholeskyLower:
             np.testing.assert_array_equal(info.value.members, [4])
 
 
+class TestAllFinite:
+    # the gate takes a dot product up to GATE_DOT_SIZE entries and
+    # np.isfinite above; on either side it must be np.isfinite(a).all()
+    @pytest.mark.parametrize(
+        "size", [1, GATE_DOT_SIZE - 1, GATE_DOT_SIZE, GATE_DOT_SIZE + 1, 3 * GATE_DOT_SIZE + 4]
+    )
+    @pytest.mark.parametrize(
+        "fill, entries",
+        [
+            (None, {}),
+            # finite, though a plain sum of any two entries overflows
+            (1e308, {}),
+            (None, {-1: math.nan}),
+            (None, {-1: math.inf}),
+            (None, {0: -math.inf}),
+            (None, {0: math.inf, -1: -math.inf}),
+        ],
+        ids=["finite", "1e308", "nan", "+inf", "-inf", "mixed-inf"],
+    )
+    def test_equals_isfinite_all(self, size, fill, entries):
+        a = np.random.default_rng(size).standard_normal(size)
+        if fill is not None:
+            a[:] = fill
+        for i, value in entries.items():
+            a[i] = value
+        # infinities of both signs raise the invalid flag in the dot
+        with np.errstate(invalid="ignore"):
+            assert _all_finite(a) is bool(np.isfinite(a).all())
+            if size % 4 == 0:
+                # the stages gate stacks of matrices
+                stack = a.reshape(-1, 2, 2)
+                assert _all_finite(stack) is bool(np.isfinite(stack).all())
+
+
 class TestCubaturePoints:
     def test_structure_for_identity_covariance(self):
         x = np.array([1.0, -2.0, 0.5])
@@ -151,7 +187,9 @@ class TestTimePredict:
         rng = np.random.default_rng(3)
         P = random_spd(rng, 4)
         x = rng.standard_normal(4)
-        model = ProcessModel(n=4, m=1, transition=lambda s, u: s, observe=lambda s, u: s[:1])
+        model = ProcessModel(
+            n=4, m=1, transition_points=lambda s, u: s, observe_points=lambda s, u: s[:, :1]
+        )
         pred = member0(
             time_predict(batch_of_one(FilterState(x, P, 5)), model, np.zeros(1), np.zeros((4, 4)))
         )
@@ -174,8 +212,8 @@ class TestTimePredict:
     def test_nonfinite_propagation_raises(self):
         model = ProcessModel(
             n=2, m=1,
-            transition=lambda s, u: np.full(2, np.inf),
-            observe=lambda s, u: s[:1],
+            transition_points=lambda s, u: np.full(s.shape, np.inf),
+            observe_points=lambda s, u: s[:, :1],
         )
         with pytest.raises(NonFiniteState):
             time_predict(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dsekit.config import build_scenario, default_config
+from dsekit.evaluation import format_float
 from dsekit.filters import CKF, RCKF
 from dsekit.harness import (
     MANNERS,
@@ -16,7 +17,6 @@ from dsekit.harness import (
     MatrixRow,
     TimingReport,
     bench_filters,
-    format_float,
     manner_outliers,
     run_experiment,
     summarize,
