@@ -62,10 +62,9 @@ def _write_metrics_csv(path, report: MetricsReport) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(METRICS_HEADER) + "\n")
         for variable in VARIABLES:
-            eps1 = report.epsilon1.get(variable)
             fh.write(
-                f"{variable},{format_float(eps1)},"
-                f"{format_float(report.epsilon2[variable])}\n"
+                f"{variable},{format_float(report.epsilon1.get(variable))},"
+                f"{format_float(report.epsilon2.get(variable))}\n"
             )
 
 

@@ -369,22 +369,20 @@ def build_scenario(doc: dict) -> ScenarioConfig:
         raise ConfigError("scenario.fault", str(exc)) from None
 
     huber, torque_mode = _parse_filter(doc)
-    try:
-        return ScenarioConfig(
-            machine=machine,
-            profile=profile,
-            dt=dt,
-            t_end=t_end,
-            seed=seed,
-            noise=_parse_noise(doc, sigmas),
-            outliers=_parse_outliers(doc),
-            sigmas=sigmas,
-            init=_parse_init(doc),
-            huber=huber,
-            torque_mode=torque_mode,
-        )
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from None
+    # dt, t_end and torque_mode are checked above, under their own keys
+    return ScenarioConfig(
+        machine=machine,
+        profile=profile,
+        dt=dt,
+        t_end=t_end,
+        seed=seed,
+        noise=_parse_noise(doc, sigmas),
+        outliers=_parse_outliers(doc),
+        sigmas=sigmas,
+        init=_parse_init(doc),
+        huber=huber,
+        torque_mode=torque_mode,
+    )
 
 
 def with_noise_preset(cfg: ScenarioConfig, preset: int) -> ScenarioConfig:

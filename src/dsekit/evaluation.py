@@ -9,6 +9,7 @@ exclude the initial step, which carries the prior rather than an estimate.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,10 @@ class MetricsReport:
     """Indicator values for one run of one filter variant.
 
     epsilon1 covers the measured variables only; epsilon2 covers all four.
-    s_m is the number of scored steps (the initial one is excluded).
+    An indicator that is undefined for the run is left out: epsilon1 where
+    the measurement error is identically zero, epsilon2 where a truth
+    sample is exactly zero.  s_m is the number of scored steps (the
+    initial one is excluded).
     """
 
     s_m: int
@@ -120,7 +124,8 @@ def _series(record, variant: str, variable: str):
 
 
 def report_from_run(record, variant: str) -> MetricsReport:
-    """Score one filter variant of a finished run."""
+    """Score one filter variant of a finished run, leaving out the
+    indicators that are undefined for it."""
     if variant not in record.estimates:
         raise MismatchedRuns(f"run has no estimates for variant {variant!r}")
     eps1: dict[str, float] = {}
@@ -128,8 +133,10 @@ def report_from_run(record, variant: str) -> MetricsReport:
     for variable in VARIABLES:
         est, tru, meas = _series(record, variant, variable)
         if variable in MEASURED_CHANNEL:
-            eps1[variable] = epsilon1(est, tru, meas)
-        eps2[variable] = epsilon2(est, tru)
+            with suppress(ZeroDenominator):
+                eps1[variable] = epsilon1(est, tru, meas)
+        with suppress(ZeroTruthValue):
+            eps2[variable] = epsilon2(est, tru)
     return MetricsReport(
         s_m=record.truth.shape[0] - 1, epsilon1=eps1, epsilon2=eps2
     )

@@ -27,8 +27,9 @@ The stages compute under the caller's floating-point error state: a
 failing member's numbers come out NaN or infinite and are caught by the
 finiteness gates, not by the error state.  iter_batch, and run_filter
 through it, runs each step under np.errstate(all="ignore"), so a batch
-step emits no floating-point warning.  A stage called directly on a
-failing member may emit numpy's RuntimeWarning before it raises.
+step emits no floating-point warning; cholesky_lower sets the same state
+for itself.  The other stages, called directly on a failing member, may
+emit numpy's RuntimeWarning before they raise.
 """
 
 from __future__ import annotations
@@ -238,10 +239,10 @@ def cholesky_lower(P: Array) -> Array:
 
     The input is symmetrized first.  Members whose plain factorization
     fails get escalating diagonal jitter (1e-12, 1e-9, 1e-6 times their
-    mean diagonal); the others are factorized as they are.  The batched
-    factorization runs under the caller's floating-point error state, so a
-    direct call on a member that does not factorize may emit numpy's
-    RuntimeWarning before the jitter ladder or the exception.
+    mean diagonal); the others are factorized as they are.  The call runs
+    under np.errstate(all="ignore"), so a member that does not factorize
+    emits no floating-point warning before the jitter ladder or the
+    exception.
 
     Raises:
         DecompositionFailure: input is not a stack of square matrices, or
@@ -251,7 +252,8 @@ def cholesky_lower(P: Array) -> Array:
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
         raise DecompositionFailure(f"expected a square matrix, got shape {P.shape}")
-    S = _factored(_symmetrized(P[None] if P.ndim == 2 else P))
+    with np.errstate(all="ignore"):
+        S = _factored(_symmetrized(P[None] if P.ndim == 2 else P))
     return S[0] if P.ndim == 2 else S
 
 

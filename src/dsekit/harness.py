@@ -62,8 +62,12 @@ class MatrixRow:
     seed: int
     variable: str
     epsilon1: float | None
-    epsilon2: float
+    epsilon2: float | None
     mean_step_ms: float | None
+
+
+# A cell's rows and its failures, keyed like the matrix's failures.
+Outcome = tuple[list[MatrixRow], dict[str, str]]
 
 
 @dataclass(frozen=True)
@@ -112,117 +116,92 @@ def _cell_key(preset: int, manner: str, seed: int) -> str:
     return f"noise{preset}/{manner}/seed{seed}"
 
 
-def _run_cells(item) -> list[tuple[list[MatrixRow], dict[str, str]]]:
+def _run_cells(item) -> list[Outcome]:
     """Rows and failures of each cell of a chunk, its filters run as one
     batch."""
     cfg, truth, x0, cells, timing = item
-    record_of: dict[int, tuple] = {}
-    out: list[tuple[list[MatrixRow], dict[str, str]]] = []
-    for i, (cell_cfg, preset, manner, seed) in enumerate(cells):
-        try:
-            record_of[i] = synthesize_measurements(truth, cell_cfg)
-            out.append(([], {}))
-        except DsekitError as exc:
-            out.append(([], {_cell_key(preset, manner, seed): str(exc)}))
-    live = sorted(record_of)
-    if not live:
-        return out
-    corrupted = np.stack([record_of[i][1] for i in live])
-    results = filter_series(cfg, corrupted, (CKF, RCKF), x0=x0)
+    records = [synthesize_measurements(truth, cell_cfg) for cell_cfg, *_ in cells]
+    results = filter_series(cfg, np.stack([c for _, c in records]), (CKF, RCKF), x0=x0)
     times = time_grid(cfg)
-    for i, (estimates, step_times, failures) in zip(live, results):
-        _, preset, manner, seed = cells[i]
-        key = _cell_key(preset, manner, seed)
-        clean, cell_corrupted = record_of[i]
-        record = RunRecord(times, truth, clean, cell_corrupted, estimates, step_times, failures)
-        rows, cell_failures = out[i]
-        for variant in (CKF, RCKF):
-            if variant not in estimates:
-                cell_failures[f"{key}/{variant}"] = failures[variant]
-                continue
+    out: list[Outcome] = []
+    for (_, preset, manner, seed), (clean, corrupted), (estimates, step_times, failures) in zip(
+        cells, records, results
+    ):
+        record = RunRecord(times, truth, clean, corrupted, estimates, step_times, failures)
+        rows: list[MatrixRow] = []
+        for variant in estimates:
             report = report_from_run(record, variant)
             mean_ms = float(step_times[variant].mean()) / 1e6 if timing else None
-            for variable in VARIABLES:
-                rows.append(
-                    MatrixRow(
-                        noise=preset,
-                        manner=manner,
-                        filter=variant,
-                        seed=seed,
-                        variable=variable,
-                        epsilon1=report.epsilon1.get(variable),
-                        epsilon2=report.epsilon2[variable],
-                        mean_step_ms=mean_ms,
-                    )
+            rows.extend(
+                MatrixRow(
+                    preset, manner, variant, seed, variable,
+                    report.epsilon1.get(variable), report.epsilon2.get(variable), mean_ms,
                 )
+                for variable in VARIABLES
+            )
+        key = _cell_key(preset, manner, seed)
+        out.append((rows, {f"{key}/{variant}": m for variant, m in failures.items()}))
     return out
 
 
 def run_experiment(
-    cfg: ScenarioConfig,
-    seeds,
-    jobs: int = 1,
-    timing: bool = False,
+    cfg: ScenarioConfig, seeds, jobs: int = 1, timing: bool = False
 ) -> ExperimentMatrix:
     """Run the full noise-by-manner matrix over the given seeds.
 
     Cell failures are collected, not raised; rows from failed cells are
-    simply absent.  A cell whose outliers fall off the horizon fails before
-    any integration.  With timing enabled the mean wall time per filter
-    step is recorded, which makes the output machine-dependent.
+    simply absent.  A manner whose outliers fall off the horizon or name
+    no channel fails its cells before any integration.  With timing
+    enabled the mean wall time per filter step is recorded, which makes
+    the output machine-dependent.
     """
     seeds = sorted(int(s) for s in seeds)
     rows_on_grid = len(time_grid(cfg))
+    # one outcome per cell in (noise, manner, seed) order, None for a cell
+    # that runs; cells holds what those run on
+    outcomes: list[Outcome | None] = []
     cells = []
-    results: dict[int, tuple[list[MatrixRow], dict[str, str]]] = {}
     for preset in NOISE_PRESETS:
+        noise_cfg = with_noise_preset(cfg, preset)
         for manner in MANNERS:
             spec = manner_outliers(manner, cfg.outliers)
-            for seed in seeds:
-                cell_cfg = with_seed(with_outliers(with_noise_preset(cfg, preset), spec), seed)
-                try:
-                    outlier_rows(spec, cfg.dt, rows_on_grid)
-                except DsekitError as exc:
-                    results[len(cells)] = ([], {_cell_key(preset, manner, seed): str(exc)})
-                cells.append((cell_cfg, preset, manner, seed))
-    live = [i for i in range(len(cells)) if i not in results]
-    if live:
+            try:
+                outlier_rows(spec, cfg.dt, rows_on_grid)
+                spec.channel_index()
+            except DsekitError as exc:
+                outcomes.extend(([], {_cell_key(preset, manner, seed): str(exc)}) for seed in seeds)
+                continue
+            manner_cfg = with_outliers(noise_cfg, spec)
+            outcomes += [None] * len(seeds)
+            cells.extend((with_seed(manner_cfg, seed), preset, manner, seed) for seed in seeds)
+    ran: list[Outcome] = []
+    if cells:
         try:
             x0 = equilibrium(cfg)
             truth = simulate_truth(cfg, x0)
         except DsekitError as exc:
-            for i in live:
-                _, preset, manner, seed = cells[i]
-                results[i] = ([], {_cell_key(preset, manner, seed): str(exc)})
-            live = []
-    # one chunk of the batch per worker
-    chunks = [c.tolist() for c in np.array_split(live, max(1, min(jobs, len(live))))] if live else []
-    items = [(cfg, truth, x0, [cells[i] for i in chunk], timing) for chunk in chunks]
-    if len(items) > 1:
-        # imported here: the pool's modules would add to the start-up
-        # time of every command, and only this path uses them
-        from concurrent.futures import ProcessPoolExecutor
+            ran = [([], {_cell_key(*cell[1:]): str(exc)}) for cell in cells]
+        else:
+            # one chunk of the batch per worker
+            splits = np.array_split(np.arange(len(cells)), max(1, min(jobs, len(cells))))
+            items = [(cfg, truth, x0, cells[s[0] : s[-1] + 1], timing) for s in splits]
+            if len(items) > 1:
+                # imported here: the pool's modules would add to the start-up
+                # time of every command, and only this path uses them
+                from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(items)) as pool:
-            outcomes = list(pool.map(_run_cells, items))
-    else:
-        outcomes = [_run_cells(item) for item in items]
-    for chunk, outcome in zip(chunks, outcomes):
-        results.update(zip(chunk, outcome))
-    rows: list[MatrixRow] = []
-    failures: dict[str, str] = {}
-    failed_cells = 0
-    for i in range(len(cells)):
-        cell_rows, cell_failures = results[i]
-        rows.extend(cell_rows)
-        failures.update(cell_failures)
-        if not cell_rows:
-            failed_cells += 1
+                with ProcessPoolExecutor(max_workers=len(items)) as pool:
+                    chunks = list(pool.map(_run_cells, items))
+            else:
+                chunks = [_run_cells(items[0])]
+            ran = [outcome for chunk in chunks for outcome in chunk]
+    done = iter(ran)
+    outcomes = [next(done) if outcome is None else outcome for outcome in outcomes]
     return ExperimentMatrix(
-        rows=tuple(rows),
-        failures=failures,
-        cells_total=len(cells),
-        cells_failed=failed_cells,
+        rows=tuple(row for rows, _ in outcomes for row in rows),
+        failures={key: message for _, failures in outcomes for key, message in failures.items()},
+        cells_total=len(outcomes),
+        cells_failed=sum(not rows for rows, _ in outcomes),
     )
 
 
@@ -235,9 +214,9 @@ def summarize(matrix: ExperimentMatrix) -> list[tuple]:
             (row.noise, row.manner, row.variable),
             {CKF: {"epsilon1": [], "epsilon2": []}, RCKF: {"epsilon1": [], "epsilon2": []}},
         )
-        if row.epsilon1 is not None:
-            cell[row.filter]["epsilon1"].append(row.epsilon1)
-        cell[row.filter]["epsilon2"].append(row.epsilon2)
+        for indicator, value in (("epsilon1", row.epsilon1), ("epsilon2", row.epsilon2)):
+            if value is not None:
+                cell[row.filter][indicator].append(value)
     out: list[tuple] = []
     for (noise, manner, variable) in sorted(
         groups, key=lambda k: (k[0], k[1], VARIABLES.index(k[2]))

@@ -47,6 +47,41 @@ def read_rows(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def measurements_file(tmp_path, cfg):
+    """The measurements.csv that simulate writes for a configuration."""
+    sim = tmp_path / "sim"
+    run("simulate", "--config", cfg, "--out-dir", str(sim), "--quiet")
+    return sim / "measurements.csv"
+
+
+def set_cell(path, line, column, text):
+    """Overwrite one cell of a CSV file, or drop it when text is None."""
+    lines = path.read_text().splitlines()
+    parts = lines[line].split(",")
+    if text is None:
+        del parts[column]
+    else:
+        parts[column] = text
+    lines[line] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def zero_torque(doc):
+    # unloaded: the angle and e'_d truth rows are exactly 0 until the fault
+    doc["scenario"]["base_inputs"]["t_m"] = 0.0
+
+
+def noise_free_angle(doc):
+    doc["noise"] = {
+        "delta": {"kind": "gaussian_white", "sigma_deg": 0},
+        "omega": {"kind": "gaussian_white", "sigma_pu": 0.001},
+    }
+
+
+def past_pull_out(doc):
+    doc["scenario"]["base_inputs"]["t_m"] = 1.2
+
+
 EDGE_VALUES = (
     math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-300,
 )
@@ -125,6 +160,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("simulation failed: " + message)
         assert not out.exists()
+
+    def test_progress_line_without_quiet(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out-dir", str(out)) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"wrote {out / 'truth.csv'} and {out / 'measurements.csv'} (101 rows each)\n"
+        )
 
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -259,6 +302,81 @@ class TestEstimate:
         assert code == EXIT_DIVERGENCE
         assert "measurement index" in capsys.readouterr().err
 
+    def test_infinite_measurement_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = measurements_file(tmp_path, cfg)
+        set_cell(path, 10, 2, "inf")
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--measurements", str(path),
+        )
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "filter diverged: measurement index 8: matrix contains non-finite entries\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line, column, text, message",
+        [
+            (7, 3, None, "line 8: expected 4 columns"),
+            (4, 1, "abc", "line 5: non-numeric value"),
+        ],
+    )
+    def test_malformed_row_exits_2_naming_its_line(
+        self, tmp_path, capsys, line, column, text, message
+    ):
+        cfg = write_config(tmp_path)
+        path = measurements_file(tmp_path, cfg)
+        set_cell(path, line, column, text)
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--measurements", str(path),
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config key '{path}': {message}\n"
+
+    def test_empty_measurement_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "empty.csv"
+        path.write_text("\n")
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--measurements", str(path),
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config key '{path}': measurement file is empty\n"
+        )
+
+    def test_unreadable_measurements_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = run(
+            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
+            "--measurements", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: config key '{tmp_path}': cannot read measurements: "
+        )
+
+    def test_infeasible_operating_point_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, past_pull_out)
+        out = tmp_path / "out"
+        assert run("estimate", "--config", cfg, "--out-dir", str(out), "--quiet") == EXIT_SIMULATION
+        assert capsys.readouterr().err.startswith(
+            "simulation failed: mechanical torque 1.2 exceeds the pull-out power"
+        )
+        assert not out.exists()
+
+    def test_progress_lines_without_quiet(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("estimate", "--config", cfg, "--out-dir", str(out)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / f'estimates_{v}.csv'} and {out / f'metrics_{v}.csv'}"
+            for v in ("ckf", "rckf")
+        ]
+
 
     @pytest.mark.parametrize("variant", ["ckf", "both"])
     def test_division_by_zero_speed_exits_4(self, tmp_path, capsys, variant):
@@ -385,6 +503,62 @@ class TestExperiment:
         assert not (out / "matrix.csv").exists()
 
 
+class TestUndefinedIndicators:
+    """An indicator that is undefined for a run is written empty: epsilon1
+    where the measurement error is identically zero, epsilon2 where a
+    truth sample is exactly zero."""
+
+    @pytest.mark.parametrize(
+        "mutate, cells",
+        [
+            # epsilon2 of the angle and of e'_d divide by a zero truth
+            (zero_torque, {"delta": (True, False), "edp": (False, False)}),
+            # epsilon1 of the angle divides by a zero measurement error
+            (noise_free_angle, {"delta": (False, True)}),
+        ],
+        ids=["zero_torque", "noise_free_angle"],
+    )
+    def test_estimate_writes_them_empty(self, tmp_path, mutate, cells):
+        cfg = write_config(tmp_path, mutate)
+        out = tmp_path / "out"
+        assert run("estimate", "--config", cfg, "--out-dir", str(out), "--quiet") == EXIT_OK
+        for variant in ("ckf", "rckf"):
+            _, rows = read_rows(out / f"metrics_{variant}.csv")
+            by_variable = {r[0]: r[1:] for r in rows}
+            for variable, filled in cells.items():
+                assert tuple(v != "" for v in by_variable[variable]) == filled
+            assert float(by_variable["omega"][0]) > 0.0
+            assert float(by_variable["omega"][1]) > 0.0
+
+    @pytest.mark.parametrize("mutate", [zero_torque, noise_free_angle])
+    def test_experiment_runs(self, tmp_path, mutate):
+        def longer(doc):
+            mutate(doc)
+            doc["scenario"]["t_end"] = 8.0
+
+        cfg = write_config(tmp_path, longer)
+        out = tmp_path / "out"
+        code = run(
+            "experiment", "--config", cfg, "--out-dir", str(out), "--quiet",
+            "--runs", "1", "--jobs", "1",
+        )
+        assert code == EXIT_OK
+        _, rows = read_rows(out / "matrix.csv")
+        assert len(rows) == 64
+        _, summary = read_rows(out / "summary.csv")
+        lines = {(r[2], r[3]) for r in summary}
+        if mutate is zero_torque:
+            # the matrix's noise presets leave the measurement error nonzero
+            assert {(r[4], r[6] == "") for r in rows} == {
+                ("delta", True), ("omega", False), ("eqp", False), ("edp", True),
+            }
+            assert ("delta", "epsilon2") not in lines and ("edp", "epsilon2") not in lines
+            assert ("delta", "epsilon1") in lines
+        else:
+            assert all(r[6] != "" for r in rows)
+            assert len(summary) == 4 * 2 * (2 + 4)
+
+
 class TestBench:
     def test_reports_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -400,6 +574,13 @@ class TestBench:
         assert capsys.readouterr().err == (
             "filter diverged during bench: measurement index 59: "
             "channel 2 has nonpositive predicted variance 0.0\n"
+        )
+
+    def test_infeasible_operating_point_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, past_pull_out)
+        assert run("bench", "--config", cfg, "--steps", "100") == EXIT_SIMULATION
+        assert capsys.readouterr().err.startswith(
+            "bench setup failed: mechanical torque 1.2 exceeds the pull-out power"
         )
 
     def test_too_few_steps_exits_2(self, tmp_path):

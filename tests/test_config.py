@@ -123,6 +123,27 @@ class TestKeyValidation:
     def test_section_must_be_object(self):
         expect_error("machine", lambda d: d.update(machine=[1, 2]))
 
+    def test_missing_machine_section(self):
+        err = expect_error("machine", lambda d: d.pop("machine"))
+        assert err.key == "machine"
+        assert "missing required section" in str(err)
+
+    def test_missing_seed(self):
+        err = expect_error("scenario.seed", lambda d: d["scenario"].pop("seed"))
+        assert "missing required value" in str(err)
+
+    def test_string_expected(self):
+        err = expect_error(
+            "noise.delta.kind",
+            lambda d: d.update(
+                noise={
+                    "delta": {"kind": 1, "sigma_deg": 2.0},
+                    "omega": {"kind": "gaussian_white", "sigma_pu": 0.001},
+                }
+            ),
+        )
+        assert "expected a string, got 1" in str(err)
+
 
 class TestScenarioSection:
     def test_dt_must_be_positive(self):
@@ -163,6 +184,12 @@ class TestScenarioSection:
             "scenario.fault",
             lambda d: d["scenario"]["fault"].update(duration_partial=0.04),
         )
+
+    @pytest.mark.parametrize("key", ["delta_deg", "omega_pu"])
+    def test_measurement_sigma_must_be_positive(self, key):
+        err = expect_error("scenario.sigmas", lambda d: d["scenario"]["sigmas"].update({key: 0}))
+        assert err.key == "scenario.sigmas"
+        assert "must be positive" in str(err)
 
     def test_negative_base_voltage(self):
         expect_error(
@@ -277,6 +304,16 @@ class TestExplicitNoise:
             ),
         )
 
+    def test_channel_must_be_object(self):
+        err = expect_error(
+            "noise.delta",
+            lambda d: d.update(
+                noise={"delta": 2.0, "omega": {"kind": "gaussian_white", "sigma_pu": 0.001}}
+            ),
+        )
+        assert err.key == "noise.delta"
+        assert "expected an object" in str(err)
+
     def test_white_with_bias_rejected(self):
         expect_error(
             "noise.delta",
@@ -311,6 +348,10 @@ class TestOutliersSection:
 
     def test_unknown_manner(self):
         expect_error("outliers.manner", lambda d: d.update(outliers={"manner": "salvo"}))
+
+    def test_manner_required(self):
+        err = expect_error("outliers.manner", lambda d: d.update(outliers={"time": 6.0}))
+        assert "missing required value" in str(err)
 
     def test_unknown_channel(self):
         expect_error(

@@ -321,6 +321,23 @@ def test_singular_innovation_covariance_freezes_the_member(thresholds):
     assert_same_path(paths[0], alone[0])
 
 
+@pytest.mark.parametrize("members", [None, []], ids=["absent", "empty"])
+def test_member_failure_naming_no_member_is_raised(members):
+    # a failure that names no member cannot freeze one, so it leaves the
+    # batch as it came
+    error = DegenerateChannel("no member named")
+    if members is not None:
+        error.members = np.asarray(members, dtype=np.intp)
+
+    def provider(step, predicted, u_obs):
+        raise error
+
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    with pytest.raises(DegenerateChannel) as info:
+        linear_run(LINEAR_X0, P0, [1.5, 1.5], provider)
+    assert info.value is error
+
+
 def test_failing_members_freeze_without_a_warning():
     # the stages compute under the step's error state: a factorization and
     # a solve that fail inside a mixed batch must freeze their members and

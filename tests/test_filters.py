@@ -1,6 +1,7 @@
 """Filter core: square roots, cubature statistics, updates, robust weights."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -90,6 +91,16 @@ class TestCholeskyLower:
     def test_indefinite_matrix_fails_after_ladder(self):
         with pytest.raises(DecompositionFailure):
             cholesky_lower(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_direct_call_emits_no_warning(self):
+        # the caller's error state does not reach the factorization: a
+        # member that does not factorize warns and raises nothing on its way
+        # to the jitter ladder
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert np.isfinite(cholesky_lower(np.diag([1.0, 0.0]))).all()
+            with pytest.raises(DecompositionFailure, match="not positive definite"):
+                cholesky_lower(np.diag([1.0, -1.0]))
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(DecompositionFailure):

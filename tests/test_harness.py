@@ -1,6 +1,8 @@
 """Tests for the experiment matrix, the summary statistics, the filter
 bench, and CSV serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,15 @@ from dsekit.harness import (
 from dsekit.noise import OutlierSpec
 
 
-def small_config(t_end=8.0):
+def small_config(t_end=8.0, **fault):
     doc = default_config()
     doc["scenario"]["t_end"] = t_end
+    doc["scenario"]["fault"].update(fault)
     return build_scenario(doc)
+
+
+def no_truth(*args, **kwargs):
+    raise AssertionError("truth integrated for cells that cannot run")
 
 
 class TestMannerOutliers:
@@ -109,14 +116,45 @@ class TestRunExperiment:
         # horizon: every cell fails on its outlier placement alone
         import dsekit.harness as harness
 
-        def no_truth(*args, **kwargs):
-            raise AssertionError("truth integrated for cells that cannot run")
-
         monkeypatch.setattr(harness, "simulate_truth", no_truth)
         matrix = run_experiment(small_config(t_end=1.5), seeds=[1])
         assert matrix.cells_failed == matrix.cells_total == 8
         assert not matrix.rows
         assert all("outside the simulated horizon" in m for m in matrix.failures.values())
+
+    def test_outlier_channel_fails_before_integration(self, monkeypatch):
+        import dsekit.harness as harness
+
+        monkeypatch.setattr(harness, "simulate_truth", no_truth)
+        cfg = replace(small_config(), outliers=OutlierSpec(channel=7))
+        matrix = run_experiment(cfg, seeds=[1, 2])
+        assert matrix.cells_failed == matrix.cells_total == 16
+        assert not matrix.rows
+        assert matrix.failures == {
+            f"noise{p}/{m}/seed{seed}": "channel index out of range: 7"
+            for p in (1, 2, 3, 4) for m in MANNERS for seed in (1, 2)
+        }
+
+    def test_diverging_variants_fail_their_cells(self):
+        # a dip to zero voltage makes the power channel's predicted
+        # variance exactly 0: both variants of every cell freeze there
+        matrix = run_experiment(small_config(u_t_dip=0.0), seeds=[1])
+        assert matrix.cells_failed == matrix.cells_total == 8
+        assert not matrix.rows
+        assert matrix.failures == {
+            f"noise{p}/{m}/seed1/{v}": (
+                "measurement index 59: channel 2 has nonpositive predicted variance 0.0"
+            )
+            for p in (1, 2, 3, 4) for m in MANNERS for v in (CKF, RCKF)
+        }
+
+    def test_parallel_merge_keeps_failed_cells_in_place(self):
+        # the single-manner cells fail on a 4 s horizon, so the cells that
+        # run are not contiguous in the matrix
+        serial = run_experiment(small_config(t_end=4.0), seeds=[1, 2], jobs=1)
+        parallel = run_experiment(small_config(t_end=4.0), seeds=[1, 2], jobs=2)
+        assert serial == parallel
+        assert serial.cells_failed == 8 and len(serial.rows) == 64
 
     def test_one_equilibrium_for_the_whole_matrix(self, monkeypatch):
         import dsekit.scenario as scenario
@@ -159,6 +197,23 @@ class TestSummarize:
         keys = {(v, i) for _, _, v, i, _, _, _ in out}
         assert ("eqp", "epsilon1") not in keys
         assert ("delta", "epsilon1") in keys
+
+    def test_missing_values_are_skipped(self):
+        # an undefined indicator (None) counts in no median, and a line
+        # without values on both sides is left out
+        rows = self._matrix().rows + (
+            MatrixRow(1, "single", CKF, 3, "delta", 100.0, None, None),
+            MatrixRow(1, "single", RCKF, 3, "delta", 100.0, None, None),
+            MatrixRow(1, "window", CKF, 1, "edp", None, None, None),
+            MatrixRow(1, "window", RCKF, 1, "edp", None, 0.5, None),
+        )
+        out = summarize(ExperimentMatrix(rows, {}, 4, 0))
+        table = {(n, m, v, i): (c, r) for n, m, v, i, c, r, _ in out}
+        assert table[(1, "single", "delta", "epsilon2")] == (
+            pytest.approx(0.05, abs=0.0), pytest.approx(0.04, abs=0.0)
+        )
+        assert table[(1, "single", "delta", "epsilon1")][0] == pytest.approx(0.6, abs=1e-15)
+        assert not any(key[1] == "window" for key in table)
 
     def test_variable_ordering(self):
         out = summarize(self._matrix())

@@ -81,6 +81,17 @@ class TestParams:
         with pytest.raises(ValueError, match="terminal voltage"):
             MachineInputs(t_m=0.8, e_f=2.0, u_t=-0.1, phi=0.0)
 
+    @pytest.mark.parametrize("x_q_prime", [1.7, 1.8, 0.0])
+    def test_q_axis_reactances_ordered(self, x_q_prime):
+        with pytest.raises(ValueError, match="x_q > x_q_prime > 0"):
+            MachineParams(1.8, 0.3, 1.7, x_q_prime, 8.0, 0.4, 13.0, 2.0)
+
+    @pytest.mark.parametrize("field", ["sigma_u", "sigma_phi"])
+    def test_negative_sigma_rejected(self, field):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            MeasurementSigmas(**{field: -0.001})
+        assert getattr(MeasurementSigmas(**{field: 0.0}), field) == 0.0
+
 
 class TestPowerIdentity:
     def test_power_equals_dq_product_on_random_points(self):

@@ -20,6 +20,8 @@ from dsekit.noise import (
     NoiseSpec,
     OutlierSpec,
     SeededStream,
+    _uniform_open_01,
+    _uniform_open_pm1,
     cauchy_from_uniform,
     corrupt,
     draw_cauchy,
@@ -140,6 +142,41 @@ class TestDraws:
         gen = SeededStream(80, (0, 2)).generator()
         out = draw_cauchy(0.1, gen, 1_000_000)
         assert np.abs(out - 1.0).max() > 100.0
+
+
+class ScriptedGenerator:
+    """Stand-in for np.random.Generator whose random() returns the given
+    draws in turn, recording each requested size."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.draws.pop(0)
+
+
+class TestOpenUniforms:
+    def test_pm1_redraws_the_closed_edge(self):
+        # 0.0 doubles to -1, the edge that would put log1p(-1) in a Laplace
+        # draw; it is drawn again until it leaves the edge
+        gen = ScriptedGenerator([0.0, 0.75], [0.0], [0.25])
+        np.testing.assert_array_equal(_uniform_open_pm1(gen, 2), [-0.5, 0.5])
+        assert gen.sizes == [2, 1, 1]
+        gen = ScriptedGenerator([0.875, 0.0, 0.0], [0.5, 0.125])
+        laplace = draw_laplace(0.0, 1.0, gen, 3)
+        assert np.isfinite(laplace).all()
+        assert gen.sizes == [3, 2]
+
+    def test_01_redraws_the_closed_edge(self):
+        # 0.0 would put tan(-pi / 2) in a Cauchy draw
+        gen = ScriptedGenerator([0.0, 0.5], [0.0], [0.125])
+        np.testing.assert_array_equal(_uniform_open_01(gen, 2), [0.125, 0.5])
+        assert gen.sizes == [2, 1, 1]
+        gen = ScriptedGenerator([0.0], [0.5])
+        assert draw_cauchy(0.1, gen, 1)[0] == pytest.approx(CAUCHY_LOCATION_SIGMAS * 0.1)
+        assert gen.sizes == [1, 1]
 
 
 class TestCorrupt:

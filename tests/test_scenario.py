@@ -108,6 +108,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(times=(0.0, 1.0), values=(1.0,))
 
+    @pytest.mark.parametrize(
+        "times, values",
+        [((0.0, math.inf), (1.0, 2.0)), ((0.0, 1.0), (1.0, math.nan)), ((0.0,), (-math.inf,))],
+    )
+    def test_breakpoints_must_be_finite(self, times, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            Schedule(times=times, values=values)
+
 
 class TestFaultProfile:
     def test_voltage_dip_and_recovery(self):
@@ -205,6 +213,14 @@ class TestSteadyState:
         with pytest.raises(NoConvergence):
             steady_state_init(inputs, DEFAULT_PARAMS)
 
+    @pytest.mark.parametrize("t_m", [0.8, 0.0])
+    def test_residual_above_tolerance_raises(self, t_m):
+        # no residual is negative, so the check fails on the solved root
+        # as on the unloaded state that skips the root solve
+        inputs = MachineInputs(t_m=t_m, e_f=2.0, u_t=1.0, phi=0.0)
+        with pytest.raises(NoConvergence, match="exceeds tolerance -1.0e\\+00"):
+            steady_state_init(inputs, DEFAULT_PARAMS, tol=-1.0)
+
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_FILES = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/configs/*.json"))
@@ -281,6 +297,15 @@ class TestBrentPort:
         with pytest.raises(ValueError):
             _brentq(f, -1.0, 1.0, 1e-15, 8.9e-16)
 
+    @pytest.mark.parametrize("bracket", [(1.0, 2.0), (0.0, 1.0)], ids=["at_a", "at_b"])
+    def test_root_at_an_end_of_the_bracket(self, bracket):
+        def f(x):
+            return x - 1.0
+
+        want = brentq(f, *bracket)
+        assert want == 1.0
+        assert _brentq(f, *bracket, 1e-15, 8.9e-16).hex() == want.hex()
+
     def test_no_convergence_within_maxiter(self, monkeypatch):
         (f, lo, hi, xtol, rtol), = recorded_brackets(BASE, DEFAULT_PARAMS, POWER_EQUALS_TORQUE)
         root, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
@@ -294,6 +319,17 @@ class TestBrentPort:
         monkeypatch.setattr(scenario, "_brentq", partial(_brentq, maxiter=n - 1))
         with pytest.raises(NoConvergence):
             steady_state_init(BASE, DEFAULT_PARAMS)
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("dt", [0.0, -0.02, math.nan])
+    def test_dt_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            replace(make_config(t_end=2.0), dt=dt)
+
+    def test_horizon_must_cover_a_step(self):
+        with pytest.raises(ValueError, match="t_end must cover at least one step"):
+            replace(make_config(t_end=2.0), t_end=0.01)
 
 
 class TestTimeGrid:
@@ -581,6 +617,12 @@ class TestFilterSeries:
         cfg = make_config(t_end=2.0)
         with pytest.raises(ValueError):
             filter_series(cfg, np.zeros((5, 3)))
+
+    def test_unknown_variant(self):
+        cfg = make_config(t_end=2.0)
+        series = np.zeros((len(time_grid(cfg)), 3))
+        with pytest.raises(ValueError, match="unknown filter variant 'ukf'"):
+            filter_series(cfg, series, variants=(CKF, "ukf"))
 
     def test_lockstep_variants_match_separate_runs(self):
         cfg = make_config(t_end=2.0)
