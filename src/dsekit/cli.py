@@ -73,7 +73,7 @@ def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read measurements: {exc}") from None
     if not lines:
         raise ConfigError(str(path), "measurement file is empty")

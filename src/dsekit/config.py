@@ -104,6 +104,9 @@ def _diag4(section: dict, path: str, key: str, default: tuple) -> tuple:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ConfigError(f"{path}.{key}", "expected a list of 4 numbers")
+    # json.load reads NaN and Infinity literals
+    if not all(math.isfinite(v) for v in value):
+        raise ConfigError(f"{path}.{key}", f"expected finite numbers, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -111,13 +114,16 @@ def load_config(path) -> dict:
     """Read and parse a JSON configuration file.
 
     Raises:
-        ConfigError: the file is missing or not valid JSON.
+        ConfigError: the file is missing, unreadable (a directory, say, or
+            not UTF-8 text) or not valid JSON.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(str(path), "file not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), f"cannot read configuration: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -21,7 +21,9 @@ iter_batch symmetrizes its prior once.
 A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
 and carries on with the rest.  Members never mix: each member's result is
-the same bits whatever else shares its batch.
+the same bits whatever else shares its batch.  The model maps never raise:
+a point a map cannot evaluate comes out not finite, and the finiteness
+gate on the mapped points names the member it belongs to.
 
 The stages compute under the caller's floating-point error state: a
 failing member's numbers come out NaN or infinite and are caught by the
@@ -76,7 +78,10 @@ class ProcessModel:
     transition_points and observe_points must be deterministic pure
     functions mapping an (N, n) array of states, row for row, plus an input
     vector to, respectively, the (N, n) next states and the (N, m)
-    measurements.  A row's image must not depend on the other rows.
+    measurements.  A row's image must not depend on the other rows.  A map
+    does not raise on a row it cannot evaluate: that row's image comes out
+    not finite, and the filter stages' finiteness gate names the member
+    it belongs to.
     """
 
     n: int
@@ -301,44 +306,27 @@ def cubature_points(x_hat: Array, S: Array) -> CubatureSet:
     return CubatureSet(points=_points(x_hat, np.asarray(S)), weight=1.0 / (2 * x_hat.shape[-1]))
 
 
-def _map_points(points_map, points: Array, u) -> Array:
-    """Model map over (B, N, n) points, as a C-contiguous array: the
-    layout of a map's output, which may follow that of its input, would
-    otherwise change the bits of the reductions over the points.  A
-    NonFiniteState from the map is traced to the members whose points
-    raise it."""
-    B, N, n = points.shape
-    try:
-        out = points_map(points.reshape(B * N, n), u)
-    except NonFiniteState as exc:
-        if B == 1:
-            raise _member_failure(NonFiniteState, str(exc), [0]) from exc
-        bad = []
-        for b in range(B):
-            try:
-                _map_points(points_map, points[b : b + 1], u)
-            except NonFiniteState:
-                bad.append(b)
-        raise _member_failure(NonFiniteState, str(exc), bad) from exc
-    return np.ascontiguousarray(out, dtype=float).reshape(B, N, -1)
-
-
 def _mapped_points(
-    x: Array, P: Array, points_map, u: Array, what: str
+    x: Array, P: Array, points_map, u: Array, failure: str
 ) -> tuple[Array, Array, Array]:
     """Cubature points on (x, P), and the mean of their images under a
     model map with each image's deviation from it, all (B, ...).
 
     Raises:
         DecompositionFailure: P cannot be factorized.
-        NonFiniteState: an image is not finite.
+        NonFiniteState: an image is not finite, with the message failure;
+            exc.members lists the members whose images those are.
     """
     pts = _points(x, _factored(P))
-    images = _map_points(points_map, pts, u)
+    B, N, n = pts.shape
+    # C-contiguous: the layout of a map's output, which may follow that of
+    # its input, would otherwise change the bits of the reductions below
+    images = np.ascontiguousarray(points_map(pts.reshape(B * N, n), u), dtype=float)
+    images = images.reshape(B, N, -1)
     bad = _nonfinite_members(images)
     if bad.size:
-        raise _member_failure(NonFiniteState, f"{what} points are not finite", bad)
-    mean = np.add.reduce(images, axis=1) / pts.shape[1]
+        raise _member_failure(NonFiniteState, failure, bad)
+    mean = np.add.reduce(images, axis=1) / N
     return pts, mean, images - mean[:, None, :]
 
 
@@ -355,7 +343,8 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
         DecompositionFailure: the posterior covariance cannot be factorized.
     """
     _, x_pred, centered = _mapped_points(
-        state.x_hat, state.P, model.transition_points, u, "propagated cubature"
+        state.x_hat, state.P, model.transition_points, u,
+        "integration step produced a non-finite state",
     )
     P_pred = _T(centered) @ centered
     P_pred /= centered.shape[1]
@@ -370,7 +359,7 @@ def _measurement_stats(
     and cross covariance, all (B, ...) from a fresh point set on the prior."""
     x = predicted.x_hat
     pts, z_hat, Zc = _mapped_points(
-        x, predicted.P, model.observe_points, u, "projected measurement"
+        x, predicted.P, model.observe_points, u, "projected measurement points are not finite"
     )
     N = pts.shape[1]
     core = _T(Zc) @ Zc

@@ -15,8 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NonFiniteState
-from .filters import ProcessModel, _all_finite
+from .filters import ProcessModel
 
 POWER_EQUALS_TORQUE = "power_equals_torque"
 DIVIDE_BY_SPEED = "divide_by_speed"
@@ -159,10 +158,10 @@ _ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, pow=np.float_power)
 # on, elementwise on arrays.  Float time over array time on a 2-core x86 VM
 # (median of 21 paired timings, range over three such medians): an RK4 step
 # 0.74-0.83 at 24 rows, 0.94-1.10 at 32 and 1.17-1.27 at 40;
-# observe_points 0.92-1.00 at 16 rows and 1.28-1.37 at 24; power_variance,
-# which shares FLOAT_ROWS, 0.78 at 16 and 1.08-1.13 at 24.  The filters map
-# 8 cubature points per member, so these batches come in multiples of 8
-# rows, and R is evaluated at one row per member.
+# observe_points 0.92-1.00 at 16 rows and 1.28-1.37 at 24; the power
+# variance, which shares FLOAT_ROWS, 0.78 at 16 and 1.08-1.13 at 24.  The
+# filters map 8 cubature points per member, so these batches come in
+# multiples of 8 rows, and R is evaluated at one row per member.
 RK4_FLOAT_ROWS = 24
 FLOAT_ROWS = 16
 
@@ -281,8 +280,9 @@ def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.nd
 
 
 def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
-    """power_variance with the machine and the sigmas bound once: a map
-    (x, u) -> (N,) for a caller that evaluates it at every step."""
+    """Power channel variance of measurement_covariance as a map
+    (x, u) -> (N,) over the states in the rows of x, under one input
+    vector u or one per row, with the machine and the sigmas bound once."""
     xdp, xqp, k = _params_tuple(params)[:3]
     sigma_u, sigma_phi = sigmas.sigma_u, sigmas.sigma_phi
 
@@ -290,14 +290,6 @@ def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
         return (_power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp),)
 
     return lambda x, u: _rows_map(formula, x, u, 1)[:, 0]
-
-
-def power_variance(
-    x: np.ndarray, u: np.ndarray, params: MachineParams, sigmas: MeasurementSigmas
-) -> np.ndarray:
-    """Power channel variance of measurement_covariance for the states in
-    the rows of x, under one input vector u or one per row."""
-    return power_variance_map(params, sigmas)(x, u)
 
 
 def stator_currents(state: MachineState, inputs: MachineInputs, params: MachineParams) -> StatorCurrents:
@@ -386,11 +378,8 @@ def as_process_model(
     RK4 step of length dt with the input vector (t_m, e_f, u_t, phi) held
     over the step; observe_points maps each row to the triple (delta,
     1 + delta_omega, electrical power).  Every row gets the same bits at
-    any N.  transition_points raises NonFiniteState when a propagated
-    point is not finite.  Its check is the filters' whole-array gate,
-    which passes every finite point set without a warning; on an infinite
-    entry it may draw numpy's invalid RuntimeWarning under the caller's
-    error state before it raises, which the filter engine's steps ignore.
+    any N.  Neither map raises: a row it cannot evaluate comes out not
+    finite, as the ProcessModel contract asks.
     """
     _check_torque_mode(torque_mode)
     if not dt > 0.0:
@@ -402,15 +391,9 @@ def as_process_model(
     def step(d, w, eq, ed, tm, ef, ut, phi, xp):
         return _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp)
 
-    def transition_points(points: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = _rows_map(step, points, u, 4, RK4_FLOAT_ROWS)
-        if not _all_finite(out):
-            raise NonFiniteState("integration step produced a non-finite state")
-        return out
-
     return ProcessModel(
         n=4,
         m=3,
-        transition_points=transition_points,
+        transition_points=lambda points, u: _rows_map(step, points, u, 4, RK4_FLOAT_ROWS),
         observe_points=lambda points, u: _rows_map(measurement, points, u, 3),
     )

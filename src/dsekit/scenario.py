@@ -36,7 +36,6 @@ from .machine import (
     _rk4,
     as_process_model,
     observe_points,
-    power_variance,
     power_variance_map,
 )
 from .noise import (
@@ -421,7 +420,7 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
                     x = _rk4(*x, tm, ef, ut, phi, pt, divide, dt, math)
                 except _FLOAT_FAULTS as exc:
                     raise NonFiniteState(
-                        f"truth integration failed at step {k}: integration step overflowed: {exc}"
+                        f"truth integration failed at step {k}: {type(exc).__name__}: {exc}"
                     ) from exc
                 if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
                     raise NonFiniteState(f"truth integration failed at step {k}")
@@ -464,7 +463,7 @@ def synthesize_measurements(
     per_step = None
     if specs[2] is None:
         specs[2] = NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)
-        per_step = {2: np.sqrt(power_variance(truth, u_arr, cfg.machine, cfg.sigmas))}
+        per_step = {2: np.sqrt(power_variance_map(cfg.machine, cfg.sigmas)(truth, u_arr))}
     streams = [SeededStream(cfg.seed, (0, ch)) for ch in range(3)]
     corrupted = corrupt(clean, specs, streams, per_step)
     corrupted = inject_outliers(corrupted, cfg.outliers, cfg.dt)

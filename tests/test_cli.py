@@ -148,7 +148,7 @@ class TestSimulate:
         "dip, message",
         [
             # the sine of an infinite angle raises inside the RK4 step
-            (1e200, "truth integration failed at step 61: integration step overflowed: "),
+            (1e200, "truth integration failed at step 61: ValueError: math domain error\n"),
             # the power comes out inf - inf = nan without raising
             (1e308, "truth integration failed at step 61\n"),
         ],
@@ -173,6 +173,18 @@ class TestSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert run("simulate", "--config", str(path), "--quiet") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"note": "\xe9"}')
+        assert run("simulate", "--config", str(path), "--quiet") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: config key '{path}': cannot read configuration: "
+        )
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, lambda d: d.update(extra={}))
@@ -348,15 +360,30 @@ class TestEstimate:
             f"error: config key '{path}': measurement file is empty\n"
         )
 
-    def test_unreadable_measurements_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_measurements_exit_2(self, tmp_path, capsys, kind):
         cfg = write_config(tmp_path)
+        path = tmp_path
+        if kind == "non_utf8":
+            path = measurements_file(tmp_path, cfg)
+            path.write_bytes(path.read_bytes().replace(b"t,", b"\xe9,", 1))
         code = run(
             "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
-            "--measurements", str(tmp_path),
+            "--measurements", str(path),
         )
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
-            f"error: config key '{tmp_path}': cannot read measurements: "
+            f"error: config key '{path}': cannot read measurements: "
+        )
+
+    @pytest.mark.parametrize("key", ["p0_diag", "q_diag"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_init_diagonal_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, lambda d: d["init"].update({key: [value, 1e-6, 1e-6, 1e-6]}))
+        code = run("estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: config key 'init.{key}': expected finite numbers"
         )
 
     def test_infeasible_operating_point_exits_3(self, tmp_path, capsys):

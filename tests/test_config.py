@@ -396,6 +396,18 @@ class TestInitSection:
     def test_nonpositive_entries(self):
         expect_error("init", lambda d: d["init"].update(q_diag=[0.0, 1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("key", ["p0_diag", "q_diag"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_entries(self, tmp_path, key, value):
+        # json.load reads the NaN and Infinity literals that json.dumps writes
+        doc = default_config()
+        doc["init"][key] = [value, 1e-6, 1e-6, 1e-6]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="expected finite numbers") as info:
+            build_scenario(load_config(path))
+        assert info.value.key == f"init.{key}"
+
 
 class TestShippedConfigs:
     CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -25,7 +25,7 @@ from dsekit.filters import (
     rckf_update,
     time_predict,
 )
-from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance
+from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance_map
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
     batch_filters,
@@ -185,12 +185,12 @@ def assert_frozen(frozen, member, kind, step, message):
     assert str(exc) == f"measurement index {step}: {message}"
 
 
-def linear_run(x0, P0, thresholds, R_provider, steps=8):
+def linear_run(x0, P0, thresholds, R_provider, steps=8, model=LINEAR):
     x0 = np.asarray(x0, dtype=float)
     measurements = np.tile(np.array([0.3, 0.3, 1.1]), (steps, len(x0), 1))
     return trajectories(
         iter_batch(
-            LINEAR,
+            model,
             FilterState(x0, np.asarray(P0, dtype=float)),
             [np.zeros(1)] * steps,
             measurements,
@@ -258,6 +258,35 @@ def test_division_by_zero_speed_freezes_with_message_and_step(variants):
         )
     for member in range(width):
         assert_same_path(paths[member], alone[member])
+
+
+@pytest.mark.parametrize(
+    "hook, message",
+    [
+        ("transition_points", "integration step produced a non-finite state"),
+        ("observe_points", "projected measurement points are not finite"),
+    ],
+)
+def test_map_giving_nan_rows_freezes_the_member(hook, message):
+    # a model map does not raise on rows it cannot evaluate but gives them
+    # NaN; the engine's gate on the mapped points names the marked member
+    linear_map = getattr(LINEAR, hook)
+
+    def nan_where_marked(x, u):
+        out = linear_map(x, u)
+        out[x[:, 3] > MARKED] = math.nan
+        return out
+
+    model = replace(LINEAR, **{hook: nan_where_marked})
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    R = np.eye(3) * 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths, frozen = linear_run(LINEAR_X0, P0, [1.5, 1.5], R, model=model)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [1.5], R, model=model)
+    assert sorted(frozen) == [1]
+    assert_frozen(frozen, 1, NonFiniteState, 0, message)
+    assert_same_path(paths[0], alone[0])
 
 
 def test_non_positive_definite_prior_freezes_after_the_jitter_ladder():
@@ -386,12 +415,13 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(time_grid(cfg))
     Q = np.diag(cfg.init.q_diag)
+    variance = power_variance_map(cfg.machine, cfg.sigmas)
 
     def provider(step, predicted, u_obs):
         R = np.zeros((len(predicted.x_hat), 3, 3))
         R[:, 0, 0] = cfg.sigmas.sigma_delta**2
         R[:, 1, 1] = cfg.sigmas.sigma_omega**2
-        R[:, 2, 2] = power_variance(predicted.x_hat, u_obs, cfg.machine, cfg.sigmas)
+        R[:, 2, 2] = variance(predicted.x_hat, u_obs)
         return R
 
     prior = np.stack([initial_filter_state(cfg, s, x0).x_hat for s in series])

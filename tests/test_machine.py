@@ -9,12 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from dsekit.errors import NonFiniteState
 from dsekit.machine import (
     DEFAULT_PARAMS,
     DIVIDE_BY_SPEED,
     FLOAT_ROWS,
     POWER_EQUALS_TORQUE,
+    RK4_FLOAT_ROWS,
     MachineInputs,
     MachineParams,
     MachineState,
@@ -24,7 +24,7 @@ from dsekit.machine import (
     measurement_covariance,
     observe_points,
     power_partials,
-    power_variance,
+    power_variance_map,
     state_derivative,
     stator_currents,
 )
@@ -324,6 +324,7 @@ class TestProcessModelWrapper:
         for torque_mode in (POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED):
             model = as_process_model(DEFAULT_PARAMS, 0.02, torque_mode)
             divide = torque_mode == DIVIDE_BY_SPEED
+            variance = power_variance_map(DEFAULT_PARAMS, sigmas)
             for size in (1, 8, 16, 17, 24, 25, 100):
                 states = [random_state(rng) for _ in range(size)]
                 points = np.array([s.as_array() for s in states])
@@ -336,9 +337,7 @@ class TestProcessModelWrapper:
                 )
                 assert_allclose(model.observe_points(points, u), expected, rtol=0.0, atol=0.0)
                 expected = [measurement_covariance(s, inputs, DEFAULT_PARAMS, sigmas)[2, 2] for s in states]
-                assert_allclose(
-                    power_variance(points, u, DEFAULT_PARAMS, sigmas), expected, rtol=0.0, atol=0.0
-                )
+                assert_allclose(variance(points, u), expected, rtol=0.0, atol=0.0)
                 # one input row per state, as measurement synthesis passes them
                 rows = np.array([random_inputs(rng).as_array() for _ in range(size)])
                 expected = np.array([
@@ -348,35 +347,30 @@ class TestProcessModelWrapper:
                 assert_allclose(observe_points(points, rows, DEFAULT_PARAMS), expected, rtol=0.0, atol=0.0)
                 # a row whose evaluation faults (the sine of an infinite
                 # angle) comes out NaN on the float rows and not finite on
-                # the arrays; the other rows keep their bits
+                # the arrays, without raising; the other rows keep their bits
                 faulty = points.copy()
                 faulty[size // 2, 0] = math.inf
                 others = np.arange(size) != size // 2
-                for got, clean in (
-                    (model.observe_points(faulty, u), model.observe_points(points, u)),
-                    (power_variance(faulty, u, DEFAULT_PARAMS, sigmas),
-                     power_variance(points, u, DEFAULT_PARAMS, sigmas)),
+                for points_map, float_rows in (
+                    (model.transition_points, RK4_FLOAT_ROWS),
+                    (model.observe_points, FLOAT_ROWS),
+                    (variance, FLOAT_ROWS),
                 ):
+                    got, clean = points_map(faulty, u), points_map(points, u)
                     np.testing.assert_array_equal(got[others], clean[others])
                     assert not np.isfinite(got[size // 2]).all()
-                    assert np.isnan(got[size // 2]).all() or size > FLOAT_ROWS
+                    assert np.isnan(got[size // 2]).all() or size > float_rows
 
     def test_dimensions(self):
         model = as_process_model(DEFAULT_PARAMS, 0.02)
         assert model.n == 4
         assert model.m == 3
 
-    def test_overflow_becomes_nonfinite_state(self):
-        model = as_process_model(DEFAULT_PARAMS, 0.02)
-        huge = np.array([0.0, 1e308, 1e308, 0.0])
-        with pytest.raises(NonFiniteState):
-            model.transition_points(huge[None, :], np.array([0.8, 2.0, 1.0, 0.0]))
-
     @pytest.mark.parametrize("rows", [1, 30])
     def test_finite_row_whose_squares_overflow_is_not_flagged(self, rows):
         # an e_q' of 1e160 propagates to a finite row near 1e160, whose
-        # squares would overflow; the finiteness gate must pass it without
-        # a warning, called directly outside any errstate
+        # squares would overflow; the map must give it without a warning,
+        # called directly outside any errstate
         model = as_process_model(DEFAULT_PARAMS, 0.02)
         points = np.tile([0.1, 0.0, 1.0, 0.2], (rows, 1))
         points[rows // 2, 2] = 1e160
@@ -405,19 +399,36 @@ class TestProcessModelWrapper:
             np.testing.assert_array_equal(model.transition_points(points, u), expected)
 
     @pytest.mark.parametrize("rows", [1, 30])
-    def test_division_by_zero_speed_is_a_non_finite_state(self, rows):
-        # a speed deviation of exactly -1 divides the power by zero: the
-        # float rows and the array path both give a non-finite row, without
-        # a warning
-        model = as_process_model(DEFAULT_PARAMS, 0.02, DIVIDE_BY_SPEED)
+    @pytest.mark.parametrize(
+        "torque_mode, speed, fault",
+        [
+            # a speed deviation of 1e308 overflows the RK4 stages
+            (POWER_EQUALS_TORQUE, 1e308, None),
+            # one of exactly -1 divides the power by zero, where the float
+            # oracle raises
+            (DIVIDE_BY_SPEED, -1.0, ZeroDivisionError),
+        ],
+        ids=["overflow", "division_by_zero"],
+    )
+    def test_faulting_row_comes_out_non_finite(self, torque_mode, speed, fault, rows):
+        # the transition map does not raise: on the float rows (1) and on
+        # the array path (30) alike, the faulting row comes out not finite
+        # without a warning, and the other rows keep their bits
+        model = as_process_model(DEFAULT_PARAMS, 0.02, torque_mode)
+        divide = torque_mode == DIVIDE_BY_SPEED
         rng = np.random.default_rng(rows)
         points = np.array([random_state(rng).as_array() for _ in range(rows)])
-        points[rows // 2, 1] = -1.0
+        points[rows // 2, 1] = speed
         u = np.array([0.8, 2.0, 1.0, 0.3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteState, match="integration step produced a non-finite state"):
-                model.transition_points(points, u)
-        # the row does divide by zero: the float oracle raises there
-        with pytest.raises(ZeroDivisionError):
-            machine_rk4(points[rows // 2].tolist(), u.tolist(), DEFAULT_PARAMS, 0.02, True)
+            out = model.transition_points(points, u)
+        assert not np.isfinite(out[rows // 2]).all()
+        for i in range(rows):
+            if i != rows // 2:
+                np.testing.assert_array_equal(
+                    out[i], machine_rk4(points[i], u, DEFAULT_PARAMS, 0.02, divide)
+                )
+        if fault is not None:
+            with pytest.raises(fault):
+                machine_rk4(points[rows // 2].tolist(), u.tolist(), DEFAULT_PARAMS, 0.02, divide)
