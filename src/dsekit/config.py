@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import Any
 
 from .errors import ConfigError, InvalidConfig, InvalidWindow
@@ -24,10 +24,12 @@ from .machine import (
 )
 from .noise import (
     CAUCHY,
+    CAUCHY_LOCATION_SIGMAS,
     CHANNELS,
     GAUSSIAN_BIASED,
     GAUSSIAN_WHITE,
     LAPLACE,
+    NOISE_KINDS,
     NoiseSpec,
     OutlierSpec,
 )
@@ -35,11 +37,38 @@ from .scenario import FaultSpec, InitSpec, ScenarioConfig, build_fault_profile
 
 _REQUIRED = object()
 
+# The JSON types each value kind accepts, and its name in messages.  A bool
+# is an int to Python, but neither a number nor an integer here.
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+}
+
 # Bias magnitudes of the biased noise presets: 20 degrees on the angle
 # channel, one percent of nominal speed on the speed channel.
 PRESET_MU_DELTA = math.radians(20.0)
 PRESET_MU_OMEGA = 0.01
-NOISE_PRESETS = (1, 2, 3, 4)
+# The noise kind of each numbered preset; every kind but white noise
+# carries the preset biases.
+_PRESET_KINDS = {1: GAUSSIAN_WHITE, 2: GAUSSIAN_BIASED, 3: LAPLACE, 4: CAUCHY}
+NOISE_PRESETS = tuple(_PRESET_KINDS)
+
+# scenario.sigmas key -> the MeasurementSigmas field it sets, and the
+# conversion from the key's unit
+_SIGMA_KEYS = {
+    "delta_deg": ("sigma_delta", math.radians),
+    "omega_pu": ("sigma_omega", float),
+    "u_rel": ("sigma_u", float),
+    "phi_deg": ("sigma_phi", math.radians),
+}
+
+# The outliers keys that place each manner's outliers
+_PLACEMENT_KEYS = {
+    "none": (),
+    "single": ("time",),
+    "window": ("t_start", "t_end"),
+}
 
 
 def _check_keys(section: dict, path: str, allowed: tuple[str, ...]) -> None:
@@ -59,39 +88,45 @@ def _section(doc: dict, key: str, required: bool = False) -> dict:
     return value
 
 
-def _num(section: dict, path: str, key: str, default: Any = _REQUIRED) -> float:
+def _value(
+    section: dict, path: str, key: str, default: Any = _REQUIRED, kind: type = float
+) -> Any:
+    """section[key] checked to be of the given kind (float, int or str), or
+    the default when the key is absent; a float comes back finite."""
     if key not in section:
         if default is _REQUIRED:
             raise ConfigError(f"{path}.{key}", "missing required value")
         return default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}.{key}", f"expected {name}, got {value!r}")
+    if kind is not float:
+        return value
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _int(section: dict, path: str, key: str, default: Any = _REQUIRED) -> int:
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}", "missing required value")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return value
+def _fields(cls, section: dict, path: str, skip: str = "", extra: tuple = ()) -> dict:
+    """Every field of dataclass cls except skip, read from section as a
+    number under its own name, in field order, and required unless the
+    field has a default.  extra names further keys the section may hold."""
+    read = [f for f in fields(cls) if f.name != skip]
+    _check_keys(section, path, tuple(f.name for f in read) + extra)
+    return {
+        f.name: _value(section, path, f.name, _REQUIRED if f.default is MISSING else f.default)
+        for f in read
+    }
 
 
-def _str(section: dict, path: str, key: str, default: Any = _REQUIRED) -> str:
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}", "missing required value")
-        return default
-    value = section[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}", f"expected a string, got {value!r}")
-    return value
+def _build(make, path: str, errors, **kwargs):
+    """make(**kwargs), with the errors its own validation raises reported as
+    a ConfigError at path."""
+    try:
+        return make(**kwargs)
+    except errors as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _diag4(section: dict, path: str, key: str, default: tuple) -> tuple:
@@ -142,73 +177,41 @@ def noise_preset(preset: int, sigmas: MeasurementSigmas):
     """
     if preset not in NOISE_PRESETS:
         raise ConfigError("noise.preset", f"expected one of {NOISE_PRESETS}, got {preset}")
+    kind = _PRESET_KINDS[preset]
     sd, so = sigmas.sigma_delta, sigmas.sigma_omega
-    if preset == 1:
-        return (
-            NoiseSpec(GAUSSIAN_WHITE, sd),
-            NoiseSpec(GAUSSIAN_WHITE, so),
-            None,
-        )
-    if preset == 2:
-        return (
-            NoiseSpec(GAUSSIAN_BIASED, sd, PRESET_MU_DELTA),
-            NoiseSpec(GAUSSIAN_BIASED, so, PRESET_MU_OMEGA),
-            None,
-        )
-    if preset == 3:
-        return (
-            NoiseSpec(LAPLACE, sd, PRESET_MU_DELTA),
-            NoiseSpec(LAPLACE, so, PRESET_MU_OMEGA),
-            None,
-        )
+    if kind == GAUSSIAN_WHITE:
+        return (NoiseSpec(kind, sd), NoiseSpec(kind, so), None)
+    # a Cauchy draw is located CAUCHY_LOCATION_SIGMAS stds above mu, so mu
+    # takes that offset off to put the location on the bias
+    offset = CAUCHY_LOCATION_SIGMAS if kind == CAUCHY else 0.0
     return (
-        NoiseSpec(CAUCHY, sd, PRESET_MU_DELTA - 10.0 * sd),
-        NoiseSpec(CAUCHY, so, PRESET_MU_OMEGA - 10.0 * so),
+        NoiseSpec(kind, sd, PRESET_MU_DELTA - offset * sd),
+        NoiseSpec(kind, so, PRESET_MU_OMEGA - offset * so),
         None,
     )
 
 
 def _parse_machine(doc: dict) -> MachineParams:
     sec = _section(doc, "machine", required=True)
-    _check_keys(
-        sec,
-        "machine",
-        (
-            "x_d", "x_d_prime", "x_q", "x_q_prime",
-            "t_d0_prime", "t_q0_prime", "t_j", "damping", "f_hz",
-        ),
-    )
-    try:
-        return MachineParams(
-            x_d=_num(sec, "machine", "x_d"),
-            x_d_prime=_num(sec, "machine", "x_d_prime"),
-            x_q=_num(sec, "machine", "x_q"),
-            x_q_prime=_num(sec, "machine", "x_q_prime"),
-            t_d0_prime=_num(sec, "machine", "t_d0_prime"),
-            t_q0_prime=_num(sec, "machine", "t_q0_prime"),
-            t_j=_num(sec, "machine", "t_j"),
-            damping=_num(sec, "machine", "damping"),
-            omega_0=2.0 * math.pi * _num(sec, "machine", "f_hz", 60.0),
-        )
-    except ValueError as exc:
-        raise ConfigError("machine", str(exc)) from None
+    # the section gives the electrical frequency in Hz in place of omega_0
+    params = _fields(MachineParams, sec, "machine", skip="omega_0", extra=("f_hz",))
+    omega_0 = 2.0 * math.pi * _value(sec, "machine", "f_hz", 60.0)
+    return _build(MachineParams, "machine", ValueError, **params, omega_0=omega_0)
 
 
 def _parse_sigmas(scenario: dict) -> MeasurementSigmas:
     sec = _section(scenario, "sigmas")
-    _check_keys(sec, "scenario.sigmas", ("delta_deg", "omega_pu", "u_rel", "phi_deg"))
-    try:
-        return MeasurementSigmas(
-            sigma_delta=math.radians(_num(sec, "scenario.sigmas", "delta_deg", 2.0)),
-            sigma_omega=_num(sec, "scenario.sigmas", "omega_pu", 0.001),
-            sigma_u=_num(sec, "scenario.sigmas", "u_rel", 0.001),
-            sigma_phi=math.radians(_num(sec, "scenario.sigmas", "phi_deg", 0.1)),
-        )
-    except ValueError as exc:
-        raise ConfigError("scenario.sigmas", str(exc)) from None
+    _check_keys(sec, "scenario.sigmas", tuple(_SIGMA_KEYS))
+    values = {
+        name: convert(_value(sec, "scenario.sigmas", key))
+        for key, (name, convert) in _SIGMA_KEYS.items()
+        if key in sec
+    }
+    return _build(MeasurementSigmas, "scenario.sigmas", ValueError, **values)
 
 
-def _parse_noise_channel(sec: dict, path: str, channel: str):
+def _parse_noise_channel(sec: dict, channel: str):
+    path = f"noise.{channel}"
     spec = sec[channel]
     if channel == "pe":
         if spec == "auto":
@@ -216,24 +219,16 @@ def _parse_noise_channel(sec: dict, path: str, channel: str):
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object (or \"auto\" for pe)")
     _check_keys(spec, path, ("kind", "sigma_deg", "mu_deg", "sigma_pu", "mu_pu"))
-    kind = _str(spec, path, "kind")
-    if kind not in (GAUSSIAN_WHITE, GAUSSIAN_BIASED, LAPLACE, CAUCHY):
+    kind = _value(spec, path, "kind", kind=str)
+    if kind not in NOISE_KINDS:
         raise ConfigError(f"{path}.kind", f"unknown noise kind {kind!r}")
-    degrees = channel == "delta"
-    sigma_key = "sigma_deg" if degrees else "sigma_pu"
-    mu_key = "mu_deg" if degrees else "mu_pu"
-    for wrong in (("sigma_pu", "mu_pu") if degrees else ("sigma_deg", "mu_deg")):
-        if wrong in spec:
-            raise ConfigError(f"{path}.{wrong}", f"not applicable to channel {channel!r}")
-    sigma = _num(spec, path, sigma_key)
-    mu = _num(spec, path, mu_key, 0.0)
-    if degrees:
-        sigma = math.radians(sigma)
-        mu = math.radians(mu)
-    try:
-        return NoiseSpec(kind=kind, sigma=sigma, mu=mu)
-    except InvalidConfig as exc:
-        raise ConfigError(path, str(exc)) from None
+    unit, convert = ("deg", math.radians) if channel == "delta" else ("pu", float)
+    for key in spec:
+        if key != "kind" and not key.endswith(unit):
+            raise ConfigError(f"{path}.{key}", f"not applicable to channel {channel!r}")
+    sigma = convert(_value(spec, path, f"sigma_{unit}"))
+    mu = convert(_value(spec, path, f"mu_{unit}", 0.0))
+    return _build(NoiseSpec, path, InvalidConfig, kind=kind, sigma=sigma, mu=mu)
 
 
 def _parse_noise(doc: dict, sigmas: MeasurementSigmas):
@@ -242,61 +237,50 @@ def _parse_noise(doc: dict, sigmas: MeasurementSigmas):
         return noise_preset(1, sigmas)
     if "preset" in sec:
         _check_keys(sec, "noise", ("preset",))
-        return noise_preset(_int(sec, "noise", "preset"), sigmas)
-    _check_keys(sec, "noise", ("delta", "omega", "pe"))
+        return noise_preset(_value(sec, "noise", "preset", kind=int), sigmas)
+    _check_keys(sec, "noise", CHANNELS)
     for channel in ("delta", "omega"):
         if channel not in sec:
             raise ConfigError(f"noise.{channel}", "missing required value")
-    specs = [
-        _parse_noise_channel(sec, "noise.delta", "delta"),
-        _parse_noise_channel(sec, "noise.omega", "omega"),
-    ]
-    if "pe" in sec:
-        specs.append(_parse_noise_channel(sec, "noise.pe", "pe"))
-    else:
-        specs.append(None)
-    return tuple(specs)
+    # the power channel, when absent, is synthesized from its propagated variance
+    return tuple(
+        _parse_noise_channel(sec, channel) if channel in sec else None for channel in CHANNELS
+    )
 
 
 def _parse_outliers(doc: dict) -> OutlierSpec:
     sec = _section(doc, "outliers")
+    defaults = OutlierSpec()
     if not sec:
-        return OutlierSpec.none()
+        return defaults
     _check_keys(sec, "outliers", ("manner", "time", "t_start", "t_end", "channel", "scale"))
-    manner = _str(sec, "outliers", "manner")
-    channel = _str(sec, "outliers", "channel", "omega")
+    manner = _value(sec, "outliers", "manner", kind=str)
+    channel = _value(sec, "outliers", "channel", defaults.channel, str)
     if channel not in CHANNELS:
         raise ConfigError("outliers.channel", f"expected one of {CHANNELS}, got {channel!r}")
-    scale = _num(sec, "outliers", "scale", 1.1)
-    try:
-        if manner == "none":
-            return OutlierSpec.none()
-        if manner == "single":
-            return OutlierSpec.single_at(
-                _num(sec, "outliers", "time"), channel=channel, scale=scale
-            )
-        if manner == "window":
-            return OutlierSpec.window(
-                _num(sec, "outliers", "t_start"),
-                _num(sec, "outliers", "t_end"),
-                channel=channel,
-                scale=scale,
-            )
-    except (InvalidConfig, InvalidWindow) as exc:
-        raise ConfigError("outliers", str(exc)) from None
-    raise ConfigError("outliers.manner", f"expected none, single, or window, got {manner!r}")
+    scale = _value(sec, "outliers", "scale", defaults.scale)
+    if manner not in _PLACEMENT_KEYS:
+        raise ConfigError("outliers.manner", f"expected none, single, or window, got {manner!r}")
+    placement = _PLACEMENT_KEYS[manner]
+    for key in ("time", "t_start", "t_end"):
+        if key in sec and key not in placement:
+            raise ConfigError(f"outliers.{key}", f"not applicable to manner {manner!r}")
+    spec = {"manner": manner, "channel": channel, "scale": scale}
+    spec.update((key, _value(sec, "outliers", key)) for key in placement)
+    return _build(OutlierSpec, "outliers", (InvalidConfig, InvalidWindow), **spec)
 
 
 def _parse_filter(doc: dict) -> tuple[HuberConfig, str]:
     sec = _section(doc, "filter")
     _check_keys(sec, "filter", ("huber_c", "reweight_passes", "torque_mode"))
-    c = _num(sec, "filter", "huber_c", 1.5)
-    passes = _int(sec, "filter", "reweight_passes", 1)
+    defaults = HuberConfig()
+    c = _value(sec, "filter", "huber_c", defaults.c)
+    passes = _value(sec, "filter", "reweight_passes", defaults.max_reweight_passes, int)
     if c <= 0.0:
         raise ConfigError("filter.huber_c", f"must be positive, got {c}")
     if passes < 1:
         raise ConfigError("filter.reweight_passes", f"must be at least 1, got {passes}")
-    torque_mode = _str(sec, "filter", "torque_mode", TORQUE_MODES[0])
+    torque_mode = _value(sec, "filter", "torque_mode", TORQUE_MODES[0], str)
     if torque_mode not in TORQUE_MODES:
         raise ConfigError(
             "filter.torque_mode", f"expected one of {TORQUE_MODES}, got {torque_mode!r}"
@@ -308,14 +292,14 @@ def _parse_init(doc: dict) -> InitSpec:
     sec = _section(doc, "init")
     _check_keys(sec, "init", ("p0_diag", "q_diag", "eprime_bias"))
     defaults = InitSpec()
-    try:
-        return InitSpec(
-            p0_diag=_diag4(sec, "init", "p0_diag", defaults.p0_diag),
-            q_diag=_diag4(sec, "init", "q_diag", defaults.q_diag),
-            eprime_bias=_num(sec, "init", "eprime_bias", defaults.eprime_bias),
-        )
-    except ValueError as exc:
-        raise ConfigError("init", str(exc)) from None
+    return _build(
+        InitSpec,
+        "init",
+        ValueError,
+        p0_diag=_diag4(sec, "init", "p0_diag", defaults.p0_diag),
+        q_diag=_diag4(sec, "init", "q_diag", defaults.q_diag),
+        eprime_bias=_value(sec, "init", "eprime_bias", defaults.eprime_bias),
+    )
 
 
 def build_scenario(doc: dict) -> ScenarioConfig:
@@ -328,51 +312,27 @@ def build_scenario(doc: dict) -> ScenarioConfig:
     machine = _parse_machine(doc)
     sec = _section(doc, "scenario", required=True)
     _check_keys(sec, "scenario", ("dt", "t_end", "seed", "base_inputs", "fault", "sigmas"))
-    dt = _num(sec, "scenario", "dt")
-    t_end = _num(sec, "scenario", "t_end")
-    seed = _int(sec, "scenario", "seed")
+    dt = _value(sec, "scenario", "dt")
+    t_end = _value(sec, "scenario", "t_end")
+    seed = _value(sec, "scenario", "seed", kind=int)
     if dt <= 0.0:
         raise ConfigError("scenario.dt", f"must be positive, got {dt}")
     if t_end < dt:
         raise ConfigError("scenario.t_end", "must cover at least one step")
 
     base_sec = _section(sec, "base_inputs", required=True)
-    _check_keys(base_sec, "scenario.base_inputs", ("t_m", "e_f", "u_t", "phi"))
-    try:
-        base = MachineInputs(
-            t_m=_num(base_sec, "scenario.base_inputs", "t_m"),
-            e_f=_num(base_sec, "scenario.base_inputs", "e_f"),
-            u_t=_num(base_sec, "scenario.base_inputs", "u_t"),
-            phi=_num(base_sec, "scenario.base_inputs", "phi"),
-        )
-    except ValueError as exc:
-        raise ConfigError("scenario.base_inputs", str(exc)) from None
+    inputs = _fields(MachineInputs, base_sec, "scenario.base_inputs")
+    base = _build(MachineInputs, "scenario.base_inputs", ValueError, **inputs)
 
     fault = None
     if "fault" in sec and sec["fault"] is not None:
-        fault_sec = _section(sec, "fault")
-        _check_keys(
-            fault_sec,
-            "scenario.fault",
-            ("t_on", "duration", "u_t_dip", "u_t_post", "duration_partial", "u_t_partial"),
-        )
-        try:
-            fault = FaultSpec(
-                t_on=_num(fault_sec, "scenario.fault", "t_on"),
-                duration=_num(fault_sec, "scenario.fault", "duration"),
-                u_t_dip=_num(fault_sec, "scenario.fault", "u_t_dip"),
-                u_t_post=_num(fault_sec, "scenario.fault", "u_t_post"),
-                duration_partial=_num(fault_sec, "scenario.fault", "duration_partial", None),
-                u_t_partial=_num(fault_sec, "scenario.fault", "u_t_partial", None),
-            )
-        except InvalidWindow as exc:
-            raise ConfigError("scenario.fault", str(exc)) from None
+        spec = _fields(FaultSpec, _section(sec, "fault"), "scenario.fault")
+        fault = _build(FaultSpec, "scenario.fault", InvalidWindow, **spec)
 
     sigmas = _parse_sigmas(sec)
-    try:
-        profile = build_fault_profile(base, fault, t_end)
-    except InvalidWindow as exc:
-        raise ConfigError("scenario.fault", str(exc)) from None
+    profile = _build(
+        build_fault_profile, "scenario.fault", InvalidWindow, base=base, fault=fault, t_end=t_end
+    )
 
     huber, torque_mode = _parse_filter(doc)
     # dt, t_end and torque_mode are checked above, under their own keys

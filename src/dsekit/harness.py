@@ -43,6 +43,8 @@ MATRIX_HORIZON = max(SINGLE_OUTLIER_TIME, WINDOW_OUTLIER_SPAN[1])
 
 # Passes over the series in bench_filters; each step reports its fastest.
 BENCH_PASSES = 5
+# Leading steps of each bench_filters series whose times are discarded.
+BENCH_WARMUP = 100
 
 MATRIX_HEADER = (
     "noise", "manner", "filter", "seed", "variable",
@@ -236,22 +238,21 @@ def summarize(matrix: ExperimentMatrix) -> list[tuple]:
     return out
 
 
-def bench_filters(
-    cfg: ScenarioConfig, steps: int, warmup: int = 100
-) -> dict[str, TimingReport]:
+def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
     """Time both filter variants on one scenario.
 
-    The horizon is extended so warmup + steps measurements exist; the
-    first warmup step times are discarded.  Each variant runs as its own
-    batch of one, and the two are stepped in turn, so both are timed under
-    the same machine load.  The series is filtered BENCH_PASSES times;
-    each step keeps its fastest time, so a step slowed by preemption or
-    other load in one pass is timed clean in another.  Timing covers the
-    predict-plus-update work only, not simulation or synthesis.
+    The horizon is extended so BENCH_WARMUP + steps measurements exist;
+    the first BENCH_WARMUP step times are discarded.  Each variant runs as
+    its own batch of one, and the two are stepped in turn, so both are
+    timed under the same machine load.  The series is filtered
+    BENCH_PASSES times; each step keeps its fastest time, so a step slowed
+    by preemption or other load in one pass is timed clean in another.
+    Timing covers the predict-plus-update work only, not simulation or
+    synthesis.
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    needed = (steps + warmup) * cfg.dt
+    needed = (steps + BENCH_WARMUP) * cfg.dt
     bench_cfg = replace(cfg, t_end=max(cfg.t_end, needed))
     x0 = equilibrium(bench_cfg)
     truth = simulate_truth(bench_cfg, x0)
@@ -273,7 +274,7 @@ def bench_filters(
         for variant, t in times.items():
             best[variant] = np.minimum(best[variant], t) if variant in best else t
     return {
-        variant: TimingReport.from_times_ns(variant, times[warmup:])
+        variant: TimingReport.from_times_ns(variant, times[BENCH_WARMUP:])
         for variant, times in best.items()
     }
 

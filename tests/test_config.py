@@ -18,6 +18,7 @@ from dsekit.config import (
     with_seed,
 )
 from dsekit.errors import ConfigError
+from dsekit.harness import manner_outliers
 from dsekit.machine import MeasurementSigmas
 from dsekit.noise import (
     CAUCHY,
@@ -27,6 +28,8 @@ from dsekit.noise import (
     LAPLACE,
     OutlierSpec,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def build(mutate=None):
@@ -437,3 +440,93 @@ class TestReplacements:
     def test_with_outliers(self):
         cfg = with_outliers(build(), OutlierSpec.single_at(6.0))
         assert cfg.outliers.manner == "single"
+
+
+def leaves(doc, prefix=""):
+    """Dotted path and value of every non-object value in a document."""
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from leaves(value, f"{path}.")
+        else:
+            yield path, value
+
+
+def locate(doc, path):
+    """The object that holds the value at a dotted path, and its key there."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        doc = doc[parent]
+    return doc, key
+
+
+LEAVES = dict(leaves(default_config()))
+
+# Values and sections a document may leave out; each of their leaves too
+OPTIONAL_SECTIONS = ("scenario.sigmas", "noise", "outliers", "filter", "init")
+OPTIONAL = (
+    "machine.f_hz",
+    *OPTIONAL_SECTIONS,
+    *(path for path in LEAVES if path.rsplit(".", 1)[0] in OPTIONAL_SECTIONS),
+)
+
+
+class TestReaderContract:
+    def test_every_leaf_is_covered(self):
+        assert len(LEAVES) == 32
+
+    @pytest.mark.parametrize("path", LEAVES)
+    def test_wrong_kind_names_the_leaf(self, path):
+        doc = default_config()
+        section, key = locate(doc, path)
+        section[key] = 1 if isinstance(LEAVES[path], str) else "x"
+        with pytest.raises(ConfigError) as info:
+            build_scenario(doc)
+        assert info.value.key == path
+
+    @pytest.mark.parametrize("path", OPTIONAL)
+    def test_optional_value_defaults_to_the_document_value(self, path):
+        doc = default_config()
+        section, key = locate(doc, path)
+        del section[key]
+        assert build_scenario(doc) == build()
+
+
+class TestOutlierPlacementKeys:
+    def test_none_keeps_channel_and_scale(self):
+        cfg = build(
+            lambda d: d.update(outliers={"manner": "none", "channel": "delta", "scale": 10.0})
+        )
+        assert cfg.outliers == OutlierSpec(manner="none", channel="delta", scale=10.0)
+        # the experiment matrix places its outliers on the configured channel
+        spec = manner_outliers("single", cfg.outliers)
+        assert (spec.channel, spec.scale) == ("delta", 10.0)
+
+    def test_none_checks_scale(self):
+        err = expect_error("outliers", lambda d: d.update(outliers={"manner": "none", "scale": 0}))
+        assert "scale must be positive" in str(err)
+
+    @pytest.mark.parametrize(
+        "outliers, key",
+        [
+            ({"manner": "none", "time": "abc"}, "time"),
+            ({"manner": "none", "t_start": 2.0, "t_end": 3.0}, "t_start"),
+            ({"manner": "single", "time": 6.0, "t_start": "x"}, "t_start"),
+            ({"manner": "single", "time": 6.0, "t_end": 3.0}, "t_end"),
+            ({"manner": "window", "t_start": 2.0, "t_end": 3.0, "time": 6.0}, "time"),
+        ],
+    )
+    def test_key_of_another_manner_rejected(self, outliers, key):
+        err = expect_error(f"outliers.{key}", lambda d: d.update(outliers=outliers))
+        assert err.key == f"outliers.{key}"
+        assert f"not applicable to manner {outliers['manner']!r}" in str(err)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(
+            str(p.relative_to(ROOT))
+            for p in [*ROOT.glob("configs/*.json"), *ROOT.glob("perfbench/configs/*.json")]
+        ),
+    )
+    def test_shipped_configs_build(self, path):
+        build_scenario(load_config(ROOT / path))
