@@ -155,7 +155,9 @@ def cmd_estimate(args) -> int:
         corrupted = _read_measurements_csv(args.measurements, times)
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
     try:
-        estimates, step_times, _ = filter_series(cfg, corrupted, variants, strict=True, x0=x0)
+        estimates, step_times, _ = filter_series(
+            cfg, corrupted[None], variants, strict=True, x0=x0
+        )[0]
     except MEMBER_FAILURES as exc:
         # the message already begins with "measurement index k: "
         print(f"filter diverged: {exc}", file=sys.stderr)

@@ -77,14 +77,16 @@ def _check_keys(section: dict, path: str, allowed: tuple[str, ...]) -> None:
             raise ConfigError(f"{path}.{key}", "unknown key")
 
 
-def _section(doc: dict, key: str, required: bool = False) -> dict:
+def _section(doc: dict, path: str, required: bool = False) -> dict:
+    """doc[key] for the last key of a dotted path; errors name the path."""
+    key = path.rpartition(".")[2]
     if key not in doc:
         if required:
-            raise ConfigError(key, "missing required section")
+            raise ConfigError(path, "missing required section")
         return {}
     value = doc[key]
     if not isinstance(value, dict):
-        raise ConfigError(key, f"expected an object, got {type(value).__name__}")
+        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
     return value
 
 
@@ -200,7 +202,7 @@ def _parse_machine(doc: dict) -> MachineParams:
 
 
 def _parse_sigmas(scenario: dict) -> MeasurementSigmas:
-    sec = _section(scenario, "sigmas")
+    sec = _section(scenario, "scenario.sigmas")
     _check_keys(sec, "scenario.sigmas", tuple(_SIGMA_KEYS))
     values = {
         name: convert(_value(sec, "scenario.sigmas", key))
@@ -320,13 +322,13 @@ def build_scenario(doc: dict) -> ScenarioConfig:
     if t_end < dt:
         raise ConfigError("scenario.t_end", "must cover at least one step")
 
-    base_sec = _section(sec, "base_inputs", required=True)
+    base_sec = _section(sec, "scenario.base_inputs", required=True)
     inputs = _fields(MachineInputs, base_sec, "scenario.base_inputs")
     base = _build(MachineInputs, "scenario.base_inputs", ValueError, **inputs)
 
     fault = None
     if "fault" in sec and sec["fault"] is not None:
-        spec = _fields(FaultSpec, _section(sec, "fault"), "scenario.fault")
+        spec = _fields(FaultSpec, _section(sec, "scenario.fault"), "scenario.fault")
         fault = _build(FaultSpec, "scenario.fault", InvalidWindow, **spec)
 
     sigmas = _parse_sigmas(sec)

@@ -193,6 +193,7 @@ class OutlierSpec:
 
     manner is one of "none", "single", "window"; channel is an index or
     one of the channel names; scale multiplies the affected samples.
+    single_at and window keep the channel and scale defaults unless given.
     """
 
     manner: str = OUTLIER_NONE
@@ -231,12 +232,12 @@ class OutlierSpec:
         return cls(manner=OUTLIER_NONE)
 
     @classmethod
-    def single_at(cls, time: float, channel="omega", scale: float = 1.1) -> "OutlierSpec":
-        return cls(manner=OUTLIER_SINGLE, time=time, channel=channel, scale=scale)
+    def single_at(cls, time: float, **kwargs) -> "OutlierSpec":
+        return cls(manner=OUTLIER_SINGLE, time=time, **kwargs)
 
     @classmethod
-    def window(cls, t_start: float, t_end: float, channel="omega", scale: float = 1.1) -> "OutlierSpec":
-        return cls(manner=OUTLIER_WINDOW, t_start=t_start, t_end=t_end, channel=channel, scale=scale)
+    def window(cls, t_start: float, t_end: float, **kwargs) -> "OutlierSpec":
+        return cls(manner=OUTLIER_WINDOW, t_start=t_start, t_end=t_end, **kwargs)
 
 
 def _grid_index(t: float, dt: float, steps: int, what: str) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby
 from time import perf_counter_ns
 from typing import Sequence
@@ -52,63 +52,30 @@ TRUTH_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Piecewise constant scalar signal over time.
+class InputProfile:
+    """The four machine inputs as one piecewise constant signal: a table
+    with one (t_m, e_f, u_t, phi) row per breakpoint.
 
-    times must start at 0 and increase strictly; each value holds from its
-    breakpoint until the next, and the final value beyond the last.
+    times must start at 0 and increase strictly; each row holds from its
+    breakpoint until the next, and the final row beyond the last.
     """
 
     times: tuple[float, ...]
-    values: tuple[float, ...]
+    values: tuple[tuple[float, float, float, float], ...]
 
     def __post_init__(self):
-        if len(self.times) != len(self.values) or not self.times:
-            raise ValueError("times and values must be equal-length and nonempty")
+        if not self.times or np.shape(self.values) != (len(self.times), 4):
+            raise ValueError("a profile needs a time, and one row of four inputs per time")
         if self.times[0] != 0.0:
-            raise ValueError("schedules must start at t = 0")
+            raise ValueError("profiles must start at t = 0")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("schedule times must increase strictly")
-        if not all(map(math.isfinite, self.times + self.values)):
-            raise ValueError("schedule breakpoints must be finite")
-
-    @classmethod
-    def constant(cls, value: float) -> "Schedule":
-        return cls(times=(0.0,), values=(value,))
+            raise ValueError("profile times must increase strictly")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
+            raise ValueError("profile breakpoints must be finite")
 
     def as_array(self, times: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.times, np.asarray(times, dtype=float), side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return np.asarray(self.values, dtype=float)[idx]
-
-
-@dataclass(frozen=True)
-class InputProfile:
-    """The four machine inputs as schedules sharing one clock."""
-
-    t_m: Schedule
-    e_f: Schedule
-    u_t: Schedule
-    phi: Schedule
-
-    @classmethod
-    def constant(cls, inputs: MachineInputs) -> "InputProfile":
-        return cls(
-            t_m=Schedule.constant(inputs.t_m),
-            e_f=Schedule.constant(inputs.e_f),
-            u_t=Schedule.constant(inputs.u_t),
-            phi=Schedule.constant(inputs.phi),
-        )
-
-    def as_array(self, times: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            (
-                self.t_m.as_array(times),
-                self.e_f.as_array(times),
-                self.u_t.as_array(times),
-                self.phi.as_array(times),
-            )
-        )
+        return np.asarray(self.values, dtype=float)[np.maximum(idx, 0)]
 
 
 @dataclass(frozen=True)
@@ -152,28 +119,27 @@ class FaultSpec:
 def build_fault_profile(
     base: MachineInputs, fault: FaultSpec | None, t_end: float
 ) -> InputProfile:
-    """Constant inputs with the terminal voltage dip spliced in.
+    """Constant inputs with the terminal voltage dip spliced in: the base
+    row, then one row per fault stage, which changes u_t alone.
 
     Raises:
         InvalidWindow: the fault does not fit inside [0, t_end].
     """
-    profile = InputProfile.constant(base)
-    if fault is None:
-        return profile
-    t_off = fault.t_on + fault.duration
-    if fault.t_on <= 0.0 or t_off >= t_end:
-        raise InvalidWindow(
-            f"fault window [{fault.t_on}, {t_off}] must sit strictly inside (0, {t_end})"
-        )
-    times = [0.0, fault.t_on]
-    values = [base.u_t, fault.u_t_dip]
-    if fault.duration_partial is not None:
-        times.append(fault.t_on + fault.duration_partial)
-        values.append(fault.u_t_partial)
-    times.append(t_off)
-    values.append(fault.u_t_post)
-    u_t = Schedule(times=tuple(times), values=tuple(values))
-    return replace(profile, u_t=u_t)
+    stages = [(0.0, base.u_t)]
+    if fault is not None:
+        t_off = fault.t_on + fault.duration
+        if fault.t_on <= 0.0 or t_off >= t_end:
+            raise InvalidWindow(
+                f"fault window [{fault.t_on}, {t_off}] must sit strictly inside (0, {t_end})"
+            )
+        stages.append((fault.t_on, fault.u_t_dip))
+        if fault.duration_partial is not None:
+            stages.append((fault.t_on + fault.duration_partial, fault.u_t_partial))
+        stages.append((t_off, fault.u_t_post))
+    return InputProfile(
+        times=tuple(t for t, _ in stages),
+        values=tuple((base.t_m, base.e_f, u_t, base.phi) for _, u_t in stages),
+    )
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -363,8 +329,7 @@ def equilibrium(cfg: ScenarioConfig) -> MachineState:
     Raises:
         NoConvergence: no pre-fault equilibrium exists.
     """
-    inputs = MachineInputs.from_array(cfg.profile.as_array(np.zeros(1))[0])
-    return steady_state_init(inputs, cfg.machine, cfg.torque_mode)
+    return steady_state_init(MachineInputs(*cfg.profile.values[0]), cfg.machine, cfg.torque_mode)
 
 
 def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.ndarray:
@@ -397,14 +362,12 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     out[0] = x
     flat = out.reshape(-1)
     # step k holds the inputs at t_k, which change only at the first grid
-    # point at or after a schedule breakpoint; a cut where no value changes
+    # point at or after a profile breakpoint; a cut where no value changes
     # costs a restart of the cycle search, not a bit of the output
-    profile = cfg.profile
-    schedules = (profile.t_m, profile.e_f, profile.u_t, profile.phi)
-    breakpoints = [t for schedule in schedules for t in schedule.times[1:]]
-    cuts = sorted({c for c in np.searchsorted(times, breakpoints).tolist() if c < steps})
-    for a, e in zip([0, *cuts], [*cuts, steps]):
-        tm, ef, ut, phi = profile.as_array(times[a : a + 1])[0].tolist()
+    cuts = sorted({c for c in np.searchsorted(times, cfg.profile.times[1:]).tolist() if c < steps})
+    starts = [0, *cuts]
+    segments = zip(starts, [*cuts, steps], cfg.profile.as_array(times[starts]).tolist())
+    for a, e, (tm, ef, ut, phi) in segments:
         # Brent's cycle detection: the saved state moves to the newest one
         # when the steps since it was saved reach a power of two
         saved, t, power = x, a, 1
@@ -532,9 +495,9 @@ def batch_filters(
     if unknown:
         raise ValueError(f"unknown filter variant {sorted(unknown)[0]!r}")
     times = time_grid(cfg)
-    if series.shape[1] != len(times):
+    if series.ndim != 3 or series.shape[1] != len(times):
         raise ValueError(
-            f"measurement series has {series.shape[1]} rows, grid has {len(times)}"
+            f"measurement stack has shape {series.shape}, expected (cells, {len(times)}, 3)"
         )
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(times)
@@ -579,23 +542,20 @@ def filter_series(
 ):
     """Run filter variants over corrupted measurement series, as one batch.
 
-    corrupted is one series (rows, 3) or a stack of series (cells, rows,
-    3) that share cfg's grid, inputs and filter tuning.  Every series gets
-    every requested variant, and all of them advance in lockstep as one
-    batch (batch_filters); each member's estimates are the bits it gets
-    alone.  A member that diverges is recorded in its failures map and
-    dropped, or re-raised when strict is set.  A member's step time is the
-    batch's step wall time divided by the members live at that step.  x0
-    is the equilibrium already solved for cfg, if any.
+    corrupted is a stack of series (cells, rows, 3) that share cfg's grid,
+    inputs and filter tuning; a single series is a stack of one.  Every
+    series gets every requested variant, and all of them advance in
+    lockstep as one batch (batch_filters); each member's estimates are the
+    bits it gets alone.  A member that diverges is recorded in its
+    failures map and dropped, or re-raised when strict is set.  A member's
+    step time is the batch's step wall time divided by the members live at
+    that step.  x0 is the equilibrium already solved for cfg, if any.
 
     Returns:
-        (estimates, step_times_ns, failures), each keyed by variant name,
-        for one series; a list of such triples, one per series, for a
-        stack.
+        A list with one (estimates, step_times_ns, failures) triple per
+        series, each keyed by variant name.
     """
-    corrupted = np.asarray(corrupted, dtype=float)
-    stacked = corrupted.ndim == 3
-    series = corrupted if stacked else corrupted[None]
+    series = np.asarray(corrupted, dtype=float)
     if x0 is None:
         x0 = equilibrium(cfg)
     prior, batch = batch_filters(cfg, series, variants, x0)
@@ -636,7 +596,7 @@ def filter_series(
                 out[0][variant] = estimates[member]
                 out[1][variant] = step_ns[member]
         results.append(out)
-    return results if stacked else results[0]
+    return results
 
 
 def run_scenario(
@@ -652,7 +612,7 @@ def run_scenario(
     x0 = equilibrium(cfg)
     truth = simulate_truth(cfg, x0)
     clean, corrupted = synthesize_measurements(truth, cfg)
-    estimates, step_times, failures = filter_series(cfg, corrupted, variants, strict, x0)
+    estimates, step_times, failures = filter_series(cfg, corrupted[None], variants, strict, x0)[0]
     return RunRecord(
         times=times,
         truth=truth,

@@ -39,6 +39,11 @@ def build(mutate=None):
     return build_scenario(doc)
 
 
+def inputs_at(cfg, t):
+    """The (t_m, e_f, u_t, phi) row of a scenario's input profile at time t."""
+    return tuple(cfg.profile.as_array([t])[0])
+
+
 def expect_error(key_fragment, mutate):
     with pytest.raises(ConfigError) as info:
         build(mutate)
@@ -160,7 +165,8 @@ class TestScenarioSection:
 
     def test_fault_may_be_null(self):
         cfg = build(lambda d: d["scenario"].update(fault=None))
-        assert cfg.profile.u_t.as_array([5.0])[0] == 1.0
+        # the base inputs hold throughout
+        assert inputs_at(cfg, 5.0) == (0.8, 2.0, 1.0, 0.0)
 
     def test_fault_outside_horizon(self):
         expect_error(
@@ -180,7 +186,7 @@ class TestScenarioSection:
                 duration=0.1, duration_partial=0.05, u_t_partial=0.7
             )
         )
-        assert cfg.profile.u_t.as_array([1.26])[0] == 0.7
+        assert inputs_at(cfg, 1.26) == (0.8, 2.0, 0.7, 0.0)
 
     def test_staged_fault_needs_both_keys(self):
         expect_error(
@@ -423,9 +429,10 @@ class TestShippedConfigs:
         cfg = build_scenario(load_config(self.CONFIGS / "case2.json"))
         assert cfg.t_end == 10.0
         # staged clearing: partial recovery at 1.05 s, full at 1.1 s
-        assert cfg.profile.u_t.as_array([1.04])[0] == 0.35
-        assert cfg.profile.u_t.as_array([1.06])[0] == 0.7
-        assert cfg.profile.u_t.as_array([1.2])[0] == 0.95
+        assert inputs_at(cfg, 0.5) == (0.8, 2.0, 1.0, 0.0)
+        assert inputs_at(cfg, 1.04) == (0.8, 2.0, 0.35, 0.0)
+        assert inputs_at(cfg, 1.06) == (0.8, 2.0, 0.7, 0.0)
+        assert inputs_at(cfg, 1.2) == (0.8, 2.0, 0.95, 0.0)
 
 
 class TestReplacements:
@@ -490,6 +497,26 @@ class TestReaderContract:
         section, key = locate(doc, path)
         del section[key]
         assert build_scenario(doc) == build()
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("scenario.base_inputs", None, "missing required section"),
+            ("scenario.sigmas", [1.0, 2.0], "expected an object, got list"),
+            ("scenario.fault", 3, "expected an object, got int"),
+        ],
+    )
+    def test_a_nested_section_is_named_by_its_path(self, path, value, message):
+        doc = default_config()
+        section, key = locate(doc, path)
+        if value is None:
+            # a null fault means no fault, so None stands for a missing section
+            del section[key]
+        else:
+            section[key] = value
+        with pytest.raises(ConfigError, match=message) as info:
+            build_scenario(doc)
+        assert info.value.key == path
 
 
 class TestOutlierPlacementKeys:

@@ -99,7 +99,7 @@ def test_members_match_their_batch_of_one_in_any_order(cells, variants):
     reversed_ = filter_series(CFG, series[::-1], variants, x0=X0)[::-1]
     for i in range(len(cells)):
         for variant in variants:
-            alone = filter_series(CFG, series[i], (variant,), x0=X0)
+            alone = filter_series(CFG, series[i : i + 1], (variant,), x0=X0)[0]
             assert_same_member(together[i], alone, variant)
             assert_same_member(reversed_[i], alone, variant)
 

@@ -1,4 +1,4 @@
-"""Tests for scenario assembly: schedules, equilibrium, truth simulation,
+"""Tests for scenario assembly: input profiles, equilibrium, truth simulation,
 measurement synthesis, and the paired filter runs."""
 
 import math
@@ -35,7 +35,6 @@ from dsekit.scenario import (
     InitSpec,
     InputProfile,
     RunRecord,
-    Schedule,
     ScenarioConfig,
     _brentq,
     build_fault_profile,
@@ -81,40 +80,66 @@ def make_config(
     )
 
 
-class TestSchedule:
+# Rows of (t_m, e_f, u_t, phi) for a three-breakpoint profile
+ROWS = ((5.0, 2.0, 1.0, 0.0), (6.0, 2.0, 0.5, 0.1), (7.0, 2.5, 0.5, 0.1))
+
+
+def assert_other_inputs_at_base(rows):
+    """The t_m, e_f and phi columns of profile rows hold BASE's values."""
+    assert (rows[:, [0, 1, 3]] == (BASE.t_m, BASE.e_f, BASE.phi)).all()
+
+
+class TestInputProfile:
     def test_constant(self):
-        s = Schedule.constant(1.5)
-        assert s.as_array([0.0])[0] == 1.5
-        assert s.as_array([99.0])[0] == 1.5
+        p = InputProfile(times=(0.0,), values=ROWS[:1])
+        np.testing.assert_array_equal(p.as_array([0.0, 99.0]), [ROWS[0], ROWS[0]])
 
     def test_hold_switches_at_breakpoint(self):
-        s = Schedule(times=(0.0, 1.0, 2.0), values=(5.0, 6.0, 7.0))
-        assert s.as_array([0.999999])[0] == 5.0
-        assert s.as_array([1.0])[0] == 6.0
-        assert s.as_array([1.999999])[0] == 6.0
-        assert s.as_array([2.0])[0] == 7.0
-        assert s.as_array([10.0])[0] == 7.0
+        p = InputProfile(times=(0.0, 1.0, 2.0), values=ROWS)
+        np.testing.assert_array_equal(
+            p.as_array([0.999999, 1.0, 1.999999, 2.0, 10.0]),
+            [ROWS[0], ROWS[1], ROWS[1], ROWS[2], ROWS[2]],
+        )
 
     def test_as_array_matches_pointwise(self):
-        s = Schedule(times=(0.0, 1.0, 2.0), values=(5.0, 6.0, 7.0))
+        p = InputProfile(times=(0.0, 1.0, 2.0), values=ROWS)
         times = np.arange(0.0, 3.0, 0.25)
-        np.testing.assert_array_equal(s.as_array(times), [s.as_array([t])[0] for t in times])
+        out = p.as_array(times)
+        assert out.shape == (len(times), 4)
+        np.testing.assert_array_equal(out, [p.as_array([t])[0] for t in times])
+
+    def test_hashable_and_compared_by_value(self):
+        p = InputProfile(times=(0.0, 1.0, 2.0), values=ROWS)
+        assert p == InputProfile(times=(0.0, 1.0, 2.0), values=ROWS)
+        assert hash(p) == hash(InputProfile(times=(0.0, 1.0, 2.0), values=ROWS))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Schedule(times=(0.5,), values=(1.0,))
+            InputProfile(times=(0.5,), values=ROWS[:1])
         with pytest.raises(ValueError):
-            Schedule(times=(0.0, 1.0, 1.0), values=(1.0, 2.0, 3.0))
+            InputProfile(times=(0.0, 1.0, 1.0), values=ROWS)
         with pytest.raises(ValueError):
-            Schedule(times=(0.0, 1.0), values=(1.0,))
+            InputProfile(times=(), values=())
 
     @pytest.mark.parametrize(
         "times, values",
-        [((0.0, math.inf), (1.0, 2.0)), ((0.0, 1.0), (1.0, math.nan)), ((0.0,), (-math.inf,))],
+        [((0.0, 1.0), ROWS[:1]), ((0.0, 1.0), ROWS), ((0.0,), ((1.0, 2.0, 3.0),))],
+    )
+    def test_one_row_of_four_inputs_per_time(self, times, values):
+        with pytest.raises(ValueError, match="one row of four inputs per time"):
+            InputProfile(times=times, values=values)
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ((0.0, math.inf), ROWS[:2]),
+            ((0.0, 1.0), (ROWS[0], (6.0, math.nan, 0.5, 0.1))),
+            ((0.0,), ((-math.inf, 2.0, 1.0, 0.0),)),
+        ],
     )
     def test_breakpoints_must_be_finite(self, times, values):
         with pytest.raises(ValueError, match="must be finite"):
-            Schedule(times=times, values=values)
+            InputProfile(times=times, values=values)
 
 
 class TestFaultProfile:
@@ -122,21 +147,16 @@ class TestFaultProfile:
         profile = build_fault_profile(
             BASE, FaultSpec(t_on=1.2, duration=0.1, u_t_dip=0.35, u_t_post=0.95), 20.0
         )
-        assert profile.u_t.as_array([0.0])[0] == 1.0
-        assert profile.u_t.as_array([1.19])[0] == 1.0
-        assert profile.u_t.as_array([1.2])[0] == 0.35
-        assert profile.u_t.as_array([1.29])[0] == 0.35
-        assert profile.u_t.as_array([1.3])[0] == 0.95
-        assert profile.u_t.as_array([20.0])[0] == 0.95
+        rows = profile.as_array([0.0, 1.19, 1.2, 1.29, 1.3, 20.0])
+        np.testing.assert_array_equal(rows[:, 2], [1.0, 1.0, 0.35, 0.35, 0.95, 0.95])
         # the other inputs stay constant through the fault
-        assert profile.t_m.as_array([1.25])[0] == BASE.t_m
-        assert profile.e_f.as_array([1.25])[0] == BASE.e_f
-        assert profile.phi.as_array([1.25])[0] == BASE.phi
+        assert_other_inputs_at_base(rows)
 
     def test_no_fault_is_constant(self):
         profile = build_fault_profile(BASE, None, 20.0)
-        times = np.arange(0.0, 20.0, 0.5)
-        np.testing.assert_array_equal(profile.u_t.as_array(times), np.full(40, 1.0))
+        rows = profile.as_array(np.arange(0.0, 20.0, 0.5))
+        np.testing.assert_array_equal(rows[:, 2], np.full(40, 1.0))
+        assert_other_inputs_at_base(rows)
 
     def test_staged_clearing(self):
         # near end clears first to a partial level, remote end finishes
@@ -145,12 +165,9 @@ class TestFaultProfile:
             duration_partial=0.05, u_t_partial=0.7,
         )
         profile = build_fault_profile(BASE, fault, 10.0)
-        assert profile.u_t.as_array([0.99])[0] == 1.0
-        assert profile.u_t.as_array([1.0])[0] == 0.35
-        assert profile.u_t.as_array([1.049])[0] == 0.35
-        assert profile.u_t.as_array([1.05])[0] == 0.7
-        assert profile.u_t.as_array([1.099])[0] == 0.7
-        assert profile.u_t.as_array([1.1])[0] == 0.95
+        rows = profile.as_array([0.99, 1.0, 1.049, 1.05, 1.099, 1.1])
+        np.testing.assert_array_equal(rows[:, 2], [1.0, 0.35, 0.35, 0.7, 0.7, 0.95])
+        assert_other_inputs_at_base(rows)
 
     def test_partial_stage_validation(self):
         with pytest.raises(InvalidWindow):
@@ -451,16 +468,21 @@ class TestTruthKernel:
 
     def test_integration_resumes_when_the_inputs_change_after_a_replay(self, monkeypatch):
         cfg = make_config(t_end=420.0)
-        t_m = Schedule(times=(0.0, 400.0), values=(BASE.t_m, BASE.t_m + 0.01))
-        cfg = replace(cfg, profile=replace(cfg.profile, t_m=t_m))
+        # the fault's table, and one more row: the torque steps up at 400 s
+        t_m = (BASE.t_m, BASE.t_m + 0.01)
+        last = cfg.profile.values[-1]
+        profile = InputProfile(
+            times=(*cfg.profile.times, 400.0), values=(*cfg.profile.values, (t_m[1], *last[1:]))
+        )
+        cfg = replace(cfg, profile=profile)
         truth, torques = self.counted_truth(cfg, monkeypatch)
         expected, _ = self.oracle(cfg)
         np.testing.assert_array_equal(truth.view(np.uint64), expected.view(np.uint64))
         # the settled swing was replayed before 400 s, and every step after
         # the torque change was integrated
         after = int(round(20.0 / cfg.dt))
-        assert torques.count(t_m.values[0]) < len(truth) - 1 - after
-        assert torques.count(t_m.values[1]) == after
+        assert torques.count(t_m[0]) < len(truth) - 1 - after
+        assert torques.count(t_m[1]) == after
         assert truth[-1, 0] - truth[-after - 1, 0] > 1e-4
 
     def test_a_zero_of_the_other_sign_is_not_a_repeat(self, monkeypatch):
@@ -482,8 +504,11 @@ class TestTruthKernel:
 
         monkeypatch.setattr(scenario, "_rk4", rk4)
         cfg = make_config(fault=None, t_end=0.8)
-        phi = Schedule(times=(0.0, 0.39), values=(0.0, -0.0))
-        cfg = replace(cfg, profile=replace(cfg.profile, phi=phi))
+        t_m, e_f, u_t, _ = cfg.profile.values[0]
+        profile = InputProfile(
+            times=(0.0, 0.39), values=((t_m, e_f, u_t, 0.0), (t_m, e_f, u_t, -0.0))
+        )
+        cfg = replace(cfg, profile=profile)
         truth = simulate_truth(cfg, replace(equilibrium(cfg), delta=0.0))
         j = np.arange(len(truth))
         np.testing.assert_array_equal(truth[:, 0], np.minimum(j, 40 - j))
@@ -616,11 +641,16 @@ class TestFilterSeries:
     def test_row_count_must_match_grid(self):
         cfg = make_config(t_end=2.0)
         with pytest.raises(ValueError):
-            filter_series(cfg, np.zeros((5, 3)))
+            filter_series(cfg, np.zeros((1, 5, 3)))
+
+    def test_a_single_series_is_a_stack_of_one(self):
+        cfg = make_config(t_end=2.0)
+        with pytest.raises(ValueError, match="expected \\(cells, 101, 3\\)"):
+            filter_series(cfg, np.zeros((len(time_grid(cfg)), 3)))
 
     def test_unknown_variant(self):
         cfg = make_config(t_end=2.0)
-        series = np.zeros((len(time_grid(cfg)), 3))
+        series = np.zeros((1, len(time_grid(cfg)), 3))
         with pytest.raises(ValueError, match="unknown filter variant 'ukf'"):
             filter_series(cfg, series, variants=(CKF, "ukf"))
 
@@ -628,9 +658,9 @@ class TestFilterSeries:
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
-        together, times, _ = filter_series(cfg, corrupted)
+        together, times, _ = filter_series(cfg, corrupted[None])[0]
         for variant in (CKF, RCKF):
-            alone, _, _ = filter_series(cfg, corrupted, variants=(variant,))
+            alone, _, _ = filter_series(cfg, corrupted[None], variants=(variant,))[0]
             np.testing.assert_array_equal(together[variant], alone[variant])
             assert len(times[variant]) == len(corrupted) - 1
 
@@ -639,7 +669,7 @@ class TestFilterSeries:
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
         corrupted[10, 1] = math.nan
-        estimates, _, failures = filter_series(cfg, corrupted, variants=(CKF,))
+        estimates, _, failures = filter_series(cfg, corrupted[None], variants=(CKF,))[0]
         assert CKF not in estimates
         assert "index" in failures[CKF]
 
@@ -649,7 +679,7 @@ class TestFilterSeries:
         _, corrupted = synthesize_measurements(truth, cfg)
         corrupted[10, 1] = math.nan
         with pytest.raises(NonFiniteState):
-            filter_series(cfg, corrupted, variants=(CKF,), strict=True)
+            filter_series(cfg, corrupted[None], variants=(CKF,), strict=True)
 
 
     def test_stack_of_series_gives_one_result_per_series(self):
@@ -661,7 +691,7 @@ class TestFilterSeries:
         results = filter_series(cfg, series)
         assert len(results) == 2
         for one, result in zip(series, results):
-            alone = filter_series(cfg, one)
+            alone = filter_series(cfg, one[None])[0]
             for variant in (CKF, RCKF):
                 np.testing.assert_array_equal(result[0][variant], alone[0][variant])
                 # each member's step time is its share of the batch's step
