@@ -141,28 +141,3 @@ def report_from_run(record, variant: str) -> MetricsReport:
         s_m=record.truth.shape[0] - 1, epsilon1=eps1, epsilon2=eps2
     )
 
-
-def improvement_report(
-    ckf: MetricsReport, rckf: MetricsReport
-) -> dict[str, dict[str, float]]:
-    """Relative indicator improvement of the robust variant, per variable.
-
-    Entries are (ckf - rckf) / ckf, present only where the ckf value is
-    strictly positive.
-
-    Raises:
-        MismatchedRuns: the two reports cover different steps or variables.
-    """
-    if ckf.s_m != rckf.s_m:
-        raise MismatchedRuns(f"step counts differ: {ckf.s_m} vs {rckf.s_m}")
-    if ckf.epsilon1.keys() != rckf.epsilon1.keys() or ckf.epsilon2.keys() != rckf.epsilon2.keys():
-        raise MismatchedRuns("reports cover different variables")
-    out: dict[str, dict[str, float]] = {"epsilon1": {}, "epsilon2": {}}
-    for name, a, b in (
-        ("epsilon1", ckf.epsilon1, rckf.epsilon1),
-        ("epsilon2", ckf.epsilon2, rckf.epsilon2),
-    ):
-        for variable, base in a.items():
-            if base > 0.0:
-                out[name][variable] = (base - b[variable]) / base
-    return out

@@ -16,8 +16,7 @@ the robust one with an infinite Huber threshold, which is exact because R
 is diagonal, so both variants share one batch.
 The stages take P symmetric and return it symmetric: time_predict and the
 updates each symmetrize the covariance they return, and factorize the one
-they are given as it is.  cholesky_lower symmetrizes its input, and
-iter_batch symmetrizes its prior once.
+they are given as it is; iter_batch symmetrizes its prior once.
 A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
 and carries on with the rest.  Members never mix: each member's result is
@@ -29,9 +28,8 @@ The stages compute under the caller's floating-point error state: a
 failing member's numbers come out NaN or infinite and are caught by the
 finiteness gates, not by the error state.  iter_batch, and run_filter
 through it, runs each step under np.errstate(all="ignore"), so a batch
-step emits no floating-point warning; cholesky_lower sets the same state
-for itself.  The other stages, called directly on a failing member, may
-emit numpy's RuntimeWarning before they raise.
+step emits no floating-point warning.  The stages, called directly on a
+failing member, may emit numpy's RuntimeWarning before they raise.
 """
 
 from __future__ import annotations
@@ -98,15 +96,6 @@ class FilterState:
 
     x_hat: Array
     P: Array
-    step_index: int = 0
-
-
-@dataclass(frozen=True)
-class CubatureSet:
-    """2n cubature points (rows) sharing one common weight."""
-
-    points: Array
-    weight: float
 
 
 # Slotted, not frozen: a frozen dataclass sets each field through
@@ -238,34 +227,19 @@ def _factor_member(sym: Array) -> tuple[Array | None, str]:
     return None, "matrix is not positive definite even after jitter escalation"
 
 
-def cholesky_lower(P: Array) -> Array:
-    """Lower-triangular S with S @ S.T equal to the symmetrized input, for
-    one (n, n) matrix or a stack (B, n, n).
+def _factored(sym: Array) -> Array:
+    """Lower-triangular S with S @ S.T equal to each member of a stack
+    (B, n, n) that is already symmetric, as the stages' covariances are.
 
-    The input is symmetrized first.  Members whose plain factorization
-    fails get escalating diagonal jitter (1e-12, 1e-9, 1e-6 times their
-    mean diagonal); the others are factorized as they are.  The call runs
-    under np.errstate(all="ignore"), so a member that does not factorize
-    emits no floating-point warning before the jitter ladder or the
-    exception.
+    Members whose plain factorization fails get escalating diagonal jitter
+    (JITTER_LADDER times their mean diagonal); the others are factorized
+    as they are.
 
     Raises:
-        DecompositionFailure: input is not a stack of square matrices, or
-            some member is not finite or stays non-factorizable after the
-            largest jitter; exc.members lists those members.
+        DecompositionFailure: some member is not finite or stays
+            non-factorizable after the largest jitter; exc.members lists
+            those members.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
-        raise DecompositionFailure(f"expected a square matrix, got shape {P.shape}")
-    with np.errstate(all="ignore"):
-        S = _factored(_symmetrized(P[None] if P.ndim == 2 else P))
-    return S[0] if P.ndim == 2 else S
-
-
-def _factored(sym: Array) -> Array:
-    """cholesky_lower of a stack (B, n, n) that is already symmetric, as
-    the stages' covariances are: the same factors, jitter ladder and
-    exceptions, without the symmetrization."""
     S = _umath_linalg.cholesky_lo(sym, signature="d->d")
     # a member that fails comes out NaN; LAPACK lets some non-finite
     # inputs through, and their factors are not finite either
@@ -294,16 +268,13 @@ def _cubature_pattern(n: int) -> tuple[Array, Array]:
 
 
 def _points(x_hat: Array, S: Array) -> Array:
-    """The cubature points of cubature_points, as one array."""
+    """Spherical-radial point set for mean x_hat and covariance S @ S.T:
+    the 2n points x_hat +/- sqrt(n) times each column of S, all sharing
+    the weight 1 / (2n); (2n, n) for one filter and (B, 2n, n) for a
+    batch."""
     columns, scale = _cubature_pattern(x_hat.shape[-1])
     # x + (-sqrt(n) * s) is x - sqrt(n) * s, bit for bit
     return x_hat[..., None, :] + S.take(columns, axis=-1).swapaxes(-1, -2) * scale
-
-
-def cubature_points(x_hat: Array, S: Array) -> CubatureSet:
-    """Spherical-radial point set for mean x_hat and covariance S @ S.T;
-    points are (2n, n) for one filter and (B, 2n, n) for a batch."""
-    return CubatureSet(points=_points(x_hat, np.asarray(S)), weight=1.0 / (2 * x_hat.shape[-1]))
 
 
 def _mapped_points(
@@ -333,8 +304,7 @@ def _mapped_points(
 def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) -> FilterState:
     """Propagate the posterior through the transition map.
 
-    Returns the predicted state with step_index advanced by one.  The
-    predicted covariance is the centered sample covariance of the
+    The predicted covariance is the centered sample covariance of the
     propagated points plus Q, symmetrized.  state.P must be symmetric, as
     the stages return it: it is factorized as it is.
 
@@ -349,7 +319,7 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
     P_pred = _T(centered) @ centered
     P_pred /= centered.shape[1]
     P_pred += Q
-    return FilterState(x_hat=x_pred, P=_symmetrized(P_pred), step_index=state.step_index + 1)
+    return FilterState(x_hat=x_pred, P=_symmetrized(P_pred))
 
 
 def _measurement_stats(
@@ -420,7 +390,7 @@ def _corrected(
             ) from cause
         if bad.size:
             raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
-    state = FilterState(x_hat=x_post, P=P_post, step_index=predicted.step_index)
+    state = FilterState(x_hat=x_post, P=P_post)
     info = UpdateIntermediates(
         z_hat=z_hat, P_zz=P_zz, P_xz=P_xz, gain=gain, innovation=innovation
     )
@@ -562,7 +532,7 @@ def iter_batch(
     members = np.arange(measurements.shape[1])
     thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
     P0 = _symmetrized(np.asarray(init.P, dtype=float))
-    state = FilterState(init.x_hat, P0, init.step_index)
+    state = FilterState(init.x_hat, P0)
     fixed_R = None if callable(R_provider) else np.asarray(R_provider, dtype=float)
     # one Q per member, which spares the predict's add a broadcast; it and
     # the update's tuning change only when a member freezes
@@ -596,7 +566,7 @@ def iter_batch(
                     failed.append((int(members[b]), wrapped))
                 keep = np.setdiff1d(np.arange(members.size), bad)
                 members = members[keep]
-                state = FilterState(state.x_hat[keep], state.P[keep], state.step_index)
+                state = FilterState(state.x_hat[keep], state.P[keep])
                 thresholds = thresholds[keep]
                 Q = Q[keep]
                 classical = np.isinf(thresholds).all()
@@ -660,13 +630,14 @@ def run_filter(
         user_provider = R_provider
 
         def R_provider(k, predicted, u_obs):
-            state = FilterState(predicted.x_hat[0], predicted.P[0], predicted.step_index)
+            state = FilterState(predicted.x_hat[0], predicted.P[0])
             return np.asarray(user_provider(k, state, u_obs), dtype=float)[None]
 
     steps = iter_batch(
         model,
-        FilterState(np.asarray(init.x_hat, dtype=float)[None], np.asarray(init.P, dtype=float)[None],
-                    init.step_index),
+        FilterState(
+            np.asarray(init.x_hat, dtype=float)[None], np.asarray(init.P, dtype=float)[None]
+        ),
         inputs,
         np.asarray(measurements, dtype=float).reshape(len(measurements), 1, model.m),
         np.asarray(Q, dtype=float),
@@ -678,5 +649,5 @@ def run_filter(
     for _, state, failed in steps:
         if failed:
             raise failed[0][1]
-        states.append(FilterState(state.x_hat[0], state.P[0], state.step_index))
+        states.append(FilterState(state.x_hat[0], state.P[0]))
     return states

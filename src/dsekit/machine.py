@@ -55,33 +55,12 @@ class MachineParams:
             raise ValueError("require damping >= 0")
 
 
-# Example profile used by the shipped configurations and the test suite.
-DEFAULT_PARAMS = MachineParams(
-    x_d=1.8,
-    x_d_prime=0.3,
-    x_q=1.7,
-    x_q_prime=0.55,
-    t_d0_prime=8.0,
-    t_q0_prime=0.4,
-    t_j=13.0,
-    damping=2.0,
-)
-
-
 @dataclass(frozen=True)
 class MachineState:
     delta: float
     delta_omega: float
     e_q_prime: float
     e_d_prime: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.delta, self.delta_omega, self.e_q_prime, self.e_d_prime))
-
-    @classmethod
-    def from_array(cls, x) -> "MachineState":
-        d, w, eq, ed = np.asarray(x, dtype=float).tolist()
-        return cls(d, w, eq, ed)
 
 
 @dataclass(frozen=True)
@@ -94,20 +73,6 @@ class MachineInputs:
     def __post_init__(self):
         if not self.u_t >= 0.0:
             raise ValueError(f"terminal voltage magnitude must be >= 0, got {self.u_t}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.t_m, self.e_f, self.u_t, self.phi))
-
-    @classmethod
-    def from_array(cls, u) -> "MachineInputs":
-        t_m, e_f, u_t, phi = np.asarray(u, dtype=float).tolist()
-        return cls(t_m, e_f, u_t, phi)
-
-
-@dataclass(frozen=True)
-class StatorCurrents:
-    i_d: float
-    i_q: float
 
 
 @dataclass(frozen=True)
@@ -214,7 +179,8 @@ def _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp):
     )
 
 
-def _power_partials(d, eq, ed, ut, phi, xdp, xqp, k, xp):
+def _power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp):
+    # the partials of the power in u_t and in phi
     th = d - phi
     s = xp.sin(th)
     c = xp.cos(th)
@@ -222,11 +188,6 @@ def _power_partials(d, eq, ed, ut, phi, xdp, xqp, k, xp):
     c2 = xp.cos(2.0 * th)
     d_ut = ut * s2 * k + s * eq / xdp - c * ed / xqp
     d_phi = -ut * ut * c2 * k - ut * c * eq / xdp - ut * s * ed / xqp
-    return d_ut, d_phi
-
-
-def _power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp):
-    d_ut, d_phi = _power_partials(d, eq, ed, ut, phi, xdp, xqp, k, xp)
     return xp.pow(d_ut * sigma_u * ut, 2.0) + xp.pow(d_phi * sigma_phi, 2.0)
 
 
@@ -280,9 +241,11 @@ def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.nd
 
 
 def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
-    """Power channel variance of measurement_covariance as a map
-    (x, u) -> (N,) over the states in the rows of x, under one input
-    vector u or one per row, with the machine and the sigmas bound once."""
+    """Variance of the power measurement channel as a map (x, u) -> (N,)
+    over the states in the rows of x, under one input vector u or one per
+    row, with the machine and the sigmas bound once.  It is propagated to
+    first order from the terminal voltage magnitude and phase
+    uncertainties; sigma_u scales with u_t."""
     xdp, xqp, k = _params_tuple(params)[:3]
     sigma_u, sigma_phi = sigmas.sigma_u, sigmas.sigma_phi
 
@@ -290,83 +253,6 @@ def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
         return (_power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp),)
 
     return lambda x, u: _rows_map(formula, x, u, 1)[:, 0]
-
-
-def stator_currents(state: MachineState, inputs: MachineInputs, params: MachineParams) -> StatorCurrents:
-    """d/q axis stator currents from the transient EMFs and the terminal bus."""
-    ut_cos, ut_sin, _ = _air_gap(
-        state.delta - inputs.phi, state.e_q_prime, state.e_d_prime,
-        inputs.u_t, *_params_tuple(params)[:3], math,
-    )
-    return StatorCurrents(
-        i_d=(state.e_q_prime - ut_cos) / params.x_d_prime,
-        i_q=(ut_sin - state.e_d_prime) / params.x_q_prime,
-    )
-
-
-def electrical_power(state: MachineState, inputs: MachineInputs, params: MachineParams) -> float:
-    """Air-gap electrical power in p.u.
-
-    Evaluates the closed-form three-term expression in the angle
-    difference delta - phi; it equals u_d * i_d + u_q * i_q with
-    u_d = u_t sin(delta - phi) and u_q = u_t cos(delta - phi).
-    """
-    return _air_gap(
-        state.delta - inputs.phi, state.e_q_prime, state.e_d_prime,
-        inputs.u_t, *_params_tuple(params)[:3], math,
-    )[2]
-
-
-def state_derivative(
-    state: MachineState,
-    inputs: MachineInputs,
-    params: MachineParams,
-    torque_mode: str = POWER_EQUALS_TORQUE,
-) -> np.ndarray:
-    """Right-hand side of the swing and EMF equations as a length-4 vector.
-
-    torque_mode selects how electrical torque is obtained from electrical
-    power: taken equal to it, or divided by the rotor speed 1 + delta_omega.
-    """
-    _check_torque_mode(torque_mode)
-    out = _derivative(
-        state.delta, state.delta_omega, state.e_q_prime, state.e_d_prime,
-        inputs.t_m, inputs.e_f, inputs.u_t, inputs.phi,
-        _params_tuple(params), torque_mode == DIVIDE_BY_SPEED, math,
-    )
-    return np.array(out)
-
-
-def power_partials(
-    state: MachineState, inputs: MachineInputs, params: MachineParams
-) -> tuple[float, float]:
-    """Analytic partial derivatives of electrical power with respect to the
-    terminal voltage magnitude and phase, in that order."""
-    return _power_partials(
-        state.delta, state.e_q_prime, state.e_d_prime, inputs.u_t, inputs.phi,
-        *_params_tuple(params)[:3], math,
-    )
-
-
-def measurement_covariance(
-    state: MachineState,
-    inputs: MachineInputs,
-    params: MachineParams,
-    sigmas: MeasurementSigmas,
-) -> np.ndarray:
-    """Diagonal 3x3 measurement covariance.
-
-    Angle and speed channels carry their stds squared.  The power channel
-    variance is propagated to first order from the terminal voltage
-    magnitude and phase uncertainties; sigma_u scales with u_t.
-    """
-    var_pe = _power_variance(
-        state.delta, state.e_q_prime, state.e_d_prime, inputs.u_t, inputs.phi,
-        *_params_tuple(params)[:3], sigmas.sigma_u, sigmas.sigma_phi, math,
-    )
-    return np.diag(
-        (sigmas.sigma_delta**2, sigmas.sigma_omega**2, var_pe)
-    )
 
 
 def as_process_model(

@@ -453,7 +453,7 @@ def initial_filter_state(
             x0.e_d_prime * bias,
         )
     )
-    return FilterState(x_hat=x_hat, P=np.diag(cfg.init.p0_diag), step_index=0)
+    return FilterState(x_hat=x_hat, P=np.diag(cfg.init.p0_diag))
 
 
 @dataclass(frozen=True)

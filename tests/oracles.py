@@ -112,14 +112,23 @@ def _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp):
     )
 
 
-def machine_rk4(x, u, params, dt, divide_by_speed):
-    """One RK4 step of the generator from state x under inputs u, both
-    sequences of four floats, as a tuple of floats."""
-    pt = (
+def _constants(params):
+    return (
         params.x_d, params.x_d_prime, params.x_q, params.x_q_prime,
         params.t_d0_prime, params.t_q0_prime, params.t_j, params.damping, params.omega_0,
     )
-    return _rk4(*x, *u, pt, divide_by_speed, dt, math)
+
+
+def machine_derivative(x, u, params, divide_by_speed=False):
+    """Right-hand side of the swing and EMF equations at state x under
+    inputs u, both sequences of four floats, as a tuple of floats."""
+    return _derivative(*x, *u, _constants(params), divide_by_speed, math)
+
+
+def machine_rk4(x, u, params, dt, divide_by_speed):
+    """One RK4 step of the generator from state x under inputs u, both
+    sequences of four floats, as a tuple of floats."""
+    return _rk4(*x, *u, _constants(params), divide_by_speed, dt, math)
 
 
 def machine_observe(x, u, params):

@@ -8,39 +8,39 @@ comparative robustness findings the library exists to reproduce.
 
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from oracles import linear_kalman_filter, random_stable_system, simulate_linear
+from oracles import (
+    linear_kalman_filter,
+    machine_derivative,
+    random_stable_system,
+    simulate_linear,
+)
 
 from dsekit.cli import main
 from dsekit.config import build_scenario, default_config, with_noise_preset, with_outliers, with_seed
-from dsekit.evaluation import epsilon1, epsilon2, improvement_report, MetricsReport, report_from_run
+from dsekit.evaluation import epsilon1, epsilon2, report_from_run
 from dsekit.filters import (
     CKF,
     RCKF,
     FilterState,
     HuberConfig,
     ProcessModel,
-    cholesky_lower,
     ckf_update,
-    cubature_points,
     huber_reweight,
     rckf_update,
     run_filter,
     time_predict,
 )
-from dsekit.harness import bench_filters, run_experiment
+from dsekit.harness import ExperimentMatrix, MatrixRow, bench_filters, run_experiment, summarize
 from dsekit.machine import (
-    DEFAULT_PARAMS,
     MachineInputs,
-    MachineState,
+    MeasurementSigmas,
     as_process_model,
-    electrical_power,
-    measurement_covariance,
-    power_partials,
-    state_derivative,
-    stator_currents,
+    observe_points,
+    power_variance_map,
 )
 from dsekit.noise import OutlierSpec, SeededStream, draw_cauchy, draw_laplace
 from dsekit.scenario import (
@@ -97,6 +97,9 @@ def test_cubature_moment_matching():
     """The cubature point set must reproduce the mean to 1e-12 and the
     covariance to 1e-10 relative, over 1000 random Gaussian summaries."""
     rng = np.random.default_rng(271828)
+    # identity dynamics with Q = 0: the prediction is the mean and the
+    # covariance of the propagated points
+    model = ProcessModel(n=4, m=4, transition_points=lambda x, u: x, observe_points=lambda x, u: x)
     start = time.perf_counter()
     worst_mean = 0.0
     worst_cov = 0.0
@@ -104,10 +107,9 @@ def test_cubature_moment_matching():
         x = 3.0 * rng.standard_normal(4)
         A = rng.standard_normal((4, 4))
         P = A @ A.T + 0.5 * np.eye(4)
-        pts = cubature_points(x, cholesky_lower(P)).points
-        mean = pts.mean(axis=0)
-        centered = pts - mean
-        cov = centered.T @ centered / pts.shape[0]
+        P = 0.5 * (P + P.T)
+        predicted = time_predict(FilterState(x[None], P[None]), model, None, np.zeros((4, 4)))
+        mean, cov = predicted.x_hat[0], predicted.P[0]
         worst_mean = max(
             worst_mean, np.abs(mean - x).max() / max(1.0, np.abs(x).max())
         )
@@ -162,6 +164,7 @@ def test_robust_variant_coincides_on_inliers():
     # step the classical filters of all seeds as one batch, branching each
     # step into both updates from the shared prediction
     model = as_process_model(base.machine, base.dt, base.torque_mode)
+    variance = power_variance_map(base.machine, base.sigmas)
     u_arr = base.profile.as_array(times)
     Q = np.diag(base.init.q_diag)
     state = FilterState(
@@ -174,11 +177,11 @@ def test_robust_variant_coincides_on_inliers():
     worst_cov = 0.0
     for k in range(len(times) - 1):
         predicted = time_predict(state, model, u_arr[k], Q)
-        inputs = MachineInputs.from_array(u_arr[k + 1])
-        R = np.stack([
-            measurement_covariance(MachineState.from_array(x), inputs, base.machine, base.sigmas)
-            for x in predicted.x_hat
-        ])
+        R = np.repeat(
+            np.diag((base.sigmas.sigma_delta**2, base.sigmas.sigma_omega**2, 0.0))[None],
+            len(predicted.x_hat), axis=0,
+        )
+        R[:, 2, 2] = variance(predicted.x_hat, u_arr[k + 1])
         z = corrupted[:, k + 1]
         classical, info = ckf_update(predicted, z, model, u_arr[k + 1], R)
         robust, _, _ = rckf_update(predicted, z, model, u_arr[k + 1], R, base.huber)
@@ -267,66 +270,51 @@ def test_machine_model_identities():
     points; the analytic power sensitivities match central differences to
     1e-6 relative; the equilibrium residual stays below 1e-10."""
     rng = np.random.default_rng(161803)
-    worst = 0.0
-    for _ in range(100_000):
-        state = MachineState(
-            delta=rng.uniform(-math.pi, math.pi),
-            delta_omega=rng.uniform(-0.05, 0.05),
-            e_q_prime=rng.uniform(0.5, 1.5),
-            e_d_prime=rng.uniform(-0.8, 0.8),
-        )
-        inputs = MachineInputs(
-            t_m=0.8,
-            e_f=2.0,
-            u_t=rng.uniform(0.2, 1.2),
-            phi=rng.uniform(-0.5, 0.5),
-        )
-        currents = stator_currents(state, inputs, DEFAULT_PARAMS)
-        theta = state.delta - inputs.phi
-        u_d = inputs.u_t * math.sin(theta)
-        u_q = inputs.u_t * math.cos(theta)
-        p = electrical_power(state, inputs, DEFAULT_PARAMS)
-        worst = max(worst, abs(p - (u_d * currents.i_d + u_q * currents.i_q)))
+    params = default_scenario().machine
+    # (delta, delta_omega, e_q', e_d', u_t, phi) per point, drawn in that
+    # order; t_m = 0.8 and e_f = 2.0 throughout
+    draws = rng.uniform(
+        (-math.pi, -0.05, 0.5, -0.8, 0.2, -0.5), (math.pi, 0.05, 1.5, 0.8, 1.2, 0.5),
+        size=(100_000, 6),
+    )
+    x = draws[:, :4]
+    u = np.column_stack((np.full(len(draws), 0.8), np.full(len(draws), 2.0), draws[:, 4:]))
+    p = observe_points(x, u, params)[:, 2]
+    theta = x[:, 0] - u[:, 3]
+    u_d = u[:, 2] * np.sin(theta)
+    u_q = u[:, 2] * np.cos(theta)
+    i_d = (x[:, 2] - u_q) / params.x_d_prime
+    i_q = (u_d - x[:, 3]) / params.x_q_prime
+    worst = float(np.abs(p - (u_d * i_d + u_q * i_q)).max())
     assert worst <= 1e-12
 
+    draws = rng.uniform(
+        (-1.2, -0.02, 0.7, -0.6, 0.5, -0.3), (1.2, 0.02, 1.3, 0.6, 1.1, 0.3), size=(300, 6)
+    )
+    x = draws[:, :4]
+    u = np.column_stack((np.full(len(draws), 0.8), np.full(len(draws), 2.0), draws[:, 4:]))
+    h = 1e-6
     worst_rel = 0.0
-    for _ in range(300):
-        state = MachineState(
-            delta=rng.uniform(-1.2, 1.2),
-            delta_omega=rng.uniform(-0.02, 0.02),
-            e_q_prime=rng.uniform(0.7, 1.3),
-            e_d_prime=rng.uniform(-0.6, 0.6),
-        )
-        inputs = MachineInputs(
-            t_m=0.8, e_f=2.0, u_t=rng.uniform(0.5, 1.1), phi=rng.uniform(-0.3, 0.3)
-        )
-        d_ut, d_phi = power_partials(state, inputs, DEFAULT_PARAMS)
-        h = 1e-6
-        for name, analytic in (("u_t", d_ut), ("phi", d_phi)):
-            hi = MachineInputs(
-                t_m=0.8,
-                e_f=2.0,
-                u_t=inputs.u_t + (h if name == "u_t" else 0.0),
-                phi=inputs.phi + (h if name == "phi" else 0.0),
-            )
-            lo = MachineInputs(
-                t_m=0.8,
-                e_f=2.0,
-                u_t=inputs.u_t - (h if name == "u_t" else 0.0),
-                phi=inputs.phi - (h if name == "phi" else 0.0),
-            )
-            numeric = (
-                electrical_power(state, hi, DEFAULT_PARAMS)
-                - electrical_power(state, lo, DEFAULT_PARAMS)
-            ) / (2.0 * h)
-            scale = max(1.0, abs(analytic))
-            worst_rel = max(worst_rel, abs(analytic - numeric) / scale)
+    # with one sigma at zero and the other at one, the power variance is
+    # the square of one partial, times u_t for the voltage magnitude
+    for column, sigmas, scale in (
+        (2, MeasurementSigmas(sigma_u=1.0, sigma_phi=0.0), u[:, 2]),
+        (3, MeasurementSigmas(sigma_u=0.0, sigma_phi=1.0), 1.0),
+    ):
+        analytic = np.sqrt(power_variance_map(params, sigmas)(x, u)) / scale
+        hi, lo = u.copy(), u.copy()
+        hi[:, column] += h
+        lo[:, column] -= h
+        numeric = observe_points(x, hi, params)[:, 2] - observe_points(x, lo, params)[:, 2]
+        numeric = np.abs(numeric) / (2.0 * h)
+        rel = np.abs(analytic - numeric) / np.maximum(1.0, analytic)
+        worst_rel = max(worst_rel, float(rel.max()))
     assert worst_rel <= 1e-6
 
     inputs = MachineInputs(t_m=0.8, e_f=2.0, u_t=1.0, phi=0.0)
-    equilibrium = steady_state_init(inputs, DEFAULT_PARAMS)
+    equilibrium = steady_state_init(inputs, params)
     residual = np.abs(
-        state_derivative(equilibrium, inputs, DEFAULT_PARAMS)
+        machine_derivative(astuple(equilibrium), astuple(inputs), params)
     ).max()
     assert residual <= 1e-10
 
@@ -355,10 +343,13 @@ def test_indicator_hand_values():
     measured = np.array([1.2, 1.8, 3.3])
     assert epsilon1(estimates, truth, measured) == pytest.approx(0.420084, abs=1e-6)
 
-    base = MetricsReport(s_m=3, epsilon1={"delta": 0.0181}, epsilon2={})
-    robust = MetricsReport(s_m=3, epsilon1={"delta": 0.0085}, epsilon2={})
-    improvement = improvement_report(base, robust)["epsilon1"]["delta"]
-    assert round(100.0 * improvement, 1) == 53.0
+    rows = (
+        MatrixRow(1, "single", CKF, 0, "delta", 0.0181, None, None),
+        MatrixRow(1, "single", RCKF, 0, "delta", 0.0085, None, None),
+    )
+    (summary,) = summarize(ExperimentMatrix(rows, {}, 1, 0))
+    improvement_pct = summary[-1]
+    assert round(improvement_pct, 1) == 53.0
 
     # the relative errors are exactly 1/10, 1/20 and 1/30, so
     # epsilon2**2 = (1/100 + 1/400 + 1/900) / 3 = 49/10800 and

@@ -18,10 +18,8 @@ from dsekit.errors import (
 from dsekit.evaluation import (
     MEASURED_CHANNEL,
     VARIABLES,
-    MetricsReport,
     epsilon1,
     epsilon2,
-    improvement_report,
     report_from_run,
 )
 from dsekit.filters import CKF, RCKF
@@ -77,41 +75,6 @@ class TestEpsilon2:
     def test_shape_mismatch(self):
         with pytest.raises(MismatchedRuns):
             epsilon2(ESTIMATES, TRUTH[:2])
-
-
-class TestImprovementReport:
-    def _report(self, scale):
-        return MetricsReport(
-            s_m=3,
-            epsilon1={"delta": 0.4 * scale, "omega": 0.6 * scale},
-            epsilon2={v: 0.05 * scale for v in VARIABLES},
-        )
-
-    def test_halved_errors_improve_by_half(self):
-        out = improvement_report(self._report(1.0), self._report(0.5))
-        for variable in ("delta", "omega"):
-            assert out["epsilon1"][variable] == pytest.approx(0.5, abs=1e-15)
-        for variable in VARIABLES:
-            assert out["epsilon2"][variable] == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_base_is_skipped(self):
-        base = MetricsReport(s_m=3, epsilon1={"delta": 0.0}, epsilon2={"delta": 0.1})
-        other = MetricsReport(s_m=3, epsilon1={"delta": 0.0}, epsilon2={"delta": 0.1})
-        out = improvement_report(base, other)
-        assert "delta" not in out["epsilon1"]
-        assert out["epsilon2"]["delta"] == 0.0
-
-    def test_step_count_mismatch(self):
-        base = self._report(1.0)
-        other = MetricsReport(s_m=4, epsilon1=base.epsilon1, epsilon2=base.epsilon2)
-        with pytest.raises(MismatchedRuns):
-            improvement_report(base, other)
-
-    def test_variable_mismatch(self):
-        base = self._report(1.0)
-        other = MetricsReport(s_m=3, epsilon1={"delta": 0.4}, epsilon2=base.epsilon2)
-        with pytest.raises(MismatchedRuns):
-            improvement_report(base, other)
 
 
 def synthetic_record(truth, estimates, corrupted):

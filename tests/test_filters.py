@@ -1,7 +1,6 @@
 """Filter core: square roots, cubature statistics, updates, robust weights."""
 
 import math
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -23,9 +22,8 @@ from dsekit.filters import (
     ProcessModel,
     _all_finite,
     _factored,
-    cholesky_lower,
+    _points,
     ckf_update,
-    cubature_points,
     huber_reweight,
     rckf_update,
     run_filter,
@@ -47,7 +45,7 @@ def linear_model(A, H):
 
 def batch_of_one(state):
     """One filter's state in the batched shapes the stages take."""
-    return FilterState(state.x_hat[None], state.P[None], state.step_index)
+    return FilterState(state.x_hat[None], state.P[None])
 
 
 def member0(result):
@@ -66,69 +64,57 @@ def random_spd(rng, n, scale=1.0):
     return scale * (L @ L.T + n * np.eye(n))
 
 
-class TestCholeskyLower:
+class TestFactored:
     def test_known_factor(self):
         # [[4,2],[2,3]] has the exact factor [[2,0],[1,sqrt(2)]]
-        S = cholesky_lower(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        S = _factored(np.array([[[4.0, 2.0], [2.0, 3.0]]]))[0]
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         assert_allclose(S, expected, rtol=0.0, atol=1e-15)
 
-    def test_reconstructs_symmetrized_input(self):
+    def test_reconstructs_symmetric_input(self):
         rng = np.random.default_rng(7)
         P = random_spd(rng, 4)
-        skewed = P.copy()
-        skewed[0, 1] += 3e-13  # symmetrization must absorb this
-        S = cholesky_lower(skewed)
+        P = 0.5 * (P + P.T)
+        S = _factored(P[None])[0]
         assert np.allclose(np.triu(S, 1), 0.0)
-        assert_allclose(S @ S.T, 0.5 * (skewed + skewed.T), rtol=1e-12, atol=1e-14)
+        assert_allclose(S @ S.T, P, rtol=1e-12, atol=1e-14)
 
     def test_jitter_rescues_singular_matrix(self):
         P = np.diag([1.0, 0.0])
-        S = cholesky_lower(P)
+        with np.errstate(invalid="ignore"):
+            S = _factored(P[None])[0]
         assert np.isfinite(S).all()
         assert_allclose(S @ S.T, P, rtol=0.0, atol=1e-9)
 
     def test_indefinite_matrix_fails_after_ladder(self):
-        with pytest.raises(DecompositionFailure):
-            cholesky_lower(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(DecompositionFailure):
+            _factored(np.array([[[1.0, 0.0], [0.0, -1.0]]]))
 
-    def test_direct_call_emits_no_warning(self):
-        # the caller's error state does not reach the factorization: a
-        # member that does not factorize warns and raises nothing on its way
-        # to the jitter ladder
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            assert np.isfinite(cholesky_lower(np.diag([1.0, 0.0]))).all()
-            with pytest.raises(DecompositionFailure, match="not positive definite"):
-                cholesky_lower(np.diag([1.0, -1.0]))
+    def test_rejects_nonfinite(self):
+        with np.errstate(invalid="ignore"), pytest.raises(DecompositionFailure):
+            _factored(np.array([[[1.0, 0.0], [0.0, np.nan]]]))
 
-    def test_rejects_nonsquare_and_nonfinite(self):
-        with pytest.raises(DecompositionFailure):
-            cholesky_lower(np.ones((2, 3)))
-        with pytest.raises(DecompositionFailure):
-            cholesky_lower(np.array([[1.0, 0.0], [0.0, np.nan]]))
-
-    def test_factoring_a_symmetric_stack_gives_the_public_bits(self):
-        # the stages factorize their covariances without symmetrizing
-        # them again; on a symmetric stack that must be cholesky_lower
+    def test_members_factor_alone(self):
+        # a stack's factors are the batched LAPACK call's bits, and a
+        # member that needs the jitter ladder or fails leaves the others so
         rng = np.random.default_rng(11)
         stack = np.array([random_spd(rng, 4) for _ in range(6)])
         stack = 0.5 * (stack + stack.transpose(0, 2, 1))
-        np.testing.assert_array_equal(_factored(stack), cholesky_lower(stack))
+        np.testing.assert_array_equal(_factored(stack), np.linalg.cholesky(stack))
         # a singular member that the jitter ladder rescues, among healthy ones
+        healthy = np.arange(6) != 2
         stack[2] = np.diag([1.0, 0.0, 2.0, 3.0])
         with np.errstate(invalid="ignore"):
             S = _factored(stack)
-            np.testing.assert_array_equal(S, cholesky_lower(stack))
+        np.testing.assert_array_equal(S[healthy], np.linalg.cholesky(stack[healthy]))
         assert np.isfinite(S).all()
         # an indefinite member fails alone, and is named
         stack[4] = np.diag([1.0, -1.0, 2.0, 3.0])
-        for factor in (_factored, cholesky_lower):
-            with np.errstate(invalid="ignore"), pytest.raises(
-                DecompositionFailure, match="not positive definite even after jitter"
-            ) as info:
-                factor(stack)
-            np.testing.assert_array_equal(info.value.members, [4])
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DecompositionFailure, match="not positive definite even after jitter"
+        ) as info:
+            _factored(stack)
+        np.testing.assert_array_equal(info.value.members, [4])
 
 
 class TestAllFinite:
@@ -168,26 +154,30 @@ class TestAllFinite:
 class TestCubaturePoints:
     def test_structure_for_identity_covariance(self):
         x = np.array([1.0, -2.0, 0.5])
-        cs = cubature_points(x, np.eye(3))
-        assert cs.points.shape == (6, 3)
-        assert cs.weight == pytest.approx(1.0 / 6.0, abs=0.0)
+        points = _points(x, np.eye(3))
+        assert points.shape == (6, 3)
         root = math.sqrt(3.0)
         for i in range(3):
             expected = x.copy()
             expected[i] += root
-            assert_allclose(cs.points[i], expected, rtol=0.0, atol=1e-15)
+            assert_allclose(points[i], expected, rtol=0.0, atol=1e-15)
             expected[i] -= 2.0 * root
-            assert_allclose(cs.points[3 + i], expected, rtol=0.0, atol=1e-15)
+            assert_allclose(points[3 + i], expected, rtol=0.0, atol=1e-15)
 
     def test_moment_matching(self):
+        # identity dynamics with Q = 0: the prediction is the mean and the
+        # covariance of the equally weighted points, for 50 members at once
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            P = random_spd(rng, 4)
-            cs = cubature_points(x, cholesky_lower(P))
-            mean = cs.points.mean(axis=0)
-            centered = cs.points - mean
-            cov = centered.T @ centered * cs.weight
+        members = [(rng.standard_normal(4), random_spd(rng, 4)) for _ in range(50)]
+        model = ProcessModel(
+            n=4, m=4, transition_points=lambda s, u: s, observe_points=lambda s, u: s
+        )
+        prior = FilterState(
+            np.array([x for x, _ in members]),
+            np.array([0.5 * (P + P.T) for _, P in members]),
+        )
+        pred = time_predict(prior, model, np.zeros(1), np.zeros((4, 4)))
+        for (x, P), mean, cov in zip(members, pred.x_hat, pred.P):
             scale = max(1.0, float(np.abs(x).max()))
             assert np.abs(mean - x).max() <= 1e-12 * scale
             assert np.abs(cov - P).max() <= 1e-10 * float(np.abs(P).max())
@@ -202,9 +192,8 @@ class TestTimePredict:
             n=4, m=1, transition_points=lambda s, u: s, observe_points=lambda s, u: s[:, :1]
         )
         pred = member0(
-            time_predict(batch_of_one(FilterState(x, P, 5)), model, np.zeros(1), np.zeros((4, 4)))
+            time_predict(batch_of_one(FilterState(x, P)), model, np.zeros(1), np.zeros((4, 4)))
         )
-        assert pred.step_index == 6
         assert np.abs(pred.x_hat - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
         assert np.abs(pred.P - P).max() <= 1e-10 * np.abs(P).max()
 
@@ -243,7 +232,7 @@ class TestCkfUpdate:
         z = rng.standard_normal(3)
         model = linear_model(np.eye(4), H)
         posterior, info = member0(
-            ckf_update(batch_of_one(FilterState(x, P, 2)), z[None], model, np.zeros(1), R)
+            ckf_update(batch_of_one(FilterState(x, P)), z[None], model, np.zeros(1), R)
         )
         S = H @ P @ H.T + R
         K = P @ H.T @ np.linalg.inv(S)
@@ -251,7 +240,6 @@ class TestCkfUpdate:
         P_exact = P - K @ S @ K.T
         assert_allclose(posterior.x_hat, x_exact, rtol=1e-10, atol=1e-12)
         assert_allclose(posterior.P, P_exact, rtol=1e-9, atol=1e-11)
-        assert posterior.step_index == 2
         assert_allclose(info.innovation, z - H @ x, rtol=1e-10, atol=1e-12)
         assert_allclose(info.P_zz, S, rtol=1e-9, atol=1e-11)
 
@@ -429,12 +417,12 @@ class TestRunFilter:
 
     def test_returns_prior_first_and_counts_steps(self):
         model = linear_model(np.eye(2) * 0.5, np.eye(2))
-        init = FilterState(np.ones(2), np.eye(2), step_index=0)
+        init = FilterState(np.ones(2), np.eye(2))
         states = run_filter(
             model, CKF, init, [np.zeros(1)] * 3, [np.zeros(2)] * 3, np.eye(2) * 0.01, np.eye(2)
         )
         assert states[0] is init
-        assert [s.step_index for s in states] == [0, 1, 2, 3]
+        assert len(states) == 4
 
     def test_r_provider_callable_sees_predicted_state(self):
         model = linear_model(np.eye(2), np.eye(2))
@@ -442,7 +430,7 @@ class TestRunFilter:
         seen = []
 
         def provider(step, predicted, u_obs):
-            seen.append((step, predicted.step_index, float(u_obs[0])))
+            seen.append((step, float(u_obs[0])))
             return np.eye(2)
 
         run_filter(
@@ -453,7 +441,7 @@ class TestRunFilter:
             provider,
             observe_inputs=[np.array([11.0]), np.array([21.0])],
         )
-        assert seen == [(0, 1, 11.0), (1, 2, 21.0)]
+        assert seen == [(0, 11.0), (1, 21.0)]
 
     def test_divergence_is_annotated_with_step(self):
         model = linear_model(np.eye(2), np.eye(2))
@@ -512,6 +500,5 @@ class TestRunFilter:
             predicted = time_predict(state, model, np.zeros(1), Q)
             state, _, _ = rckf_update(predicted, z[None], model, np.zeros(1), R, HuberConfig())
             stepped = member0(state)
-            assert stepped.step_index == ref.step_index
             np.testing.assert_array_equal(stepped.x_hat, ref.x_hat)
             np.testing.assert_array_equal(stepped.P, ref.P)

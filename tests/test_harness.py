@@ -215,6 +215,17 @@ class TestSummarize:
         assert table[(1, "single", "delta", "epsilon1")][0] == pytest.approx(0.6, abs=1e-15)
         assert not any(key[1] == "window" for key in table)
 
+    def test_zero_classical_median_has_no_improvement(self):
+        # the relative improvement divides by the classical median, and is
+        # left empty where that is zero
+        rows = (
+            MatrixRow(1, "single", CKF, 1, "delta", 0.0, 0.1, None),
+            MatrixRow(1, "single", RCKF, 1, "delta", 0.0, 0.1, None),
+        )
+        out = summarize(ExperimentMatrix(rows, {}, 1, 0))
+        table = {(v, i): impr for _, _, v, i, _, _, impr in out}
+        assert table == {("delta", "epsilon1"): None, ("delta", "epsilon2"): 0.0}
+
     def test_variable_ordering(self):
         out = summarize(self._matrix())
         variables = [v for _, _, v, _, _, _, _ in out]

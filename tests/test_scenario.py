@@ -2,7 +2,7 @@
 measurement synthesis, and the paired filter runs."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 from pathlib import Path
 
@@ -13,20 +13,17 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dsekit import scenario
-from dsekit.config import build_scenario, load_config
+from dsekit.config import build_scenario, default_config, load_config
 from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
 from dsekit.machine import (
-    DEFAULT_PARAMS,
     DIVIDE_BY_SPEED,
     POWER_EQUALS_TORQUE,
     TORQUE_MODES,
     MachineInputs,
     MachineParams,
-    MachineState,
     _rk4,
-    electrical_power,
-    state_derivative,
+    observe_points,
 )
 from dsekit.noise import GAUSSIAN_WHITE, NoiseSpec, OutlierSpec
 from dsekit.scenario import (
@@ -47,10 +44,12 @@ from dsekit.scenario import (
     synthesize_measurements,
     time_grid,
 )
-from oracles import machine_trajectory
+from oracles import machine_derivative, machine_trajectory
 from test_machine import ODD_PARAMS
 
 BASE = MachineInputs(t_m=0.8, e_f=2.0, u_t=1.0, phi=0.0)
+# The machine of the default configuration.
+PARAMS = build_scenario(default_config()).machine
 
 
 def zero_noise():
@@ -70,7 +69,7 @@ def make_config(
     outliers=None,
 ):
     return ScenarioConfig(
-        machine=DEFAULT_PARAMS,
+        machine=PARAMS,
         profile=build_fault_profile(BASE, fault, t_end),
         dt=dt,
         t_end=t_end,
@@ -194,41 +193,41 @@ class TestFaultProfile:
 
 class TestSteadyState:
     def test_residual_below_tolerance(self):
-        state = steady_state_init(BASE, DEFAULT_PARAMS)
-        rate = state_derivative(state, BASE, DEFAULT_PARAMS)
+        state = steady_state_init(BASE, PARAMS)
+        rate = machine_derivative(astuple(state), astuple(BASE), PARAMS)
         assert np.abs(rate).max() <= 1e-10
 
     def test_synchronous_speed_exact(self):
-        state = steady_state_init(BASE, DEFAULT_PARAMS)
+        state = steady_state_init(BASE, PARAMS)
         assert state.delta_omega == 0.0
 
     def test_power_balance(self):
-        state = steady_state_init(BASE, DEFAULT_PARAMS)
-        p = electrical_power(state, BASE, DEFAULT_PARAMS)
+        state = steady_state_init(BASE, PARAMS)
+        p = observe_points(np.array([astuple(state)]), astuple(BASE), PARAMS)[0, 2]
         assert p == pytest.approx(BASE.t_m, abs=1e-12)
 
     def test_zero_torque_means_zero_angle(self):
         inputs = MachineInputs(t_m=0.0, e_f=2.0, u_t=1.0, phi=0.0)
-        state = steady_state_init(inputs, DEFAULT_PARAMS)
+        state = steady_state_init(inputs, PARAMS)
         assert state.delta == 0.0
         assert state.e_d_prime == 0.0
 
     def test_grid_angle_shifts_rotor_angle(self):
         shifted = MachineInputs(t_m=0.8, e_f=2.0, u_t=1.0, phi=0.1)
-        a = steady_state_init(BASE, DEFAULT_PARAMS)
-        b = steady_state_init(shifted, DEFAULT_PARAMS)
+        a = steady_state_init(BASE, PARAMS)
+        b = steady_state_init(shifted, PARAMS)
         assert b.delta - a.delta == pytest.approx(0.1, abs=1e-12)
         assert b.e_q_prime == pytest.approx(a.e_q_prime, abs=1e-12)
 
     def test_divide_by_speed_mode_converges(self):
-        state = steady_state_init(BASE, DEFAULT_PARAMS, torque_mode="divide_by_speed")
-        rate = state_derivative(state, BASE, DEFAULT_PARAMS, "divide_by_speed")
+        state = steady_state_init(BASE, PARAMS, torque_mode="divide_by_speed")
+        rate = machine_derivative(astuple(state), astuple(BASE), PARAMS, True)
         assert np.abs(rate).max() <= 1e-10
 
     def test_past_pull_out_raises(self):
         inputs = MachineInputs(t_m=1.2, e_f=2.0, u_t=1.0, phi=0.0)
         with pytest.raises(NoConvergence):
-            steady_state_init(inputs, DEFAULT_PARAMS)
+            steady_state_init(inputs, PARAMS)
 
     @pytest.mark.parametrize("t_m", [0.8, 0.0])
     def test_residual_above_tolerance_raises(self, t_m):
@@ -236,7 +235,7 @@ class TestSteadyState:
         # as on the unloaded state that skips the root solve
         inputs = MachineInputs(t_m=t_m, e_f=2.0, u_t=1.0, phi=0.0)
         with pytest.raises(NoConvergence, match="exceeds tolerance -1.0e\\+00"):
-            steady_state_init(inputs, DEFAULT_PARAMS, tol=-1.0)
+            steady_state_init(inputs, PARAMS, tol=-1.0)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -301,9 +300,9 @@ class TestBrentPort:
     @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
     def test_shipped_config_equilibria_equal_scipy(self, path, torque_mode, monkeypatch):
         cfg = replace(build_scenario(load_config(path)), torque_mode=torque_mode)
-        ours = equilibrium(cfg).as_array()
+        ours = np.array(astuple(equilibrium(cfg)))
         monkeypatch.setattr(scenario, "_brentq", brentq)
-        assert equilibrium(cfg).as_array().tobytes() == ours.tobytes()
+        assert np.array(astuple(equilibrium(cfg))).tobytes() == ours.tobytes()
 
     def test_same_sign_bracket_is_rejected(self):
         def f(x):
@@ -324,7 +323,7 @@ class TestBrentPort:
         assert _brentq(f, *bracket, 1e-15, 8.9e-16).hex() == want.hex()
 
     def test_no_convergence_within_maxiter(self, monkeypatch):
-        (f, lo, hi, xtol, rtol), = recorded_brackets(BASE, DEFAULT_PARAMS, POWER_EQUALS_TORQUE)
+        (f, lo, hi, xtol, rtol), = recorded_brackets(BASE, PARAMS, POWER_EQUALS_TORQUE)
         root, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
         n = info.iterations
         assert n > 1
@@ -335,7 +334,7 @@ class TestBrentPort:
             _brentq(f, lo, hi, xtol, rtol, maxiter=n - 1)
         monkeypatch.setattr(scenario, "_brentq", partial(_brentq, maxiter=n - 1))
         with pytest.raises(NoConvergence):
-            steady_state_init(BASE, DEFAULT_PARAMS)
+            steady_state_init(BASE, PARAMS)
 
 
 class TestScenarioConfig:
@@ -361,8 +360,8 @@ class TestSimulateTruth:
     def test_starts_at_equilibrium(self):
         cfg = make_config()
         truth = simulate_truth(cfg)
-        x0 = steady_state_init(BASE, DEFAULT_PARAMS)
-        np.testing.assert_array_equal(truth[0], x0.as_array())
+        x0 = steady_state_init(BASE, PARAMS)
+        np.testing.assert_array_equal(truth[0], astuple(x0))
 
     def test_no_fault_stays_at_equilibrium(self):
         cfg = make_config(fault=None, t_end=2.0)
@@ -406,7 +405,7 @@ class TestTruthKernel:
     at a time; it must give the bits of the model's formula stepped one
     row at a time, and report a failing step as the model map would."""
 
-    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, ODD_PARAMS])
+    @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
     @pytest.mark.parametrize("torque_mode", [POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED])
     @pytest.mark.parametrize("steps", [1, TRUTH_BLOCK_ROWS, TRUTH_BLOCK_ROWS + 1, 1500])
     def test_equals_the_unhoisted_formula_bit_for_bit(self, torque_mode, params, steps):
@@ -444,7 +443,7 @@ class TestTruthKernel:
     @staticmethod
     def oracle(cfg):
         inputs = cfg.profile.as_array(time_grid(cfg))[:-1]
-        x0 = equilibrium(cfg).as_array()
+        x0 = astuple(equilibrium(cfg))
         return machine_trajectory(x0, inputs, cfg.machine, cfg.dt, False), inputs
 
     def test_a_repeating_state_is_replayed_bit_for_bit(self, monkeypatch):
@@ -519,7 +518,7 @@ class TestTruthKernel:
     )
     def test_a_step_raising_inside_the_formula_is_named(self, prior, dip, step):
         cfg = make_config(fault=replace(STAGED_FAULT, u_t_dip=dip), t_end=2.0)
-        x0 = replace(steady_state_init(BASE, DEFAULT_PARAMS), **prior)
+        x0 = replace(steady_state_init(BASE, PARAMS), **prior)
         with pytest.raises(NonFiniteState) as info:
             simulate_truth(cfg, x0)
         cause = info.value.__cause__
@@ -539,7 +538,7 @@ class TestTruthKernel:
 
     def test_division_by_zero_speed_is_a_non_finite_state(self):
         cfg = replace(make_config(t_end=2.0), torque_mode=DIVIDE_BY_SPEED)
-        x0 = replace(steady_state_init(BASE, DEFAULT_PARAMS, DIVIDE_BY_SPEED), delta_omega=-1.0)
+        x0 = replace(steady_state_init(BASE, PARAMS, DIVIDE_BY_SPEED), delta_omega=-1.0)
         with pytest.raises(NonFiniteState) as info:
             simulate_truth(cfg, x0)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
@@ -570,12 +569,8 @@ class TestSynthesizeMeasurements:
         times = time_grid(cfg)
         u_arr = cfg.profile.as_array(times)
         for k in range(0, len(times), 7):
-            p = electrical_power(
-                MachineState.from_array(truth[k]),
-                MachineInputs.from_array(u_arr[k]),
-                cfg.machine,
-            )
-            assert clean[k, 2] == p
+            # one row at a time, where synthesis maps the whole series
+            assert clean[k, 2] == observe_points(truth[k][None], u_arr[k], cfg.machine)[0, 2]
 
     def test_auto_power_noise_engages(self):
         cfg = make_config(
@@ -619,13 +614,12 @@ class TestInitialFilterState:
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
         init = initial_filter_state(cfg, corrupted)
-        eq0 = steady_state_init(BASE, DEFAULT_PARAMS)
+        eq0 = steady_state_init(BASE, PARAMS)
         assert init.x_hat[0] == corrupted[0, 0]
         assert init.x_hat[1] == corrupted[0, 1] - 1.0
         assert init.x_hat[2] == pytest.approx(eq0.e_q_prime * 1.1, abs=1e-15)
         assert init.x_hat[3] == pytest.approx(eq0.e_d_prime * 1.1, abs=1e-15)
         np.testing.assert_array_equal(init.P, np.diag(cfg.init.p0_diag))
-        assert init.step_index == 0
 
     def test_bias_is_configurable(self):
         cfg = make_config(t_end=2.0)
@@ -633,7 +627,7 @@ class TestInitialFilterState:
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
         init = initial_filter_state(cfg, corrupted)
-        eq0 = steady_state_init(BASE, DEFAULT_PARAMS)
+        eq0 = steady_state_init(BASE, PARAMS)
         assert init.x_hat[2] == pytest.approx(eq0.e_q_prime, abs=1e-15)
 
 
@@ -732,8 +726,8 @@ class TestRunScenario:
         record = run_scenario(make_config(t_end=2.0))
         assert len(calls) == 1
         # the truth and the filter prior share that equilibrium
-        x0 = solve(BASE, DEFAULT_PARAMS)
-        np.testing.assert_array_equal(record.truth[0], x0.as_array())
+        x0 = solve(BASE, PARAMS)
+        np.testing.assert_array_equal(record.truth[0], astuple(x0))
         assert record.estimates[CKF][0, 2] == x0.e_q_prime * 1.1
 
     def test_estimates_track_truth_under_white_noise(self):
