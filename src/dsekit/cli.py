@@ -21,7 +21,6 @@ from .evaluation import FLOAT_FORMAT, VARIABLES, MetricsReport, format_float, re
 from .filters import CKF, MEMBER_FAILURES, RCKF
 from .noise import outlier_rows
 from .scenario import (
-    RunRecord,
     ScenarioConfig,
     equilibrium,
     filter_series,
@@ -147,7 +146,7 @@ def cmd_estimate(args) -> int:
     try:
         x0 = equilibrium(cfg)
         truth = simulate_truth(cfg, x0)
-        clean, corrupted = synthesize_measurements(truth, cfg)
+        _, corrupted = synthesize_measurements(truth, cfg)
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -155,26 +154,17 @@ def cmd_estimate(args) -> int:
         corrupted = _read_measurements_csv(args.measurements, times)
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
     try:
-        estimates, step_times, _ = filter_series(
+        estimates, _, _ = filter_series(
             cfg, corrupted[None], variants, strict=True, x0=x0
         )[0]
     except MEMBER_FAILURES as exc:
         # the message already begins with "measurement index k: "
         print(f"filter diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    record = RunRecord(
-        times=times,
-        truth=truth,
-        clean=clean,
-        corrupted=corrupted,
-        estimates=estimates,
-        step_times_ns=step_times,
-        failures={},
-    )
     for variant in variants:
         est_path = _out_path(args, f"estimates_{variant}.csv")
         _write_series_csv(est_path, TRUTH_HEADER, times, estimates[variant])
-        report = report_from_run(record, variant)
+        report = report_from_run(estimates[variant], truth, corrupted)
         metrics_path = _out_path(args, f"metrics_{variant}.csv")
         _write_metrics_csv(metrics_path, report)
         _say(args, f"wrote {est_path} and {metrics_path}")
@@ -194,9 +184,10 @@ def cmd_experiment(args) -> int:
     )
 
     cfg = _load_scenario(args)
-    if args.runs < 1:
-        print(f"--runs must be at least 1, got {args.runs}", file=sys.stderr)
-        return EXIT_CONFIG
+    for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
+        if value < 1:
+            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_CONFIG
     rows = len(time_grid(cfg))
     for manner in MANNERS:
         try:

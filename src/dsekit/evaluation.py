@@ -99,45 +99,43 @@ class MetricsReport:
     epsilon2: dict[str, float]
 
 
-def _series(record, variant: str, variable: str):
+def _series(estimates, truth, corrupted, variable: str):
     """(estimates, truth, measurements) for one variable, step 0 dropped.
 
     Angle series are unwrapped; speed series are shifted to 1 + deviation
     to match the measured quantity.  Raw measurements are never unwrapped,
     heavy-tailed spikes would corrupt the unwrapping.
     """
-    est_run = record.estimates[variant]
     col = VARIABLES.index(variable)
-    est = est_run[1:, col]
-    tru = record.truth[1:, col]
+    est = estimates[1:, col]
+    tru = truth[1:, col]
     if variable == "delta":
         est = np.unwrap(est)
         tru = np.unwrap(tru)
-        meas = record.corrupted[1:, 0]
+        meas = corrupted[1:, 0]
     elif variable == "omega":
         est = 1.0 + est
         tru = 1.0 + tru
-        meas = record.corrupted[1:, 1]
+        meas = corrupted[1:, 1]
     else:
         meas = None
     return est, tru, meas
 
 
-def report_from_run(record, variant: str) -> MetricsReport:
-    """Score one filter variant of a finished run, leaving out the
-    indicators that are undefined for it."""
-    if variant not in record.estimates:
-        raise MismatchedRuns(f"run has no estimates for variant {variant!r}")
+def report_from_run(
+    estimates: np.ndarray, truth: np.ndarray, corrupted: np.ndarray
+) -> MetricsReport:
+    """Score one filter's estimates (steps + 1, 4), whose first row is its
+    prior, against the truth (steps + 1, 4) and the corrupted measurements
+    (steps + 1, 3) it filtered, leaving out the indicators that are
+    undefined for the run."""
     eps1: dict[str, float] = {}
     eps2: dict[str, float] = {}
     for variable in VARIABLES:
-        est, tru, meas = _series(record, variant, variable)
+        est, tru, meas = _series(estimates, truth, corrupted, variable)
         if variable in MEASURED_CHANNEL:
             with suppress(ZeroDenominator):
                 eps1[variable] = epsilon1(est, tru, meas)
         with suppress(ZeroTruthValue):
             eps2[variable] = epsilon2(est, tru)
-    return MetricsReport(
-        s_m=record.truth.shape[0] - 1, epsilon1=eps1, epsilon2=eps2
-    )
-
+    return MetricsReport(s_m=truth.shape[0] - 1, epsilon1=eps1, epsilon2=eps2)

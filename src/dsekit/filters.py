@@ -10,10 +10,9 @@ measurement can exert on the posterior.
 
 Every stage works on a batch: a state carries x_hat as (B, n) and P as
 (B, n, n), and one call advances all members together; a single filter is
-a batch of one.  run_filter takes and returns one filter's shapes, (n,)
-and (n, n), and runs the filter as such a batch.  The classical filter is
-the robust one with an infinite Huber threshold, which is exact because R
-is diagonal, so both variants share one batch.
+a batch of one, x_hat (1, n) and P (1, n, n).  The classical filter is the
+robust one with an infinite Huber threshold, which is exact because R is
+diagonal, so both variants share one batch.
 The stages take P symmetric and return it symmetric: time_predict and the
 updates each symmetrize the covariance they return, and factorize the one
 they are given as it is; iter_batch symmetrizes its prior once.
@@ -26,10 +25,10 @@ gate on the mapped points names the member it belongs to.
 
 The stages compute under the caller's floating-point error state: a
 failing member's numbers come out NaN or infinite and are caught by the
-finiteness gates, not by the error state.  iter_batch, and run_filter
-through it, runs each step under np.errstate(all="ignore"), so a batch
-step emits no floating-point warning.  The stages, called directly on a
-failing member, may emit numpy's RuntimeWarning before they raise.
+finiteness gates, not by the error state.  iter_batch runs each step
+under np.errstate(all="ignore"), so a batch step emits no floating-point
+warning.  The stages, called directly on a failing member, may emit
+numpy's RuntimeWarning before they raise.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ class ProcessModel:
 class FilterState:
     """State estimate and error covariance at one step: x_hat (B, n) and
     P (B, n, n) for a batch of B filters, as the stages take and return
-    them; run_filter's states are one filter's, x_hat (n,) and P (n, n)."""
+    them; a single filter is B = 1."""
 
     x_hat: Array
     P: Array
@@ -497,24 +496,24 @@ def iter_batch(
     Q: Array,
     R_provider,
     huber: HuberConfig,
-    observe_inputs: Sequence[Array] | None = None,
 ) -> Iterator[tuple[Array, FilterState, list[tuple[int, Exception]]]]:
     """Advance a batch of filters in lockstep over a measurement sequence.
 
     Args:
         model: process model shared by the members.
         init: batched prior at step 0, x_hat (B, n) and P (B, n, n).
-        inputs: transition input per step, shared by the members.
+        inputs: T + 1 input rows, shared by the members, one per grid
+            point: step k predicts with row k and observes measurement k
+            with row k + 1.
         measurements: (T, B, m), the measurement of each member per step.
         Q: process noise covariance, fixed across steps.
         R_provider: fixed (m, m) diagonal measurement covariance, or a
             callable (step, predicted_batch, observe_input) -> (A, m, m)
-            with one diagonal matrix per live member.
+            with one diagonal matrix per live member; observe_input is
+            input row step + 1.
         huber: c is one threshold per member (math.inf for the
             classical filter) or one for all; max_reweight_passes is
             shared.
-        observe_inputs: optional per-step input for the measurement map;
-            defaults to the transition input of the same step.
 
     Each step runs under np.errstate(all="ignore"): a member whose numbers
     stop being finite is frozen by the stages' finiteness gates, and the
@@ -527,8 +526,17 @@ def iter_batch(
     member's exception carries the measurement index as a message prefix
     and as exc.step_index; it takes no further steps and does not touch
     the other members.
+
+    Raises:
+        ValueError: inputs does not hold T + 1 rows; raised before the
+            first step.
     """
     measurements = np.asarray(measurements, dtype=float)
+    if len(inputs) != measurements.shape[0] + 1:
+        raise ValueError(
+            f"inputs must hold one row more than the {measurements.shape[0]} "
+            f"measurements, got {len(inputs)}"
+        )
     members = np.arange(measurements.shape[1])
     thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
     P0 = _symmetrized(np.asarray(init.P, dtype=float))
@@ -541,7 +549,7 @@ def iter_batch(
     config = HuberConfig(thresholds, huber.max_reweight_passes)
     for k in range(measurements.shape[0]):
         u = inputs[k]
-        u_obs = observe_inputs[k] if observe_inputs is not None else u
+        u_obs = inputs[k + 1]
         failed: list[tuple[int, Exception]] = []
         while members.size:
             try:
@@ -575,79 +583,3 @@ def iter_batch(
         yield members, state, failed
         if not members.size:
             return
-
-
-def run_filter(
-    model: ProcessModel,
-    variant: str,
-    init: FilterState,
-    inputs: Sequence[Array],
-    measurements: Sequence[Array],
-    Q: Array,
-    R_provider,
-    huber: HuberConfig | None = None,
-    observe_inputs: Sequence[Array] | None = None,
-) -> list[FilterState]:
-    """Run one filter variant, a batch of one, over a measurement sequence.
-
-    Args:
-        model: process model shared by both variants.
-        variant: "ckf" or "rckf".
-        init: prior at step 0, x_hat (n,) and P (n, n); returned unchanged
-            as the first element.
-        inputs: transition input per step, same length as measurements.
-        measurements: measurement vector per step.
-        Q: process noise covariance, fixed across steps.
-        R_provider: fixed diagonal measurement covariance matrix, or a
-            callable (step, predicted_state, observe_input) -> matrix
-            evaluated after each prediction on the one filter's state.
-        huber: robust update tuning, used by the rckf variant only.
-        observe_inputs: optional per-step input vector for the measurement
-            map; defaults to the transition input of the same step.
-
-    Returns:
-        List of length len(measurements) + 1: the prior followed by one
-        posterior per measurement, each x_hat (n,) and P (n, n).
-
-    Raises:
-        DecompositionFailure, NonFiniteState, DegenerateChannel: re-raised
-            with the offending measurement index prefixed and stored as
-            exc.step_index.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown filter variant {variant!r}")
-    if len(inputs) != len(measurements):
-        raise ValueError(
-            f"inputs and measurements must have equal length, "
-            f"got {len(inputs)} and {len(measurements)}"
-        )
-    if observe_inputs is not None and len(observe_inputs) != len(measurements):
-        raise ValueError("observe_inputs length must match measurements")
-    if huber is None:
-        huber = HuberConfig()
-    c = huber.c if variant == RCKF else math.inf
-    if callable(R_provider):
-        user_provider = R_provider
-
-        def R_provider(k, predicted, u_obs):
-            state = FilterState(predicted.x_hat[0], predicted.P[0])
-            return np.asarray(user_provider(k, state, u_obs), dtype=float)[None]
-
-    steps = iter_batch(
-        model,
-        FilterState(
-            np.asarray(init.x_hat, dtype=float)[None], np.asarray(init.P, dtype=float)[None]
-        ),
-        inputs,
-        np.asarray(measurements, dtype=float).reshape(len(measurements), 1, model.m),
-        np.asarray(Q, dtype=float),
-        R_provider,
-        HuberConfig(c, huber.max_reweight_passes),
-        observe_inputs,
-    )
-    states = [init]
-    for _, state, failed in steps:
-        if failed:
-            raise failed[0][1]
-        states.append(FilterState(state.x_hat[0], state.P[0]))
-    return states

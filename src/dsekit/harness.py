@@ -23,7 +23,6 @@ from .evaluation import VARIABLES, format_float, report_from_run
 from .filters import CKF, RCKF
 from .noise import OutlierSpec, outlier_rows
 from .scenario import (
-    RunRecord,
     ScenarioConfig,
     batch_filters,
     equilibrium,
@@ -122,17 +121,15 @@ def _run_cells(item) -> list[Outcome]:
     """Rows and failures of each cell of a chunk, its filters run as one
     batch."""
     cfg, truth, x0, cells, timing = item
-    records = [synthesize_measurements(truth, cell_cfg) for cell_cfg, *_ in cells]
-    results = filter_series(cfg, np.stack([c for _, c in records]), (CKF, RCKF), x0=x0)
-    times = time_grid(cfg)
+    series = np.stack([synthesize_measurements(truth, cell_cfg)[1] for cell_cfg, *_ in cells])
+    results = filter_series(cfg, series, (CKF, RCKF), x0=x0)
     out: list[Outcome] = []
-    for (_, preset, manner, seed), (clean, corrupted), (estimates, step_times, failures) in zip(
-        cells, records, results
+    for (_, preset, manner, seed), corrupted, (estimates, step_times, failures) in zip(
+        cells, series, results
     ):
-        record = RunRecord(times, truth, clean, corrupted, estimates, step_times, failures)
         rows: list[MatrixRow] = []
         for variant in estimates:
-            report = report_from_run(record, variant)
+            report = report_from_run(estimates[variant], truth, corrupted)
             mean_ms = float(step_times[variant].mean()) / 1e6 if timing else None
             rows.extend(
                 MatrixRow(

@@ -51,7 +51,7 @@ class MachineParams:
         for name in ("t_d0_prime", "t_q0_prime", "t_j", "omega_0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"require {name} > 0")
-        if self.damping < 0.0:
+        if not self.damping >= 0.0:
             raise ValueError("require damping >= 0")
 
 
@@ -86,9 +86,9 @@ class MeasurementSigmas:
     sigma_phi: float = math.radians(0.1)
 
     def __post_init__(self):
-        if self.sigma_delta <= 0.0 or self.sigma_omega <= 0.0:
+        if not (self.sigma_delta > 0.0 and self.sigma_omega > 0.0):
             raise ValueError("sigma_delta and sigma_omega must be positive")
-        if self.sigma_u < 0.0 or self.sigma_phi < 0.0:
+        if not (self.sigma_u >= 0.0 and self.sigma_phi >= 0.0):
             raise ValueError("sigma_u and sigma_phi must be nonnegative")
 
 

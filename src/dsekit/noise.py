@@ -51,7 +51,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidConfig(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise InvalidConfig(f"sigma must be nonnegative, got {self.sigma}")
         if self.kind == GAUSSIAN_WHITE and self.mu != 0.0:
             raise InvalidConfig("gaussian_white requires mu == 0")
@@ -206,7 +206,7 @@ class OutlierSpec:
     def __post_init__(self):
         if self.manner not in (OUTLIER_NONE, OUTLIER_SINGLE, OUTLIER_WINDOW):
             raise InvalidConfig(f"unknown outlier manner {self.manner!r}")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise InvalidConfig(f"outlier scale must be positive, got {self.scale}")
         if self.manner == OUTLIER_SINGLE and self.time is None:
             raise InvalidConfig("single outlier needs a time")

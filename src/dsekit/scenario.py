@@ -96,11 +96,11 @@ class FaultSpec:
     u_t_partial: float | None = None
 
     def __post_init__(self):
-        if self.t_on < 0.0:
+        if not self.t_on >= 0.0:
             raise InvalidWindow(f"fault onset must be nonnegative, got {self.t_on}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise InvalidWindow(f"fault duration must be positive, got {self.duration}")
-        if self.u_t_dip < 0.0 or self.u_t_post < 0.0:
+        if not (self.u_t_dip >= 0.0 and self.u_t_post >= 0.0):
             raise InvalidWindow("fault voltages must be nonnegative")
         if (self.duration_partial is None) != (self.u_t_partial is None):
             raise InvalidWindow(
@@ -112,7 +112,7 @@ class FaultSpec:
                     f"duration_partial must fall inside (0, {self.duration}), "
                     f"got {self.duration_partial}"
                 )
-            if self.u_t_partial < 0.0:
+            if not self.u_t_partial >= 0.0:
                 raise InvalidWindow("fault voltages must be nonnegative")
 
 
@@ -287,7 +287,7 @@ class InitSpec:
     eprime_bias: float = 0.1
 
     def __post_init__(self):
-        if any(v <= 0.0 for v in self.p0_diag) or any(v <= 0.0 for v in self.q_diag):
+        if not all(v > 0.0 for v in (*self.p0_diag, *self.q_diag)):
             raise ValueError("p0_diag and q_diag entries must be positive")
 
 
@@ -310,7 +310,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
+        if not self.t_end >= self.dt:
             raise ValueError("t_end must cover at least one step")
         _check_torque_mode(self.torque_mode)
 
@@ -456,25 +456,6 @@ def initial_filter_state(
     return FilterState(x_hat=x_hat, P=np.diag(cfg.init.p0_diag))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Everything produced by one scenario run.
-
-    estimates maps variant name to a (steps + 1, 4) array whose first row
-    is the filter prior; step_times_ns maps variant name to per-step wall
-    times; failures maps variant name to the error message when a variant
-    diverged (such variants are absent from estimates).
-    """
-
-    times: np.ndarray
-    truth: np.ndarray
-    clean: np.ndarray
-    corrupted: np.ndarray
-    estimates: dict[str, np.ndarray]
-    step_times_ns: dict[str, np.ndarray]
-    failures: dict[str, str]
-
-
 def batch_filters(
     cfg: ScenarioConfig,
     series: np.ndarray,
@@ -523,12 +504,11 @@ def batch_filters(
     steps = iter_batch(
         model,
         init,
-        u_arr[:-1],
+        u_arr,
         np.repeat(series[:, 1:].transpose(1, 0, 2), repeats, axis=1),
         np.diag(cfg.init.q_diag),
         r_provider,
         HuberConfig(thresholds, cfg.huber.max_reweight_passes),
-        observe_inputs=u_arr[1:],
     )
     return prior, steps
 
@@ -597,28 +577,3 @@ def filter_series(
                 out[1][variant] = step_ns[member]
         results.append(out)
     return results
-
-
-def run_scenario(
-    cfg: ScenarioConfig, variants: Sequence[str] = (CKF, RCKF), strict: bool = False
-) -> RunRecord:
-    """Simulate, synthesize, and run the requested filter variants.
-
-    Both variants consume the identical corrupted series.  A variant that
-    diverges is reported in RunRecord.failures instead of aborting the
-    run, unless strict is set.
-    """
-    times = time_grid(cfg)
-    x0 = equilibrium(cfg)
-    truth = simulate_truth(cfg, x0)
-    clean, corrupted = synthesize_measurements(truth, cfg)
-    estimates, step_times, failures = filter_series(cfg, corrupted[None], variants, strict, x0)[0]
-    return RunRecord(
-        times=times,
-        truth=truth,
-        clean=clean,
-        corrupted=corrupted,
-        estimates=estimates,
-        step_times_ns=step_times,
-        failures=failures,
-    )

@@ -30,8 +30,8 @@ from dsekit.filters import (
     ProcessModel,
     ckf_update,
     huber_reweight,
+    iter_batch,
     rckf_update,
-    run_filter,
     time_predict,
 )
 from dsekit.harness import ExperimentMatrix, MatrixRow, bench_filters, run_experiment, summarize
@@ -44,7 +44,6 @@ from dsekit.machine import (
 )
 from dsekit.noise import OutlierSpec, SeededStream, draw_cauchy, draw_laplace
 from dsekit.scenario import (
-    RunRecord,
     equilibrium,
     filter_series,
     initial_filter_state,
@@ -76,9 +75,11 @@ def test_linear_gaussian_equivalence():
     )
     init = FilterState(x_hat=x0.copy(), P=P0.copy())
     start = time.perf_counter()
-    states = run_filter(
-        model, CKF, init, [None] * 200, measurements, Q, lambda k, s, u: R
+    steps = iter_batch(
+        model, FilterState(x0[None], P0[None]), [None] * 201, np.asarray(measurements)[:, None],
+        Q, lambda k, s, u: R, HuberConfig(math.inf),
     )
+    states = [init] + [FilterState(s.x_hat[0], s.P[0]) for _, s, _ in steps]
     elapsed = time.perf_counter() - start
     reference = linear_kalman_filter(A, H, Q, R, x0, P0, measurements)
 
@@ -155,9 +156,8 @@ def test_robust_variant_coincides_on_inliers():
         synthesized, filter_series(base, corrupted, x0=x0)
     ):
         assert not failures
-        record = RunRecord(times, truth, clean, series, estimates, step_times, failures)
         for variant in (CKF, RCKF):
-            report = report_from_run(record, variant)
+            report = report_from_run(estimates[variant], truth, series)
             for variable, value in report.epsilon2.items():
                 eps2[variant].setdefault(variable, []).append(value)
 

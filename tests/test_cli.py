@@ -489,13 +489,17 @@ class TestExperiment:
         _, rows = read_rows(out / "matrix.csv")
         assert all(float(r[7]) > 0.0 for r in rows)
 
-    def test_runs_must_be_positive(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--jobs", "0"), ("--jobs", "-5")])
+    def test_runs_must_be_positive(self, tmp_path, capsys, flag, value):
         cfg = self._cfg(tmp_path)
+        # the last occurrence of a flag wins
         code = run(
             "experiment", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--quiet",
-            "--runs", "0",
+            "--runs", "1", "--jobs", "1", flag, value,
         )
         assert code == EXIT_CONFIG
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_all_cells_failing_exits_5(self, tmp_path, capsys):
         # past the pull-out torque every cell fails at initialization; the

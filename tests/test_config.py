@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from dsekit.config import (
     with_outliers,
     with_seed,
 )
-from dsekit.errors import ConfigError
+from dsekit.errors import ConfigError, InvalidConfig, InvalidWindow
 from dsekit.harness import manner_outliers
 from dsekit.machine import MeasurementSigmas
 from dsekit.noise import (
@@ -26,8 +27,10 @@ from dsekit.noise import (
     GAUSSIAN_BIASED,
     GAUSSIAN_WHITE,
     LAPLACE,
+    NoiseSpec,
     OutlierSpec,
 )
+from dsekit.scenario import FaultSpec, InitSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +40,45 @@ def build(mutate=None):
     if mutate is not None:
         mutate(doc)
     return build_scenario(doc)
+
+
+NAN = math.nan
+FAULT = dict(t_on=1.0, duration=0.1, u_t_dip=0.3, u_t_post=0.9)
+
+
+# Each bound is written so that a NaN fails it, as a comparison with NaN
+# is false whichever way it points.
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        pytest.param(lambda: replace(build().machine, damping=NAN), ValueError, id="damping"),
+        pytest.param(lambda: MeasurementSigmas(sigma_delta=NAN), ValueError, id="sigma_delta"),
+        pytest.param(lambda: MeasurementSigmas(sigma_omega=NAN), ValueError, id="sigma_omega"),
+        pytest.param(lambda: MeasurementSigmas(sigma_u=NAN), ValueError, id="sigma_u"),
+        pytest.param(lambda: MeasurementSigmas(sigma_phi=NAN), ValueError, id="sigma_phi"),
+        pytest.param(lambda: InitSpec(p0_diag=(NAN, 1.0, 1.0, 1.0)), ValueError, id="p0_diag"),
+        pytest.param(lambda: InitSpec(q_diag=(1.0, 1.0, 1.0, NAN)), ValueError, id="q_diag"),
+        pytest.param(lambda: FaultSpec(**{**FAULT, "t_on": NAN}), InvalidWindow, id="t_on"),
+        pytest.param(
+            lambda: FaultSpec(**{**FAULT, "duration": NAN}), InvalidWindow, id="duration"
+        ),
+        pytest.param(lambda: FaultSpec(**{**FAULT, "u_t_dip": NAN}), InvalidWindow, id="u_t_dip"),
+        pytest.param(
+            lambda: FaultSpec(**{**FAULT, "u_t_post": NAN}), InvalidWindow, id="u_t_post"
+        ),
+        pytest.param(
+            lambda: FaultSpec(**FAULT, duration_partial=0.05, u_t_partial=NAN),
+            InvalidWindow,
+            id="u_t_partial",
+        ),
+        pytest.param(lambda: NoiseSpec(LAPLACE, NAN), InvalidConfig, id="noise_sigma"),
+        pytest.param(lambda: OutlierSpec(scale=NAN), InvalidConfig, id="outlier_scale"),
+        pytest.param(lambda: replace(build(), t_end=NAN), ValueError, id="t_end"),
+    ],
+)
+def test_records_reject_nan_bounds(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def inputs_at(cfg, t):

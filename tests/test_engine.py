@@ -192,7 +192,7 @@ def linear_run(x0, P0, thresholds, R_provider, steps=8, model=LINEAR):
         iter_batch(
             model,
             FilterState(x0, np.asarray(P0, dtype=float)),
-            [np.zeros(1)] * steps,
+            [np.zeros(1)] * (steps + 1),
             measurements,
             np.eye(4) * 1e-3,
             R_provider,
@@ -428,7 +428,7 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     init = FilterState(prior, np.repeat(np.diag(cfg.init.p0_diag)[None], len(prior), axis=0))
     z = series[:, 1:].transpose(1, 0, 2)
     huber = HuberConfig(np.array(thresholds), passes)
-    steps = iter_batch(model, init, u_arr[:-1], z, Q, provider, huber, observe_inputs=u_arr[1:])
+    steps = iter_batch(model, init, u_arr, z, Q, provider, huber)
 
     state = init
     classical = np.isinf(thresholds).all()

@@ -22,12 +22,10 @@ from dsekit.evaluation import (
     epsilon2,
     report_from_run,
 )
-from dsekit.filters import CKF, RCKF
-from dsekit.machine import MachineInputs
+from dsekit.filters import CKF
 from dsekit.noise import GAUSSIAN_WHITE, NoiseSpec
-from dsekit.scenario import RunRecord, run_scenario
 
-from test_scenario import make_config
+from test_scenario import make_config, run_pipeline
 
 TRUTH = np.array([1.0, 2.0, 3.0])
 ESTIMATES = np.array([1.1, 2.1, 3.1])
@@ -77,18 +75,6 @@ class TestEpsilon2:
             epsilon2(ESTIMATES, TRUTH[:2])
 
 
-def synthetic_record(truth, estimates, corrupted):
-    return RunRecord(
-        times=np.arange(truth.shape[0]) * 0.02,
-        truth=truth,
-        clean=corrupted.copy(),
-        corrupted=corrupted,
-        estimates={CKF: estimates},
-        step_times_ns={},
-        failures={},
-    )
-
-
 class TestReportFromRun:
     def _noisy_config(self):
         noise = (
@@ -99,34 +85,20 @@ class TestReportFromRun:
         return make_config(t_end=4.0, noise=noise)
 
     def test_shape_and_keys(self):
-        record = run_scenario(self._noisy_config())
-        report = report_from_run(record, CKF)
-        assert report.s_m == len(record.times) - 1
+        truth, corrupted, estimates, _, _ = run_pipeline(self._noisy_config())
+        report = report_from_run(estimates[CKF], truth, corrupted)
+        assert report.s_m == len(truth) - 1
         assert set(report.epsilon1) == set(MEASURED_CHANNEL)
         assert set(report.epsilon2) == set(VARIABLES)
         for value in (*report.epsilon1.values(), *report.epsilon2.values()):
             assert math.isfinite(value) and value > 0.0
 
-    def test_unknown_variant(self):
-        record = run_scenario(self._noisy_config(), variants=(CKF,))
-        with pytest.raises(MismatchedRuns):
-            report_from_run(record, RCKF)
-
     def test_initial_step_excluded(self):
-        record = run_scenario(self._noisy_config())
-        poked = record.estimates[CKF].copy()
+        truth, corrupted, estimates, _, _ = run_pipeline(self._noisy_config())
+        poked = estimates[CKF].copy()
         poked[0] += 100.0
-        other = RunRecord(
-            times=record.times,
-            truth=record.truth,
-            clean=record.clean,
-            corrupted=record.corrupted,
-            estimates={CKF: poked},
-            step_times_ns={},
-            failures={},
-        )
-        a = report_from_run(record, CKF)
-        b = report_from_run(other, CKF)
+        a = report_from_run(estimates[CKF], truth, corrupted)
+        b = report_from_run(poked, truth, corrupted)
         assert a.epsilon1 == b.epsilon1
         assert a.epsilon2 == b.epsilon2
 
@@ -136,7 +108,7 @@ class TestReportFromRun:
         truth = np.array([[0.5, 0.001, 1.0, 0.4]] * 3)
         estimates = np.array([[0.5, 0.002, 1.0, 0.4]] * 3)
         corrupted = np.array([[0.52, 1.0015, 0.8]] * 3)
-        report = report_from_run(synthetic_record(truth, estimates, corrupted), CKF)
+        report = report_from_run(estimates, truth, corrupted)
         assert report.epsilon2["omega"] == pytest.approx(0.001 / 1.001, abs=1e-12)
 
     def test_wrapped_angle_estimates_are_unwrapped(self):
@@ -153,6 +125,6 @@ class TestReportFromRun:
         corrupted = np.column_stack(
             (delta + 0.01, 1.002 + truth[:, 1], np.full(4, 0.8))
         )
-        report = report_from_run(synthetic_record(truth, estimates, corrupted), CKF)
+        report = report_from_run(estimates, truth, corrupted)
         assert report.epsilon2["delta"] == pytest.approx(0.0, abs=1e-12)
         assert report.epsilon1["delta"] == pytest.approx(0.0, abs=1e-9)

@@ -14,9 +14,7 @@ from dsekit.errors import (
     NonFiniteState,
 )
 from dsekit.filters import (
-    CKF,
     GATE_DOT_SIZE,
-    RCKF,
     FilterState,
     HuberConfig,
     ProcessModel,
@@ -25,8 +23,8 @@ from dsekit.filters import (
     _points,
     ckf_update,
     huber_reweight,
+    iter_batch,
     rckf_update,
-    run_filter,
     time_predict,
 )
 
@@ -46,6 +44,20 @@ def linear_model(A, H):
 def batch_of_one(state):
     """One filter's state in the batched shapes the stages take."""
     return FilterState(state.x_hat[None], state.P[None])
+
+
+def run_one(model, init, inputs, measurements, Q, R, c=math.inf):
+    """One filter run through iter_batch as a batch of one: its prior
+    followed by each posterior, in one filter's shapes."""
+    steps = iter_batch(
+        model, batch_of_one(init), inputs, np.asarray(measurements, dtype=float)[:, None],
+        Q, R, HuberConfig(c),
+    )
+    states = [init]
+    for _, state, failed in steps:
+        assert not failed
+        states.append(member0(state))
+    return states
 
 
 def member0(result):
@@ -399,76 +411,93 @@ class TestRckfUpdate:
             )
 
 
-class TestRunFilter:
+class TestIterBatch:
     def test_matches_linear_kalman_oracle(self):
         rng = np.random.default_rng(12)
         A, H, Q, R, x0, P0 = random_stable_system(rng)
         measurements = simulate_linear(rng, A, H, Q, R, x0, steps=60)
         model = linear_model(A, H)
         init = FilterState(x0.copy(), P0.copy())
-        states = run_filter(
-            model, CKF, init, [np.zeros(1)] * 60, measurements, Q, R
-        )
+        states = run_one(model, init, [np.zeros(1)] * 61, measurements, Q, R)
         oracle = linear_kalman_filter(A, H, Q, R, x0, P0, measurements)
         assert len(states) == 61
         for (x_ref, P_ref), state in zip(oracle, states):
             assert np.abs(state.x_hat - x_ref).max() <= 1e-10
             assert np.abs(state.P - P_ref).max() <= 1e-10
 
-    def test_returns_prior_first_and_counts_steps(self):
+    def test_yields_once_per_measurement(self):
         model = linear_model(np.eye(2) * 0.5, np.eye(2))
-        init = FilterState(np.ones(2), np.eye(2))
-        states = run_filter(
-            model, CKF, init, [np.zeros(1)] * 3, [np.zeros(2)] * 3, np.eye(2) * 0.01, np.eye(2)
+        steps = iter_batch(
+            model, FilterState(np.ones((1, 2)), np.eye(2)[None]), [np.zeros(1)] * 4,
+            np.zeros((3, 1, 2)), np.eye(2) * 0.01, np.eye(2), HuberConfig(math.inf),
         )
-        assert states[0] is init
-        assert len(states) == 4
+        assert len(list(steps)) == 3
 
-    def test_r_provider_callable_sees_predicted_state(self):
-        model = linear_model(np.eye(2), np.eye(2))
-        init = FilterState(np.zeros(2), np.eye(2))
-        seen = []
+    def test_step_k_observes_with_input_row_k_plus_one(self):
+        seen = {"transition": [], "observe": [], "R": []}
+
+        def transition(x, u):
+            seen["transition"].append(float(u[0]))
+            return x
+
+        def observe(x, u):
+            seen["observe"].append(float(u[0]))
+            return x
 
         def provider(step, predicted, u_obs):
-            seen.append((step, float(u_obs[0])))
-            return np.eye(2)
+            assert predicted.x_hat.shape == (1, 2) and predicted.P.shape == (1, 2, 2)
+            seen["R"].append((step, float(u_obs[0])))
+            return np.eye(2)[None]
 
-        run_filter(
-            model, CKF, init,
-            [np.array([10.0]), np.array([20.0])],
-            [np.zeros(2)] * 2,
-            np.eye(2) * 0.01,
-            provider,
-            observe_inputs=[np.array([11.0]), np.array([21.0])],
+        model = ProcessModel(n=2, m=2, transition_points=transition, observe_points=observe)
+        steps = iter_batch(
+            model, FilterState(np.zeros((1, 2)), np.eye(2)[None]),
+            [np.array([10.0]), np.array([20.0]), np.array([30.0])],
+            np.zeros((2, 1, 2)), np.eye(2) * 0.01, provider, HuberConfig(),
         )
-        assert seen == [(0, 11.0), (1, 21.0)]
+        assert len(list(steps)) == 2
+        assert seen == {
+            "transition": [10.0, 20.0], "observe": [20.0, 30.0], "R": [(0, 20.0), (1, 30.0)]
+        }
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_rejects_an_input_table_of_another_length(self, rows):
+        # three measurements need four input rows
+        calls = []
+
+        def recorded(x, u):
+            calls.append(u)
+            return x
+
+        def provider(step, predicted, u_obs):
+            calls.append(u_obs)
+            return np.eye(2)[None]
+
+        model = ProcessModel(n=2, m=2, transition_points=recorded, observe_points=recorded)
+        steps = iter_batch(
+            model, FilterState(np.zeros((1, 2)), np.eye(2)[None]), [np.zeros(1)] * rows,
+            np.zeros((3, 1, 2)), np.eye(2) * 0.01, provider, HuberConfig(),
+        )
+        with pytest.raises(ValueError, match=f"one row more than the 3 measurements, got {rows}"):
+            next(steps)
+        assert calls == []
 
     def test_divergence_is_annotated_with_step(self):
         model = linear_model(np.eye(2), np.eye(2))
-        init = FilterState(np.zeros(2), np.eye(2))
-        measurements = [np.zeros(2), np.zeros(2), np.array([np.nan, 0.0]), np.zeros(2)]
-        with pytest.raises(NonFiniteState, match="measurement index 2") as info:
-            run_filter(
-                model, CKF, init, [np.zeros(1)] * 4, measurements, np.eye(2) * 0.01, np.eye(2)
-            )
-        assert info.value.step_index == 2
-
-    def test_rejects_bad_arguments(self):
-        model = linear_model(np.eye(2), np.eye(2))
-        init = FilterState(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match="variant"):
-            run_filter(model, "ukf", init, [], [], np.eye(2), np.eye(2))
-        with pytest.raises(ValueError, match="equal length"):
-            run_filter(model, CKF, init, [np.zeros(1)], [], np.eye(2), np.eye(2))
-
-    def test_rejects_observe_inputs_of_another_length(self):
-        model = linear_model(np.eye(2), np.eye(2))
-        init = FilterState(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match="observe_inputs length"):
-            run_filter(
-                model, CKF, init, [np.zeros(1)] * 2, [np.zeros(2)] * 2, np.eye(2), np.eye(2),
-                observe_inputs=[np.zeros(1)],
-            )
+        init = FilterState(np.zeros((1, 2)), np.eye(2)[None])
+        measurements = np.zeros((4, 1, 2))
+        measurements[2, 0, 0] = np.nan
+        steps = list(iter_batch(
+            model, init, [np.zeros(1)] * 5, measurements, np.eye(2) * 0.01, np.eye(2),
+            HuberConfig(math.inf),
+        ))
+        # the batch ends with its one member frozen at measurement 2
+        assert len(steps) == 3
+        members, _, [(member, exc)] = steps[2]
+        assert members.size == 0 and member == 0
+        assert isinstance(exc, NonFiniteState)
+        assert str(exc).startswith("measurement index 2: ")
+        assert exc.step_index == 2
 
     def test_prior_is_symmetrized_once(self):
         # the stages factorize P as it is; the engine symmetrizes the prior
@@ -479,8 +508,7 @@ class TestRunFilter:
         Q, R = np.eye(2) * 0.01, np.eye(2)
         measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.zeros(2)]
         runs = [
-            run_filter(model, RCKF, FilterState(np.ones(2), P0), [np.zeros(1)] * 3,
-                       measurements, Q, R)
+            run_one(model, FilterState(np.ones(2), P0), [np.zeros(1)] * 4, measurements, Q, R, 1.5)
             for P0 in (skewed, 0.5 * (skewed + skewed.T))
         ]
         for a, b in zip(runs[0][1:], runs[1][1:]):
@@ -488,12 +516,12 @@ class TestRunFilter:
             np.testing.assert_array_equal(a.P, b.P)
 
     def test_rckf_posteriors_equal_stepping_the_stages(self):
-        # run_filter is a batch of one over the public stages
+        # a batch of one steps the public stages
         model = linear_model(np.eye(2) * 0.9, np.eye(2))
         init = FilterState(np.ones(2), np.eye(2))
         Q, R = np.eye(2) * 0.01, np.eye(2)
         measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.full(2, 0.5), np.zeros(2)]
-        states = run_filter(model, RCKF, init, [np.zeros(1)] * 4, measurements, Q, R)
+        states = run_one(model, init, [np.zeros(1)] * 5, measurements, Q, R, 1.5)
         assert len(states) == 5
         state = batch_of_one(init)
         for z, ref in zip(measurements, states[1:]):

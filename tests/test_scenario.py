@@ -31,14 +31,12 @@ from dsekit.scenario import (
     FaultSpec,
     InitSpec,
     InputProfile,
-    RunRecord,
     ScenarioConfig,
     _brentq,
     build_fault_profile,
     equilibrium,
     filter_series,
     initial_filter_state,
-    run_scenario,
     simulate_truth,
     steady_state_init,
     synthesize_measurements,
@@ -692,7 +690,16 @@ class TestFilterSeries:
                 assert result[1][variant].shape == (len(one) - 1,)
 
 
-class TestRunScenario:
+def run_pipeline(cfg):
+    """Equilibrium, truth, measurements and both filters of one scenario:
+    (truth, corrupted, estimates, step_times_ns, failures)."""
+    x0 = equilibrium(cfg)
+    truth = simulate_truth(cfg, x0)
+    _, corrupted = synthesize_measurements(truth, cfg)
+    return (truth, corrupted, *filter_series(cfg, corrupted[None], x0=x0)[0])
+
+
+class TestPipeline:
     def test_default_run_produces_both_variants(self):
         noise = (
             NoiseSpec(GAUSSIAN_WHITE, math.radians(2.0)),
@@ -700,17 +707,16 @@ class TestRunScenario:
             None,
         )
         cfg = make_config(noise=noise)
-        record = run_scenario(cfg)
-        assert isinstance(record, RunRecord)
-        assert not record.failures
-        n = len(record.times)
+        _, corrupted, estimates, step_times, failures = run_pipeline(cfg)
+        assert not failures
+        n = len(time_grid(cfg))
         assert n == 1001
         for variant in (CKF, RCKF):
-            assert record.estimates[variant].shape == (n, 4)
-            assert len(record.step_times_ns[variant]) == n - 1
-        init = initial_filter_state(cfg, record.corrupted)
-        np.testing.assert_array_equal(record.estimates[CKF][0], init.x_hat)
-        np.testing.assert_array_equal(record.estimates[RCKF][0], init.x_hat)
+            assert estimates[variant].shape == (n, 4)
+            assert len(step_times[variant]) == n - 1
+        init = initial_filter_state(cfg, corrupted)
+        np.testing.assert_array_equal(estimates[CKF][0], init.x_hat)
+        np.testing.assert_array_equal(estimates[RCKF][0], init.x_hat)
 
     def test_one_equilibrium_per_run(self, monkeypatch):
         import dsekit.scenario as scenario
@@ -723,12 +729,12 @@ class TestRunScenario:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(scenario, "steady_state_init", counted)
-        record = run_scenario(make_config(t_end=2.0))
+        truth, _, estimates, _, _ = run_pipeline(make_config(t_end=2.0))
         assert len(calls) == 1
         # the truth and the filter prior share that equilibrium
         x0 = solve(BASE, PARAMS)
-        np.testing.assert_array_equal(record.truth[0], astuple(x0))
-        assert record.estimates[CKF][0, 2] == x0.e_q_prime * 1.1
+        np.testing.assert_array_equal(truth[0], astuple(x0))
+        assert estimates[CKF][0, 2] == x0.e_q_prime * 1.1
 
     def test_estimates_track_truth_under_white_noise(self):
         noise = (
@@ -737,8 +743,8 @@ class TestRunScenario:
             None,
         )
         cfg = make_config(noise=noise)
-        record = run_scenario(cfg)
+        truth, corrupted, estimates, _, _ = run_pipeline(cfg)
         # angle estimate should beat the raw angle measurement handily
-        est_err = np.abs(record.estimates[CKF][1:, 0] - record.truth[1:, 0])
-        meas_err = np.abs(record.corrupted[1:, 0] - record.truth[1:, 0])
+        est_err = np.abs(estimates[CKF][1:, 0] - truth[1:, 0])
+        meas_err = np.abs(corrupted[1:, 0] - truth[1:, 0])
         assert np.sqrt((est_err**2).mean()) < 0.5 * np.sqrt((meas_err**2).mean())
