@@ -10,11 +10,12 @@ measurement can exert on the posterior.
 
 Every stage works on a batch: a state carries x_hat as (B, n) and P as
 (B, n, n), and one call advances all members together; a single filter is
-a batch of one, x_hat (1, n) and P (1, n, n).  The classical filter is the
-robust one with an infinite Huber threshold, which is exact because R is
-diagonal, so both variants share one batch.
+a batch of one, x_hat (1, n) and P (1, n, n).  R is diagonal by type: the
+filters take the measurement noise as a vector r of channel variances, so
+the classical filter is exactly the robust one with an infinite Huber
+threshold, and both variants share one batch and one update.
 The stages take P symmetric and return it symmetric: time_predict and the
-updates each symmetrize the covariance they return, and factorize the one
+update each symmetrize the covariance they return, and factorize the one
 they are given as it is; iter_batch symmetrizes its prior once.
 A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
@@ -115,7 +116,8 @@ class HuberConfig:
     """Tuning of the robust update: threshold c and reweight pass count.
 
     c may also be an array with one threshold per batch member; math.inf
-    makes a member's update the classical one.
+    makes a member's update the classical one, and a config whose every
+    threshold is math.inf makes rckf_update skip the reweight.
 
     Raises:
         InvalidConfig: some threshold is not strictly positive, or
@@ -134,16 +136,18 @@ class HuberConfig:
             raise InvalidConfig(
                 f"max_reweight_passes must be at least 1, got {self.max_reweight_passes}"
             )
-        # the thresholds as a float column, c[..., None], for huber_reweight;
-        # not a field, so the config's fields are the two tuning values
+        # the thresholds as a float column, c[..., None], for huber_reweight,
+        # and whether every one is infinite, for rckf_update; not fields, so
+        # the config's fields are the two tuning values
         object.__setattr__(self, "_column", c[..., None])
+        object.__setattr__(self, "_classical", bool(np.isinf(c).all()))
 
 
 @dataclass(slots=True)
 class HuberResult:
     standardized_residuals: Array
     weights: Array
-    R_bar: Array
+    r_bar: Array
 
 
 def _member_failure(kind: type, message: str, members) -> Exception:
@@ -338,18 +342,17 @@ def _measurement_stats(
     return z_hat, core, P_xz
 
 
-def _channel_variances(P_zz: Array) -> Array:
-    """The P_zz diagonal entries, (m,) or (B, m), the predicted variance of
-    each channel.
+def _positive_variances(variances: Array) -> Array:
+    """The predicted channel variances (the P_zz diagonal), (m,) or (B, m),
+    checked to be positive.
 
     Raises:
         DegenerateChannel: some entry is not positive; exc.members lists
             the members concerned.
     """
-    diag = P_zz.diagonal(0, -2, -1)
     # fmin passes over NaN entries, which are not nonpositive
-    if np.fmin.reduce(diag, axis=None, initial=math.inf) <= 0.0:
-        rows = diag.reshape(-1, diag.shape[-1])
+    if np.fmin.reduce(variances, axis=None, initial=math.inf) <= 0.0:
+        rows = variances.reshape(-1, variances.shape[-1])
         members = np.flatnonzero((rows <= 0.0).any(axis=1))
         bad = int(np.argmin(rows[members[0]]))
         raise _member_failure(
@@ -357,7 +360,7 @@ def _channel_variances(P_zz: Array) -> Array:
             f"channel {bad} has nonpositive predicted variance {rows[members[0], bad]}",
             members,
         )
-    return diag
+    return variances
 
 
 def _corrected(
@@ -396,28 +399,6 @@ def _corrected(
     return state, info
 
 
-def ckf_update(
-    predicted: FilterState, z: Array, model: ProcessModel, u: Array, R: Array
-) -> tuple[FilterState, UpdateIntermediates]:
-    """Classical measurement update on a predicted state.
-
-    The innovation covariance is the centered point statistic plus R; the
-    gain solves gain @ P_zz = P_xz.  predicted.P must be symmetric, as
-    time_predict returns it; the posterior covariance comes out
-    symmetrized.  The update computes under the
-    caller's floating-point error state, so a direct call on a failing
-    member may emit numpy's RuntimeWarning before it raises.
-
-    Raises:
-        DegenerateChannel: some P_zz diagonal entry is not positive, as in
-            huber_reweight; exc.members lists the members concerned.
-    """
-    z_hat, core, P_xz = _measurement_stats(predicted, model, u)
-    P_zz = core + R
-    _channel_variances(P_zz)
-    return _corrected(predicted, np.asarray(z, dtype=float) - z_hat, z_hat, P_zz, P_xz)
-
-
 @lru_cache(maxsize=None)
 def _identity(m: int) -> Array:
     eye = np.eye(m)
@@ -426,32 +407,31 @@ def _identity(m: int) -> Array:
 
 
 def huber_reweight(
-    innovation: Array, P_zz: Array, R: Array, config: HuberConfig
+    innovation: Array, variances: Array, r: Array, config: HuberConfig
 ) -> HuberResult:
     """Channel-wise Huber weights from standardized innovations.
 
-    Each residual is divided by the square root of the matching P_zz
-    diagonal entry.  Channels inside the threshold keep weight one;
-    outside, the weight decays as c / |r| and the matching R diagonal
-    entry is divided by that weight.  R is treated as diagonal: the
-    returned R_bar carries zero off-diagonals.  Shapes are (m,) and
-    (m, m) for one filter or (B, m) and (B, m, m) for a batch, with c
-    a float or one threshold per member; HuberConfig checked c when it
-    was made.
+    Each innovation is divided by the square root of its channel's
+    predicted variance, the matching P_zz diagonal entry.  Channels whose
+    standardized innovation e lies inside the threshold keep weight one;
+    outside, the weight decays as c / |e|.  The result's r_bar is r, the
+    measurement noise variance of each channel, divided by the weights.
+    innovation and variances are (m,) for one filter or (B, m) for a
+    batch, r is (m,) or (B, m), and c is a float or one threshold per
+    member; HuberConfig checked c when it was made.
 
     Raises:
-        DegenerateChannel: some P_zz diagonal entry is not positive;
+        DegenerateChannel: some predicted variance is not positive;
             exc.members lists the members concerned.
     """
-    standardized = np.asarray(innovation, dtype=float) / np.sqrt(_channel_variances(P_zz))
+    standardized = np.asarray(innovation, dtype=float) / np.sqrt(_positive_variances(variances))
     magnitude = np.abs(standardized)
     c = config._column
-    # c / |r| only where |r| > c, so a zero residual divides nothing
+    # c / |e| only where |e| > c, so a zero innovation divides nothing
     weights = np.empty(magnitude.shape)
     weights.fill(1.0)
     np.divide(c, magnitude, out=weights, where=magnitude > c)
-    R_bar = _identity(weights.shape[-1]) * (R.diagonal(0, -2, -1) / weights)[..., None, :]
-    return HuberResult(standardized_residuals=standardized, weights=weights, R_bar=R_bar)
+    return HuberResult(standardized_residuals=standardized, weights=weights, r_bar=r / weights)
 
 
 def rckf_update(
@@ -459,31 +439,42 @@ def rckf_update(
     z: Array,
     model: ProcessModel,
     u: Array,
-    R: Array,
+    r: Array,
     config: HuberConfig | None = None,
-) -> tuple[FilterState, UpdateIntermediates, HuberResult]:
-    """Huber-robustified measurement update.
+) -> tuple[FilterState, UpdateIntermediates, HuberResult | None]:
+    """Huber-robustified measurement update; with c infinite, the
+    classical one.
 
-    Starts from the classical innovation covariance, then runs the
-    configured number of reweight passes.  Every pass re-standardizes the
-    innovation against the current P_zz, but the inflation always divides
-    the original R, so weights never compound.  With all channels inside
-    the threshold, or c infinite, the result coincides with ckf_update.
-    Like ckf_update it computes under the caller's floating-point error
-    state, so a direct call on a failing member may emit numpy's
-    RuntimeWarning before it raises; HuberConfig checked the tuning when
-    it was made.
+    r is the measurement noise variance of each channel, (m,) or (B, m).
+    P_zz is the centered point statistic plus diag(r), and the gain solves
+    gain @ P_zz = P_xz.  Each reweight pass re-standardizes the innovation
+    against the current P_zz diagonal but divides the original r, so
+    weights never compound.  With every threshold infinite the reweight,
+    which would keep r, is skipped and the HuberResult is None.
+    predicted.P must be symmetric, as time_predict returns it; the
+    posterior comes out symmetrized.  A direct call on a failing member
+    may emit numpy's RuntimeWarning before it raises.
+
+    Raises:
+        DegenerateChannel: some predicted channel variance is not
+            positive; exc.members lists the members concerned.
     """
     if config is None:
         config = HuberConfig()
-    z = np.asarray(z, dtype=float)
+    r = np.asarray(r, dtype=float)
     z_hat, core, P_xz = _measurement_stats(predicted, model, u)
-    P_zz = core + R
-    innovation = z - z_hat
-    result = None
-    for _ in range(config.max_reweight_passes):
-        result = huber_reweight(innovation, P_zz, R, config)
-        P_zz = core + result.R_bar
+    innovation = np.asarray(z, dtype=float) - z_hat
+    r_bar, result = r, None
+    if not config._classical:
+        core_variances = core.diagonal(0, -2, -1)
+        for _ in range(config.max_reweight_passes):
+            result = huber_reweight(innovation, core_variances + r_bar, r, config)
+            r_bar = result.r_bar
+    # R_bar embedded as a diagonal matrix whose off-diagonals add +0.0
+    P_zz = core + _identity(core.shape[-1]) * r_bar[..., None, :]
+    if result is None:
+        # the gate huber_reweight applies, on the same variances
+        _positive_variances(P_zz.diagonal(0, -2, -1))
     state, info = _corrected(predicted, innovation, z_hat, P_zz, P_xz)
     return state, info, result
 
@@ -494,7 +485,7 @@ def iter_batch(
     inputs: Sequence[Array],
     measurements: Array,
     Q: Array,
-    R_provider,
+    r,
     huber: HuberConfig,
 ) -> Iterator[tuple[Array, FilterState, list[tuple[int, Exception]]]]:
     """Advance a batch of filters in lockstep over a measurement sequence.
@@ -507,10 +498,10 @@ def iter_batch(
             with row k + 1.
         measurements: (T, B, m), the measurement of each member per step.
         Q: process noise covariance, fixed across steps.
-        R_provider: fixed (m, m) diagonal measurement covariance, or a
-            callable (step, predicted_batch, observe_input) -> (A, m, m)
-            with one diagonal matrix per live member; observe_input is
-            input row step + 1.
+        r: the measurement noise variance of each channel, R being
+            diagonal: a fixed (m,) vector, or a callable
+            (predicted_batch, observe_input) -> (A, m) with one row per
+            live member; observe_input is the row step k observes with.
         huber: c is one threshold per member (math.inf for the
             classical filter) or one for all; max_reweight_passes is
             shared.
@@ -528,8 +519,9 @@ def iter_batch(
     the other members.
 
     Raises:
-        ValueError: inputs does not hold T + 1 rows; raised before the
-            first step.
+        ValueError: inputs does not hold T + 1 rows, or a fixed r is not
+            (m,), raised before the first step; or a provided r is not
+            (A, m), raised at the step it arrives.
     """
     measurements = np.asarray(measurements, dtype=float)
     if len(inputs) != measurements.shape[0] + 1:
@@ -537,15 +529,17 @@ def iter_batch(
             f"inputs must hold one row more than the {measurements.shape[0]} "
             f"measurements, got {len(inputs)}"
         )
+    m = model.m
+    provider = r if callable(r) else None
+    if provider is None and np.shape(r) != (m,):
+        raise ValueError(f"a fixed r must have shape ({m},), got {np.shape(r)}")
     members = np.arange(measurements.shape[1])
     thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
     P0 = _symmetrized(np.asarray(init.P, dtype=float))
     state = FilterState(init.x_hat, P0)
-    fixed_R = None if callable(R_provider) else np.asarray(R_provider, dtype=float)
     # one Q per member, which spares the predict's add a broadcast; it and
     # the update's tuning change only when a member freezes
     Q = np.array(np.broadcast_to(np.asarray(Q, dtype=float), P0.shape))
-    classical = np.isinf(thresholds).all()
     config = HuberConfig(thresholds, huber.max_reweight_passes)
     for k in range(measurements.shape[0]):
         u = inputs[k]
@@ -555,14 +549,12 @@ def iter_batch(
             try:
                 with np.errstate(all="ignore"):
                     predicted = time_predict(state, model, u, Q)
-                    R = fixed_R if fixed_R is not None else R_provider(k, predicted, u_obs)
-                    if classical:
-                        # the same bits as the robust update with c = inf
-                        state, _ = ckf_update(predicted, measurements[k], model, u_obs, R)
-                    else:
-                        state, _, _ = rckf_update(
-                            predicted, measurements[k], model, u_obs, R, config
-                        )
+                    if provider is not None:
+                        r = provider(predicted, u_obs)
+                        if np.shape(r) != (members.size, m):
+                            shape = f"({members.size}, {m}), got {np.shape(r)}"
+                            raise ValueError(f"the r provider must return shape {shape}")
+                    state, _, _ = rckf_update(predicted, measurements[k], model, u_obs, r, config)
                 break
             except MEMBER_FAILURES as exc:
                 bad = getattr(exc, "members", None)
@@ -577,7 +569,6 @@ def iter_batch(
                 state = FilterState(state.x_hat[keep], state.P[keep])
                 thresholds = thresholds[keep]
                 Q = Q[keep]
-                classical = np.isinf(thresholds).all()
                 config = HuberConfig(thresholds, huber.max_reweight_passes)
                 measurements = measurements[:, keep]
         yield members, state, failed

@@ -153,7 +153,12 @@ def run_experiment(
     no channel fails its cells before any integration.  With timing
     enabled the mean wall time per filter step is recorded, which makes
     the output machine-dependent.
+
+    Raises:
+        ValueError: jobs is below one.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = sorted(int(s) for s in seeds)
     rows_on_grid = len(time_grid(cfg))
     # one outcome per cell in (noise, manner, seed) order, None for a cell
@@ -182,7 +187,7 @@ def run_experiment(
             ran = [([], {_cell_key(*cell[1:]): str(exc)}) for cell in cells]
         else:
             # one chunk of the batch per worker
-            splits = np.array_split(np.arange(len(cells)), max(1, min(jobs, len(cells))))
+            splits = np.array_split(np.arange(len(cells)), min(jobs, len(cells)))
             items = [(cfg, truth, x0, cells[s[0] : s[-1] + 1], timing) for s in splits]
             if len(items) > 1:
                 # imported here: the pool's modules would add to the start-up

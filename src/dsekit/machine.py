@@ -73,6 +73,8 @@ class MachineInputs:
     def __post_init__(self):
         if not self.u_t >= 0.0:
             raise ValueError(f"terminal voltage magnitude must be >= 0, got {self.u_t}")
+        if not all(map(math.isfinite, (self.t_m, self.e_f, self.u_t, self.phi))):
+            raise ValueError(f"machine inputs must be finite, got {self}")
 
 
 @dataclass(frozen=True)

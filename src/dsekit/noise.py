@@ -53,6 +53,8 @@ class NoiseSpec:
             raise InvalidConfig(f"unknown noise kind {self.kind!r}")
         if not self.sigma >= 0.0:
             raise InvalidConfig(f"sigma must be nonnegative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.mu)):
+            raise InvalidConfig(f"sigma and mu must be finite, got {self.sigma} and {self.mu}")
         if self.kind == GAUSSIAN_WHITE and self.mu != 0.0:
             raise InvalidConfig("gaussian_white requires mu == 0")
 
@@ -217,6 +219,9 @@ class OutlierSpec:
                 raise InvalidWindow(
                     f"window [{self.t_start}, {self.t_end}] is empty or inverted"
                 )
+        numbers = (self.scale, self.time, self.t_start, self.t_end)
+        if not all(x is None or math.isfinite(x) for x in numbers):
+            raise InvalidConfig(f"outlier scale and times must be finite, got {numbers}")
 
     def channel_index(self) -> int:
         if isinstance(self.channel, str):

@@ -464,9 +464,9 @@ def batch_filters(
 ):
     """Every requested variant on every measurement series of a stack
     (cells, rows, 3), as one batch; member c * len(variants) + v filters
-    series c with variant v.  The measurement covariance fed to the
-    filters is re-evaluated each step at the predicted state, never at the
-    truth.
+    series c with variant v.  The filters get the channel variances of
+    the measurement noise; the power channel's is re-evaluated each step
+    at the predicted state, never at the truth.
 
     Returns:
         (prior, steps): the members' prior means (members, 4) and the
@@ -484,16 +484,12 @@ def batch_filters(
     u_arr = cfg.profile.as_array(times)
     sigmas = cfg.sigmas
     variance = power_variance_map(cfg.machine, sigmas)
-    # one base R per live member, rebuilt only when a member freezes
-    base_R = np.diag((sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0))[None]
+    base_r = np.array([(sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0)])
 
-    def r_provider(step: int, predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
-        nonlocal base_R
-        if len(base_R) != len(predicted.x_hat):
-            base_R = base_R[:1].repeat(len(predicted.x_hat), axis=0)
-        R = base_R.copy()
-        R[:, 2, 2] = variance(predicted.x_hat, u_obs)
-        return R
+    def r_provider(predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
+        r = base_r.repeat(len(predicted.x_hat), axis=0)
+        r[:, 2] = variance(predicted.x_hat, u_obs)
+        return r
 
     repeats = len(variants)
     prior = np.repeat([initial_filter_state(cfg, s, x0).x_hat for s in series], repeats, axis=0)

@@ -28,7 +28,6 @@ from dsekit.filters import (
     FilterState,
     HuberConfig,
     ProcessModel,
-    ckf_update,
     huber_reweight,
     iter_batch,
     rckf_update,
@@ -77,7 +76,7 @@ def test_linear_gaussian_equivalence():
     start = time.perf_counter()
     steps = iter_batch(
         model, FilterState(x0[None], P0[None]), [None] * 201, np.asarray(measurements)[:, None],
-        Q, lambda k, s, u: R, HuberConfig(math.inf),
+        Q, np.diag(R), HuberConfig(math.inf),
     )
     states = [init] + [FilterState(s.x_hat[0], s.P[0]) for _, s, _ in steps]
     elapsed = time.perf_counter() - start
@@ -126,17 +125,16 @@ def test_huber_weight_function():
     threshold within 1e-12; the inflated covariance divides the original
     diagonal by the weights exactly, with c = 1.5."""
     config = HuberConfig(c=1.5)
-    P_zz = np.eye(3)
-    R = np.diag([2.0, 4.0, 8.0])
+    variances = np.ones(3)
+    r = np.array([2.0, 4.0, 8.0])
     innovation = np.array([0.75, 3.0, 1.5 * (1.0 + 1e-13)])
-    result = huber_reweight(innovation, P_zz, R, config)
+    result = huber_reweight(innovation, variances, r, config)
     assert result.weights[0] == 1.0
     assert result.weights[1] == 0.5
     assert abs(result.weights[2] - 1.0) <= 1e-12
-    expected = np.diag(np.diag(R) / result.weights)
-    assert np.array_equal(result.R_bar, expected)
+    assert np.array_equal(result.r_bar, r / result.weights)
     # exactly at the threshold the weight is still one
-    at_c = huber_reweight(np.array([1.5, 0.0, 0.0]), P_zz, R, config)
+    at_c = huber_reweight(np.array([1.5, 0.0, 0.0]), variances, r, config)
     assert at_c.weights[0] == 1.0
 
 
@@ -177,14 +175,16 @@ def test_robust_variant_coincides_on_inliers():
     worst_cov = 0.0
     for k in range(len(times) - 1):
         predicted = time_predict(state, model, u_arr[k], Q)
-        R = np.repeat(
-            np.diag((base.sigmas.sigma_delta**2, base.sigmas.sigma_omega**2, 0.0))[None],
+        r = np.repeat(
+            [(base.sigmas.sigma_delta**2, base.sigmas.sigma_omega**2, 0.0)],
             len(predicted.x_hat), axis=0,
         )
-        R[:, 2, 2] = variance(predicted.x_hat, u_arr[k + 1])
+        r[:, 2] = variance(predicted.x_hat, u_arr[k + 1])
         z = corrupted[:, k + 1]
-        classical, info = ckf_update(predicted, z, model, u_arr[k + 1], R)
-        robust, _, _ = rckf_update(predicted, z, model, u_arr[k + 1], R, base.huber)
+        classical, info, _ = rckf_update(
+            predicted, z, model, u_arr[k + 1], r, HuberConfig(math.inf)
+        )
+        robust, _, _ = rckf_update(predicted, z, model, u_arr[k + 1], r, base.huber)
         standardized = info.innovation / np.sqrt(np.diagonal(info.P_zz, axis1=1, axis2=2))
         inlier = np.all(np.abs(standardized) <= base.huber.c, axis=1)
         checked_steps += inlier.size

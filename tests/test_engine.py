@@ -20,7 +20,6 @@ from dsekit.filters import (
     FilterState,
     HuberConfig,
     ProcessModel,
-    ckf_update,
     iter_batch,
     rckf_update,
     time_predict,
@@ -185,17 +184,19 @@ def assert_frozen(frozen, member, kind, step, message):
     assert str(exc) == f"measurement index {step}: {message}"
 
 
-def linear_run(x0, P0, thresholds, R_provider, steps=8, model=LINEAR):
+def linear_run(x0, P0, thresholds, r, steps=8, model=LINEAR):
+    """The LINEAR batch's trajectories; input row k holds k, which LINEAR
+    ignores and an r provider may read."""
     x0 = np.asarray(x0, dtype=float)
     measurements = np.tile(np.array([0.3, 0.3, 1.1]), (steps, len(x0), 1))
     return trajectories(
         iter_batch(
             model,
             FilterState(x0, np.asarray(P0, dtype=float)),
-            [np.zeros(1)] * (steps + 1),
+            np.arange(steps + 1.0)[:, None],
             measurements,
             np.eye(4) * 1e-3,
-            R_provider,
+            r,
             HuberConfig(np.asarray(thresholds, dtype=float)),
         )
     )
@@ -279,11 +280,11 @@ def test_map_giving_nan_rows_freezes_the_member(hook, message):
 
     model = replace(LINEAR, **{hook: nan_where_marked})
     P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
-    R = np.eye(3) * 0.01
+    r = np.full(3, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths, frozen = linear_run(LINEAR_X0, P0, [1.5, 1.5], R, model=model)
-    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [1.5], R, model=model)
+        paths, frozen = linear_run(LINEAR_X0, P0, [1.5, 1.5], r, model=model)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [1.5], r, model=model)
     assert sorted(frozen) == [1]
     assert_frozen(frozen, 1, NonFiniteState, 0, message)
     assert_same_path(paths[0], alone[0])
@@ -291,10 +292,10 @@ def test_map_giving_nan_rows_freezes_the_member(hook, message):
 
 def test_non_positive_definite_prior_freezes_after_the_jitter_ladder():
     P_bad = np.diag([1e-2, -1e-4, 1e-2, 1e-2])
-    R = np.eye(3) * 0.01
+    r = np.full(3, 0.01)
     P0 = np.stack([np.eye(4) * 0.01, P_bad])
-    paths, frozen = linear_run(LINEAR_X0, P0, [1.5, 1.5], R)
-    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [1.5], R)
+    paths, frozen = linear_run(LINEAR_X0, P0, [1.5, 1.5], r)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], [1.5], r)
     assert sorted(frozen) == [1]
     assert_frozen(
         frozen, 1, DecompositionFailure, 0,
@@ -303,19 +304,21 @@ def test_non_positive_definite_prior_freezes_after_the_jitter_ladder():
     assert_same_path(paths[0], alone[0])
 
 
-def marked_R(from_step, entry):
-    """R provider that, from a given step on, sets R[2, 2] of the marked
-    members to entry (or the whole R to zero when entry is None)."""
+def marked_r(from_step, entry):
+    """r provider for linear_run that, from a given step on, sets the
+    channel 2 variance of the marked members to entry (or every channel's
+    to zero when entry is None)."""
 
-    def provider(step, predicted, u_obs):
-        R = np.repeat((np.eye(3) * 0.01)[None], len(predicted.x_hat), axis=0)
-        if step >= from_step:
+    def provider(predicted, u_obs):
+        r = np.full((len(predicted.x_hat), 3), 0.01)
+        # step k observes with input row k + 1, which holds k + 1
+        if u_obs[0] - 1 >= from_step:
             marked = predicted.x_hat[:, 3] > MARKED
             if entry is None:
-                R[marked] = 0.0
+                r[marked] = 0.0
             else:
-                R[marked, 2, 2] = entry
-        return R
+                r[marked, 2] = entry
+        return r
 
     return provider
 
@@ -324,10 +327,10 @@ def marked_R(from_step, entry):
     "thresholds", [[math.inf, 1.5], [math.inf, math.inf]], ids=["mixed", "classical"]
 )
 def test_nonpositive_innovation_variance_freezes_the_member(thresholds):
-    # an all-classical batch takes the classical update, which must gate
-    # the predicted variances as the robust update does
+    # an all-classical batch skips the reweight, and must gate the
+    # predicted variances as the reweight does
     P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
-    provider = marked_R(3, -math.inf)
+    provider = marked_r(3, -math.inf)
     paths, frozen = linear_run(LINEAR_X0, P0, thresholds, provider)
     alone, _ = linear_run(LINEAR_X0[:1], P0[:1], thresholds[:1], provider)
     assert sorted(frozen) == [1]
@@ -342,7 +345,7 @@ def test_singular_innovation_covariance_freezes_the_member(thresholds):
     # the two equal rows of LINEAR_H make the point statistic singular, so
     # the marked member's P_zz is singular once its R is zero
     P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
-    provider = marked_R(4, None)
+    provider = marked_r(4, None)
     paths, frozen = linear_run(LINEAR_X0, P0, thresholds, provider)
     alone, _ = linear_run(LINEAR_X0[:1], P0[:1], thresholds[:1], provider)
     assert sorted(frozen) == [1]
@@ -358,7 +361,7 @@ def test_member_failure_naming_no_member_is_raised(members):
     if members is not None:
         error.members = np.asarray(members, dtype=np.intp)
 
-    def provider(step, predicted, u_obs):
+    def provider(predicted, u_obs):
         raise error
 
     P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
@@ -374,7 +377,7 @@ def test_failing_members_freeze_without_a_warning():
     x0 = [LINEAR_X0[0], LINEAR_X0[0], LINEAR_X0[1]]
     P0 = np.stack([np.eye(4) * 0.01, np.diag([1e-2, -1e-4, 1e-2, 1e-2]), np.eye(4) * 0.01])
     thresholds = [math.inf, 1.5, 1.5]
-    provider = marked_R(4, None)
+    provider = marked_r(4, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         paths, frozen = linear_run(x0, P0, thresholds, provider)
@@ -386,6 +389,59 @@ def test_failing_members_freeze_without_a_warning():
     )
     assert_frozen(frozen, 2, DecompositionFailure, 4, "innovation covariance is singular")
     assert_same_path(paths[0], alone[0])
+
+
+# ---------------------------------------------------------------------------
+# R is diagonal by type: the engine takes one variance per channel.
+
+def test_a_fixed_covariance_matrix_is_rejected_before_the_first_step():
+    calls = []
+
+    def recorded(x, u):
+        calls.append(u)
+        return x @ LINEAR_H.T
+
+    model = replace(LINEAR, observe_points=recorded)
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    with pytest.raises(ValueError, match=r"a fixed r must have shape \(3,\), got \(3, 3\)"):
+        linear_run(LINEAR_X0, P0, [math.inf, 1.5], np.eye(3) * 0.01, model=model)
+    assert calls == []
+
+
+def test_a_provided_covariance_matrix_is_rejected_at_its_step():
+    def provider(predicted, u_obs):
+        return np.repeat((np.eye(3) * 0.01)[None], len(predicted.x_hat), axis=0)
+
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    message = r"the r provider must return shape \(2, 3\), got \(2, 3, 3\)"
+    with pytest.raises(ValueError, match=message):
+        linear_run(LINEAR_X0, P0, [math.inf, 1.5], provider)
+
+
+@pytest.mark.parametrize("passes", [1, 3])
+def test_classical_member_with_unequal_channel_variances_ignores_its_batch(passes):
+    # the CKF member alone skips the reweight; beside an RCKF member it
+    # runs it at c = inf, and must get the same bits
+    x0 = [LINEAR_X0[0]] * 2
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+
+    def provider(predicted, u_obs):
+        return np.array([0.002, 0.03, 0.5]) * (1.0 + predicted.x_hat[:, 3:] ** 2)
+
+    def run(thresholds):
+        return trajectories(
+            iter_batch(
+                LINEAR, FilterState(np.array(x0[: len(thresholds)]), P0[: len(thresholds)]),
+                [np.zeros(1)] * 9, np.tile([0.3, 0.2, 1.4], (8, len(thresholds), 1)),
+                np.eye(4) * 1e-3, provider, HuberConfig(np.array(thresholds), passes),
+            )
+        )
+
+    (paths, frozen), (alone, _) = run([math.inf, 1.0]), run([math.inf])
+    assert not frozen
+    assert_same_path(paths[0], alone[0])
+    # the robust member was reweighted, so the batch took the reweight
+    assert not np.array_equal(paths[0][-1][0], paths[1][-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +473,12 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     Q = np.diag(cfg.init.q_diag)
     variance = power_variance_map(cfg.machine, cfg.sigmas)
 
-    def provider(step, predicted, u_obs):
-        R = np.zeros((len(predicted.x_hat), 3, 3))
-        R[:, 0, 0] = cfg.sigmas.sigma_delta**2
-        R[:, 1, 1] = cfg.sigmas.sigma_omega**2
-        R[:, 2, 2] = variance(predicted.x_hat, u_obs)
-        return R
+    def provider(predicted, u_obs):
+        r = np.zeros((len(predicted.x_hat), 3))
+        r[:, 0] = cfg.sigmas.sigma_delta**2
+        r[:, 1] = cfg.sigmas.sigma_omega**2
+        r[:, 2] = variance(predicted.x_hat, u_obs)
+        return r
 
     prior = np.stack([initial_filter_state(cfg, s, x0).x_hat for s in series])
     init = FilterState(prior, np.repeat(np.diag(cfg.init.p0_diag)[None], len(prior), axis=0))
@@ -431,14 +487,10 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     steps = iter_batch(model, init, u_arr, z, Q, provider, huber)
 
     state = init
-    classical = np.isinf(thresholds).all()
     for k, (members, posterior, failed) in enumerate(steps):
         assert not failed and members.size == len(thresholds)
         predicted = time_predict(state, model, u_arr[k], Q)
-        R = provider(k, predicted, u_arr[k + 1])
-        if classical:
-            state, _ = ckf_update(predicted, z[k], model, u_arr[k + 1], R)
-        else:
-            state, _, _ = rckf_update(predicted, z[k], model, u_arr[k + 1], R, huber)
+        r = provider(predicted, u_arr[k + 1])
+        state, _, _ = rckf_update(predicted, z[k], model, u_arr[k + 1], r, huber)
         np.testing.assert_array_equal(posterior.x_hat, state.x_hat)
         np.testing.assert_array_equal(posterior.P, state.P)

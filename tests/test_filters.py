@@ -21,7 +21,6 @@ from dsekit.filters import (
     _all_finite,
     _factored,
     _points,
-    ckf_update,
     huber_reweight,
     iter_batch,
     rckf_update,
@@ -46,12 +45,12 @@ def batch_of_one(state):
     return FilterState(state.x_hat[None], state.P[None])
 
 
-def run_one(model, init, inputs, measurements, Q, R, c=math.inf):
+def run_one(model, init, inputs, measurements, Q, r, c=math.inf):
     """One filter run through iter_batch as a batch of one: its prior
     followed by each posterior, in one filter's shapes."""
     steps = iter_batch(
         model, batch_of_one(init), inputs, np.asarray(measurements, dtype=float)[:, None],
-        Q, R, HuberConfig(c),
+        Q, r, HuberConfig(c),
     )
     states = [init]
     for _, state, failed in steps:
@@ -62,9 +61,11 @@ def run_one(model, init, inputs, measurements, Q, R, c=math.inf):
 
 def member0(result):
     """Member 0 of a batched stage result, or of a tuple of them, in one
-    filter's shapes."""
+    filter's shapes; None, the HuberResult of a classical update, stays."""
     if isinstance(result, tuple):
         return tuple(member0(r) for r in result)
+    if result is None:
+        return None
     values = {f.name: getattr(result, f.name) for f in fields(result)}
     return type(result)(
         **{k: v[0] if isinstance(v, np.ndarray) else v for k, v in values.items()}
@@ -243,9 +244,10 @@ class TestCkfUpdate:
         x = rng.standard_normal(4)
         z = rng.standard_normal(3)
         model = linear_model(np.eye(4), H)
-        posterior, info = member0(
-            ckf_update(batch_of_one(FilterState(x, P)), z[None], model, np.zeros(1), R)
-        )
+        posterior, info, _ = member0(rckf_update(
+            batch_of_one(FilterState(x, P)), z[None], model, np.zeros(1), np.diag(R),
+            HuberConfig(math.inf),
+        ))
         S = H @ P @ H.T + R
         K = P @ H.T @ np.linalg.inv(S)
         x_exact = x + K @ (z - H @ x)
@@ -263,9 +265,9 @@ class TestCkfUpdate:
             P = random_spd(rng, 4)
             x = rng.standard_normal(4)
             z = rng.standard_normal(3)
-            posterior, _ = member0(ckf_update(
+            posterior, _, _ = member0(rckf_update(
                 batch_of_one(FilterState(x, P)), z[None], linear_model(np.eye(4), H),
-                np.zeros(1), R,
+                np.zeros(1), np.diag(R), HuberConfig(math.inf),
             ))
             asym = np.abs(posterior.P - posterior.P.T).max()
             assert asym <= 1e-12 * max(1.0, np.abs(posterior.P).max())
@@ -296,57 +298,52 @@ class TestHuberReweight:
         return HuberConfig(c=c)
 
     def test_inlier_weight_is_one(self):
-        P_zz = np.eye(2)
-        R = np.diag([0.5, 0.5])
-        res = huber_reweight(np.array([0.75, -0.75]), P_zz, R, self.cfg())
+        r = np.array([0.5, 0.5])
+        res = huber_reweight(np.array([0.75, -0.75]), np.ones(2), r, self.cfg())
         assert_allclose(res.weights, [1.0, 1.0], rtol=0.0, atol=0.0)
-        assert_allclose(res.R_bar, R, rtol=0.0, atol=0.0)
+        assert_allclose(res.r_bar, r, rtol=0.0, atol=0.0)
 
     def test_outlier_weight_decays(self):
         # standardized residual 2c gets weight exactly one half
-        P_zz = np.eye(2)
-        res = huber_reweight(np.array([3.0, 0.1]), P_zz, np.eye(2), self.cfg())
+        res = huber_reweight(np.array([3.0, 0.1]), np.ones(2), np.ones(2), self.cfg())
         assert res.weights[0] == pytest.approx(0.5, abs=0.0)
         assert res.weights[1] == 1.0
-        assert res.R_bar[0, 0] == pytest.approx(2.0, abs=0.0)
+        assert res.r_bar[0] == pytest.approx(2.0, abs=0.0)
 
     def test_continuity_at_threshold(self):
-        P_zz = np.eye(1)
-        at = huber_reweight(np.array([1.5]), P_zz, np.eye(1), self.cfg())
-        above = huber_reweight(np.array([1.5 + 1e-13]), P_zz, np.eye(1), self.cfg())
+        at = huber_reweight(np.array([1.5]), np.ones(1), np.ones(1), self.cfg())
+        above = huber_reweight(np.array([1.5 + 1e-13]), np.ones(1), np.ones(1), self.cfg())
         assert at.weights[0] == 1.0
         assert abs(above.weights[0] - 1.0) <= 1e-12
 
     def test_standardization_uses_pzz_diagonal(self):
-        P_zz = np.diag([4.0, 0.25])
-        res = huber_reweight(np.array([3.0, 0.3]), P_zz, np.eye(2), self.cfg())
+        variances = np.array([4.0, 0.25])
+        res = huber_reweight(np.array([3.0, 0.3]), variances, np.ones(2), self.cfg())
         assert_allclose(res.standardized_residuals, [1.5, 0.6], rtol=0.0, atol=1e-15)
         assert_allclose(res.weights, [1.0, 1.0], rtol=0.0, atol=0.0)
 
     def test_rbar_divides_original_r_exactly(self):
-        P_zz = np.eye(3)
-        R = np.diag([0.04, 0.09, 0.25])
+        r = np.array([0.04, 0.09, 0.25])
         innovation = np.array([6.0, 0.5, -3.0])
-        res = huber_reweight(innovation, P_zz, R, self.cfg())
+        res = huber_reweight(innovation, np.ones(3), r, self.cfg())
         for i in range(3):
-            assert res.R_bar[i, i] == R[i, i] / res.weights[i]
-        assert np.count_nonzero(res.R_bar - np.diag(np.diag(res.R_bar))) == 0
+            assert res.r_bar[i] == r[i] / res.weights[i]
 
     def test_invalid_threshold(self):
         with pytest.raises(InvalidConfig):
-            huber_reweight(np.zeros(2), np.eye(2), np.eye(2), HuberConfig(c=0.0))
+            huber_reweight(np.zeros(2), np.ones(2), np.ones(2), HuberConfig(c=0.0))
 
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannel, match="channel 1"):
-            huber_reweight(np.zeros(2), np.diag([1.0, 0.0]), np.eye(2), self.cfg())
+            huber_reweight(np.zeros(2), np.array([1.0, 0.0]), np.ones(2), self.cfg())
 
     def test_degenerate_member_found_beside_a_nan_member(self):
         # a NaN variance is not nonpositive, and must not hide a member
         # whose variance is
-        P_zz = np.stack([np.diag([np.nan, 1.0]), np.diag([1.0, -2.0])])
+        variances = np.array([[np.nan, 1.0], [1.0, -2.0]])
         message = "channel 1 has nonpositive predicted variance -2.0"
         with pytest.raises(DegenerateChannel, match=message) as info:
-            huber_reweight(np.zeros((2, 2)), P_zz, np.eye(2)[None].repeat(2, 0), self.cfg())
+            huber_reweight(np.zeros((2, 2)), variances, np.ones((2, 2)), self.cfg())
         assert info.value.members.tolist() == [1]
 
 
@@ -354,59 +351,63 @@ class TestRckfUpdate:
     def setup_case(self, seed=8):
         rng = np.random.default_rng(seed)
         H = rng.standard_normal((3, 4))
-        R = np.diag(rng.uniform(0.01, 0.05, 3))
+        r = rng.uniform(0.01, 0.05, 3)
         P = random_spd(rng, 4, scale=0.1)
         x = rng.standard_normal(4)
-        return linear_model(np.eye(4), H), FilterState(x, P), H, R
+        return linear_model(np.eye(4), H), FilterState(x, P), H, r
 
     def test_coincides_with_ckf_for_inliers(self):
-        model, prior, H, R = self.setup_case()
+        model, prior, H, r = self.setup_case()
         z = H @ prior.x_hat  # zero innovation, every channel inside c
-        c_state, _ = member0(ckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R))
+        c_state, _, _ = member0(
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig(math.inf))
+        )
         r_state, _, hub = member0(
-            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R)
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r)
         )
         assert np.all(hub.weights == 1.0)
         assert np.abs(c_state.x_hat - r_state.x_hat).max() <= 1e-15
         assert np.abs(c_state.P - r_state.P).max() <= 1e-15
 
     def test_bounds_outlier_influence(self):
-        model, prior, H, R = self.setup_case()
+        model, prior, H, r = self.setup_case()
         z = H @ prior.x_hat
-        z[1] += 50.0 * math.sqrt(R[1, 1])
-        c_state, _ = member0(ckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R))
+        z[1] += 50.0 * math.sqrt(r[1])
+        c_state, _, _ = member0(
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig(math.inf))
+        )
         r_state, _, hub = member0(
-            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R)
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r)
         )
         assert hub.weights[1] < 1.0
-        assert hub.R_bar[1, 1] > R[1, 1]
+        assert hub.r_bar[1] > r[1]
         move_ckf = np.linalg.norm(c_state.x_hat - prior.x_hat)
         move_rckf = np.linalg.norm(r_state.x_hat - prior.x_hat)
         assert move_rckf < move_ckf
         assert np.trace(r_state.P) > np.trace(c_state.P)
 
     def test_multipass_restandardizes_against_original_r(self):
-        model, prior, H, R = self.setup_case(9)
+        model, prior, H, r = self.setup_case(9)
         z = H @ prior.x_hat
-        z[0] += 30.0 * math.sqrt(R[0, 0])
+        z[0] += 30.0 * math.sqrt(r[0])
         one, _, hub1 = member0(
-            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), R, HuberConfig(c=1.5))
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig(c=1.5))
         )
         three, _, hub3 = member0(rckf_update(
-            batch_of_one(prior), z[None], model, np.zeros(1), R,
+            batch_of_one(prior), z[None], model, np.zeros(1), r,
             HuberConfig(c=1.5, max_reweight_passes=3),
         ))
         # inflating P_zz shrinks |r'|, so later passes back off, but the
-        # inflation is always relative to the original R
+        # inflation is always relative to the original r
         assert hub3.weights[0] >= hub1.weights[0]
-        assert hub3.R_bar[0, 0] == R[0, 0] / hub3.weights[0]
+        assert hub3.r_bar[0] == r[0] / hub3.weights[0]
         assert np.isfinite(three.x_hat).all()
 
     def test_invalid_pass_count(self):
-        model, prior, H, R = self.setup_case()
+        model, prior, H, r = self.setup_case()
         with pytest.raises(InvalidConfig):
             rckf_update(
-                batch_of_one(prior), np.zeros((1, 3)), model, np.zeros(1), R,
+                batch_of_one(prior), np.zeros((1, 3)), model, np.zeros(1), r,
                 HuberConfig(c=1.5, max_reweight_passes=0),
             )
 
@@ -418,7 +419,7 @@ class TestIterBatch:
         measurements = simulate_linear(rng, A, H, Q, R, x0, steps=60)
         model = linear_model(A, H)
         init = FilterState(x0.copy(), P0.copy())
-        states = run_one(model, init, [np.zeros(1)] * 61, measurements, Q, R)
+        states = run_one(model, init, [np.zeros(1)] * 61, measurements, Q, np.diag(R))
         oracle = linear_kalman_filter(A, H, Q, R, x0, P0, measurements)
         assert len(states) == 61
         for (x_ref, P_ref), state in zip(oracle, states):
@@ -429,12 +430,12 @@ class TestIterBatch:
         model = linear_model(np.eye(2) * 0.5, np.eye(2))
         steps = iter_batch(
             model, FilterState(np.ones((1, 2)), np.eye(2)[None]), [np.zeros(1)] * 4,
-            np.zeros((3, 1, 2)), np.eye(2) * 0.01, np.eye(2), HuberConfig(math.inf),
+            np.zeros((3, 1, 2)), np.eye(2) * 0.01, np.ones(2), HuberConfig(math.inf),
         )
         assert len(list(steps)) == 3
 
     def test_step_k_observes_with_input_row_k_plus_one(self):
-        seen = {"transition": [], "observe": [], "R": []}
+        seen = {"transition": [], "observe": [], "r": []}
 
         def transition(x, u):
             seen["transition"].append(float(u[0]))
@@ -444,10 +445,10 @@ class TestIterBatch:
             seen["observe"].append(float(u[0]))
             return x
 
-        def provider(step, predicted, u_obs):
+        def provider(predicted, u_obs):
             assert predicted.x_hat.shape == (1, 2) and predicted.P.shape == (1, 2, 2)
-            seen["R"].append((step, float(u_obs[0])))
-            return np.eye(2)[None]
+            seen["r"].append(float(u_obs[0]))
+            return np.ones((1, 2))
 
         model = ProcessModel(n=2, m=2, transition_points=transition, observe_points=observe)
         steps = iter_batch(
@@ -457,7 +458,7 @@ class TestIterBatch:
         )
         assert len(list(steps)) == 2
         assert seen == {
-            "transition": [10.0, 20.0], "observe": [20.0, 30.0], "R": [(0, 20.0), (1, 30.0)]
+            "transition": [10.0, 20.0], "observe": [20.0, 30.0], "r": [20.0, 30.0]
         }
 
     @pytest.mark.parametrize("rows", [3, 5])
@@ -469,9 +470,9 @@ class TestIterBatch:
             calls.append(u)
             return x
 
-        def provider(step, predicted, u_obs):
+        def provider(predicted, u_obs):
             calls.append(u_obs)
-            return np.eye(2)[None]
+            return np.ones((1, 2))
 
         model = ProcessModel(n=2, m=2, transition_points=recorded, observe_points=recorded)
         steps = iter_batch(
@@ -488,7 +489,7 @@ class TestIterBatch:
         measurements = np.zeros((4, 1, 2))
         measurements[2, 0, 0] = np.nan
         steps = list(iter_batch(
-            model, init, [np.zeros(1)] * 5, measurements, np.eye(2) * 0.01, np.eye(2),
+            model, init, [np.zeros(1)] * 5, measurements, np.eye(2) * 0.01, np.ones(2),
             HuberConfig(math.inf),
         ))
         # the batch ends with its one member frozen at measurement 2
@@ -505,10 +506,10 @@ class TestIterBatch:
         # its transpose
         model = linear_model(np.eye(2) * 0.9, np.eye(2))
         skewed = np.array([[1.0, 0.3], [0.1, 2.0]])
-        Q, R = np.eye(2) * 0.01, np.eye(2)
+        Q, r = np.eye(2) * 0.01, np.ones(2)
         measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.zeros(2)]
         runs = [
-            run_one(model, FilterState(np.ones(2), P0), [np.zeros(1)] * 4, measurements, Q, R, 1.5)
+            run_one(model, FilterState(np.ones(2), P0), [np.zeros(1)] * 4, measurements, Q, r, 1.5)
             for P0 in (skewed, 0.5 * (skewed + skewed.T))
         ]
         for a, b in zip(runs[0][1:], runs[1][1:]):
@@ -519,14 +520,14 @@ class TestIterBatch:
         # a batch of one steps the public stages
         model = linear_model(np.eye(2) * 0.9, np.eye(2))
         init = FilterState(np.ones(2), np.eye(2))
-        Q, R = np.eye(2) * 0.01, np.eye(2)
+        Q, r = np.eye(2) * 0.01, np.ones(2)
         measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.full(2, 0.5), np.zeros(2)]
-        states = run_one(model, init, [np.zeros(1)] * 5, measurements, Q, R, 1.5)
+        states = run_one(model, init, [np.zeros(1)] * 5, measurements, Q, r, 1.5)
         assert len(states) == 5
         state = batch_of_one(init)
         for z, ref in zip(measurements, states[1:]):
             predicted = time_predict(state, model, np.zeros(1), Q)
-            state, _, _ = rckf_update(predicted, z[None], model, np.zeros(1), R, HuberConfig())
+            state, _, _ = rckf_update(predicted, z[None], model, np.zeros(1), r, HuberConfig())
             stepped = member0(state)
             np.testing.assert_array_equal(stepped.x_hat, ref.x_hat)
             np.testing.assert_array_equal(stepped.P, ref.P)

@@ -95,6 +95,14 @@ class TestRunExperiment:
         parallel = run_experiment(small_config(), seeds=[1], jobs=2)
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, jobs, monkeypatch):
+        import dsekit.harness as harness
+
+        monkeypatch.setattr(harness, "simulate_truth", no_truth)
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_experiment(small_config(), seeds=[1], jobs=jobs)
+
     def test_timing_fills_mean_step(self):
         matrix = run_experiment(small_config(), seeds=[1], timing=True)
         assert all(r.mean_step_ms is not None and r.mean_step_ms > 0.0 for r in matrix.rows)

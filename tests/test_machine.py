@@ -118,6 +118,16 @@ class TestParams:
         with pytest.raises(ValueError, match="terminal voltage"):
             MachineInputs(t_m=0.8, e_f=2.0, u_t=-0.1, phi=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_m", math.nan), ("e_f", math.nan), ("phi", math.nan), ("u_t", math.inf),
+         ("t_m", -math.inf)],
+    )
+    def test_non_finite_inputs_rejected(self, field, value):
+        inputs = {"t_m": 0.8, "e_f": 2.0, "u_t": 1.0, "phi": 0.0, field: value}
+        with pytest.raises(ValueError, match="machine inputs must be finite"):
+            MachineInputs(**inputs)
+
     @pytest.mark.parametrize("x_q_prime", [1.7, 1.8, 0.0])
     def test_q_axis_reactances_ordered(self, x_q_prime):
         with pytest.raises(ValueError, match="x_q > x_q_prime > 0"):

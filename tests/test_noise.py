@@ -70,6 +70,12 @@ class TestNoiseSpec:
             NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.1, mu=0.2)
         NoiseSpec(kind=GAUSSIAN_BIASED, sigma=0.1, mu=0.2)
 
+    @pytest.mark.parametrize("kind", [GAUSSIAN_BIASED, LAPLACE, CAUCHY])
+    @pytest.mark.parametrize("sigma, mu", [(0.1, math.nan), (0.1, -math.inf), (math.inf, 0.0)])
+    def test_rejects_non_finite_values(self, kind, sigma, mu):
+        with pytest.raises(InvalidConfig, match="sigma and mu must be finite"):
+            NoiseSpec(kind=kind, sigma=sigma, mu=mu)
+
 
 class TestSeededStream:
     def test_same_key_reproduces(self):
@@ -272,6 +278,21 @@ class TestOutlierSpec:
     def test_scale_must_be_positive(self):
         with pytest.raises(InvalidConfig):
             OutlierSpec.single_at(1.0, scale=0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: OutlierSpec.single_at(math.nan),
+            lambda: OutlierSpec.single_at(math.inf),
+            lambda: OutlierSpec.window(1.0, math.inf),
+            lambda: OutlierSpec.window(-math.inf, 1.0),
+            lambda: OutlierSpec.single_at(1.0, scale=math.inf),
+        ],
+        ids=["single-nan", "single-inf", "window-end-inf", "window-start-inf", "scale-inf"],
+    )
+    def test_rejects_non_finite_values(self, make):
+        with pytest.raises(InvalidConfig, match="outlier scale and times must be finite"):
+            make()
 
     def test_channel_name_resolution(self):
         assert OutlierSpec.single_at(1.0, channel="omega").channel_index() == 1
