@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .filters import CKF, MEMBER_FAILURES, RCKF
 from .noise import outlier_rows
 from .scenario import (
     ScenarioConfig,
-    equilibrium,
     filter_series,
     simulate_truth,
     synthesize_measurements,
@@ -107,9 +107,7 @@ def _load_scenario(args) -> ScenarioConfig:
     doc = load_config(args.config) if args.config else default_config()
     cfg = build_scenario(doc)
     if args.seed is not None:
-        from .config import with_seed
-
-        cfg = with_seed(cfg, args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -144,8 +142,7 @@ def cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
     times = time_grid(cfg)
     try:
-        x0 = equilibrium(cfg)
-        truth = simulate_truth(cfg, x0)
+        truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
@@ -153,13 +150,11 @@ def cmd_estimate(args) -> int:
     if args.measurements:
         corrupted = _read_measurements_csv(args.measurements, times)
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
-    try:
-        estimates, _, _ = filter_series(
-            cfg, corrupted[None], variants, strict=True, x0=x0
-        )[0]
-    except MEMBER_FAILURES as exc:
-        # the message already begins with "measurement index k: "
-        print(f"filter diverged: {exc}", file=sys.stderr)
+    estimates, failures = filter_series(cfg, corrupted[None], variants)[0]
+    if failures:
+        # the first member to freeze; its message already begins with
+        # "measurement index k: "
+        print(f"filter diverged: {next(iter(failures.values()))}", file=sys.stderr)
         return EXIT_DIVERGENCE
     for variant in variants:
         est_path = _out_path(args, f"estimates_{variant}.csv")
@@ -247,15 +242,11 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file (built-in defaults when omitted)")
-    common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument("--seed", type=int, help="override the configured base seed")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for the experiment matrix, one chunk of its filter batch each",
-    )
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    # the commands that write files: all but bench, which prints a table
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out-dir", default=".", help="directory for output files")
+    writes.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = argparse.ArgumentParser(
         prog="dsekit",
@@ -264,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser(
-        "simulate", parents=[common], help="write truth.csv and measurements.csv"
+        "simulate", parents=[writes], help="write truth.csv and measurements.csv"
     ).set_defaults(handler=cmd_simulate)
 
     p_estimate = sub.add_parser(
-        "estimate", parents=[common], help="run filters and write estimates and metrics"
+        "estimate", parents=[writes], help="run filters and write estimates and metrics"
     )
     p_estimate.add_argument(
         "--filter", choices=(CKF, RCKF, "both"), default="both", help="variant to run"
@@ -280,7 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_estimate.set_defaults(handler=cmd_estimate)
 
     p_experiment = sub.add_parser(
-        "experiment", parents=[common], help="run the noise-by-manner matrix"
+        "experiment", parents=[writes], help="run the noise-by-manner matrix"
+    )
+    p_experiment.add_argument(
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes, one chunk of the matrix's filter batch each",
     )
     p_experiment.add_argument(
         "--runs", type=int, default=10, help="seeds per cell (base seed + 0..runs-1)"
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_experiment.add_argument(
         "--timing",
         action="store_true",
-        help="record each filter's mean share of the batch step wall time "
+        help="record each chunk's filter wall time per step and filter "
         "(makes matrix.csv machine-dependent)",
     )
     p_experiment.set_defaults(handler=cmd_experiment)

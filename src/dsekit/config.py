@@ -357,12 +357,6 @@ def with_noise_preset(cfg: ScenarioConfig, preset: int) -> ScenarioConfig:
     return replace(cfg, noise=noise_preset(preset, cfg.sigmas))
 
 
-def with_outliers(cfg: ScenarioConfig, spec: OutlierSpec) -> ScenarioConfig:
-    return replace(cfg, outliers=spec)
-
-
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=seed)
 
 
 def default_config() -> dict:

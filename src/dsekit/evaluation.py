@@ -90,11 +90,9 @@ class MetricsReport:
     epsilon1 covers the measured variables only; epsilon2 covers all four.
     An indicator that is undefined for the run is left out: epsilon1 where
     the measurement error is identically zero, epsilon2 where a truth
-    sample is exactly zero.  s_m is the number of scored steps (the
-    initial one is excluded).
+    sample is exactly zero.  Step 0, the prior, is not scored.
     """
 
-    s_m: int
     epsilon1: dict[str, float]
     epsilon2: dict[str, float]
 
@@ -138,4 +136,4 @@ def report_from_run(
                 eps1[variable] = epsilon1(est, tru, meas)
         with suppress(ZeroTruthValue):
             eps2[variable] = epsilon2(est, tru)
-    return MetricsReport(s_m=truth.shape[0] - 1, epsilon1=eps1, epsilon2=eps2)
+    return MetricsReport(epsilon1=eps1, epsilon2=eps2)

@@ -17,7 +17,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from .config import NOISE_PRESETS, with_noise_preset, with_outliers, with_seed
+from .config import NOISE_PRESETS, with_noise_preset
 from .errors import DsekitError
 from .evaluation import VARIABLES, format_float, report_from_run
 from .filters import CKF, RCKF
@@ -25,7 +25,6 @@ from .noise import OutlierSpec, outlier_rows
 from .scenario import (
     ScenarioConfig,
     batch_filters,
-    equilibrium,
     filter_series,
     simulate_truth,
     synthesize_measurements,
@@ -119,18 +118,24 @@ def _cell_key(preset: int, manner: str, seed: int) -> str:
 
 def _run_cells(item) -> list[Outcome]:
     """Rows and failures of each cell of a chunk, its filters run as one
-    batch."""
-    cfg, truth, x0, cells, timing = item
+    batch.  With timing, every row gets the batch's wall time per step
+    and filter."""
+    cfg, truth, cells, timing = item
     series = np.stack([synthesize_measurements(truth, cell_cfg)[1] for cell_cfg, *_ in cells])
-    results = filter_series(cfg, series, (CKF, RCKF), x0=x0)
+    variants = (CKF, RCKF)
+    started = perf_counter_ns()
+    results = filter_series(cfg, series, variants)
+    mean_ms = None
+    if timing:
+        filters = len(variants) * len(cells)
+        mean_ms = (perf_counter_ns() - started) / 1e6 / ((len(truth) - 1) * filters)
     out: list[Outcome] = []
-    for (_, preset, manner, seed), corrupted, (estimates, step_times, failures) in zip(
+    for (_, preset, manner, seed), corrupted, (estimates, failures) in zip(
         cells, series, results
     ):
         rows: list[MatrixRow] = []
         for variant in estimates:
             report = report_from_run(estimates[variant], truth, corrupted)
-            mean_ms = float(step_times[variant].mean()) / 1e6 if timing else None
             rows.extend(
                 MatrixRow(
                     preset, manner, variant, seed, variable,
@@ -151,8 +156,8 @@ def run_experiment(
     Cell failures are collected, not raised; rows from failed cells are
     simply absent.  A manner whose outliers fall off the horizon or name
     no channel fails its cells before any integration.  With timing
-    enabled the mean wall time per filter step is recorded, which makes
-    the output machine-dependent.
+    enabled each chunk's filter wall time per step and filter is
+    recorded, which makes the output machine-dependent.
 
     Raises:
         ValueError: jobs is below one.
@@ -175,20 +180,19 @@ def run_experiment(
             except DsekitError as exc:
                 outcomes.extend(([], {_cell_key(preset, manner, seed): str(exc)}) for seed in seeds)
                 continue
-            manner_cfg = with_outliers(noise_cfg, spec)
+            manner_cfg = replace(noise_cfg, outliers=spec)
             outcomes += [None] * len(seeds)
-            cells.extend((with_seed(manner_cfg, seed), preset, manner, seed) for seed in seeds)
+            cells.extend((replace(manner_cfg, seed=seed), preset, manner, seed) for seed in seeds)
     ran: list[Outcome] = []
     if cells:
         try:
-            x0 = equilibrium(cfg)
-            truth = simulate_truth(cfg, x0)
+            truth = simulate_truth(cfg)
         except DsekitError as exc:
             ran = [([], {_cell_key(*cell[1:]): str(exc)}) for cell in cells]
         else:
             # one chunk of the batch per worker
             splits = np.array_split(np.arange(len(cells)), min(jobs, len(cells)))
-            items = [(cfg, truth, x0, cells[s[0] : s[-1] + 1], timing) for s in splits]
+            items = [(cfg, truth, cells[s[0] : s[-1] + 1], timing) for s in splits]
             if len(items) > 1:
                 # imported here: the pool's modules would add to the start-up
                 # time of every command, and only this path uses them
@@ -256,13 +260,12 @@ def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
         raise ValueError(f"steps must be positive, got {steps}")
     needed = (steps + BENCH_WARMUP) * cfg.dt
     bench_cfg = replace(cfg, t_end=max(cfg.t_end, needed))
-    x0 = equilibrium(bench_cfg)
-    truth = simulate_truth(bench_cfg, x0)
+    truth = simulate_truth(bench_cfg)
     _, corrupted = synthesize_measurements(truth, bench_cfg)
     best: dict[str, np.ndarray] = {}
     for _ in range(BENCH_PASSES):
         runs = {
-            variant: batch_filters(bench_cfg, corrupted[None], (variant,), x0)[1]
+            variant: batch_filters(bench_cfg, corrupted[None], (variant,))[1]
             for variant in (CKF, RCKF)
         }
         times = {variant: np.empty(len(corrupted) - 1) for variant in runs}

@@ -14,7 +14,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from itertools import groupby
-from time import perf_counter_ns
 from typing import Sequence
 
 import numpy as np
@@ -316,7 +315,8 @@ class ScenarioConfig:
 
 
 def time_grid(cfg: ScenarioConfig) -> np.ndarray:
-    """Grid 0, dt, ..., n*dt covering t_end; timestamps are exact
+    """Grid 0, dt, ..., n*dt, where n*dt is the multiple of dt nearest
+    t_end (t_end 20.009 at dt 0.02 ends at 20.0); timestamps are exact
     multiples of dt."""
     steps = int(round(cfg.t_end / cfg.dt))
     return np.arange(steps + 1) * cfg.dt
@@ -333,11 +333,11 @@ def equilibrium(cfg: ScenarioConfig) -> MachineState:
 
 
 def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.ndarray:
-    """Integrate the noise-free trajectory from the pre-fault equilibrium.
+    """Integrate the noise-free trajectory from x0.
 
     Returns a (steps + 1, 4) array, one state row per grid point, with
-    inputs held constant over each step.  x0, when given, is the
-    equilibrium already solved for cfg.
+    inputs held constant over each step.  x0 is the start state, by
+    default the pre-fault equilibrium.
 
     Under constant inputs a step is a function of the state's bits alone,
     so once the state repeats exactly, every later row repeats a row
@@ -433,35 +433,32 @@ def synthesize_measurements(
     return clean, corrupted
 
 
-def initial_filter_state(
-    cfg: ScenarioConfig, corrupted: np.ndarray, x0: MachineState | None = None
-) -> FilterState:
-    """Prior built from the first corrupted measurement row.
+def initial_filter_state(cfg: ScenarioConfig, series: np.ndarray) -> FilterState:
+    """Batched prior of a stack of measurement series (cells, rows, 3),
+    each built from its series' first row.
 
     Angle and speed come straight from the measurements; the EMFs take the
-    pre-fault equilibrium values (x0 when given) inflated by the
-    configured relative bias, so the estimator never peeks at the truth.
+    pre-fault equilibrium values inflated by the configured relative bias,
+    so the estimator never peeks at the truth.
+
+    Returns:
+        x_hat (cells, 4) and P (cells, 4, 4).
+
+    Raises:
+        NoConvergence: no pre-fault equilibrium exists.
     """
-    if x0 is None:
-        x0 = equilibrium(cfg)
+    first = np.asarray(series, dtype=float)[:, 0]
+    x0 = equilibrium(cfg)
     bias = 1.0 + cfg.init.eprime_bias
-    x_hat = np.array(
-        (
-            corrupted[0, 0],
-            corrupted[0, 1] - 1.0,
-            x0.e_q_prime * bias,
-            x0.e_d_prime * bias,
-        )
-    )
-    return FilterState(x_hat=x_hat, P=np.diag(cfg.init.p0_diag))
+    x_hat = np.empty((len(first), 4))
+    x_hat[:, :2] = first[:, :2]
+    x_hat[:, 1] -= 1.0
+    x_hat[:, 2:] = (x0.e_q_prime * bias, x0.e_d_prime * bias)
+    P = np.repeat(np.diag(cfg.init.p0_diag)[None], len(first), axis=0)
+    return FilterState(x_hat=x_hat, P=P)
 
 
-def batch_filters(
-    cfg: ScenarioConfig,
-    series: np.ndarray,
-    variants: Sequence[str],
-    x0: MachineState,
-):
+def batch_filters(cfg: ScenarioConfig, series: np.ndarray, variants: Sequence[str]):
     """Every requested variant on every measurement series of a stack
     (cells, rows, 3), as one batch; member c * len(variants) + v filters
     series c with variant v.  The filters get the channel variances of
@@ -492,9 +489,9 @@ def batch_filters(
         return r
 
     repeats = len(variants)
-    prior = np.repeat([initial_filter_state(cfg, s, x0).x_hat for s in series], repeats, axis=0)
+    prior = initial_filter_state(cfg, series)
     init = FilterState(
-        x_hat=prior, P=np.repeat(np.diag(cfg.init.p0_diag)[None], len(prior), axis=0)
+        x_hat=np.repeat(prior.x_hat, repeats, axis=0), P=np.repeat(prior.P, repeats, axis=0)
     )
     thresholds = np.tile([cfg.huber.c if v == RCKF else math.inf for v in variants], len(series))
     steps = iter_batch(
@@ -506,15 +503,13 @@ def batch_filters(
         r_provider,
         HuberConfig(thresholds, cfg.huber.max_reweight_passes),
     )
-    return prior, steps
+    return init.x_hat, steps
 
 
 def filter_series(
     cfg: ScenarioConfig,
     corrupted: np.ndarray,
     variants: Sequence[str] = (CKF, RCKF),
-    strict: bool = False,
-    x0: MachineState | None = None,
 ):
     """Run filter variants over corrupted measurement series, as one batch.
 
@@ -522,54 +517,42 @@ def filter_series(
     inputs and filter tuning; a single series is a stack of one.  Every
     series gets every requested variant, and all of them advance in
     lockstep as one batch (batch_filters); each member's estimates are the
-    bits it gets alone.  A member that diverges is recorded in its
-    failures map and dropped, or re-raised when strict is set.  A member's
-    step time is the batch's step wall time divided by the members live at
-    that step.  x0 is the equilibrium already solved for cfg, if any.
+    bits it gets alone.  A member that diverges is dropped, and its
+    message goes to its series' failures map.
 
     Returns:
-        A list with one (estimates, step_times_ns, failures) triple per
-        series, each keyed by variant name.
+        A list with one (estimates, failures) pair per series: estimates
+        maps each variant that finished to its (rows, 4) array, in the
+        order of variants; failures maps each variant that diverged to
+        its message, in the order the members froze.
     """
     series = np.asarray(corrupted, dtype=float)
-    if x0 is None:
-        x0 = equilibrium(cfg)
-    prior, batch = batch_filters(cfg, series, variants, x0)
-    cells, steps = series.shape[0], series.shape[1] - 1
-    estimates = np.empty((len(prior), steps + 1, 4))
+    prior, batch = batch_filters(cfg, series, variants)
+    estimates = np.empty((len(prior), series.shape[1], 4))
     estimates[:, 0] = prior
-    step_ns = np.zeros((len(prior), steps))
-    failed: dict[int, Exception] = {}
-    stepped: list[tuple[np.ndarray, np.ndarray, int]] = []
-    started = perf_counter_ns()
+    failed: dict[int, str] = {}
+    stepped: list[tuple[np.ndarray, np.ndarray]] = []
     for members, state, frozen in batch:
-        elapsed = perf_counter_ns() - started
-        for member, exc in frozen:
-            if strict:
-                raise exc
-            failed[member] = exc
-        stepped.append((members, state.x_hat, elapsed))
-        started = perf_counter_ns()
+        failed.update((member, str(exc)) for member, exc in frozen)
+        stepped.append((members, state.x_hat))
     # iter_batch yields one members array until a member freezes, so the
     # steps are written one stretch of unchanged members at a time
     k = 0
     for _, stretch in groupby(stepped, key=lambda step: id(step[0])):
-        members, posteriors, elapsed = zip(*stretch)
-        members = members[0]
-        if members.size:
-            estimates[members, k + 1 : k + 1 + len(posteriors)] = np.stack(posteriors, axis=1)
-            step_ns[members, k : k + len(elapsed)] = np.array(elapsed) / members.size
+        members, posteriors = zip(*stretch)
+        if members[0].size:
+            estimates[members[0], k + 1 : k + 1 + len(posteriors)] = np.stack(posteriors, axis=1)
         k += len(posteriors)
 
-    results = []
-    for c in range(cells):
-        out: tuple[dict, dict, dict] = ({}, {}, {})
-        for v, variant in enumerate(variants):
-            member = c * len(variants) + v
-            if member in failed:
-                out[2][variant] = str(failed[member])
-            else:
-                out[0][variant] = estimates[member]
-                out[1][variant] = step_ns[member]
-        results.append(out)
-    return results
+    width = len(variants)
+    return [
+        (
+            {
+                variant: estimates[c * width + v]
+                for v, variant in enumerate(variants)
+                if c * width + v not in failed
+            },
+            {variants[m % width]: message for m, message in failed.items() if m // width == c},
+        )
+        for c in range(len(series))
+    ]

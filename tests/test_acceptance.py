@@ -8,7 +8,7 @@ comparative robustness findings the library exists to reproduce.
 
 import math
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from dsekit.cli import main
-from dsekit.config import build_scenario, default_config, with_noise_preset, with_outliers, with_seed
+from dsekit.config import build_scenario, default_config, with_noise_preset
 from dsekit.evaluation import epsilon1, epsilon2, report_from_run
 from dsekit.filters import (
     CKF,
@@ -43,7 +43,6 @@ from dsekit.machine import (
 )
 from dsekit.noise import OutlierSpec, SeededStream, draw_cauchy, draw_laplace
 from dsekit.scenario import (
-    equilibrium,
     filter_series,
     initial_filter_state,
     simulate_truth,
@@ -58,7 +57,7 @@ def default_scenario():
 
 
 def white_noise_scenario(seed):
-    return with_seed(with_noise_preset(default_scenario(), 1), seed)
+    return replace(with_noise_preset(default_scenario(), 1), seed=seed)
 
 
 def test_linear_gaussian_equivalence():
@@ -144,14 +143,13 @@ def test_robust_variant_coincides_on_inliers():
     Gaussian-white runs, and mean end-to-end relative error within 5%."""
     seeds = range(50)
     base = white_noise_scenario(seeds[0])
-    x0 = equilibrium(base)
-    truth = simulate_truth(base, x0)
+    truth = simulate_truth(base)
     times = time_grid(base)
     synthesized = [synthesize_measurements(truth, white_noise_scenario(seed)) for seed in seeds]
     corrupted = np.stack([series for _, series in synthesized])
     eps2 = {CKF: {}, RCKF: {}}
-    for (clean, series), (estimates, step_times, failures) in zip(
-        synthesized, filter_series(base, corrupted, x0=x0)
+    for (clean, series), (estimates, failures) in zip(
+        synthesized, filter_series(base, corrupted)
     ):
         assert not failures
         for variant in (CKF, RCKF):
@@ -165,10 +163,7 @@ def test_robust_variant_coincides_on_inliers():
     variance = power_variance_map(base.machine, base.sigmas)
     u_arr = base.profile.as_array(times)
     Q = np.diag(base.init.q_diag)
-    state = FilterState(
-        x_hat=np.stack([initial_filter_state(base, series, x0).x_hat for series in corrupted]),
-        P=np.repeat(np.diag(base.init.p0_diag)[None], len(corrupted), axis=0),
-    )
+    state = initial_filter_state(base, corrupted)
     inlier_steps = 0
     checked_steps = 0
     worst_state = 0.0
@@ -248,16 +243,15 @@ def test_outlier_transient_containment():
     strictly closer to the truth than the classical one in at least 95 of
     100 seeded runs."""
     spec = OutlierSpec.single_at(6.0)
-    base = with_outliers(with_noise_preset(default_scenario(), 1), spec)
+    base = replace(with_noise_preset(default_scenario(), 1), outliers=spec)
     idx = 300  # 6.0 s on the 0.02 s grid
-    x0 = equilibrium(base)
-    truth = simulate_truth(base, x0)
+    truth = simulate_truth(base)
     corrupted = np.stack(
-        [synthesize_measurements(truth, with_seed(base, seed))[1] for seed in range(100)]
+        [synthesize_measurements(truth, replace(base, seed=seed))[1] for seed in range(100)]
     )
     truth_speed = truth[idx, 1]
     wins = 0
-    for estimates, _, failures in filter_series(base, corrupted, x0=x0):
+    for estimates, failures in filter_series(base, corrupted):
         assert not failures
         ckf_err = abs(estimates[CKF][idx, 1] - truth_speed)
         rckf_err = abs(estimates[RCKF][idx, 1] - truth_speed)

@@ -479,14 +479,16 @@ class TestExperiment:
         assert (a / "matrix.csv").read_bytes() == (b / "matrix.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
-    def test_timing_flag_fills_column(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_timing_flag_fills_column(self, tmp_path, jobs):
         cfg = self._cfg(tmp_path)
         out = tmp_path / "out"
         run(
             "experiment", "--config", cfg, "--out-dir", str(out), "--quiet",
-            "--runs", "1", "--jobs", "1", "--timing",
+            "--runs", "1", "--jobs", jobs, "--timing",
         )
         _, rows = read_rows(out / "matrix.csv")
+        assert len(rows) == 64
         assert all(float(r[7]) > 0.0 for r in rows)
 
     @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--jobs", "0"), ("--jobs", "-5")])
@@ -617,6 +619,23 @@ class TestBench:
     def test_too_few_steps_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run("bench", "--config", cfg, "--steps", "99") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--jobs", "2"),
+        ("estimate", "--jobs", "2"),
+        ("bench", "--jobs", "2"),
+        ("bench", "--out-dir", "x"),
+        ("bench", "--quiet"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestEntryPoint:

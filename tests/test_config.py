@@ -15,8 +15,6 @@ from dsekit.config import (
     load_config,
     noise_preset,
     with_noise_preset,
-    with_outliers,
-    with_seed,
 )
 from dsekit.errors import ConfigError, InvalidConfig, InvalidWindow
 from dsekit.harness import manner_outliers
@@ -478,17 +476,9 @@ class TestShippedConfigs:
 
 
 class TestReplacements:
-    def test_with_seed(self):
-        cfg = build()
-        assert with_seed(cfg, 7).seed == 7
-
     def test_with_noise_preset(self):
         cfg = with_noise_preset(build(), 3)
         assert cfg.noise[0].kind == LAPLACE
-
-    def test_with_outliers(self):
-        cfg = with_outliers(build(), OutlierSpec.single_at(6.0))
-        assert cfg.outliers.manner == "single"
 
 
 def leaves(doc, prefix=""):

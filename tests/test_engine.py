@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit.config import build_scenario, default_config, with_noise_preset, with_outliers, with_seed
+from dsekit.config import build_scenario, default_config, with_noise_preset
 from dsekit.errors import DecompositionFailure, DegenerateChannel, NonFiniteState
 from dsekit.filters import (
     CKF,
@@ -28,7 +28,6 @@ from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance_map
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
     batch_filters,
-    equilibrium,
     filter_series,
     initial_filter_state,
     simulate_truth,
@@ -45,8 +44,7 @@ def short_config(t_end=1.0):
 
 
 CFG = short_config()
-X0 = equilibrium(CFG)
-TRUTH = simulate_truth(CFG, X0)
+TRUTH = simulate_truth(CFG)
 
 OUTLIERS = st.one_of(
     st.just(OutlierSpec.none()),
@@ -75,16 +73,16 @@ VARIANTS = st.sampled_from([(CKF,), (RCKF,), (CKF, RCKF), (RCKF, CKF)])
 def corrupted_series(cells):
     return np.stack([
         synthesize_measurements(
-            TRUTH, with_seed(with_outliers(with_noise_preset(CFG, preset), spec), seed)
+            TRUTH, replace(with_noise_preset(CFG, preset), outliers=spec, seed=seed)
         )[1]
         for seed, preset, spec in cells
     ])
 
 
 def assert_same_member(got, want, variant):
-    """One variant's estimates and failure in two (estimates, step_times,
-    failures) results."""
-    assert got[2].get(variant) == want[2].get(variant)
+    """One variant's estimates and failure in two (estimates, failures)
+    results."""
+    assert got[1].get(variant) == want[1].get(variant)
     assert (variant in got[0]) == (variant in want[0])
     if variant in want[0]:
         np.testing.assert_array_equal(got[0][variant], want[0][variant])
@@ -94,11 +92,11 @@ def assert_same_member(got, want, variant):
 @given(cells=CELLS, variants=VARIANTS)
 def test_members_match_their_batch_of_one_in_any_order(cells, variants):
     series = corrupted_series(cells)
-    together = filter_series(CFG, series, variants, x0=X0)
-    reversed_ = filter_series(CFG, series[::-1], variants, x0=X0)[::-1]
+    together = filter_series(CFG, series, variants)
+    reversed_ = filter_series(CFG, series[::-1], variants)[::-1]
     for i in range(len(cells)):
         for variant in variants:
-            alone = filter_series(CFG, series[i : i + 1], (variant,), x0=X0)[0]
+            alone = filter_series(CFG, series[i : i + 1], (variant,))[0]
             assert_same_member(together[i], alone, variant)
             assert_same_member(reversed_[i], alone, variant)
 
@@ -106,7 +104,7 @@ def test_members_match_their_batch_of_one_in_any_order(cells, variants):
 @settings(max_examples=15)
 @given(cells=CELLS, variants=VARIANTS)
 def test_every_posterior_covariance_is_symmetric_positive_definite(cells, variants):
-    _, steps = batch_filters(CFG, corrupted_series(cells), variants, X0)
+    _, steps = batch_filters(CFG, corrupted_series(cells), variants)
     for members, state, _ in steps:
         if not members.size:
             break
@@ -121,19 +119,19 @@ def test_nan_member_is_frozen_at_its_step_and_leaves_the_others_alone():
                                (3, 1, OutlierSpec.window(0.4, 0.6))])
     poisoned = series.copy()
     poisoned[1, k + 1, 1] = math.nan  # measurement index k is grid row k + 1
-    results = filter_series(CFG, poisoned, x0=X0)
-    estimates, _, failures = results[1]
+    results = filter_series(CFG, poisoned)
+    estimates, failures = results[1]
     assert not estimates
     for variant in (CKF, RCKF):
         assert failures[variant].startswith(f"measurement index {k}: ")
-    without = filter_series(CFG, poisoned[[0, 2]], x0=X0)
+    without = filter_series(CFG, poisoned[[0, 2]])
     for got, want in zip((results[0], results[2]), without):
-        assert not got[2]
+        assert not got[1]
         for variant in (CKF, RCKF):
             assert_same_member(got, want, variant)
 
     # the engine reports the frozen members with their exception and step
-    _, steps = batch_filters(CFG, poisoned, (CKF, RCKF), X0)
+    _, steps = batch_filters(CFG, poisoned, (CKF, RCKF))
     frozen = {}
     for step, (members, _, failed) in enumerate(steps):
         for member, exc in failed:
@@ -209,8 +207,8 @@ def test_nan_measurement_freezes_with_message_and_step():
     k = 5
     series = corrupted_series([(11, 4, OutlierSpec.none()), (12, 2, OutlierSpec.none())])
     series[1, k + 1, 0] = math.nan
-    paths, frozen = trajectories(batch_filters(CFG, series, (CKF, RCKF), X0)[1])
-    alone, none_frozen = trajectories(batch_filters(CFG, series[:1], (CKF, RCKF), X0)[1])
+    paths, frozen = trajectories(batch_filters(CFG, series, (CKF, RCKF))[1])
+    alone, none_frozen = trajectories(batch_filters(CFG, series[:1], (CKF, RCKF))[1])
     assert sorted(frozen) == [2, 3] and not none_frozen
     for member in (2, 3):
         assert_frozen(frozen, member, NonFiniteState, k, "corrected estimate is not finite")
@@ -225,8 +223,8 @@ def test_rk4_overflow_freezes_with_message_and_step(variants):
     # the array map
     series = corrupted_series([(21, 1, OutlierSpec.none()), (22, 3, OutlierSpec.none())])
     series[1, 0, 1] = 1e307
-    paths, frozen = trajectories(batch_filters(CFG, series, variants, X0)[1])
-    alone, _ = trajectories(batch_filters(CFG, series[:1], variants, X0)[1])
+    paths, frozen = trajectories(batch_filters(CFG, series, variants)[1])
+    alone, _ = trajectories(batch_filters(CFG, series[:1], variants)[1])
     width = len(variants)
     assert sorted(frozen) == list(range(width, 2 * width))
     for member in range(width, 2 * width):
@@ -244,13 +242,12 @@ def test_division_by_zero_speed_freezes_with_message_and_step(variants):
     # on the row-by-row float map, two put it on the array map, and both
     # freeze the member the same way
     cfg = replace(CFG, torque_mode=DIVIDE_BY_SPEED)
-    x0 = equilibrium(cfg)
     series = corrupted_series([(31, 1, OutlierSpec.none()), (32, 3, OutlierSpec.none())])
     series[1, 0, 1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths, frozen = trajectories(batch_filters(cfg, series, variants, x0)[1])
-    alone, _ = trajectories(batch_filters(cfg, series[:1], variants, x0)[1])
+        paths, frozen = trajectories(batch_filters(cfg, series, variants)[1])
+    alone, _ = trajectories(batch_filters(cfg, series[:1], variants)[1])
     width = len(variants)
     assert sorted(frozen) == list(range(width, 2 * width))
     for member in range(width, 2 * width):
@@ -464,10 +461,9 @@ def estimate_like_config():
 )
 def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     cfg = estimate_like_config()
-    x0 = equilibrium(cfg)
-    truth = simulate_truth(cfg, x0)
+    truth = simulate_truth(cfg)
     seeds = range(31, 31 + len(thresholds))
-    series = np.stack([synthesize_measurements(truth, with_seed(cfg, s))[1] for s in seeds])
+    series = np.stack([synthesize_measurements(truth, replace(cfg, seed=s))[1] for s in seeds])
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(time_grid(cfg))
     Q = np.diag(cfg.init.q_diag)
@@ -480,8 +476,7 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
         r[:, 2] = variance(predicted.x_hat, u_obs)
         return r
 
-    prior = np.stack([initial_filter_state(cfg, s, x0).x_hat for s in series])
-    init = FilterState(prior, np.repeat(np.diag(cfg.init.p0_diag)[None], len(prior), axis=0))
+    init = initial_filter_state(cfg, series)
     z = series[:, 1:].transpose(1, 0, 2)
     huber = HuberConfig(np.array(thresholds), passes)
     steps = iter_batch(model, init, u_arr, z, Q, provider, huber)

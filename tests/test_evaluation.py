@@ -85,16 +85,15 @@ class TestReportFromRun:
         return make_config(t_end=4.0, noise=noise)
 
     def test_shape_and_keys(self):
-        truth, corrupted, estimates, _, _ = run_pipeline(self._noisy_config())
+        truth, corrupted, estimates, _ = run_pipeline(self._noisy_config())
         report = report_from_run(estimates[CKF], truth, corrupted)
-        assert report.s_m == len(truth) - 1
         assert set(report.epsilon1) == set(MEASURED_CHANNEL)
         assert set(report.epsilon2) == set(VARIABLES)
         for value in (*report.epsilon1.values(), *report.epsilon2.values()):
             assert math.isfinite(value) and value > 0.0
 
     def test_initial_step_excluded(self):
-        truth, corrupted, estimates, _, _ = run_pipeline(self._noisy_config())
+        truth, corrupted, estimates, _ = run_pipeline(self._noisy_config())
         poked = estimates[CKF].copy()
         poked[0] += 100.0
         a = report_from_run(estimates[CKF], truth, corrupted)

@@ -164,7 +164,7 @@ class TestRunExperiment:
         assert serial == parallel
         assert serial.cells_failed == 8 and len(serial.rows) == 64
 
-    def test_one_equilibrium_for_the_whole_matrix(self, monkeypatch):
+    def test_one_equilibrium_for_the_truth_and_one_per_chunk(self, monkeypatch):
         import dsekit.scenario as scenario
 
         calls = []
@@ -176,7 +176,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(scenario, "steady_state_init", counted)
         run_experiment(small_config(t_end=4.0), seeds=[1, 2])
-        assert len(calls) == 1
+        # eight cells run in one chunk: the priors of all its series come
+        # from one solve, of the same inputs as the truth's
+        assert len(calls) == 2 and calls[0] == calls[1]
 
 
 class TestSummarize:

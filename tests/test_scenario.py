@@ -611,22 +611,39 @@ class TestInitialFilterState:
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
-        init = initial_filter_state(cfg, corrupted)
+        init = initial_filter_state(cfg, corrupted[None])
         eq0 = steady_state_init(BASE, PARAMS)
-        assert init.x_hat[0] == corrupted[0, 0]
-        assert init.x_hat[1] == corrupted[0, 1] - 1.0
-        assert init.x_hat[2] == pytest.approx(eq0.e_q_prime * 1.1, abs=1e-15)
-        assert init.x_hat[3] == pytest.approx(eq0.e_d_prime * 1.1, abs=1e-15)
-        np.testing.assert_array_equal(init.P, np.diag(cfg.init.p0_diag))
+        assert init.x_hat.shape == (1, 4)
+        assert init.x_hat[0, 0] == corrupted[0, 0]
+        assert init.x_hat[0, 1] == corrupted[0, 1] - 1.0
+        assert init.x_hat[0, 2] == pytest.approx(eq0.e_q_prime * 1.1, abs=1e-15)
+        assert init.x_hat[0, 3] == pytest.approx(eq0.e_d_prime * 1.1, abs=1e-15)
+        np.testing.assert_array_equal(init.P, [np.diag(cfg.init.p0_diag)])
+
+    def test_stack_prior_is_each_series_prior(self):
+        cfg = make_config(t_end=2.0)
+        truth = simulate_truth(cfg)
+        series = np.stack([
+            synthesize_measurements(truth, replace(cfg, seed=seed))[1] for seed in (1, 2, 3)
+        ])
+        init = initial_filter_state(cfg, series)
+        eq0 = equilibrium(cfg)
+        assert init.x_hat.shape == (3, 4) and init.P.shape == (3, 4, 4)
+        for x_hat, P, one in zip(init.x_hat, init.P, series):
+            by_hand = (
+                one[0, 0], one[0, 1] - 1.0, eq0.e_q_prime * 1.1, eq0.e_d_prime * 1.1,
+            )
+            np.testing.assert_array_equal(x_hat, by_hand)
+            np.testing.assert_array_equal(P, np.diag(cfg.init.p0_diag))
 
     def test_bias_is_configurable(self):
         cfg = make_config(t_end=2.0)
         cfg = replace(cfg, init=InitSpec(eprime_bias=0.0))
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
-        init = initial_filter_state(cfg, corrupted)
+        init = initial_filter_state(cfg, corrupted[None])
         eq0 = steady_state_init(BASE, PARAMS)
-        assert init.x_hat[2] == pytest.approx(eq0.e_q_prime, abs=1e-15)
+        assert init.x_hat[0, 2] == pytest.approx(eq0.e_q_prime, abs=1e-15)
 
 
 class TestFilterSeries:
@@ -650,29 +667,34 @@ class TestFilterSeries:
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
-        together, times, _ = filter_series(cfg, corrupted[None])[0]
+        together, _ = filter_series(cfg, corrupted[None])[0]
         for variant in (CKF, RCKF):
-            alone, _, _ = filter_series(cfg, corrupted[None], variants=(variant,))[0]
+            alone, _ = filter_series(cfg, corrupted[None], variants=(variant,))[0]
             np.testing.assert_array_equal(together[variant], alone[variant])
-            assert len(times[variant]) == len(corrupted) - 1
 
     def test_divergence_recorded_not_raised(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
         corrupted[10, 1] = math.nan
-        estimates, _, failures = filter_series(cfg, corrupted[None], variants=(CKF,))[0]
-        assert CKF not in estimates
-        assert "index" in failures[CKF]
+        estimates, failures = filter_series(cfg, corrupted[None], variants=(CKF,))[0]
+        assert estimates == {}
+        # grid row 10 is measurement index 9
+        assert failures == {CKF: "measurement index 9: corrected estimate is not finite"}
 
-    def test_strict_mode_raises(self):
-        cfg = make_config(t_end=2.0)
+    def test_failures_are_listed_in_freeze_order(self):
+        cfg = build_scenario(default_config())
         truth = simulate_truth(cfg)
         _, corrupted = synthesize_measurements(truth, cfg)
-        corrupted[10, 1] = math.nan
-        with pytest.raises(NonFiniteState):
-            filter_series(cfg, corrupted[None], variants=(CKF,), strict=True)
-
+        corrupted[6, 1] = 1e200
+        corrupted[21, 1] = math.nan
+        estimates, failures = filter_series(cfg, corrupted[None], (RCKF, CKF))[0]
+        assert estimates == {}
+        # the classical filter takes the spike (index 5) and freezes at the
+        # next step; the robust one downweights it and freezes at the NaN
+        assert list(failures) == [CKF, RCKF]
+        assert failures[CKF].startswith("measurement index 6: ")
+        assert failures[RCKF].startswith("measurement index 20: ")
 
     def test_stack_of_series_gives_one_result_per_series(self):
         cfg = make_config(t_end=2.0)
@@ -686,17 +708,14 @@ class TestFilterSeries:
             alone = filter_series(cfg, one[None])[0]
             for variant in (CKF, RCKF):
                 np.testing.assert_array_equal(result[0][variant], alone[0][variant])
-                # each member's step time is its share of the batch's step
-                assert result[1][variant].shape == (len(one) - 1,)
 
 
 def run_pipeline(cfg):
-    """Equilibrium, truth, measurements and both filters of one scenario:
-    (truth, corrupted, estimates, step_times_ns, failures)."""
-    x0 = equilibrium(cfg)
-    truth = simulate_truth(cfg, x0)
+    """Truth, measurements and both filters of one scenario:
+    (truth, corrupted, estimates, failures)."""
+    truth = simulate_truth(cfg)
     _, corrupted = synthesize_measurements(truth, cfg)
-    return (truth, corrupted, *filter_series(cfg, corrupted[None], x0=x0)[0])
+    return (truth, corrupted, *filter_series(cfg, corrupted[None])[0])
 
 
 class TestPipeline:
@@ -707,18 +726,17 @@ class TestPipeline:
             None,
         )
         cfg = make_config(noise=noise)
-        _, corrupted, estimates, step_times, failures = run_pipeline(cfg)
+        _, corrupted, estimates, failures = run_pipeline(cfg)
         assert not failures
         n = len(time_grid(cfg))
         assert n == 1001
         for variant in (CKF, RCKF):
             assert estimates[variant].shape == (n, 4)
-            assert len(step_times[variant]) == n - 1
-        init = initial_filter_state(cfg, corrupted)
-        np.testing.assert_array_equal(estimates[CKF][0], init.x_hat)
-        np.testing.assert_array_equal(estimates[RCKF][0], init.x_hat)
+        init = initial_filter_state(cfg, corrupted[None])
+        np.testing.assert_array_equal(estimates[CKF][0], init.x_hat[0])
+        np.testing.assert_array_equal(estimates[RCKF][0], init.x_hat[0])
 
-    def test_one_equilibrium_per_run(self, monkeypatch):
+    def test_truth_and_prior_share_the_equilibrium(self, monkeypatch):
         import dsekit.scenario as scenario
 
         calls = []
@@ -729,9 +747,10 @@ class TestPipeline:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(scenario, "steady_state_init", counted)
-        truth, _, estimates, _, _ = run_pipeline(make_config(t_end=2.0))
-        assert len(calls) == 1
-        # the truth and the filter prior share that equilibrium
+        truth, _, estimates, _ = run_pipeline(make_config(t_end=2.0))
+        # one solve for the truth and one for the filter prior, of the
+        # same inputs
+        assert len(calls) == 2 and calls[0] == calls[1]
         x0 = solve(BASE, PARAMS)
         np.testing.assert_array_equal(truth[0], astuple(x0))
         assert estimates[CKF][0, 2] == x0.e_q_prime * 1.1
@@ -743,7 +762,7 @@ class TestPipeline:
             None,
         )
         cfg = make_config(noise=noise)
-        truth, corrupted, estimates, _, _ = run_pipeline(cfg)
+        truth, corrupted, estimates, _ = run_pipeline(cfg)
         # angle estimate should beat the raw angle measurement handily
         est_err = np.abs(estimates[CKF][1:, 0] - truth[1:, 0])
         meas_err = np.abs(corrupted[1:, 0] - truth[1:, 0])
