@@ -5,13 +5,23 @@ and the transient EMFs e_q_prime, e_d_prime (p.u.).  Inputs: mechanical
 torque t_m, field voltage e_f, terminal voltage magnitude u_t, and terminal
 voltage phase phi.  All reactances and time constants are per unit and
 seconds on the machine base.
+
+Each model formula is written once, generic in its math namespace.  Where
+a map gets at most its crossover number of rows (RK4_FLOAT_ROWS,
+FLOAT_ROWS), it runs the formula's float kernel: straight-line Python
+traced from the formula once per process, which computes the bits of the
+formula evaluated on floats with math.  Above the crossover the formula
+runs elementwise on NumPy arrays, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,17 +130,18 @@ def _params_tuple(p: MachineParams) -> tuple:
 # differs in the last bit for about one value in a thousand.
 _ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, pow=np.float_power)
 
-# Up to this many rows an array map evaluates its formula row by row on
-# floats, where numpy's cost per call would outweigh the work; from there
-# on, elementwise on arrays.  Float time over array time on a 2-core x86 VM
-# (median of 21 paired timings, range over three such medians): an RK4 step
-# 0.74-0.83 at 24 rows, 0.94-1.10 at 32 and 1.17-1.27 at 40;
-# observe_points 0.92-1.00 at 16 rows and 1.28-1.37 at 24; the power
-# variance, which shares FLOAT_ROWS, 0.78 at 16 and 1.08-1.13 at 24.  The
-# filters map 8 cubature points per member, so these batches come in
-# multiples of 8 rows, and R is evaluated at one row per member.
-RK4_FLOAT_ROWS = 24
-FLOAT_ROWS = 16
+# Up to this many rows an array map evaluates its formula row by row with
+# its traced float kernel, where numpy's cost per call would outweigh the
+# work; from there on, elementwise on arrays.  Float time over array time
+# on a 2-core x86 VM (median of 21 paired timings, range over six to nine
+# such medians from two or three sessions): an RK4 step 0.83-1.01 at 40
+# rows, 0.97-1.20 at 48 and 1.14-1.29 at 56; observe_points 0.92-1.00 at
+# 24 rows and 1.11-1.30 at 32; the power variance, which shares
+# FLOAT_ROWS, 0.68-0.92 at 24 and 0.91-1.07 at 32.  The filters map 8
+# cubature points per member, so these batches come in multiples of 8
+# rows, and R is evaluated at one row per member.
+RK4_FLOAT_ROWS = 40
+FLOAT_ROWS = 24
 
 
 def _air_gap(th, eq, ed, ut, xdp, xqp, k, xp):
@@ -199,47 +210,224 @@ def _power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp):
 # divide_by_speed torque at a speed deviation of exactly -1).
 _FLOAT_FAULTS = (ArithmeticError, ValueError)
 
-
-def _rows_map(formula, x, u, width: int, float_rows: int = FLOAT_ROWS) -> np.ndarray:
-    """formula(d, w, eq, ed, t_m, e_f, u_t, phi, xp), a tuple of width
-    outputs, over the states in the rows of x (N, 4) under one input
-    vector u or one per row, as an (N, width) array.  A row whose
-    evaluation overflows or divides by zero comes out not finite."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape[0] > float_rows:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            columns = formula(*x.T, *(u.T if u.ndim == 2 else u.tolist()), _ARRAY_MATH)
-        out = np.empty((x.shape[0], width))
-        for j, column in enumerate(columns):
-            out[:, j] = column
-        return out
-    rows = x.tolist()
-    inputs = u.tolist() if u.ndim == 2 else [u.tolist()] * len(rows)
-    # one flat list of floats, which np.fromiter reads far faster than
-    # np.array reads a list of tuples
-    out = []
-    for row, row_inputs in zip(rows, inputs):
-        try:
-            out.extend(formula(*row, *row_inputs, math))
-        except _FLOAT_FAULTS:
-            out.extend((math.nan,) * width)
-    return np.fromiter(out, dtype=float, count=len(out)).reshape(len(rows), width)
+# The names a traced formula reads: the state and the inputs of one row.
+_ROW_NAMES = ("d", "w", "eq", "ed", "tm", "ef", "ut", "phi")
 
 
-def _measurement(params: MachineParams):
-    xdp, xqp, k = _params_tuple(params)[:3]
+def _binary(text: str):
+    """The operator and its reflection that record text over both operands."""
+    return (lambda a, b: _record(text, a, b)), (lambda a, b: _record(text, b, a))
 
-    def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
-        return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, xdp, xqp, k, xp)[2]
 
-    return formula
+class _Traced:
+    """A float that records the operations computed from it.  _kernel runs
+    a formula once on these to emit it as straight-line source: text is
+    the operation as a format template over args (operands, each a
+    _Traced or a float literal), or a name for the formula's arguments;
+    static marks a value that depends on the constants alone.  tape holds
+    every distinct operation of one trace, in the order it was first
+    computed."""
+
+    __slots__ = ("tape", "text", "args", "static")
+
+    def __init__(self, tape: dict, text: str, args: tuple = (), static: bool = False):
+        self.tape, self.text, self.args, self.static = tape, text, args, static
+
+    __add__, __radd__ = _binary("({} + {})")
+    __sub__, __rsub__ = _binary("({} - {})")
+    __mul__, __rmul__ = _binary("({} * {})")
+    __truediv__, __rtruediv__ = _binary("({} / {})")
+
+    def __neg__(self):
+        return _record("(-{})", self)
+
+    def __bool__(self):
+        raise TypeError("a traced formula cannot branch on a value it computes")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: self.__bool__()
+
+
+def _operand(x):
+    if isinstance(x, _Traced):
+        return x
+    if not math.isfinite(x):
+        raise ValueError(f"a traced formula holds the non-finite literal {x!r}")
+    return float(x)
+
+
+def _record(text: str, *args) -> _Traced:
+    """The node of an operation on args, recorded once per tape: the same
+    operation on the same operands gives the same bits, so a repeat is the
+    node already recorded."""
+    args = tuple(map(_operand, args))
+    tape = next(a.tape for a in args if isinstance(a, _Traced))
+    key = (text, *(id(a) if isinstance(a, _Traced) else a.hex() for a in args))
+    node = tape.get(key)
+    if node is None:
+        static = all(a.static for a in args if isinstance(a, _Traced))
+        node = tape[key] = _Traced(tape, text, args, static)
+    return node
+
+
+# The math a formula is traced with; the emitted source calls the math
+# module's functions under the same names.
+_TRACE_MATH = SimpleNamespace(
+    sin=partial(_record, "sin({})"),
+    cos=partial(_record, "cos({})"),
+    pow=partial(_record, "pow({}, {})"),
+)
+_KERNEL_GLOBALS = {
+    "sin": math.sin, "cos": math.cos, "pow": math.pow, "nan": math.nan, "_FAULTS": _FLOAT_FAULTS
+}
+
+
+class _Kernel(NamedTuple):
+    """A formula(d, w, eq, ed, tm, ef, ut, phi, constants, xp) of width
+    outputs, with make(*constants) -> (rows, one), its float evaluation
+    traced into straight-line Python: rows(points, inputs) gives the
+    outputs of every row of points under the matching row of inputs as one
+    flat list, NaNs for a row whose evaluation raises one of _FLOAT_FAULTS;
+    one(d, w, eq, ed, tm, ef, ut, phi) gives the outputs of one row as a
+    tuple, and raises what the formula raises."""
+
+    formula: Callable
+    make: Callable
+    width: int
+
+
+def _kernel(formula, n_constants: int) -> _Kernel:
+    """Trace formula once on _Traced stand-ins and compile what it computes
+    on floats into make.  Each distinct operation keeps its operands and
+    their order, so the kernel computes the bits of the formula evaluated
+    with math.  An operation on the constants alone is computed once in
+    make; one used more than once becomes a local; the rest nest into the
+    expression that uses them.
+
+    Raises:
+        TypeError: the formula branches on a value it computes.
+        ValueError: the formula holds a non-finite literal.
+    """
+    tape: dict = {}
+    inputs = [_Traced(tape, name) for name in _ROW_NAMES]
+    constants = tuple(_Traced(tape, f"c{i}", static=True) for i in range(n_constants))
+    outputs = tuple(map(_operand, formula(*inputs, constants, _TRACE_MATH)))
+
+    # uses of each node by the outputs and by the nodes they depend on;
+    # the tape records operands before the nodes that use them
+    uses = Counter(id(x) for x in outputs if isinstance(x, _Traced))
+    nodes = list(tape.values())
+    for node in reversed(nodes):
+        if uses[id(node)]:
+            uses.update(id(a) for a in node.args if isinstance(a, _Traced))
+    text = {id(leaf): leaf.text for leaf in (*inputs, *constants)}
+
+    def source(x):
+        return text[id(x)] if isinstance(x, _Traced) else repr(x)
+
+    factory, body = [], []
+    for node in nodes:
+        if not uses[id(node)]:
+            continue
+        expr = node.text.format(*map(source, node.args))
+        if node.static:
+            text[id(node)] = f"s{len(factory)}"
+            factory.append(f"{text[id(node)]} = {expr}")
+        elif uses[id(node)] > 1:
+            text[id(node)] = f"t{len(body)}"
+            body.append(f"{text[id(node)]} = {expr}")
+        else:
+            text[id(node)] = expr
+    result = "(" + "".join(f"{source(x)}, " for x in outputs) + ")"
+    lines = [
+        f"def make({', '.join(c.text for c in constants)}):",
+        *(f"    {line}" for line in factory),
+        f"    def one({', '.join(_ROW_NAMES)}):",
+        *(f"        {line}" for line in body),
+        f"        return {result}",
+        "    def rows(points, inputs):",
+        "        out = []",
+        "        for ({}, {}, {}, {}), ({}, {}, {}, {}) in zip(points, inputs):".format(
+            *_ROW_NAMES
+        ),
+        "            try:",
+        *(f"                {line}" for line in body),
+        f"                out += {result}",
+        "            except _FAULTS:",
+        f"                out += ({'nan, ' * len(outputs)})",
+        "        return out",
+        "    return rows, one",
+    ]
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile("\n".join(lines), f"<traced {formula.__qualname__}>", "exec"), namespace)
+    return _Kernel(formula, namespace["make"], len(outputs))
+
+
+def _step_formula(divide_by_speed: bool):
+    def step(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+        return _rk4(d, w, eq, ed, tm, ef, ut, phi, c[:-1], divide_by_speed, c[-1], xp)
+
+    return step
+
+
+def _measurement(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+    return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, *c, xp)[2]
+
+
+def _variance(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+    return (_power_variance(d, eq, ed, ut, phi, *c, xp),)
+
+
+# Traced once per process: the RK4 step under each torque mode (constants
+# _params_tuple and dt), the measurement (x_d', x_q' and the saliency term)
+# and the power variance (those three and the two sigmas).
+_STEP_KERNELS = {
+    mode: _kernel(_step_formula(mode == DIVIDE_BY_SPEED), 11) for mode in TORQUE_MODES
+}
+_MEASUREMENT_KERNEL = _kernel(_measurement, 3)
+_VARIANCE_KERNEL = _kernel(_variance, 5)
+
+
+def _rows_map(kernel: _Kernel, constants: tuple, float_rows: int = FLOAT_ROWS):
+    """The kernel's formula as a map (x, u) -> (N, width) over the states
+    in the rows of x (N, 4), under one input vector u or one per row.  A
+    row whose evaluation overflows or divides by zero comes out not
+    finite."""
+    formula, width = kernel.formula, kernel.width
+    rows = kernel.make(*constants)[0]
+
+    def rows_map(x, u) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.shape[0] > float_rows:
+            inputs = u.T if u.ndim == 2 else u.tolist()
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                columns = formula(*x.T, *inputs, constants, _ARRAY_MATH)
+            out = np.empty((x.shape[0], width))
+            for j, column in enumerate(columns):
+                out[:, j] = column
+            return out
+        points = x.tolist()
+        # one flat list of floats, which np.fromiter reads far faster than
+        # np.array reads a list of tuples
+        out = rows(points, u.tolist() if u.ndim == 2 else [u.tolist()] * len(points))
+        return np.fromiter(out, dtype=float, count=len(out)).reshape(len(points), width)
+
+    return rows_map
+
+
+def float_step(params: MachineParams, dt: float, torque_mode: str = POWER_EQUALS_TORQUE):
+    """One RK4 step of length dt on one state, as a function (d, w, eq, ed,
+    t_m, e_f, u_t, phi) -> the next (d, w, eq, ed) on floats.  It raises
+    what the float formula raises (_FLOAT_FAULTS) where the array maps give
+    a non-finite row."""
+    _check_torque_mode(torque_mode)
+    return _STEP_KERNELS[torque_mode].make(*_params_tuple(params), dt)[1]
 
 
 def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.ndarray:
     """Noise-free measurement rows (delta, 1 + delta_omega, power) of the
     states in the rows of x, under one input vector u or one per row."""
-    return _rows_map(_measurement(params), x, u, 3)
+    return _rows_map(_MEASUREMENT_KERNEL, _params_tuple(params)[:3])(x, u)
 
 
 def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
@@ -248,13 +436,9 @@ def power_variance_map(params: MachineParams, sigmas: MeasurementSigmas):
     row, with the machine and the sigmas bound once.  It is propagated to
     first order from the terminal voltage magnitude and phase
     uncertainties; sigma_u scales with u_t."""
-    xdp, xqp, k = _params_tuple(params)[:3]
-    sigma_u, sigma_phi = sigmas.sigma_u, sigmas.sigma_phi
-
-    def formula(d, w, eq, ed, tm, ef, ut, phi, xp):
-        return (_power_variance(d, eq, ed, ut, phi, xdp, xqp, k, sigma_u, sigma_phi, xp),)
-
-    return lambda x, u: _rows_map(formula, x, u, 1)[:, 0]
+    constants = (*_params_tuple(params)[:3], sigmas.sigma_u, sigmas.sigma_phi)
+    variance = _rows_map(_VARIANCE_KERNEL, constants)
+    return lambda x, u: variance(x, u)[:, 0]
 
 
 def as_process_model(
@@ -272,16 +456,12 @@ def as_process_model(
     _check_torque_mode(torque_mode)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    pt = _params_tuple(params)
-    divide = torque_mode == DIVIDE_BY_SPEED
-    measurement = _measurement(params)
-
-    def step(d, w, eq, ed, tm, ef, ut, phi, xp):
-        return _rk4(d, w, eq, ed, tm, ef, ut, phi, pt, divide, dt, xp)
-
+    constants = _params_tuple(params)
     return ProcessModel(
         n=4,
         m=3,
-        transition_points=lambda points, u: _rows_map(step, points, u, 4, RK4_FLOAT_ROWS),
-        observe_points=lambda points, u: _rows_map(measurement, points, u, 3),
+        transition_points=_rows_map(
+            _STEP_KERNELS[torque_mode], (*constants, dt), RK4_FLOAT_ROWS
+        ),
+        observe_points=_rows_map(_MEASUREMENT_KERNEL, constants[:3]),
     )

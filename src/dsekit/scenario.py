@@ -32,8 +32,8 @@ from .machine import (
     _check_torque_mode,
     _derivative,
     _params_tuple,
-    _rk4,
     as_process_model,
+    float_step,
     observe_points,
     power_variance_map,
 )
@@ -354,8 +354,7 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     steps = len(times) - 1
     if x0 is None:
         x0 = equilibrium(cfg)
-    pt = _params_tuple(cfg.machine)
-    divide, dt = cfg.torque_mode == DIVIDE_BY_SPEED, cfg.dt
+    step = float_step(cfg.machine, cfg.dt, cfg.torque_mode)
     isfinite, pack = math.isfinite, struct.Struct("4d").pack
     out = np.empty((steps + 1, 4))
     x = (x0.delta, x0.delta_omega, x0.e_q_prime, x0.e_d_prime)
@@ -372,7 +371,7 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
         # when the steps since it was saved reach a power of two
         saved, t, power = x, a, 1
         k, cycle = a, 0
-        # the float RK4 steps a tuple state; states are stored a block of
+        # the float step takes a tuple state; states are stored a block of
         # rows at a time, since a list of every row of a long horizon would
         # take more memory than the array it fills
         while k < e and not cycle:
@@ -380,7 +379,7 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
             block = []
             for k in range(first, min(first + TRUTH_BLOCK_ROWS, e + 1)):
                 try:
-                    x = _rk4(*x, tm, ef, ut, phi, pt, divide, dt, math)
+                    x = step(*x, tm, ef, ut, phi)
                 except _FLOAT_FAULTS as exc:
                     raise NonFiniteState(
                         f"truth integration failed at step {k}: {type(exc).__name__}: {exc}"

@@ -22,7 +22,11 @@ from dsekit.machine import (
     MachineState,
     MeasurementSigmas,
     _derivative,
+    _kernel,
+    _MEASUREMENT_KERNEL,
     _params_tuple,
+    _STEP_KERNELS,
+    _VARIANCE_KERNEL,
     as_process_model,
     observe_points,
     power_variance_map,
@@ -371,14 +375,16 @@ class TestProcessModelWrapper:
 
     def test_point_maps_equal_the_oracle_at_every_size(self):
         # small point sets are evaluated on floats and larger ones on
-        # arrays; both must give the oracle's per-point bits
+        # arrays, on both sides of each map's crossover; both must give
+        # the oracle's per-point bits
         rng = np.random.default_rng(7)
         sigmas = MeasurementSigmas()
         for torque_mode in (POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED):
             model = as_process_model(PARAMS, 0.02, torque_mode)
             divide = torque_mode == DIVIDE_BY_SPEED
             variance = power_variance_map(PARAMS, sigmas)
-            for size in (1, 8, 16, 17, 24, 25, 100):
+            crossovers = (FLOAT_ROWS, FLOAT_ROWS + 1, RK4_FLOAT_ROWS, RK4_FLOAT_ROWS + 1)
+            for size in (1, 8, *crossovers, 100):
                 states = [random_state(rng) for _ in range(size)]
                 points = np.array([astuple(s) for s in states])
                 u = np.array(astuple(random_inputs(rng)))
@@ -484,3 +490,119 @@ class TestProcessModelWrapper:
         if fault is not None:
             with pytest.raises(fault):
                 machine_rk4(points[rows // 2].tolist(), u.tolist(), PARAMS, 0.02, divide)
+
+
+# States whose float evaluation raises in some kernel, with what the named
+# kernel raises: an RK4 stage angle made infinite by a speed of 1e307,
+# whose sine is a domain error; the power's sensitivity to u_t at an e_q'
+# of 1e307, whose square overflows pow; the sine of an infinite angle; and
+# the divide_by_speed torque at a speed of exactly -1.
+FAULT_ROWS = {
+    "speed_1e307": ((0.3, 1e307, 1.0, 0.2), POWER_EQUALS_TORQUE, ValueError),
+    "e_q_1e307": ((0.4, 0.0, 1e307, 0.2), "variance", OverflowError),
+    "infinite_angle": ((math.inf, 0.0, 1.0, 0.2), "measurement", ValueError),
+    "speed_minus_one": ((0.3, -1.0, 1.0, 0.2), DIVIDE_BY_SPEED, ZeroDivisionError),
+}
+KERNELS = (POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED, "measurement", "variance")
+
+
+def traced_kernel(name, params):
+    """The traced kernel named in KERNELS and its constants under params."""
+    pt = _params_tuple(params)
+    sigmas = MeasurementSigmas()
+    if name == "measurement":
+        return _MEASUREMENT_KERNEL, pt[:3]
+    if name == "variance":
+        return _VARIANCE_KERNEL, (*pt[:3], sigmas.sigma_u, sigmas.sigma_phi)
+    return _STEP_KERNELS[name], (*pt, 0.02)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestTracedKernels:
+    """The compiled float kernels against their formula evaluated on floats
+    with math: the same bits on every row, NaNs from rows and the same
+    exception from one where the formula raises."""
+
+    @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_kernels_give_the_bits_of_the_float_formula(self, name, params):
+        kernel, constants = traced_kernel(name, params)
+        rows, one = kernel.make(*constants)
+        rng = np.random.default_rng(11)
+        states, inputs = random_rows(rng, 200)
+        points = [*states.tolist(), *(row for row, *_ in FAULT_ROWS.values())]
+        inputs = [*inputs.tolist(), *random_rows(rng, len(FAULT_ROWS))[1].tolist()]
+        expected = []
+        for point, u in zip(points, inputs):
+            try:
+                want = kernel.formula(*point, *u, constants, math)
+            except (ArithmeticError, ValueError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    one(*point, *u)
+                assert str(info.value) == str(exc)
+                want = (math.nan,) * kernel.width
+            else:
+                np.testing.assert_array_equal(bits(one(*point, *u)), bits(want))
+            expected.extend(want)
+        np.testing.assert_array_equal(bits(rows(points, inputs)), bits(expected))
+
+    @pytest.mark.parametrize("fault", FAULT_ROWS)
+    def test_fault_rows_raise_where_named(self, fault):
+        point, name, error = FAULT_ROWS[fault]
+        kernel, constants = traced_kernel(name, PARAMS)
+        rows, one = kernel.make(*constants)
+        u = (0.8, 2.0, 1.0, 0.0)
+        with pytest.raises(error):
+            kernel.formula(*point, *u, constants, math)
+        with pytest.raises(error):
+            one(*point, *u)
+        assert np.isnan(rows([point], [u])).all()
+
+    @pytest.mark.parametrize(
+        "output",
+        [lambda w: w if w else 0.0, lambda w: w if w > 0.0 else 0.0, lambda w: float(w == 0.0)],
+        ids=["truth", "order", "equality"],
+    )
+    def test_a_formula_branching_on_a_traced_value_fails_to_trace(self, output):
+        def formula(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+            return (output(1.0 + w),)
+
+        with pytest.raises(TypeError, match="cannot branch on a value it computes"):
+            _kernel(formula, 0)
+
+    @pytest.mark.parametrize("literal", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_literal_fails_to_trace(self, literal):
+        def formula(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+            return (d * c[0] + literal,)
+
+        with pytest.raises(ValueError, match="non-finite literal"):
+            _kernel(formula, 1)
+
+    def test_constants_alone_are_evaluated_once_per_make(self):
+        # 0.5 * dt and dt / 6.0 of the RK4 step depend on dt alone; the
+        # kernel evaluates them when it is made, and per row only the
+        # products of dt with a stage's rates
+        calls = []
+
+        class Dt(float):
+            def __mul__(self, other):
+                calls.append(("*", other))
+                return float.__mul__(self, other)
+
+            __rmul__ = __mul__
+
+            def __truediv__(self, other):
+                calls.append(("/", other))
+                return float.__truediv__(self, other)
+
+        kernel, constants = traced_kernel(POWER_EQUALS_TORQUE, PARAMS)
+        rows, _ = kernel.make(*constants[:-1], Dt(0.02))
+        assert sorted(calls) == [("*", 0.5), ("/", 6.0)]
+        calls.clear()
+        states, inputs = random_rows(np.random.default_rng(3), 5)
+        rows(states.tolist(), inputs.tolist())
+        assert len(calls) == 5 * 4
+        assert {op for op, _ in calls} == {"*"} and 0.5 not in {other for _, other in calls}

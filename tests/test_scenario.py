@@ -22,7 +22,7 @@ from dsekit.machine import (
     TORQUE_MODES,
     MachineInputs,
     MachineParams,
-    _rk4,
+    float_step,
     observe_points,
 )
 from dsekit.noise import GAUSSIAN_WHITE, NoiseSpec, OutlierSpec
@@ -430,12 +430,13 @@ class TestTruthKernel:
         """simulate_truth(cfg) and the mechanical torque of each RK4 step
         it integrated."""
         torques = []
+        step = float_step(cfg.machine, cfg.dt, cfg.torque_mode)
 
         def rk4(*args):
             torques.append(args[4])
-            return _rk4(*args)
+            return step(*args)
 
-        monkeypatch.setattr(scenario, "_rk4", rk4)
+        monkeypatch.setattr(scenario, "float_step", lambda *_: rk4)
         return simulate_truth(cfg), torques
 
     @staticmethod
@@ -485,7 +486,10 @@ class TestTruthKernel:
     def test_a_zero_of_the_other_sign_is_not_a_repeat(self, monkeypatch):
         # -0.0 == 0.0, yet a step may map the two apart: here the angle's
         # sign bit flips at every step, a cycle of period 2, not 1
-        monkeypatch.setattr(scenario, "_rk4", lambda d, w, eq, ed, *_: (-d, w, eq, ed))
+        def flip(d, w, eq, ed, *_):
+            return -d, w, eq, ed
+
+        monkeypatch.setattr(scenario, "float_step", lambda *_: flip)
         cfg = make_config(fault=None, t_end=1.0)
         truth = simulate_truth(cfg, replace(equilibrium(cfg), delta=0.0))
         assert (truth[:, 0] == 0.0).all()
@@ -499,7 +503,7 @@ class TestTruthKernel:
         def rk4(d, w, eq, ed, tm, ef, ut, phi, *_):
             return d + math.copysign(1.0, phi), w, eq, ed
 
-        monkeypatch.setattr(scenario, "_rk4", rk4)
+        monkeypatch.setattr(scenario, "float_step", lambda *_: rk4)
         cfg = make_config(fault=None, t_end=0.8)
         t_m, e_f, u_t, _ = cfg.profile.values[0]
         profile = InputProfile(
