@@ -17,10 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import build_scenario, default_config, load_config
-from .errors import ConfigError, DsekitError
+from .errors import ConfigError, DsekitError, InvalidConfig, OutOfRange
 from .evaluation import FLOAT_FORMAT, VARIABLES, MetricsReport, format_float, report_from_run
 from .filters import CKF, MEMBER_FAILURES, RCKF
-from .noise import outlier_rows
 from .scenario import (
     ScenarioConfig,
     filter_series,
@@ -169,33 +168,19 @@ def cmd_estimate(args) -> int:
 def cmd_experiment(args) -> int:
     # the harness is imported by the two commands that run it, so that the
     # others do not load it
-    from .harness import (
-        MANNERS,
-        MATRIX_HORIZON,
-        manner_outliers,
-        run_experiment,
-        write_matrix_csv,
-        write_summary_csv,
-    )
+    from .harness import run_experiment, write_matrix_csv, write_summary_csv
 
     cfg = _load_scenario(args)
     for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
         if value < 1:
             print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
             return EXIT_CONFIG
-    rows = len(time_grid(cfg))
-    for manner in MANNERS:
-        try:
-            outlier_rows(manner_outliers(manner, cfg.outliers), cfg.dt, rows)
-        except DsekitError as exc:
-            print(
-                f"the experiment matrix needs a horizon of at least {MATRIX_HORIZON} s, "
-                f"scenario.t_end is {cfg.t_end} s: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
     seeds = [cfg.seed + i for i in range(args.runs)]
-    matrix = run_experiment(cfg, seeds, jobs=args.jobs, timing=args.timing)
+    try:
+        matrix = run_experiment(cfg, seeds, jobs=args.jobs, timing=args.timing)
+    except (OutOfRange, InvalidConfig) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
     for key, message in sorted(matrix.failures.items()):
         print(f"cell {key} failed: {message}", file=sys.stderr)
     if matrix.cells_failed == matrix.cells_total:

@@ -37,10 +37,6 @@ class NoConvergence(DsekitError):
     """An iterative solve ended without meeting its residual tolerance."""
 
 
-class NoMeasurementChannel(DsekitError):
-    """The requested variable has no corresponding measurement channel."""
-
-
 class ZeroDenominator(DsekitError):
     """A ratio metric has an identically zero denominator."""
 

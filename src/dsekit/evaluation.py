@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MismatchedRuns,
-    NoMeasurementChannel,
-    ZeroDenominator,
-    ZeroTruthValue,
-)
+from .errors import MismatchedRuns, ZeroDenominator, ZeroTruthValue
 
 VARIABLES = ("delta", "omega", "eqp", "edp")
 MEASURED_CHANNEL = {"delta": 0, "omega": 1}
@@ -35,20 +30,15 @@ def format_float(value) -> str:
     return FLOAT_FORMAT % value
 
 
-def epsilon1(
-    estimates: np.ndarray, truth: np.ndarray, measurements: np.ndarray | None
-) -> float:
+def epsilon1(estimates: np.ndarray, truth: np.ndarray, measurements: np.ndarray) -> float:
     """Root of summed squared estimation error over root of summed squared
     measurement error.
 
     Values below one mean the filter beats the raw channel.
 
     Raises:
-        NoMeasurementChannel: measurements is None (variable not measured).
         ZeroDenominator: the measurement error is identically zero.
     """
-    if measurements is None:
-        raise NoMeasurementChannel("this variable has no measurement channel")
     estimates = np.asarray(estimates, dtype=float)
     truth = np.asarray(truth, dtype=float)
     measurements = np.asarray(measurements, dtype=float)

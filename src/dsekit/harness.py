@@ -7,7 +7,8 @@ equilibrium and one truth trajectory, and all their filters run as one
 lockstep batch; with more than one job the batch is cut into one chunk per
 worker process.  Rows are merged in the deterministic (noise, manner,
 seed) order either way, and a member's numbers do not depend on the batch
-it ran in.
+it ran in.  A matrix whose outliers cannot be placed raises before any
+work.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from time import perf_counter_ns
 import numpy as np
 
 from .config import NOISE_PRESETS, with_noise_preset
-from .errors import DsekitError
+from .errors import DsekitError, OutOfRange
 from .evaluation import VARIABLES, format_float, report_from_run
 from .filters import CKF, RCKF
 from .noise import OutlierSpec, outlier_rows
@@ -153,42 +154,44 @@ def run_experiment(
 ) -> ExperimentMatrix:
     """Run the full noise-by-manner matrix over the given seeds.
 
-    Cell failures are collected, not raised; rows from failed cells are
-    simply absent.  A manner whose outliers fall off the horizon or name
-    no channel fails its cells before any integration.  With timing
-    enabled each chunk's filter wall time per step and filter is
-    recorded, which makes the output machine-dependent.
+    Every manner's outlier placement is checked before any work, so a
+    matrix that cannot be placed raises and runs nothing.  Cell failures
+    are collected, not raised; rows from failed cells are simply absent.
+    With timing enabled each chunk's filter wall time per step and filter
+    is recorded, which makes the output machine-dependent.
 
     Raises:
+        OutOfRange: a manner's outliers fall off the horizon; the message
+            names MATRIX_HORIZON and the configured t_end.
+        InvalidConfig: the outliers name no channel.
         ValueError: jobs is below one.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    seeds = sorted(int(s) for s in seeds)
     rows_on_grid = len(time_grid(cfg))
-    # one outcome per cell in (noise, manner, seed) order, None for a cell
-    # that runs; cells holds what those run on
-    outcomes: list[Outcome | None] = []
-    cells = []
-    for preset in NOISE_PRESETS:
-        noise_cfg = with_noise_preset(cfg, preset)
-        for manner in MANNERS:
-            spec = manner_outliers(manner, cfg.outliers)
-            try:
-                outlier_rows(spec, cfg.dt, rows_on_grid)
-                spec.channel_index()
-            except DsekitError as exc:
-                outcomes.extend(([], {_cell_key(preset, manner, seed): str(exc)}) for seed in seeds)
-                continue
-            manner_cfg = replace(noise_cfg, outliers=spec)
-            outcomes += [None] * len(seeds)
-            cells.extend((replace(manner_cfg, seed=seed), preset, manner, seed) for seed in seeds)
-    ran: list[Outcome] = []
+    specs = {manner: manner_outliers(manner, cfg.outliers) for manner in MANNERS}
+    for spec in specs.values():
+        try:
+            outlier_rows(spec, cfg.dt, rows_on_grid)
+        except OutOfRange as exc:
+            raise OutOfRange(
+                f"the experiment matrix needs a horizon of at least {MATRIX_HORIZON} s, "
+                f"scenario.t_end is {cfg.t_end} s: {exc}"
+            ) from exc
+        spec.channel_index()
+    noise_cfgs = {preset: with_noise_preset(cfg, preset) for preset in NOISE_PRESETS}
+    seeds = sorted(int(s) for s in seeds)
+    # in (noise, manner, seed) order
+    cells = [
+        (replace(noise_cfgs[preset], outliers=specs[manner], seed=seed), preset, manner, seed)
+        for preset in NOISE_PRESETS for manner in MANNERS for seed in seeds
+    ]
+    outcomes: list[Outcome] = []
     if cells:
         try:
             truth = simulate_truth(cfg)
         except DsekitError as exc:
-            ran = [([], {_cell_key(*cell[1:]): str(exc)}) for cell in cells]
+            outcomes = [([], {_cell_key(*cell[1:]): str(exc)}) for cell in cells]
         else:
             # one chunk of the batch per worker
             splits = np.array_split(np.arange(len(cells)), min(jobs, len(cells)))
@@ -202,9 +205,7 @@ def run_experiment(
                     chunks = list(pool.map(_run_cells, items))
             else:
                 chunks = [_run_cells(items[0])]
-            ran = [outcome for chunk in chunks for outcome in chunk]
-    done = iter(ran)
-    outcomes = [next(done) if outcome is None else outcome for outcome in outcomes]
+            outcomes = [outcome for chunk in chunks for outcome in chunk]
     return ExperimentMatrix(
         rows=tuple(row for rows, _ in outcomes for row in rows),
         failures={key: message for _, failures in outcomes for key, message in failures.items()},

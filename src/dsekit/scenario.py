@@ -471,6 +471,8 @@ def batch_filters(cfg: ScenarioConfig, series: np.ndarray, variants: Sequence[st
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ValueError(f"unknown filter variant {sorted(unknown)[0]!r}")
+    if len(set(variants)) != len(variants):
+        raise ValueError(f"filter variants repeat: {tuple(variants)}")
     times = time_grid(cfg)
     if series.ndim != 3 or series.shape[1] != len(times):
         raise ValueError(

@@ -531,6 +531,8 @@ class TestExperiment:
         )
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
+        # one line, not a line per failed cell
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert "needs a horizon of at least 6.0 s" in err
         assert f"scenario.t_end is {t_end} s" in err
         assert not (out / "matrix.csv").exists()

@@ -9,12 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dsekit.errors import (
-    MismatchedRuns,
-    NoMeasurementChannel,
-    ZeroDenominator,
-    ZeroTruthValue,
-)
+from dsekit.errors import MismatchedRuns, ZeroDenominator, ZeroTruthValue
 from dsekit.evaluation import (
     MEASURED_CHANNEL,
     VARIABLES,
@@ -43,10 +38,6 @@ class TestEpsilon1:
 
     def test_estimate_equal_to_measurement_gives_one(self):
         assert epsilon1(MEASURED, TRUTH, MEASURED) == pytest.approx(1.0, abs=1e-15)
-
-    def test_no_channel(self):
-        with pytest.raises(NoMeasurementChannel):
-            epsilon1(ESTIMATES, TRUTH, None)
 
     def test_shape_mismatch(self):
         with pytest.raises(MismatchedRuns):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dsekit.config import build_scenario, default_config
+from dsekit.errors import InvalidConfig, OutOfRange
 from dsekit.evaluation import format_float
 from dsekit.filters import CKF, RCKF
 from dsekit.harness import (
@@ -36,7 +37,7 @@ def small_config(t_end=8.0, **fault):
 
 
 def no_truth(*args, **kwargs):
-    raise AssertionError("truth integrated for cells that cannot run")
+    raise AssertionError("truth integrated for a matrix that cannot run")
 
 
 class TestMannerOutliers:
@@ -107,41 +108,29 @@ class TestRunExperiment:
         matrix = run_experiment(small_config(), seeds=[1], timing=True)
         assert all(r.mean_step_ms is not None and r.mean_step_ms > 0.0 for r in matrix.rows)
 
-    def test_failed_cells_are_recorded(self):
-        # a 4 s horizon cannot host the 6 s single outlier, so every
-        # single-manner cell fails while the window cells survive
-        matrix = run_experiment(small_config(t_end=4.0), seeds=[1])
-        assert matrix.cells_total == 8
-        assert matrix.cells_failed == 4
-        assert len(matrix.rows) == 32
-        assert all(r.manner == "window" for r in matrix.rows)
-        assert set(matrix.failures) == {
-            f"noise{p}/single/seed1" for p in (1, 2, 3, 4)
-        }
-
-    def test_outlier_placement_fails_before_integration(self, monkeypatch):
-        # neither the 6 s single outlier nor the 2-3 s window fits a 1.5 s
-        # horizon: every cell fails on its outlier placement alone
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "t_end, outliers, error, message",
+        [
+            # neither the 6 s single outlier nor the 2-3 s window fits
+            (1.5, None, OutOfRange, "needs a horizon of at least 6.0 s, scenario.t_end is 1.5 s: "),
+            # the window fits, the single outlier does not
+            (4.0, None, OutOfRange, "needs a horizon of at least 6.0 s, scenario.t_end is 4.0 s: "),
+            (8.0, OutlierSpec(channel=7), InvalidConfig, "^channel index out of range: 7$"),
+        ],
+        ids=["no_manner_fits", "single_does_not_fit", "bad_channel"],
+    )
+    def test_unplaceable_outliers_fail_before_any_work(
+        self, monkeypatch, jobs, t_end, outliers, error, message
+    ):
         import dsekit.harness as harness
 
         monkeypatch.setattr(harness, "simulate_truth", no_truth)
-        matrix = run_experiment(small_config(t_end=1.5), seeds=[1])
-        assert matrix.cells_failed == matrix.cells_total == 8
-        assert not matrix.rows
-        assert all("outside the simulated horizon" in m for m in matrix.failures.values())
-
-    def test_outlier_channel_fails_before_integration(self, monkeypatch):
-        import dsekit.harness as harness
-
-        monkeypatch.setattr(harness, "simulate_truth", no_truth)
-        cfg = replace(small_config(), outliers=OutlierSpec(channel=7))
-        matrix = run_experiment(cfg, seeds=[1, 2])
-        assert matrix.cells_failed == matrix.cells_total == 16
-        assert not matrix.rows
-        assert matrix.failures == {
-            f"noise{p}/{m}/seed{seed}": "channel index out of range: 7"
-            for p in (1, 2, 3, 4) for m in MANNERS for seed in (1, 2)
-        }
+        cfg = small_config(t_end=t_end)
+        if outliers is not None:
+            cfg = replace(cfg, outliers=outliers)
+        with pytest.raises(error, match=message):
+            run_experiment(cfg, seeds=[1, 2], jobs=jobs)
 
     def test_diverging_variants_fail_their_cells(self):
         # a dip to zero voltage makes the power channel's predicted
@@ -156,14 +145,6 @@ class TestRunExperiment:
             for p in (1, 2, 3, 4) for m in MANNERS for v in (CKF, RCKF)
         }
 
-    def test_parallel_merge_keeps_failed_cells_in_place(self):
-        # the single-manner cells fail on a 4 s horizon, so the cells that
-        # run are not contiguous in the matrix
-        serial = run_experiment(small_config(t_end=4.0), seeds=[1, 2], jobs=1)
-        parallel = run_experiment(small_config(t_end=4.0), seeds=[1, 2], jobs=2)
-        assert serial == parallel
-        assert serial.cells_failed == 8 and len(serial.rows) == 64
-
     def test_one_equilibrium_for_the_truth_and_one_per_chunk(self, monkeypatch):
         import dsekit.scenario as scenario
 
@@ -175,8 +156,8 @@ class TestRunExperiment:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(scenario, "steady_state_init", counted)
-        run_experiment(small_config(t_end=4.0), seeds=[1, 2])
-        # eight cells run in one chunk: the priors of all its series come
+        run_experiment(small_config(), seeds=[1, 2])
+        # sixteen cells run in one chunk: the priors of all its series come
         # from one solve, of the same inputs as the truth's
         assert len(calls) == 2 and calls[0] == calls[1]
 

@@ -667,6 +667,13 @@ class TestFilterSeries:
         with pytest.raises(ValueError, match="unknown filter variant 'ukf'"):
             filter_series(cfg, series, variants=(CKF, "ukf"))
 
+    def test_repeated_variant(self):
+        # two members of one variant would run and give one estimate
+        cfg = make_config(t_end=2.0)
+        series = np.zeros((1, len(time_grid(cfg)), 3))
+        with pytest.raises(ValueError, match="filter variants repeat: \\('ckf', 'ckf'\\)"):
+            filter_series(cfg, series, variants=(CKF, CKF))
+
     def test_lockstep_variants_match_separate_runs(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
