@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import build_scenario, default_config, load_config
 from .errors import ConfigError, DsekitError, InvalidConfig, OutOfRange
-from .evaluation import FLOAT_FORMAT, VARIABLES, MetricsReport, format_float, report_from_run
+from .evaluation import VARIABLES, MetricsReport, format_float, format_rows, report_from_run
 from .filters import CKF, MEMBER_FAILURES, RCKF
 from .scenario import (
     ScenarioConfig,
@@ -39,7 +39,7 @@ MEASUREMENTS_HEADER = ("t", "delta_z_rad", "omega_z_pu", "pe_z_pu")
 METRICS_HEADER = ("variable", "epsilon1", "epsilon2")
 
 
-# Rows formatted by one % operation when a series is written: whole
+# Rows formatted by one format_rows call when a series is written: whole
 # blocks cut the per-value cost, and a bounded block keeps the text in
 # memory small beside the table.
 CSV_BLOCK_ROWS = 1024
@@ -48,12 +48,10 @@ CSV_BLOCK_ROWS = 1024
 def _write_series_csv(path, header, times, table) -> None:
     """Time column plus table rows, every value as format_float writes it."""
     data = np.column_stack((times, table))
-    row_format = ",".join([FLOAT_FORMAT] * data.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(data), CSV_BLOCK_ROWS):
-            block = data[start : start + CSV_BLOCK_ROWS]
-            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+            fh.write(format_rows(data[start : start + CSV_BLOCK_ROWS]))
 
 
 def _write_metrics_csv(path, report: MetricsReport) -> None:
@@ -70,19 +68,20 @@ def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:
     """Parse an external measurement series and pin it to the grid."""
     try:
         with open(path) as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            # blank lines are skipped, but rows keep the file's line numbers
+            lines = [(i, text) for i, line in enumerate(fh, start=1) if (text := line.strip())]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read measurements: {exc}") from None
     if not lines:
         raise ConfigError(str(path), "measurement file is empty")
-    header = tuple(lines[0].split(","))
-    if header != MEASUREMENTS_HEADER:
+    header = lines[0][1]
+    if tuple(header.split(",")) != MEASUREMENTS_HEADER:
         raise ConfigError(
             str(path),
-            f"expected columns {','.join(MEASUREMENTS_HEADER)}, got {lines[0]!r}",
+            f"expected columns {','.join(MEASUREMENTS_HEADER)}, got {header!r}",
         )
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(MEASUREMENTS_HEADER):
             raise ConfigError(str(path), f"line {i}: expected {len(MEASUREMENTS_HEADER)} columns")

@@ -11,6 +11,9 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsekit.cli import (
     CSV_BLOCK_ROWS,
@@ -26,6 +29,7 @@ from dsekit.cli import (
     main,
 )
 from dsekit.config import default_config
+from dsekit.evaluation import format_rows
 
 
 def write_config(tmp_path, mutate=None, name="cfg.json"):
@@ -82,9 +86,37 @@ def past_pull_out(doc):
     doc["scenario"]["base_inputs"]["t_m"] = 1.2
 
 
-EDGE_VALUES = (
-    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-300,
-)
+def _edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-280, 18)])
+    nan_payloads = np.array(
+        [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF00000000ABCDE],
+        dtype=np.uint64,
+    ).view(float)
+    return np.concatenate((
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308],
+        nan_payloads,
+        [0.1, -2.5e-300, 1e-5, 12345.0, 100.0, 1e16 + 2.0, 36735844011627.0],
+        # exact 17-digit ties, which round to even, and k * 2**-j beside them
+        [1234567890123456.25, 1234567890123457.75, -3.0 * 2.0**-24, 1.5 * 2.0**-30],
+        # 1e187 times this lies 1.1e-16 below a half-integer, too close for
+        # the double-double product to round
+        [2.2443978938872237e-171],
+        np.arange(1, 40) * 2.0 ** -np.arange(1, 40),
+        # just below a decade, and the fast range's edges
+        [np.nextafter(1e6, 0), np.nextafter(1e17, 0), 1e-280, np.nextafter(1e-280, 0)],
+        powers, np.nextafter(powers, 0), -np.nextafter(powers, np.inf),
+        # subnormals
+        [2.2250738585072009e-308, -1e-310, 4.9406564584124654e-322],
+    ))
+
+
+EDGE_VALUES = _edge_values()
+
+
+def per_value_text(times, table):
+    return "".join(
+        ",".join("%.17g" % v for v in (t, *row)) + "\n" for t, row in zip(times, table)
+    )
 
 
 @pytest.mark.parametrize(
@@ -98,10 +130,19 @@ def test_series_csv_matches_per_value_formatting(tmp_path, rows):
     times[-1] = -0.0
     path = tmp_path / "series.csv"
     _write_series_csv(path, ("t", "a", "b", "c"), times, table)
-    expected = "t,a,b,c\n" + "".join(
-        ",".join("%.17g" % v for v in (t, *row)) + "\n" for t, row in zip(times, table)
+    assert path.read_bytes() == ("t,a,b,c\n" + per_value_text(times, table)).encode()
+
+
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 5)),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     )
-    assert path.read_bytes() == expected.encode()
+)
+def test_format_rows_matches_per_value_formatting(table):
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    assert format_rows(table) == expected.encode()
 
 
 class TestSimulate:
@@ -328,17 +369,22 @@ class TestEstimate:
         )
 
     @pytest.mark.parametrize(
-        "line, column, text, message",
+        "blank, line, column, text, message",
         [
-            (7, 3, None, "line 8: expected 4 columns"),
-            (4, 1, "abc", "line 5: non-numeric value"),
+            (False, 7, 3, None, "line 8: expected 4 columns"),
+            (False, 4, 1, "abc", "line 5: non-numeric value"),
+            # a blank line after the header is line 2 of the file
+            (True, 3, 3, None, "line 4: expected 4 columns"),
         ],
     )
     def test_malformed_row_exits_2_naming_its_line(
-        self, tmp_path, capsys, line, column, text, message
+        self, tmp_path, capsys, blank, line, column, text, message
     ):
         cfg = write_config(tmp_path)
         path = measurements_file(tmp_path, cfg)
+        if blank:
+            header, rest = path.read_text().split("\n", 1)
+            path.write_text(f"{header}\n\n{rest}")
         set_cell(path, line, column, text)
         code = run(
             "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
