@@ -20,6 +20,7 @@ from .config import build_scenario, default_config, load_config
 from .errors import ConfigError, DsekitError, InvalidConfig, OutOfRange
 from .evaluation import VARIABLES, MetricsReport, format_float, format_rows, report_from_run
 from .filters import CKF, MEMBER_FAILURES, RCKF
+from .noise import SEED_LIMIT
 from .scenario import (
     ScenarioConfig,
     filter_series,
@@ -47,11 +48,11 @@ CSV_BLOCK_ROWS = 1024
 
 def _write_series_csv(path, header, times, table) -> None:
     """Time column plus table rows, every value as format_float writes it."""
-    data = np.column_stack((times, table))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(data), CSV_BLOCK_ROWS):
-            fh.write(format_rows(data[start : start + CSV_BLOCK_ROWS]))
+        for start in range(0, len(times), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            fh.write(format_rows(np.column_stack((times[block], table[block]))))
 
 
 def _write_metrics_csv(path, report: MetricsReport) -> None:
@@ -174,6 +175,12 @@ def cmd_experiment(args) -> int:
         if value < 1:
             print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
             return EXIT_CONFIG
+    if cfg.seed + args.runs - 1 >= SEED_LIMIT:
+        print(
+            f"the last seed, seed + runs - 1 = {cfg.seed + args.runs - 1}, must be below 2**64",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     seeds = [cfg.seed + i for i in range(args.runs)]
     try:
         matrix = run_experiment(cfg, seeds, jobs=args.jobs, timing=args.timing)
@@ -285,6 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -30,6 +30,7 @@ from .noise import (
     GAUSSIAN_WHITE,
     LAPLACE,
     NOISE_KINDS,
+    SEED_LIMIT,
     NoiseSpec,
     OutlierSpec,
 )
@@ -317,6 +318,8 @@ def build_scenario(doc: dict) -> ScenarioConfig:
     dt = _value(sec, "scenario", "dt")
     t_end = _value(sec, "scenario", "t_end")
     seed = _value(sec, "scenario", "seed", kind=int)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError("scenario.seed", f"must be in [0, 2**64), got {seed}")
     if dt <= 0.0:
         raise ConfigError("scenario.dt", f"must be positive, got {dt}")
     if t_end < dt:

@@ -30,6 +30,10 @@ OUTLIER_WINDOW = "window"
 
 CHANNELS = ("delta", "omega", "pe")
 
+# Seeds run over [0, SEED_LIMIT): a stream's seed is one 64-bit word of its
+# Philox key.
+SEED_LIMIT = 2**64
+
 # Offset of the Cauchy location parameter, in units of the nominal std.
 CAUCHY_LOCATION_SIGMAS = 10.0
 
@@ -70,11 +74,15 @@ class SeededStream:
     seed: int
     stream_id: tuple[int, int] = (0, 0)
 
+    def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         run, channel = self.stream_id
         key = np.array(
             [
-                self.seed & 0xFFFFFFFFFFFFFFFF,
+                self.seed,
                 ((run & 0xFFFFFFFF) << 32) | (channel & 0xFFFFFFFF),
             ],
             dtype=np.uint64,

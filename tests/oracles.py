@@ -139,6 +139,24 @@ def machine_observe(x, u, params):
     return d, 1.0 + w, _air_gap(d - phi, eq, ed, ut, params.x_d_prime, params.x_q_prime, math)[2]
 
 
+def machine_power_variance(x, u, params, sigmas):
+    """The first-order variance of the power measurement of state x under
+    inputs u from the terminal voltage magnitude (its std relative to it)
+    and phase stds of sigmas, as a float."""
+    d, _, eq, ed = x
+    _, _, ut, phi = u
+    xdp, xqp = params.x_d_prime, params.x_q_prime
+    k = 1.0 / xqp - 1.0 / xdp
+    th = d - phi
+    d_ut = ut * math.sin(2.0 * th) * k + math.sin(th) * eq / xdp - math.cos(th) * ed / xqp
+    d_phi = (
+        -ut * ut * math.cos(2.0 * th) * k
+        - ut * math.cos(th) * eq / xdp
+        - ut * math.sin(th) * ed / xqp
+    )
+    return math.pow(d_ut * sigmas.sigma_u * ut, 2.0) + math.pow(d_phi * sigmas.sigma_phi, 2.0)
+
+
 def machine_trajectory(x0, inputs, params, dt, divide_by_speed):
     """States (len(inputs) + 1, 4) from x0 with each row of inputs held
     over one step."""

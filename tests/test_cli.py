@@ -178,6 +178,15 @@ class TestSimulate:
         # the truth is noise-free, so the seed cannot touch it
         assert (a / "truth.csv").read_bytes() == (c / "truth.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # seeds 2**64 apart would otherwise give the same noise
+        out = tmp_path / "out"
+        code = run("simulate", "--out-dir", str(out), "--quiet", "--seed", seed)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"--seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
     def test_infeasible_operating_point_exits_3(self, tmp_path):
         cfg = write_config(
             tmp_path, lambda d: d["scenario"]["base_inputs"].update(t_m=1.2)
@@ -548,6 +557,19 @@ class TestExperiment:
         assert code == EXIT_CONFIG
         assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_last_seed_past_64_bits_exits_2(self, tmp_path, capsys):
+        # the base seed is in range, but its second run's seed is 2**64
+        out = tmp_path / "o"
+        code = run(
+            "experiment", "--config", self._cfg(tmp_path), "--out-dir", str(out), "--quiet",
+            "--runs", "2", "--jobs", "1", "--seed", str(2**64 - 1),
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "the last seed, seed + runs - 1 = 18446744073709551616, must be below 2**64\n"
+        )
+        assert not out.exists()
 
     def test_all_cells_failing_exits_5(self, tmp_path, capsys):
         # past the pull-out torque every cell fails at initialization; the

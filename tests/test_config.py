@@ -168,6 +168,11 @@ class TestKeyValidation:
     def test_float_where_int_expected(self):
         expect_error("scenario.seed", lambda d: d["scenario"].update(seed=1.5))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_outside_64_bits(self, seed):
+        err = expect_error("scenario.seed", lambda d: d["scenario"].update(seed=seed))
+        assert str(err).endswith(f"must be in [0, 2**64), got {seed}")
+
     def test_section_must_be_object(self):
         expect_error("machine", lambda d: d.update(machine=[1, 2]))
 

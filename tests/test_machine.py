@@ -27,11 +27,12 @@ from dsekit.machine import (
     _params_tuple,
     _STEP_KERNELS,
     _VARIANCE_KERNEL,
+    _Vec,
     as_process_model,
     observe_points,
     power_variance_map,
 )
-from oracles import machine_derivative, machine_observe, machine_rk4
+from oracles import machine_derivative, machine_observe, machine_power_variance, machine_rk4
 
 # The machine of the default configuration.
 PARAMS = build_scenario(default_config()).machine
@@ -45,8 +46,14 @@ ODD_PARAMS = MachineParams(
 )
 
 # Batch sizes on both sides of FLOAT_ROWS: up to it a map evaluates its
-# formula row by row on floats, above it elementwise on arrays.
+# formula row by row on floats, above it with its array kernel.
 PATH_ROWS = (FLOAT_ROWS, FLOAT_ROWS + 1)
+
+# Batch sizes of the RK4 map: one row on floats, and on the arrays the
+# first size past the crossover and the matrix's 128 rows (16 members of 8
+# cubature points), or the first multiple of 8 past the crossover if that
+# is larger.
+RK4_PATH_ROWS = (1, RK4_FLOAT_ROWS + 1, max(128, 8 * (RK4_FLOAT_ROWS // 8 + 1)))
 
 
 def random_state(rng) -> MachineState:
@@ -396,13 +403,17 @@ class TestProcessModelWrapper:
                 assert_allclose(model.observe_points(points, u), expected, rtol=0.0, atol=0.0)
                 expected = [variance(p[None], u)[0] for p in points]
                 assert_allclose(variance(points, u), expected, rtol=0.0, atol=0.0)
-                # one input row per state, as measurement synthesis passes them
+                # one input row per state, as measurement synthesis passes
+                # them to the measurement and the power variance
                 rows = np.array([astuple(random_inputs(rng)) for _ in range(size)])
-                expected = np.array([
-                    observe_points(np.array([astuple(s)]), r, PARAMS)[0]
-                    for s, r in zip(states, rows)
-                ])
-                assert_allclose(observe_points(points, rows, PARAMS), expected, rtol=0.0, atol=0.0)
+                for points_map, oracle in (
+                    (model.transition_points,
+                     lambda p, r: machine_rk4(p, r, PARAMS, 0.02, divide)),
+                    (model.observe_points, lambda p, r: machine_observe(p, r, PARAMS)),
+                    (variance, lambda p, r: machine_power_variance(p, r, PARAMS, sigmas)),
+                ):
+                    expected = np.array([oracle(p, r) for p, r in zip(points, rows)])
+                    np.testing.assert_array_equal(points_map(points, rows), expected)
                 # a row whose evaluation faults (the sine of an infinite
                 # angle) comes out NaN on the float rows and not finite on
                 # the arrays, without raising; the other rows keep their bits
@@ -424,7 +435,7 @@ class TestProcessModelWrapper:
         assert model.n == 4
         assert model.m == 3
 
-    @pytest.mark.parametrize("rows", [1, 30])
+    @pytest.mark.parametrize("rows", RK4_PATH_ROWS)
     def test_finite_row_whose_squares_overflow_is_not_flagged(self, rows):
         # an e_q' of 1e160 propagates to a finite row near 1e160, whose
         # squares would overflow; the map must give it without a warning,
@@ -456,7 +467,7 @@ class TestProcessModelWrapper:
             expected = np.array([machine_rk4(p, u, params, 0.02, divide) for p in points])
             np.testing.assert_array_equal(model.transition_points(points, u), expected)
 
-    @pytest.mark.parametrize("rows", [1, 30])
+    @pytest.mark.parametrize("rows", RK4_PATH_ROWS)
     @pytest.mark.parametrize(
         "torque_mode, speed, fault",
         [
@@ -469,9 +480,9 @@ class TestProcessModelWrapper:
         ids=["overflow", "division_by_zero"],
     )
     def test_faulting_row_comes_out_non_finite(self, torque_mode, speed, fault, rows):
-        # the transition map does not raise: on the float rows (1) and on
-        # the array path (30) alike, the faulting row comes out not finite
-        # without a warning, and the other rows keep their bits
+        # the transition map does not raise: on the float rows and on the
+        # array path alike, the faulting row comes out not finite without a
+        # warning, and the other rows keep their bits
         model = as_process_model(PARAMS, 0.02, torque_mode)
         divide = torque_mode == DIVIDE_BY_SPEED
         rng = np.random.default_rng(rows)
@@ -504,6 +515,38 @@ FAULT_ROWS = {
     "speed_minus_one": ((0.3, -1.0, 1.0, 0.2), DIVIDE_BY_SPEED, ZeroDivisionError),
 }
 KERNELS = (POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED, "measurement", "variance")
+
+
+def state_itself(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+    return _Vec((d, w, eq, ed))
+
+
+def repeated_vectors(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+    # b repeats three components of a, so it is no vector operation of its
+    # own, and the sum a + b is computed twice
+    a = c[0] * _Vec((w, d, ed, eq))
+    b = c[0] * _Vec((w, d, ed, d))
+    return a + b + (a + b)
+
+
+def mixed_components(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+    # a vector of a state operation, a leaf, a literal and an input value,
+    # plus one whose components were computed before
+    v = _Vec((2.0 * d, d, 3.0, ut * tm)) + _Vec((2.0 * d, w * w, w * w, xp.sin(ed)))
+    return (*v, ed, 0.5, w - phi)
+
+
+def buffer_read_after(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+    # a stage buffer read twice by vector operations and then by its
+    # components, after a later vector operation could have taken it over
+    k = _Vec((w * c[0], eq - ef, ed / ut, -d))
+    s = k + 2.0 * k
+    return (*(s + 3.0 * s), k[0] * k[3], xp.cos(k[1]))
+
+
+# Formulas over _Vec that reach the array kernel's copies, buffers and
+# buffer reuse.
+VECTOR_FORMULAS = (state_itself, repeated_vectors, mixed_components, buffer_read_after)
 
 
 def traced_kernel(name, params):
@@ -548,6 +591,44 @@ class TestTracedKernels:
                 np.testing.assert_array_equal(bits(one(*point, *u)), bits(want))
             expected.extend(want)
         np.testing.assert_array_equal(bits(rows(points, inputs)), bits(expected))
+
+    @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_array_kernels_give_the_bits_of_the_float_kernels(self, name, params):
+        # under one input vector and under one input row per state; a row
+        # whose float evaluation raises comes out not finite
+        kernel, constants = traced_kernel(name, params)
+        rows, _ = kernel.make(*constants)
+        run = kernel.array(*constants)
+        rng = np.random.default_rng(12)
+        states, inputs = random_rows(rng, 200)
+        points = np.array([*states.tolist(), *(row for row, *_ in FAULT_ROWS.values())])
+        faults = np.arange(len(points)) >= len(states)
+        for u in (inputs[0], random_rows(rng, len(points))[1]):
+            per_row = u.tolist() if u.ndim == 2 else [u.tolist()] * len(points)
+            expected = np.reshape(rows(points.tolist(), per_row), (len(points), kernel.width))
+            with np.errstate(all="ignore"):
+                got = run(points, u)
+            assert got.shape == expected.shape and got.flags.c_contiguous
+            flagged = np.isnan(expected).any(axis=1)
+            np.testing.assert_array_equal(bits(got[~flagged]), bits(expected[~flagged]))
+            assert not np.isfinite(got[flagged]).all(axis=1).any()
+            assert not flagged[~faults].any()
+
+    @pytest.mark.parametrize("formula", VECTOR_FORMULAS, ids=lambda f: f.__name__)
+    def test_array_kernel_of_vector_formulas(self, formula):
+        # the array kernel's copies, buffers and reuse against the formula
+        # evaluated row by row on floats
+        kernel = _kernel(formula, 1)
+        run = kernel.array(0.3)
+        rng = np.random.default_rng(13)
+        points, inputs = random_rows(rng, 50)
+        for u in (inputs[0], inputs):
+            per_row = u.tolist() if u.ndim == 2 else [u.tolist()] * len(points)
+            expected = [
+                kernel.formula(*p, *r, (0.3,), math) for p, r in zip(points.tolist(), per_row)
+            ]
+            np.testing.assert_array_equal(bits(run(points, u)), bits(expected))
 
     @pytest.mark.parametrize("fault", FAULT_ROWS)
     def test_fault_rows_raise_where_named(self, fault):

@@ -93,6 +93,18 @@ class TestSeededStream:
         b = SeededStream(123, (1, 1)).generator().random(64)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**64 + 123])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Philox takes the seed as one 64-bit word: a seed outside it would
+        # alias the one 2**64 away
+        with pytest.raises(InvalidConfig, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            SeededStream(seed)
+
+    def test_largest_seed_accepted(self):
+        a = SeededStream(2**64 - 1).generator().random(8)
+        b = SeededStream(0).generator().random(8)
+        assert not np.array_equal(a, b)
+
     def test_run_channel_packing_has_no_collisions(self):
         # (run, channel) pairs map to distinct 64-bit words
         draws = {}
