@@ -14,9 +14,10 @@ a batch of one, x_hat (1, n) and P (1, n, n).  R is diagonal by type: the
 filters take the measurement noise as a vector r of channel variances, so
 the classical filter is exactly the robust one with an infinite Huber
 threshold, and both variants share one batch and one update.
-The stages take P symmetric and return it symmetric: time_predict and the
-update each symmetrize the covariance they return, and factorize the one
-they are given as it is; iter_batch symmetrizes its prior once.
+The stages take P symmetric and factorize it as it is.  rckf_update
+symmetrizes the posterior it returns; time_predict returns C / N + Q as it
+is, exactly symmetric because the centered point product C is and Q is:
+iter_batch symmetrizes P0 and Q once, before the first step.
 A stage that fails on some members raises with exc.members, the indices
 of those members in the batch; the batch engine (iter_batch) freezes them
 and carries on with the rest.  Members never mix: each member's result is
@@ -88,7 +89,7 @@ class ProcessModel:
     observe_points: Callable[[Array, Array], Array]
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterState:
     """State estimate and error covariance at one step: x_hat (B, n) and
     P (B, n, n) for a batch of B filters, as the stages take and return
@@ -180,33 +181,23 @@ def _all_finite(a: Array) -> bool:
     NaN entry makes the sum infinite or NaN.  (Against zeros it would be
     exact too, but inf * 0 raises the invalid flag, a warning on a direct
     call; here only infinities of both signs in one array do.)"""
-    flat = a.reshape(-1)
+    flat = a.ravel()
     if flat.size > GATE_DOT_SIZE:
         return bool(np.isfinite(flat).all())
     # the method skips np.dot's dispatch through __array_function__
     return math.isfinite(flat.dot(_tiny(flat.size)))
 
 
-_NO_MEMBERS = np.empty(0, dtype=np.intp)
-_NO_MEMBERS.flags.writeable = False
-
-
 def _nonfinite_members(a: Array) -> Array:
-    """Indices along the first axis of the members holding a non-finite entry."""
-    if _all_finite(a):
-        return _NO_MEMBERS
+    """Indices along the first axis of the members holding a non-finite
+    entry; the scan behind a failed _all_finite gate."""
     return np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
-
-
-def _T(a: Array) -> Array:
-    """Stack of matrices, each transposed."""
-    return a.transpose(0, 2, 1)
 
 
 def _symmetrized(a: Array) -> Array:
     """Stack of matrices, each replaced by the mean of itself and its
     transpose."""
-    sym = a + _T(a)
+    sym = a + a.swapaxes(1, 2)
     sym *= 0.5
     return sym
 
@@ -274,10 +265,13 @@ def _points(x_hat: Array, S: Array) -> Array:
     """Spherical-radial point set for mean x_hat and covariance S @ S.T:
     the 2n points x_hat +/- sqrt(n) times each column of S, all sharing
     the weight 1 / (2n); (2n, n) for one filter and (B, 2n, n) for a
-    batch."""
+    batch, C-contiguous, so that a stack reshapes to rows without a copy."""
     columns, scale = _cubature_pattern(x_hat.shape[-1])
+    pts = S.swapaxes(-1, -2).take(columns, axis=-2)
     # x + (-sqrt(n) * s) is x - sqrt(n) * s, bit for bit
-    return x_hat[..., None, :] + S.take(columns, axis=-1).swapaxes(-1, -2) * scale
+    pts *= scale
+    pts += x_hat[..., None, :]
+    return pts
 
 
 def _mapped_points(
@@ -297,10 +291,10 @@ def _mapped_points(
     # its input, would otherwise change the bits of the reductions below
     images = np.ascontiguousarray(points_map(pts.reshape(B * N, n), u), dtype=float)
     images = images.reshape(B, N, -1)
-    bad = _nonfinite_members(images)
-    if bad.size:
-        raise _member_failure(NonFiniteState, failure, bad)
-    mean = np.add.reduce(images, axis=1) / N
+    if not _all_finite(images):
+        raise _member_failure(NonFiniteState, failure, _nonfinite_members(images))
+    mean = np.add.reduce(images, axis=1)
+    mean /= N
     return pts, mean, images - mean[:, None, :]
 
 
@@ -308,8 +302,10 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
     """Propagate the posterior through the transition map.
 
     The predicted covariance is the centered sample covariance of the
-    propagated points plus Q, symmetrized.  state.P must be symmetric, as
-    the stages return it: it is factorized as it is.
+    propagated points plus Q, not symmetrized: that product of the points
+    with themselves is exactly symmetric, and Q must be symmetric too
+    (iter_batch symmetrizes it once).  state.P must be symmetric, as the
+    stages return it: it is factorized as it is.
 
     Raises:
         NonFiniteState: a propagated point is not finite.
@@ -319,27 +315,10 @@ def time_predict(state: FilterState, model: ProcessModel, u: Array, Q: Array) ->
         state.x_hat, state.P, model.transition_points, u,
         "integration step produced a non-finite state",
     )
-    P_pred = _T(centered) @ centered
+    P_pred = centered.swapaxes(1, 2) @ centered
     P_pred /= centered.shape[1]
     P_pred += Q
-    return FilterState(x_hat=x_pred, P=_symmetrized(P_pred))
-
-
-def _measurement_stats(
-    predicted: FilterState, model: ProcessModel, u: Array
-) -> tuple[Array, Array, Array]:
-    """Predicted measurement, centered innovation covariance core (no R),
-    and cross covariance, all (B, ...) from a fresh point set on the prior."""
-    x = predicted.x_hat
-    pts, z_hat, Zc = _mapped_points(
-        x, predicted.P, model.observe_points, u, "projected measurement points are not finite"
-    )
-    N = pts.shape[1]
-    core = _T(Zc) @ Zc
-    core /= N
-    P_xz = _T(pts - x[:, None, :]) @ Zc
-    P_xz /= N
-    return z_hat, core, P_xz
+    return FilterState(x_pred, P_pred)
 
 
 def _positive_variances(variances: Array) -> Array:
@@ -363,40 +342,28 @@ def _positive_variances(variances: Array) -> Array:
     return variances
 
 
-def _corrected(
-    predicted: FilterState, innovation: Array, z_hat: Array, P_zz: Array, P_xz: Array
-) -> tuple[FilterState, UpdateIntermediates]:
-    x, P = predicted.x_hat, predicted.P
-    bad = _nonfinite_members(P_zz)
-    if bad.size:
-        raise _member_failure(DecompositionFailure, "matrix contains non-finite entries", bad)
-    # gain @ P_zz = P_xz, solved as P_zz @ gain.T = P_xz.T; a singular
-    # member's gain comes out NaN, and so does its posterior
-    gain = _T(_umath_linalg.solve(P_zz, _T(P_xz), signature="dd->d"))
-    x_post = x + (gain @ innovation[:, :, None])[:, :, 0]
-    P_post = _symmetrized(P - gain @ P_zz @ _T(gain))
-    if not (_all_finite(x_post) and _all_finite(P_post)):
-        bad = np.flatnonzero(
-            ~(np.isfinite(x_post).all(axis=1) & np.isfinite(P_post).all(axis=(1, 2)))
+def _raise_update_failure(P_zz: Array, P_xz: Array, x_post: Array, P_post: Array) -> None:
+    """Raise for the members whose posterior is not finite, naming the
+    cause: P_zz not finite, checked first over the whole batch; then P_zz
+    singular, solved member by member; then the posterior itself."""
+    if not _all_finite(P_zz):
+        raise _member_failure(
+            DecompositionFailure, "matrix contains non-finite entries", _nonfinite_members(P_zz)
         )
-        singular, cause = [], None
-        for b in bad:
-            try:
-                np.linalg.solve(P_zz[b : b + 1], _T(P_xz[b : b + 1]))
-            except np.linalg.LinAlgError as exc:
-                singular.append(b)
-                cause = cause or exc
-        if singular:
-            raise _member_failure(
-                DecompositionFailure, "innovation covariance is singular", singular
-            ) from cause
-        if bad.size:
-            raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
-    state = FilterState(x_hat=x_post, P=P_post)
-    info = UpdateIntermediates(
-        z_hat=z_hat, P_zz=P_zz, P_xz=P_xz, gain=gain, innovation=innovation
-    )
-    return state, info
+    bad = np.flatnonzero(~(np.isfinite(x_post).all(axis=1) & np.isfinite(P_post).all(axis=(1, 2))))
+    singular, cause = [], None
+    for b in bad:
+        try:
+            np.linalg.solve(P_zz[b : b + 1], P_xz[b : b + 1].swapaxes(1, 2))
+        except np.linalg.LinAlgError as exc:
+            singular.append(b)
+            cause = cause or exc
+    if singular:
+        raise _member_failure(
+            DecompositionFailure, "innovation covariance is singular", singular
+        ) from cause
+    if bad.size:
+        raise _member_failure(NonFiniteState, "corrected estimate is not finite", bad)
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +391,7 @@ def huber_reweight(
         DegenerateChannel: some predicted variance is not positive;
             exc.members lists the members concerned.
     """
-    standardized = np.asarray(innovation, dtype=float) / np.sqrt(_positive_variances(variances))
+    standardized = innovation / np.sqrt(_positive_variances(variances))
     magnitude = np.abs(standardized)
     c = config._column
     # c / |e| only where |e| > c, so a zero innovation divides nothing
@@ -458,12 +425,24 @@ def rckf_update(
     Raises:
         DegenerateChannel: some predicted channel variance is not
             positive; exc.members lists the members concerned.
+        DecompositionFailure: P cannot be factorized, or some P_zz is
+            not finite or singular.
+        NonFiniteState: a projected point or the posterior is not finite.
     """
     if config is None:
         config = HuberConfig()
     r = np.asarray(r, dtype=float)
-    z_hat, core, P_xz = _measurement_stats(predicted, model, u)
-    innovation = np.asarray(z, dtype=float) - z_hat
+    x, P = predicted.x_hat, predicted.P
+    pts, z_hat, Zc = _mapped_points(
+        x, P, model.observe_points, u, "projected measurement points are not finite"
+    )
+    N = pts.shape[1]
+    core = Zc.swapaxes(1, 2) @ Zc
+    core /= N
+    pts -= x[:, None, :]
+    P_xz = pts.swapaxes(1, 2) @ Zc
+    P_xz /= N
+    innovation = z - z_hat
     r_bar, result = r, None
     if not config._classical:
         core_variances = core.diagonal(0, -2, -1)
@@ -475,8 +454,19 @@ def rckf_update(
     if result is None:
         # the gate huber_reweight applies, on the same variances
         _positive_variances(P_zz.diagonal(0, -2, -1))
-    state, info = _corrected(predicted, innovation, z_hat, P_zz, P_xz)
-    return state, info, result
+    # gain @ P_zz = P_xz, solved as P_zz @ gain.T = P_xz.T; a member whose
+    # P_zz is singular or not finite gets a gain, and so a posterior, that
+    # is not finite, so P_zz is gated only when the posterior fails
+    gain = _umath_linalg.solve(P_zz, P_xz.swapaxes(1, 2), signature="dd->d").swapaxes(1, 2)
+    x_post = (gain @ innovation[:, :, None])[:, :, 0]
+    x_post += x
+    P_post = gain @ P_zz @ gain.swapaxes(1, 2)
+    np.subtract(P, P_post, out=P_post)
+    P_post = _symmetrized(P_post)
+    if not (_all_finite(x_post) and _all_finite(P_post)):
+        _raise_update_failure(P_zz, P_xz, x_post, P_post)
+    info = UpdateIntermediates(z_hat, P_zz, P_xz, gain, innovation)
+    return FilterState(x_post, P_post), info, result
 
 
 def iter_batch(
@@ -497,7 +487,8 @@ def iter_batch(
             point: step k predicts with row k and observes measurement k
             with row k + 1.
         measurements: (T, B, m), the measurement of each member per step.
-        Q: process noise covariance, fixed across steps.
+        Q: process noise covariance, fixed across steps; symmetrized
+            once, before the first step, as init.P is.
         r: the measurement noise variance of each channel, R being
             diagonal: a fixed (m,) vector, or a callable
             (predicted_batch, observe_input) -> (A, m) with one row per
@@ -508,8 +499,9 @@ def iter_batch(
 
     Each step runs under np.errstate(all="ignore"): a member whose numbers
     stop being finite is frozen by the stages' finiteness gates, and the
-    step emits no floating-point warning.  init.P is symmetrized once,
-    before the first step; the stages keep it symmetric from there.
+    step emits no floating-point warning.  init.P and Q are symmetrized
+    once, before the first step: time_predict keeps a symmetric P
+    symmetric when Q is, and rckf_update symmetrizes its posterior.
 
     Yields once per step (members, posterior, failed): the indices of the
     members still live after the step, their batched posterior, and
@@ -531,15 +523,17 @@ def iter_batch(
         )
     m = model.m
     provider = r if callable(r) else None
-    if provider is None and np.shape(r) != (m,):
-        raise ValueError(f"a fixed r must have shape ({m},), got {np.shape(r)}")
+    if provider is None:
+        r = np.asarray(r, dtype=float)
+        if r.shape != (m,):
+            raise ValueError(f"a fixed r must have shape ({m},), got {r.shape}")
     members = np.arange(measurements.shape[1])
     thresholds = np.broadcast_to(np.asarray(huber.c, dtype=float), members.shape)
     P0 = _symmetrized(np.asarray(init.P, dtype=float))
     state = FilterState(init.x_hat, P0)
     # one Q per member, which spares the predict's add a broadcast; it and
     # the update's tuning change only when a member freezes
-    Q = np.array(np.broadcast_to(np.asarray(Q, dtype=float), P0.shape))
+    Q = _symmetrized(np.broadcast_to(np.asarray(Q, dtype=float), P0.shape))
     config = HuberConfig(thresholds, huber.max_reweight_passes)
     for k in range(measurements.shape[0]):
         u = inputs[k]
@@ -550,9 +544,9 @@ def iter_batch(
                 with np.errstate(all="ignore"):
                     predicted = time_predict(state, model, u, Q)
                     if provider is not None:
-                        r = provider(predicted, u_obs)
-                        if np.shape(r) != (members.size, m):
-                            shape = f"({members.size}, {m}), got {np.shape(r)}"
+                        r = np.asarray(provider(predicted, u_obs), dtype=float)
+                        if r.shape != (members.size, m):
+                            shape = f"({members.size}, {m}), got {r.shape}"
                             raise ValueError(f"the r provider must return shape {shape}")
                     state, _, _ = rckf_update(predicted, measurements[k], model, u_obs, r, config)
                 break

@@ -483,9 +483,13 @@ def batch_filters(cfg: ScenarioConfig, series: np.ndarray, variants: Sequence[st
     sigmas = cfg.sigmas
     variance = power_variance_map(cfg.machine, sigmas)
     base_r = np.array([(sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0)])
+    r = base_r.repeat(len(series) * len(variants), axis=0)
 
     def r_provider(predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
-        r = base_r.repeat(len(predicted.x_hat), axis=0)
+        # one (live members, 3) buffer, made anew only when members freeze
+        nonlocal r
+        if len(r) != len(predicted.x_hat):
+            r = base_r.repeat(len(predicted.x_hat), axis=0)
         r[:, 2] = variance(predicted.x_hat, u_obs)
         return r
 
@@ -534,7 +538,8 @@ def filter_series(
     failed: dict[int, str] = {}
     stepped: list[tuple[np.ndarray, np.ndarray]] = []
     for members, state, frozen in batch:
-        failed.update((member, str(exc)) for member, exc in frozen)
+        if frozen:
+            failed.update((member, str(exc)) for member, exc in frozen)
         stepped.append((members, state.x_hat))
     # iter_batch yields one members array until a member freezes, so the
     # steps are written one stretch of unchanged members at a time

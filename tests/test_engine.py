@@ -5,14 +5,17 @@ posterior covariance stays symmetric positive definite."""
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit.config import build_scenario, default_config, with_noise_preset
+from dsekit import filters
+from dsekit.config import build_scenario, default_config, load_config, with_noise_preset
 from dsekit.errors import DecompositionFailure, DegenerateChannel, NonFiniteState
 from dsekit.filters import (
     CKF,
@@ -24,6 +27,7 @@ from dsekit.filters import (
     rckf_update,
     time_predict,
 )
+from dsekit.harness import run_experiment
 from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance_map
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
@@ -337,6 +341,21 @@ def test_nonpositive_innovation_variance_freezes_the_member(thresholds):
     assert_same_path(paths[0], alone[0])
 
 
+@pytest.mark.parametrize("thresholds", [[1.5, math.inf], [math.inf, 1.5]], ids=["ckf", "rckf"])
+def test_infinite_measurement_variance_freezes_the_member(thresholds):
+    # an infinite r entry makes P_zz, and so the posterior, not finite; the
+    # P_zz gate, which runs only once the posterior fails, names the cause
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    provider = marked_r(3, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths, frozen = linear_run(LINEAR_X0, P0, thresholds, provider)
+    alone, _ = linear_run(LINEAR_X0[:1], P0[:1], thresholds[:1], provider)
+    assert sorted(frozen) == [1]
+    assert_frozen(frozen, 1, DecompositionFailure, 3, "matrix contains non-finite entries")
+    assert_same_path(paths[0], alone[0])
+
+
 @pytest.mark.parametrize("thresholds", [[math.inf, math.inf], [1.5, 1.5]])
 def test_singular_innovation_covariance_freezes_the_member(thresholds):
     # the two equal rows of LINEAR_H make the point statistic singular, so
@@ -489,3 +508,69 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
         state, _, _ = rckf_update(predicted, z[k], model, u_arr[k + 1], r, huber)
         np.testing.assert_array_equal(posterior.x_hat, state.x_hat)
         np.testing.assert_array_equal(posterior.P, state.P)
+
+
+def test_iter_batch_steps_each_stage_by_its_module_name_once_per_step(monkeypatch):
+    # the stages are the one implementation of their step, looked up by
+    # name, so a wrapper on the module attribute sees every call
+    counts = Counter()
+
+    def counting(name):
+        stage = getattr(filters, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return stage(*args, **kwargs)
+
+        return counted
+
+    for name in ("time_predict", "rckf_update", "huber_reweight"):
+        monkeypatch.setattr(filters, name, counting(name))
+    P0 = np.repeat((np.eye(4) * 0.01)[None], 2, axis=0)
+    paths, frozen = linear_run(LINEAR_X0, P0, [math.inf, 1.5], np.full(3, 0.01))
+    assert not frozen and len(paths[0]) == 8
+    assert counts == {"time_predict": 8, "rckf_update": 8, "huber_reweight": 8}
+
+
+# ---------------------------------------------------------------------------
+# time_predict returns C / N + Q without symmetrizing it: the product of the
+# centered points with themselves is exactly symmetric, and so is Q.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def estimate_run(cfg):
+    """One series of cfg, both variants: a batch of two on the float kernels."""
+    filter_series(cfg, synthesize_measurements(simulate_truth(cfg), cfg)[1][None])
+
+
+RUNS = {
+    "estimate": lambda: estimate_run(
+        build_scenario(load_config(ROOT / "perfbench" / "configs" / "estimate.json"))
+    ),
+    # one seed in each of the 8 cells, 16 members: 128-row array kernels
+    "matrix": lambda: run_experiment(
+        build_scenario(load_config(ROOT / "perfbench" / "configs" / "matrix.json")), [1]
+    ),
+    "divide_by_speed": lambda: estimate_run(
+        replace(build_scenario(load_config(ROOT / "configs" / "default.json")),
+                torque_mode=DIVIDE_BY_SPEED)
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_every_predicted_covariance_equals_its_transpose(run, monkeypatch):
+    stage = filters.time_predict
+    seen = Counter()
+
+    def checked(*args):
+        predicted = stage(*args)
+        P = predicted.P
+        seen[len(P)] += 1
+        np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
+        return predicted
+
+    monkeypatch.setattr(filters, "time_predict", checked)
+    RUNS[run]()
+    assert seen[16 if run == "matrix" else 2] > 100

@@ -516,6 +516,22 @@ class TestIterBatch:
             np.testing.assert_array_equal(a.x_hat, b.x_hat)
             np.testing.assert_array_equal(a.P, b.P)
 
+    def test_process_noise_is_symmetrized_once(self):
+        # time_predict adds Q as it is; the engine symmetrizes Q before the
+        # first step, so a skewed Q runs as its mean with its transpose
+        model = linear_model(np.eye(2) * 0.9, np.eye(2))
+        skewed = np.array([[0.01, 0.004], [-0.002, 0.03]])
+        r = np.ones(2)
+        measurements = [np.full(2, 0.5), np.array([4.0, 0.5]), np.zeros(2)]
+        runs = [
+            run_one(model, FilterState(np.ones(2), np.eye(2)), [np.zeros(1)] * 4, measurements,
+                    Q, r, 1.5)
+            for Q in (skewed, 0.5 * (skewed + skewed.T))
+        ]
+        for a, b in zip(runs[0][1:], runs[1][1:]):
+            np.testing.assert_array_equal(a.x_hat, b.x_hat)
+            np.testing.assert_array_equal(a.P, b.P)
+
     def test_rckf_posteriors_equal_stepping_the_stages(self):
         # a batch of one steps the public stages
         model = linear_model(np.eye(2) * 0.9, np.eye(2))
