@@ -8,18 +8,20 @@ seconds on the machine base.
 
 Each model formula is written once, generic in its math namespace, and
 traced into two kernels of straight-line code, which compute the bits of
-the formula evaluated on floats with math: the float kernel at import,
-the array kernel on its first use.  Where a map gets at most its
-crossover number of rows (RK4_FLOAT_ROWS = 24, FLOAT_ROWS = 24), it runs
-the float kernel, Python on the floats of one row at a time; above the
-crossover, the array kernel, one NumPy call per operation on all rows,
-with RK4's stage sums on the (4, N) stacked state.
+the formula evaluated on floats with math: the float kernel at import
+(the RK4 step's on its first use), the array kernel on its first use.
+Where a map gets at most its crossover number of rows (RK4_FLOAT_ROWS =
+24, FLOAT_ROWS = 24), it runs the float kernel, Python on the floats of
+one row at a time; above the crossover, the array kernel, one NumPy call
+per operation on all rows, with RK4's stage sums on the (4, N) stacked
+state.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
@@ -312,18 +314,20 @@ _TRACE_MATH = SimpleNamespace(
     pow=partial(_record, "pow({}, {})"),
 )
 _KERNEL_GLOBALS = {
-    "sin": math.sin, "cos": math.cos, "pow": math.pow, "nan": math.nan, "_FAULTS": _FLOAT_FAULTS
+    "sin": math.sin, "cos": math.cos, "pow": math.pow, "nan": math.nan, "_FAULTS": _FLOAT_FAULTS,
+    "pack": struct.Struct("4d").pack,
 }
 
 
 class _Kernel(NamedTuple):
     """A formula(d, w, eq, ed, tm, ef, ut, phi, constants, xp) of width
     outputs traced into straight-line code.  make(*constants) -> (rows,
-    one) is its float evaluation: rows(points, inputs) gives the outputs
-    of every row of points under the matching row of inputs as one flat
-    list, NaNs for a row whose evaluation raises one of _FLOAT_FAULTS;
+    one, steps) is its float evaluation: rows(points, inputs) gives the
+    outputs of every row of points under the matching row of inputs as one
+    flat list, NaNs for a row whose evaluation raises one of _FLOAT_FAULTS;
     one(d, w, eq, ed, tm, ef, ut, phi) gives the outputs of one row as a
-    tuple, and raises what the formula raises.  array(*constants) -> run
+    tuple, and raises what the formula raises; steps is a step kernel's
+    segment loop (segment_steps), else None.  array(*constants) -> run
     is its NumPy evaluation with the same bits: run(x, u) gives the (N,
     width) outputs of the states in the rows of x (N, 4) under one input
     vector u or one row of u per state; a row that overflows or divides by
@@ -352,12 +356,13 @@ def _trace(formula, n_constants: int) -> tuple:
     return tape, (*state, *inputs, *constants), outputs
 
 
-def _kernel(formula, n_constants: int) -> _Kernel:
+def _kernel(formula, n_constants: int, steps: bool = False) -> _Kernel:
     """Trace formula and compile what it computes into its float and array
-    kernels.  Each distinct operation keeps its operands and their order,
-    so both compute the bits of the formula evaluated with math.  The
-    array kernel is traced again and compiled on its first use, which only
-    maps of more rows than their crossover make, so that no tape is kept.
+    kernels, the float one with a segment loop if steps.  Each distinct
+    operation keeps its operands and their order, so both compute the bits
+    of the formula evaluated with math.  The array kernel is traced again
+    and compiled on its first use, which only maps of more rows than their
+    crossover make, so that no tape is kept.
 
     Raises:
         TypeError: the formula branches on a value it computes.
@@ -380,16 +385,17 @@ def _kernel(formula, n_constants: int) -> _Kernel:
     tape, leaves, outputs = _trace(formula, n_constants)
     return _Kernel(
         formula,
-        compiled(_float_source(tape, leaves, outputs), "", _KERNEL_GLOBALS),
+        compiled(_float_source(tape, leaves, outputs, steps), "", _KERNEL_GLOBALS),
         lambda *constants: array()(*constants),
         len(outputs),
     )
 
 
-def _float_source(tape: _Tape, leaves: tuple, outputs: tuple) -> list:
+def _float_source(tape: _Tape, leaves: tuple, outputs: tuple, steps: bool) -> list:
     """The float kernel's make: an operation on the constants alone is
-    computed once in make; one used more than once becomes a local; the
-    rest nest into the expression that uses them."""
+    computed once in make; one used more than once becomes a local, once
+    per segment loop (segment_steps) if on the inputs alone; the rest nest
+    into the expression that uses them."""
     # uses of each node by the outputs and by the nodes they depend on;
     # the tape records operands before the nodes that use them
     uses = Counter(id(x) for x in outputs if isinstance(x, _Traced))
@@ -402,7 +408,7 @@ def _float_source(tape: _Tape, leaves: tuple, outputs: tuple) -> list:
     def source(x):
         return text[id(x)] if isinstance(x, _Traced) else repr(x)
 
-    factory, body = [], []
+    factory, body, state = [], [], []
     for node in nodes:
         if not uses[id(node)]:
             continue
@@ -413,13 +419,37 @@ def _float_source(tape: _Tape, leaves: tuple, outputs: tuple) -> list:
         elif uses[id(node)] > 1:
             text[id(node)] = f"t{len(body)}"
             body.append(f"{text[id(node)]} = {expr}")
+            state.append(node.level == 2)
         else:
             text[id(node)] = expr
     result = "(" + "".join(f"{source(x)}, " for x in outputs) + ")"
+    row = ", ".join(_ROW_NAMES)
+    loop = [
+        f"    def steps({row}, k, e, size):",
+        *(f"        {line}" for line, on in zip(body, state) if not on),
+        "        x = saved = (d, w, eq, ed)",
+        "        t, power, out = k, 1, []",
+        "        try:",
+        "            while k < e:",
+        "                out = []",
+        "                for k in range(k + 1, min(k + size, e) + 1):",
+        *(f"                    {line}" for line, on in zip(body, state) if on),
+        f"                    x = d, w, eq, ed = {result}",
+        "                    out += x",
+        "                    if x == saved and pack(*x) == pack(*saved):",
+        "                        yield out, k - t",
+        "                        return",
+        "                    if k - t == power:",
+        "                        saved, t, power = x, k, 2 * power",
+        "                yield out, 0",
+        "        except _FAULTS:",
+        "            yield out, 0",
+        "            raise",
+    ]
     return [
         f"def make({', '.join(c.text for c in leaves[8:])}):",
         *(f"    {line}" for line in factory),
-        f"    def one({', '.join(_ROW_NAMES)}):",
+        f"    def one({row}):",
         *(f"        {line}" for line in body),
         f"        return {result}",
         "    def rows(points, inputs):",
@@ -433,7 +463,8 @@ def _float_source(tape: _Tape, leaves: tuple, outputs: tuple) -> list:
         "            except _FAULTS:",
         f"                out += ({'nan, ' * len(outputs)})",
         "        return out",
-        "    return rows, one",
+        *(loop if steps else ["    steps = None"]),
+        "    return rows, one, steps",
     ]
 
 
@@ -453,11 +484,10 @@ def _variance(d, w, eq, ed, tm, ef, ut, phi, c, xp):
 
 
 # Traced once per process: the RK4 step under each torque mode (constants
-# _params_tuple and dt), the measurement (x_d', x_q' and the saliency term)
-# and the power variance (those three and the two sigmas).
-_STEP_KERNELS = {
-    mode: _kernel(_step_formula(mode == DIVIDE_BY_SPEED), 11) for mode in TORQUE_MODES
-}
+# _params_tuple and dt) on its first use, the measurement (x_d', x_q' and
+# the saliency term) and the power variance (those three and the two
+# sigmas) at import.
+_step_kernel = cache(lambda mode: _kernel(_step_formula(mode == DIVIDE_BY_SPEED), 11, steps=True))
 _MEASUREMENT_KERNEL = _kernel(_measurement, 3)
 _VARIANCE_KERNEL = _kernel(_variance, 5)
 
@@ -487,13 +517,17 @@ def _rows_map(kernel: _Kernel, constants: tuple, float_rows: int = FLOAT_ROWS):
     return rows_map
 
 
-def float_step(params: MachineParams, dt: float, torque_mode: str = POWER_EQUALS_TORQUE):
-    """One RK4 step of length dt on one state, as a function (d, w, eq, ed,
-    t_m, e_f, u_t, phi) -> the next (d, w, eq, ed) on floats.  It raises
-    what the float formula raises (_FLOAT_FAULTS) where the array maps give
-    a non-finite row."""
+def segment_steps(params: MachineParams, dt: float, torque_mode: str = POWER_EQUALS_TORQUE):
+    """RK4 steps of length dt on floats, as a generated loop steps(d, w, eq,
+    ed, t_m, e_f, u_t, phi, k, e, size) from row k's state to row e under
+    one input row.  It yields (rows, period): at most size new rows as one
+    flat list, and 0, or on the last list the period once a state repeats
+    (Brent's cycle detection: the saved state moves when the steps since it
+    was saved reach a power of two; a repeat is == and the same bits).  It
+    tests no row for finiteness; a step that raises (_FLOAT_FAULTS) first
+    yields the rows made since the last list."""
     _check_torque_mode(torque_mode)
-    return _STEP_KERNELS[torque_mode].make(*_params_tuple(params), dt)[1]
+    return _step_kernel(torque_mode).make(*_params_tuple(params), dt)[2]
 
 
 def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.ndarray:
@@ -533,7 +567,7 @@ def as_process_model(
         n=4,
         m=3,
         transition_points=_rows_map(
-            _STEP_KERNELS[torque_mode], (*constants, dt), RK4_FLOAT_ROWS
+            _step_kernel(torque_mode), (*constants, dt), RK4_FLOAT_ROWS
         ),
         observe_points=_rows_map(_MEASUREMENT_KERNEL, constants[:3]),
     )

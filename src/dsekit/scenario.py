@@ -11,7 +11,6 @@ variants consume them.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Sequence
@@ -33,9 +32,9 @@ from .machine import (
     _derivative,
     _params_tuple,
     as_process_model,
-    float_step,
     observe_points,
     power_variance_map,
+    segment_steps,
 )
 from .noise import (
     GAUSSIAN_WHITE,
@@ -46,7 +45,7 @@ from .noise import (
     inject_outliers,
 )
 
-# Rows of truth states stored at a time by simulate_truth.
+# Rows per truth block: a list of every row of a long horizon outweighs its array.
 TRUTH_BLOCK_ROWS = 1024
 
 
@@ -332,6 +331,17 @@ def equilibrium(cfg: ScenarioConfig) -> MachineState:
     return steady_state_init(MachineInputs(*cfg.profile.values[0]), cfg.machine, cfg.torque_mode)
 
 
+def _input_segments(cfg: ScenarioConfig, times: np.ndarray) -> list:
+    """(start, end, inputs) of each run of grid rows [start, end) that holds
+    one input row, which changes at the first grid point at or after a
+    profile breakpoint; a cut where no value changes costs the truth a
+    restart of its cycle search, not a bit of the output."""
+    cuts = np.searchsorted(times, cfg.profile.times[1:]).tolist()
+    starts = [0, *sorted({c for c in cuts if c < len(times)})]
+    ends = [*starts[1:], len(times)]
+    return list(zip(starts, ends, cfg.profile.as_array(times[starts]).tolist()))
+
+
 def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.ndarray:
     """Integrate the noise-free trajectory from x0.
 
@@ -339,11 +349,14 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     inputs held constant over each step.  x0 is the start state, by
     default the pre-fault equilibrium.
 
-    Under constant inputs a step is a function of the state's bits alone,
-    so once the state repeats exactly, every later row repeats a row
-    already computed.  The integration stops there and copies the cycle
-    to the next input change: the cost follows the transient, not the
-    horizon, and the output bits are those of stepping every row.
+    Each input segment runs in the generated segment loop of
+    machine.segment_steps, and each block of TRUTH_BLOCK_ROWS rows it
+    yields is checked for finiteness with one NumPy call.  Under constant
+    inputs a step is a function of the state's bits alone, so once the
+    state repeats exactly, every later row repeats a row already computed.
+    The loop stops there and the cycle is copied to the next input change:
+    the cost follows the transient, not the horizon, and the output bits
+    are those of stepping every row.
 
     Raises:
         NoConvergence: no pre-fault equilibrium exists.
@@ -354,46 +367,26 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     steps = len(times) - 1
     if x0 is None:
         x0 = equilibrium(cfg)
-    step = float_step(cfg.machine, cfg.dt, cfg.torque_mode)
-    isfinite, pack = math.isfinite, struct.Struct("4d").pack
+    segment = segment_steps(cfg.machine, cfg.dt, cfg.torque_mode)
     out = np.empty((steps + 1, 4))
-    x = (x0.delta, x0.delta_omega, x0.e_q_prime, x0.e_d_prime)
-    out[0] = x
+    out[0] = x = (x0.delta, x0.delta_omega, x0.e_q_prime, x0.e_d_prime)
     flat = out.reshape(-1)
-    # step k holds the inputs at t_k, which change only at the first grid
-    # point at or after a profile breakpoint; a cut where no value changes
-    # costs a restart of the cycle search, not a bit of the output
-    cuts = sorted({c for c in np.searchsorted(times, cfg.profile.times[1:]).tolist() if c < steps})
-    starts = [0, *cuts]
-    segments = zip(starts, [*cuts, steps], cfg.profile.as_array(times[starts]).tolist())
-    for a, e, (tm, ef, ut, phi) in segments:
-        # Brent's cycle detection: the saved state moves to the newest one
-        # when the steps since it was saved reach a power of two
-        saved, t, power = x, a, 1
-        k, cycle = a, 0
-        # the float step takes a tuple state; states are stored a block of
-        # rows at a time, since a list of every row of a long horizon would
-        # take more memory than the array it fills
-        while k < e and not cycle:
-            first = k + 1
-            block = []
-            for k in range(first, min(first + TRUTH_BLOCK_ROWS, e + 1)):
-                try:
-                    x = step(*x, tm, ef, ut, phi)
-                except _FLOAT_FAULTS as exc:
-                    raise NonFiniteState(
-                        f"truth integration failed at step {k}: {type(exc).__name__}: {exc}"
-                    ) from exc
-                if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
+    for a, end, inputs in _input_segments(cfg, times):
+        e, k, cycle = min(end, steps), a, 0
+        # rows are checked before a raise is named or a repeat replayed (inf == inf)
+        try:
+            for block, cycle in segment(*x, *inputs, a, e, TRUTH_BLOCK_ROWS):
+                rows = len(block) // 4
+                flat[4 * (k + 1) : 4 * (k + 1 + rows)] = block
+                finite = np.isfinite(out[k + 1 : k + 1 + rows]).all(axis=1)
+                if not finite.all():
+                    k += int(finite.argmin()) + 1
                     raise NonFiniteState(f"truth integration failed at step {k}")
-                block.extend(x)
-                # == is the cheap filter; it holds for -0.0 against 0.0
-                if x == saved and pack(*x) == pack(*saved):
-                    cycle = k - t
-                    break
-                if k - t == power:
-                    saved, t, power = x, k, 2 * power
-            flat[4 * first : 4 * (k + 1)] = block
+                k += rows
+        except _FLOAT_FAULTS as exc:
+            raise NonFiniteState(
+                f"truth integration failed at step {k + 1}: {type(exc).__name__}: {exc}"
+            ) from exc
         if cycle:
             # rows from k - cycle on repeat with period cycle, and out[r:s]
             # always holds whole periods, so each copy doubles it
@@ -402,7 +395,7 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
                 m = min(s - r, e + 1 - s)
                 out[s : s + m] = out[r : r + m]
                 s += m
-            x = tuple(out[e].tolist())
+        x = out[e].tolist()
     return out
 
 
@@ -411,21 +404,24 @@ def synthesize_measurements(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clean and corrupted measurement series for a truth trajectory.
 
-    The clean series applies the measurement map to every row.  Channel
-    noise follows cfg.noise; a None spec on the power channel means
-    Gaussian noise whose per-step std comes from the measurement
-    covariance evaluated on the truth.  Outliers are injected last.
+    The clean series and the power variance map each input segment's rows
+    in one call.  Channel noise follows cfg.noise; a None spec on the power
+    channel means Gaussian noise whose per-step std comes from the power
+    variance evaluated on the truth.  Outliers are injected last.
 
     Returns:
         (clean, corrupted), both (steps + 1, 3).
     """
-    u_arr = cfg.profile.as_array(time_grid(cfg))
-    clean = observe_points(truth, u_arr, cfg.machine)
     specs = list(cfg.noise)
-    per_step = None
-    if specs[2] is None:
-        specs[2] = NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)
-        per_step = {2: np.sqrt(power_variance_map(cfg.machine, cfg.sigmas)(truth, u_arr))}
+    clean = np.empty((len(truth), 3))
+    std = None if specs[2] else np.empty(len(truth))
+    variance = power_variance_map(cfg.machine, cfg.sigmas)
+    for a, e, inputs in _input_segments(cfg, time_grid(cfg)):
+        clean[a:e] = observe_points(truth[a:e], inputs, cfg.machine)
+        if std is not None:
+            std[a:e] = np.sqrt(variance(truth[a:e], inputs))
+    per_step = None if std is None else {2: std}
+    specs[2] = specs[2] or NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)
     streams = [SeededStream(cfg.seed, (0, ch)) for ch in range(3)]
     corrupted = corrupt(clean, specs, streams, per_step)
     corrupted = inject_outliers(corrupted, cfg.outliers, cfg.dt)

@@ -2,7 +2,8 @@
 where SciPy cannot be imported, every command runs, and importing the
 command line module, building a scenario and solving its equilibrium load
 neither.  Nor do they, or the simulate and estimate commands, load the
-experiment harness, which the experiment command does."""
+experiment harness, which the experiment command does.  A default
+estimate traces the power_equals_torque step kernel alone."""
 
 import json
 import subprocess
@@ -69,3 +70,29 @@ def test_commands_run_without_scipy_or_a_process_pool(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     # after the set-up, then after each command in turn
     assert result == {"loaded": [[], [], [], ["dsekit.harness"]], "codes": [0, 0, 0]}
+
+
+def test_a_default_estimate_traces_only_the_power_equals_torque_step(tmp_path):
+    # the step kernels are traced on first use: importing the model and a
+    # default estimate never trace the divide_by_speed one
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from dsekit import machine
+from dsekit.cli import main
+
+assert machine._step_kernel.cache_info().currsize == 0
+assert main(["estimate", "--quiet", "--out-dir", sys.argv[2]]) == 0
+traced = machine._step_kernel.cache_info()
+machine._step_kernel(machine.POWER_EQUALS_TORQUE)
+print(traced.currsize, machine._step_kernel.cache_info().misses)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(SRC), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # one kernel traced, and it is the one a later lookup finds
+    assert proc.stdout.split() == ["1", "1"]

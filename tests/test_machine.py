@@ -25,7 +25,7 @@ from dsekit.machine import (
     _kernel,
     _MEASUREMENT_KERNEL,
     _params_tuple,
-    _STEP_KERNELS,
+    _step_kernel,
     _VARIANCE_KERNEL,
     _Vec,
     as_process_model,
@@ -557,7 +557,7 @@ def traced_kernel(name, params):
         return _MEASUREMENT_KERNEL, pt[:3]
     if name == "variance":
         return _VARIANCE_KERNEL, (*pt[:3], sigmas.sigma_u, sigmas.sigma_phi)
-    return _STEP_KERNELS[name], (*pt, 0.02)
+    return _step_kernel(name), (*pt, 0.02)
 
 
 def bits(values):
@@ -573,7 +573,7 @@ class TestTracedKernels:
     @pytest.mark.parametrize("name", KERNELS)
     def test_kernels_give_the_bits_of_the_float_formula(self, name, params):
         kernel, constants = traced_kernel(name, params)
-        rows, one = kernel.make(*constants)
+        rows, one, _ = kernel.make(*constants)
         rng = np.random.default_rng(11)
         states, inputs = random_rows(rng, 200)
         points = [*states.tolist(), *(row for row, *_ in FAULT_ROWS.values())]
@@ -598,7 +598,7 @@ class TestTracedKernels:
         # under one input vector and under one input row per state; a row
         # whose float evaluation raises comes out not finite
         kernel, constants = traced_kernel(name, params)
-        rows, _ = kernel.make(*constants)
+        rows = kernel.make(*constants)[0]
         run = kernel.array(*constants)
         rng = np.random.default_rng(12)
         states, inputs = random_rows(rng, 200)
@@ -634,7 +634,7 @@ class TestTracedKernels:
     def test_fault_rows_raise_where_named(self, fault):
         point, name, error = FAULT_ROWS[fault]
         kernel, constants = traced_kernel(name, PARAMS)
-        rows, one = kernel.make(*constants)
+        rows, one, _ = kernel.make(*constants)
         u = (0.8, 2.0, 1.0, 0.0)
         with pytest.raises(error):
             kernel.formula(*point, *u, constants, math)
@@ -680,7 +680,7 @@ class TestTracedKernels:
                 return float.__truediv__(self, other)
 
         kernel, constants = traced_kernel(POWER_EQUALS_TORQUE, PARAMS)
-        rows, _ = kernel.make(*constants[:-1], Dt(0.02))
+        rows = kernel.make(*constants[:-1], Dt(0.02))[0]
         assert sorted(calls) == [("*", 0.5), ("/", 6.0)]
         calls.clear()
         states, inputs = random_rows(np.random.default_rng(3), 5)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from dsekit import scenario
+from dsekit import machine, scenario
 from dsekit.config import build_scenario, default_config, load_config
 from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
@@ -22,10 +22,20 @@ from dsekit.machine import (
     TORQUE_MODES,
     MachineInputs,
     MachineParams,
-    float_step,
+    _kernel,
+    _record,
     observe_points,
+    power_variance_map,
+    segment_steps,
 )
-from dsekit.noise import GAUSSIAN_WHITE, NoiseSpec, OutlierSpec
+from dsekit.noise import (
+    GAUSSIAN_WHITE,
+    NoiseSpec,
+    OutlierSpec,
+    SeededStream,
+    corrupt,
+    inject_outliers,
+)
 from dsekit.scenario import (
     TRUTH_BLOCK_ROWS,
     FaultSpec,
@@ -399,9 +409,10 @@ STAGED_FAULT = FaultSpec(
 
 
 class TestTruthKernel:
-    """simulate_truth runs the float RK4 on a tuple state, a block of rows
-    at a time; it must give the bits of the model's formula stepped one
-    row at a time, and report a failing step as the model map would."""
+    """simulate_truth runs the step kernel's generated segment loop, which
+    yields a block of rows at a time; it must give the bits of the model's
+    formula stepped one row at a time, and report a failing step as the
+    model map would."""
 
     @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
     @pytest.mark.parametrize("torque_mode", [POWER_EQUALS_TORQUE, DIVIDE_BY_SPEED])
@@ -430,14 +441,22 @@ class TestTruthKernel:
         """simulate_truth(cfg) and the mechanical torque of each RK4 step
         it integrated."""
         torques = []
-        step = float_step(cfg.machine, cfg.dt, cfg.torque_mode)
+        steps = segment_steps(cfg.machine, cfg.dt, cfg.torque_mode)
 
         def rk4(*args):
-            torques.append(args[4])
-            return step(*args)
+            for block, cycle in steps(*args):
+                torques.extend([args[4]] * (len(block) // 4))
+                yield block, cycle
 
-        monkeypatch.setattr(scenario, "float_step", lambda *_: rk4)
+        monkeypatch.setattr(scenario, "segment_steps", lambda *_: rk4)
         return simulate_truth(cfg), torques
+
+    @staticmethod
+    def step_with(monkeypatch, formula, *constants):
+        """Make simulate_truth step with formula, traced into the segment
+        loop of a step kernel."""
+        steps = _kernel(formula, len(constants), steps=True).make(*constants)[2]
+        monkeypatch.setattr(scenario, "segment_steps", lambda *_: steps)
 
     @staticmethod
     def oracle(cfg):
@@ -489,7 +508,7 @@ class TestTruthKernel:
         def flip(d, w, eq, ed, *_):
             return -d, w, eq, ed
 
-        monkeypatch.setattr(scenario, "float_step", lambda *_: flip)
+        self.step_with(monkeypatch, flip)
         cfg = make_config(fault=None, t_end=1.0)
         truth = simulate_truth(cfg, replace(equilibrium(cfg), delta=0.0))
         assert (truth[:, 0] == 0.0).all()
@@ -501,9 +520,10 @@ class TestTruthKernel:
         # through, the one saved at step 15 included, and they are no cycle
         # under the second input
         def rk4(d, w, eq, ed, tm, ef, ut, phi, *_):
-            return d + math.copysign(1.0, phi), w, eq, ed
+            return d + _record("copysign(1.0, {})", phi), w, eq, ed
 
-        monkeypatch.setattr(scenario, "float_step", lambda *_: rk4)
+        monkeypatch.setitem(machine._KERNEL_GLOBALS, "copysign", math.copysign)
+        self.step_with(monkeypatch, rk4)
         cfg = make_config(fault=None, t_end=0.8)
         t_m, e_f, u_t, _ = cfg.profile.values[0]
         profile = InputProfile(
@@ -537,6 +557,63 @@ class TestTruthKernel:
             simulate_truth(cfg)
         assert str(info.value) == "truth integration failed at step 61"
         assert info.value.__cause__ is None
+
+    def truth_error(self, monkeypatch, formula, x0, *constants, t_end=1.0):
+        cfg = make_config(fault=None, t_end=t_end)
+        self.step_with(monkeypatch, formula, *constants)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_truth(cfg, replace(equilibrium(cfg), delta=x0))
+        return info.value
+
+    def test_a_raise_after_an_infinite_state_names_the_infinite_one(self, monkeypatch):
+        # the angle doubles to inf at step 2 without raising; the sine of
+        # it raises at step 3, after the rows before it are checked
+        def double(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+            return d * 2.0 + 0.0 * xp.sin(d), w, eq, ed
+
+        error = self.truth_error(monkeypatch, double, 2.0**1022)
+        assert str(error) == "truth integration failed at step 2"
+        assert error.__cause__ is None
+
+    def test_an_infinite_state_that_repeats_is_not_replayed(self, monkeypatch):
+        # inf at step 3 repeats itself, and the state saved at step 3 is
+        # met again at step 4: the rows are checked before any replay
+        def double(d, w, eq, ed, *_):
+            return d * 2.0, w, eq, ed
+
+        error = self.truth_error(monkeypatch, double, 2.0**1021)
+        assert str(error) == "truth integration failed at step 3"
+        assert error.__cause__ is None
+
+    @pytest.mark.parametrize(
+        "k", [1, TRUTH_BLOCK_ROWS, TRUTH_BLOCK_ROWS + 1, 2 * TRUTH_BLOCK_ROWS]
+    )
+    def test_a_nan_on_a_block_edge_is_named(self, monkeypatch, k):
+        # the angle counts up by one; from the row where it reaches 2048
+        # on, its product with 2^1013 overflows and e_d' is inf - inf, a
+        # NaN, and no step raises
+        def count(d, w, eq, ed, tm, ef, ut, phi, c, xp):
+            big = (d + 1.0) * c[0]
+            return d + 1.0, w, eq, big - big
+
+        error = self.truth_error(monkeypatch, count, 2048.0 - k, 2.0**1013, t_end=44.0)
+        assert str(error) == f"truth integration failed at step {k}"
+        assert error.__cause__ is None
+
+    def test_a_step_raising_in_a_one_row_segment_is_named(self):
+        # the terminal voltage is 1e200 for the one step from row 50
+        cfg = make_config(fault=None, t_end=2.0)
+        base = cfg.profile.values[0]
+        profile = InputProfile(
+            times=(0.0, 1.0, 1.01), values=(base, (*base[:2], 1e200, base[3]), base)
+        )
+        with pytest.raises(NonFiniteState) as info:
+            simulate_truth(replace(cfg, profile=profile))
+        cause = info.value.__cause__
+        assert isinstance(cause, (ArithmeticError, ValueError))
+        assert str(info.value) == (
+            f"truth integration failed at step 51: {type(cause).__name__}: {cause}"
+        )
 
     def test_division_by_zero_speed_is_a_non_finite_state(self):
         cfg = replace(make_config(t_end=2.0), torque_mode=DIVIDE_BY_SPEED)
@@ -573,6 +650,32 @@ class TestSynthesizeMeasurements:
         for k in range(0, len(times), 7):
             # one row at a time, where synthesis maps the whole series
             assert clean[k, 2] == observe_points(truth[k][None], u_arr[k], cfg.machine)[0, 2]
+
+    @pytest.mark.parametrize("case", ["case2", "short_segments"])
+    def test_per_segment_maps_give_the_bits_of_a_per_row_table(self, case):
+        if case == "case2":
+            # the staged clearing: segments of 50, 3, 2 and 446 rows
+            cfg = build_scenario(load_config(ROOT / "configs" / "case2.json"))
+        else:
+            # segments of 1, 24 and 36 rows: the float maps up to their
+            # crossover, then the array maps
+            rows = ((0.8, 2.0, 1.0, 0.0), (0.8, 2.0, 0.7, 0.1), (0.9, 2.1, 0.95, 0.0))
+            cfg = replace(
+                build_scenario(default_config()),
+                profile=InputProfile(times=(0.0, 0.01, 0.49), values=rows),
+                t_end=1.2,
+            )
+        assert cfg.noise[2] is None
+        truth = simulate_truth(cfg)
+        clean, corrupted = synthesize_measurements(truth, cfg)
+        u_arr = cfg.profile.as_array(time_grid(cfg))
+        expected = observe_points(truth, u_arr, cfg.machine)
+        std = np.sqrt(power_variance_map(cfg.machine, cfg.sigmas)(truth, u_arr))
+        streams = [SeededStream(cfg.seed, (0, ch)) for ch in range(3)]
+        specs = [*cfg.noise[:2], NoiseSpec(GAUSSIAN_WHITE, 0.0)]
+        noisy = inject_outliers(corrupt(expected, specs, streams, {2: std}), cfg.outliers, cfg.dt)
+        np.testing.assert_array_equal(clean.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(corrupted.view(np.uint64), noisy.view(np.uint64))
 
     def test_auto_power_noise_engages(self):
         cfg = make_config(
