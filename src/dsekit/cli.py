@@ -66,7 +66,7 @@ def _write_metrics_csv(path, report: MetricsReport) -> None:
 
 
 def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:
-    """Parse an external measurement series and pin it to the grid."""
+    """Parse an external measurement series, pinned to the grid: a stack of one."""
     try:
         with open(path) as fh:
             # blank lines are skipped, but rows keep the file's line numbers
@@ -99,7 +99,7 @@ def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:
     # written so that a NaN time, which compares False, is rejected too
     if not (np.abs(data[:, 0] - times) <= 1e-9).all():
         raise ConfigError(str(path), "time column does not match the configured grid")
-    return data[:, 1:]
+    return data[None, :, 1:]
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -124,7 +124,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     try:
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, series = synthesize_measurements(truth, [cfg])
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
     truth_path = _out_path(args, "truth.csv")
     meas_path = _out_path(args, "measurements.csv")
     _write_series_csv(truth_path, TRUTH_HEADER, times, truth)
-    _write_series_csv(meas_path, MEASUREMENTS_HEADER, times, corrupted)
+    _write_series_csv(meas_path, MEASUREMENTS_HEADER, times, series[0])
     _say(args, f"wrote {truth_path} and {meas_path} ({times.size} rows each)")
     return EXIT_OK
 
@@ -142,14 +142,14 @@ def cmd_estimate(args) -> int:
     times = time_grid(cfg)
     try:
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, series = synthesize_measurements(truth, [cfg])
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     if args.measurements:
-        corrupted = _read_measurements_csv(args.measurements, times)
+        series = _read_measurements_csv(args.measurements, times)
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
-    estimates, failures = filter_series(cfg, corrupted[None], variants)[0]
+    estimates, failures = filter_series(cfg, series, variants)[0]
     if failures:
         # the first member to freeze; its message already begins with
         # "measurement index k: "
@@ -158,7 +158,7 @@ def cmd_estimate(args) -> int:
     for variant in variants:
         est_path = _out_path(args, f"estimates_{variant}.csv")
         _write_series_csv(est_path, TRUTH_HEADER, times, estimates[variant])
-        report = report_from_run(estimates[variant], truth, corrupted)
+        report = report_from_run(estimates[variant], truth, series[0])
         metrics_path = _out_path(args, f"metrics_{variant}.csv")
         _write_metrics_csv(metrics_path, report)
         _say(args, f"wrote {est_path} and {metrics_path}")

@@ -5,10 +5,10 @@ over a list of seeds and runs both filter variants on every cell.  The
 cells differ only in seed, noise and outliers, so they share one
 equilibrium and one truth trajectory, and all their filters run as one
 lockstep batch; with more than one job the batch is cut into one chunk per
-worker process.  Rows are merged in the deterministic (noise, manner,
-seed) order either way, and a member's numbers do not depend on the batch
-it ran in.  A matrix whose outliers cannot be placed raises before any
-work.
+worker process; a chunk's cells share one clean series (one synthesis
+stack).  Rows merge in (noise, manner, seed) order either way, and a
+member's numbers do not depend on the batch or stack it ran in.  A
+matrix whose outliers cannot be placed raises before any work.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _run_cells(item) -> list[Outcome]:
     batch.  With timing, every row gets the batch's wall time per step
     and filter."""
     cfg, truth, cells, timing = item
-    series = np.stack([synthesize_measurements(truth, cell_cfg)[1] for cell_cfg, *_ in cells])
+    _, series = synthesize_measurements(truth, [cell_cfg for cell_cfg, *_ in cells])
     variants = (CKF, RCKF)
     started = perf_counter_ns()
     results = filter_series(cfg, series, variants)
@@ -262,15 +262,12 @@ def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
     needed = (steps + BENCH_WARMUP) * cfg.dt
     bench_cfg = replace(cfg, t_end=max(cfg.t_end, needed))
     truth = simulate_truth(bench_cfg)
-    _, corrupted = synthesize_measurements(truth, bench_cfg)
+    _, series = synthesize_measurements(truth, [bench_cfg])
     best: dict[str, np.ndarray] = {}
     for _ in range(BENCH_PASSES):
-        runs = {
-            variant: batch_filters(bench_cfg, corrupted[None], (variant,))[1]
-            for variant in (CKF, RCKF)
-        }
-        times = {variant: np.empty(len(corrupted) - 1) for variant in runs}
-        for k in range(len(corrupted) - 1):
+        runs = {variant: batch_filters(bench_cfg, series, (variant,))[1] for variant in (CKF, RCKF)}
+        times = {variant: np.empty(len(truth) - 1) for variant in runs}
+        for k in range(len(truth) - 1):
             for variant, run in runs.items():
                 started = perf_counter_ns()
                 _, _, failed = next(run)

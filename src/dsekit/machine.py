@@ -10,11 +10,10 @@ Each model formula is written once, generic in its math namespace, and
 traced into two kernels of straight-line code, which compute the bits of
 the formula evaluated on floats with math: the float kernel at import
 (the RK4 step's on its first use), the array kernel on its first use.
-Where a map gets at most its crossover number of rows (RK4_FLOAT_ROWS =
-24, FLOAT_ROWS = 24), it runs the float kernel, Python on the floats of
-one row at a time; above the crossover, the array kernel, one NumPy call
-per operation on all rows, with RK4's stage sums on the (4, N) stacked
-state.
+Where a map gets at most FLOAT_ROWS = 24 rows, it runs the float kernel,
+Python on the floats of one row at a time; above that, the array kernel,
+one NumPy call per operation on all rows, with RK4's stage sums on the
+(4, N) stacked state.
 """
 
 from __future__ import annotations
@@ -143,7 +142,6 @@ def _params_tuple(p: MachineParams) -> tuple:
 # FLOAT_ROWS, 0.67-0.71 at 16, 0.94-0.99 at 24 and 1.12-1.27 at 32.  The
 # filters map 8 cubature points per member, so these batches come in
 # multiples of 8 rows, and R is evaluated at one row per member.
-RK4_FLOAT_ROWS = 24
 FLOAT_ROWS = 24
 
 
@@ -322,17 +320,15 @@ _KERNEL_GLOBALS = {
 class _Kernel(NamedTuple):
     """A formula(d, w, eq, ed, tm, ef, ut, phi, constants, xp) of width
     outputs traced into straight-line code.  make(*constants) -> (rows,
-    one, steps) is its float evaluation: rows(points, inputs) gives the
-    outputs of every row of points under the matching row of inputs as one
-    flat list, NaNs for a row whose evaluation raises one of _FLOAT_FAULTS;
-    one(d, w, eq, ed, tm, ef, ut, phi) gives the outputs of one row as a
-    tuple, and raises what the formula raises; steps is a step kernel's
-    segment loop (segment_steps), else None.  array(*constants) -> run
-    is its NumPy evaluation with the same bits: run(x, u) gives the (N,
-    width) outputs of the states in the rows of x (N, 4) under one input
-    vector u or one row of u per state; a row that overflows or divides by
-    zero comes out not finite, with NumPy's warning unless np.errstate
-    ignores it."""
+    steps) is its float evaluation: rows(points, inputs) gives the outputs
+    of every row of points under the matching row of inputs as one flat
+    list, NaNs for a row whose evaluation raises one of _FLOAT_FAULTS;
+    steps is a step kernel's segment loop (segment_steps), else None.
+    array(*constants) -> run is its NumPy evaluation with the same bits:
+    run(x, u) gives the (N, width) outputs of the states in the rows of x
+    (N, 4) under one input vector u or one row of u per state; a row that
+    overflows or divides by zero comes out not finite, with NumPy's
+    warning unless np.errstate ignores it."""
 
     formula: Callable
     make: Callable
@@ -449,9 +445,6 @@ def _float_source(tape: _Tape, leaves: tuple, outputs: tuple, steps: bool) -> li
     return [
         f"def make({', '.join(c.text for c in leaves[8:])}):",
         *(f"    {line}" for line in factory),
-        f"    def one({row}):",
-        *(f"        {line}" for line in body),
-        f"        return {result}",
         "    def rows(points, inputs):",
         "        out = []",
         "        for ({}, {}, {}, {}), ({}, {}, {}, {}) in zip(points, inputs):".format(
@@ -464,7 +457,7 @@ def _float_source(tape: _Tape, leaves: tuple, outputs: tuple, steps: bool) -> li
         f"                out += ({'nan, ' * len(outputs)})",
         "        return out",
         *(loop if steps else ["    steps = None"]),
-        "    return rows, one, steps",
+        "    return rows, steps",
     ]
 
 
@@ -492,7 +485,7 @@ _MEASUREMENT_KERNEL = _kernel(_measurement, 3)
 _VARIANCE_KERNEL = _kernel(_variance, 5)
 
 
-def _rows_map(kernel: _Kernel, constants: tuple, float_rows: int = FLOAT_ROWS):
+def _rows_map(kernel: _Kernel, constants: tuple):
     """The kernel's formula as a map (x, u) -> (N, width) over the states
     in the rows of x (N, 4), under one input vector u or one per row.  A
     row whose evaluation overflows or divides by zero comes out not
@@ -504,7 +497,7 @@ def _rows_map(kernel: _Kernel, constants: tuple, float_rows: int = FLOAT_ROWS):
         nonlocal run
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.shape[0] > float_rows:
+        if x.shape[0] > FLOAT_ROWS:
             run = run or kernel.array(*constants)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return run(x, u)
@@ -527,7 +520,7 @@ def segment_steps(params: MachineParams, dt: float, torque_mode: str = POWER_EQU
     tests no row for finiteness; a step that raises (_FLOAT_FAULTS) first
     yields the rows made since the last list."""
     _check_torque_mode(torque_mode)
-    return _step_kernel(torque_mode).make(*_params_tuple(params), dt)[2]
+    return _step_kernel(torque_mode).make(*_params_tuple(params), dt)[1]
 
 
 def observe_points(x: np.ndarray, u: np.ndarray, params: MachineParams) -> np.ndarray:
@@ -566,8 +559,6 @@ def as_process_model(
     return ProcessModel(
         n=4,
         m=3,
-        transition_points=_rows_map(
-            _step_kernel(torque_mode), (*constants, dt), RK4_FLOAT_ROWS
-        ),
+        transition_points=_rows_map(_step_kernel(torque_mode), (*constants, dt)),
         observe_points=_rows_map(_MEASUREMENT_KERNEL, constants[:3]),
     )

@@ -3,9 +3,9 @@ simulation, measurement synthesis, and paired filter runs.
 
 A scenario lives on the uniform grid t_j = j * dt.  The truth trajectory
 starts from the pre-fault equilibrium and integrates through a terminal
-voltage dip; measurements are synthesized from the truth, corrupted with
-the configured noise, and optionally hit with outliers before both filter
-variants consume them.
+voltage dip.  Synthesis maps its clean measurements once for a stack of
+cells and corrupts them with each cell's noise and outliers; both filter
+variants run on the stack as one batch.  A single run is a stack of one.
 """
 
 from __future__ import annotations
@@ -400,31 +400,42 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
 
 
 def synthesize_measurements(
-    truth: np.ndarray, cfg: ScenarioConfig
+    truth: np.ndarray, cells: Sequence[ScenarioConfig]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clean and corrupted measurement series for a truth trajectory.
+    """The clean measurement series of a truth trajectory, and a corrupted
+    one for each cell of a stack that shares the truth.
 
-    The clean series and the power variance map each input segment's rows
-    in one call.  Channel noise follows cfg.noise; a None spec on the power
-    channel means Gaussian noise whose per-step std comes from the power
-    variance evaluated on the truth.  Outliers are injected last.
+    The clean series, and the power variance if a cell needs it, map each
+    input segment's rows in one call, once for the stack.  A cell's noise
+    follows its specs and seed, a None power spec meaning Gaussian noise
+    with the per-step std of the power variance on the truth; its outliers
+    are injected last.
 
     Returns:
-        (clean, corrupted), both (steps + 1, 3).
+        (clean, corrupted): (steps + 1, 3) and (cells, steps + 1, 3), each
+        cell's series the bits of its stack of one.
+
+    Raises:
+        ValueError: the cells differ in a field the clean series reads.
     """
-    specs = list(cfg.noise)
+    cfg = cells[0]
+    for name in ("machine", "profile", "dt", "t_end", "sigmas"):
+        if any(getattr(cell, name) != getattr(cfg, name) for cell in cells):
+            raise ValueError(f"the cells of one truth differ in {name}")
     clean = np.empty((len(truth), 3))
-    std = None if specs[2] else np.empty(len(truth))
+    std = None if all(cell.noise[2] for cell in cells) else np.empty(len(truth))
     variance = power_variance_map(cfg.machine, cfg.sigmas)
     for a, e, inputs in _input_segments(cfg, time_grid(cfg)):
         clean[a:e] = observe_points(truth[a:e], inputs, cfg.machine)
         if std is not None:
             std[a:e] = np.sqrt(variance(truth[a:e], inputs))
-    per_step = None if std is None else {2: std}
-    specs[2] = specs[2] or NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)
-    streams = [SeededStream(cfg.seed, (0, ch)) for ch in range(3)]
-    corrupted = corrupt(clean, specs, streams, per_step)
-    corrupted = inject_outliers(corrupted, cfg.outliers, cfg.dt)
+    corrupted = np.empty((len(cells), *clean.shape))
+    for c, cell in enumerate(cells):
+        per_step = None if cell.noise[2] else {2: std}
+        specs = [*cell.noise[:2], cell.noise[2] or NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)]
+        streams = [SeededStream(cell.seed, (0, ch)) for ch in range(3)]
+        series = corrupt(clean, specs, streams, per_step)
+        corrupted[c] = inject_outliers(series, cell.outliers, cell.dt)
     return clean, corrupted
 
 

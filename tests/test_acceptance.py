@@ -145,12 +145,9 @@ def test_robust_variant_coincides_on_inliers():
     base = white_noise_scenario(seeds[0])
     truth = simulate_truth(base)
     times = time_grid(base)
-    synthesized = [synthesize_measurements(truth, white_noise_scenario(seed)) for seed in seeds]
-    corrupted = np.stack([series for _, series in synthesized])
+    _, corrupted = synthesize_measurements(truth, [white_noise_scenario(seed) for seed in seeds])
     eps2 = {CKF: {}, RCKF: {}}
-    for (clean, series), (estimates, failures) in zip(
-        synthesized, filter_series(base, corrupted)
-    ):
+    for series, (estimates, failures) in zip(corrupted, filter_series(base, corrupted)):
         assert not failures
         for variant in (CKF, RCKF):
             report = report_from_run(estimates[variant], truth, series)
@@ -246,9 +243,8 @@ def test_outlier_transient_containment():
     base = replace(with_noise_preset(default_scenario(), 1), outliers=spec)
     idx = 300  # 6.0 s on the 0.02 s grid
     truth = simulate_truth(base)
-    corrupted = np.stack(
-        [synthesize_measurements(truth, replace(base, seed=seed))[1] for seed in range(100)]
-    )
+    cells = [replace(base, seed=seed) for seed in range(100)]
+    _, corrupted = synthesize_measurements(truth, cells)
     truth_speed = truth[idx, 1]
     wins = 0
     for estimates, failures in filter_series(base, corrupted):

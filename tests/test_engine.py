@@ -75,12 +75,13 @@ VARIANTS = st.sampled_from([(CKF,), (RCKF,), (CKF, RCKF), (RCKF, CKF)])
 
 
 def corrupted_series(cells):
-    return np.stack([
-        synthesize_measurements(
-            TRUTH, replace(with_noise_preset(CFG, preset), outliers=spec, seed=seed)
-        )[1]
-        for seed, preset, spec in cells
-    ])
+    return synthesize_measurements(
+        TRUTH,
+        [
+            replace(with_noise_preset(CFG, preset), outliers=spec, seed=seed)
+            for seed, preset, spec in cells
+        ],
+    )[1]
 
 
 def assert_same_member(got, want, variant):
@@ -482,7 +483,7 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     cfg = estimate_like_config()
     truth = simulate_truth(cfg)
     seeds = range(31, 31 + len(thresholds))
-    series = np.stack([synthesize_measurements(truth, replace(cfg, seed=s))[1] for s in seeds])
+    _, series = synthesize_measurements(truth, [replace(cfg, seed=s) for s in seeds])
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(time_grid(cfg))
     Q = np.diag(cfg.init.q_diag)
@@ -541,7 +542,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def estimate_run(cfg):
     """One series of cfg, both variants: a batch of two on the float kernels."""
-    filter_series(cfg, synthesize_measurements(simulate_truth(cfg), cfg)[1][None])
+    filter_series(cfg, synthesize_measurements(simulate_truth(cfg), [cfg])[1])
 
 
 RUNS = {

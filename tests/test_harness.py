@@ -1,6 +1,7 @@
 """Tests for the experiment matrix, the summary statistics, the filter
 bench, and CSV serialization."""
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from dsekit.harness import (
     write_summary_csv,
 )
 from dsekit.noise import OutlierSpec
+from dsekit.scenario import time_grid
 
 
 def small_config(t_end=8.0, **fault):
@@ -160,6 +162,31 @@ class TestRunExperiment:
         # sixteen cells run in one chunk: the priors of all its series come
         # from one solve, of the same inputs as the truth's
         assert len(calls) == 2 and calls[0] == calls[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_clean_series_per_chunk(self, monkeypatch, tmp_path, jobs):
+        # the calls are logged to a file, which forked workers append to
+        import dsekit.scenario as scenario
+
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the workers see the counting wrapper only when forked")
+        log = tmp_path / "calls"
+        log.touch()
+        observe = scenario.observe_points
+
+        def counted(x, u, params):
+            with open(log, "a") as fh:
+                fh.write(f"{len(x)}\n")
+            return observe(x, u, params)
+
+        monkeypatch.setattr(scenario, "observe_points", counted)
+        cfg = small_config()
+        run_experiment(cfg, seeds=[1, 2], jobs=jobs)
+        rows = [int(line) for line in log.read_text().split()]
+        # each chunk maps each input segment once, whatever its cells
+        segments = len(scenario._input_segments(cfg, time_grid(cfg)))
+        assert len(rows) == jobs * segments
+        assert sum(rows) == jobs * len(time_grid(cfg))
 
 
 class TestSummarize:

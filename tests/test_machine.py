@@ -16,7 +16,6 @@ from dsekit.machine import (
     DIVIDE_BY_SPEED,
     FLOAT_ROWS,
     POWER_EQUALS_TORQUE,
-    RK4_FLOAT_ROWS,
     MachineInputs,
     MachineParams,
     MachineState,
@@ -53,7 +52,7 @@ PATH_ROWS = (FLOAT_ROWS, FLOAT_ROWS + 1)
 # first size past the crossover and the matrix's 128 rows (16 members of 8
 # cubature points), or the first multiple of 8 past the crossover if that
 # is larger.
-RK4_PATH_ROWS = (1, RK4_FLOAT_ROWS + 1, max(128, 8 * (RK4_FLOAT_ROWS // 8 + 1)))
+RK4_PATH_ROWS = (1, FLOAT_ROWS + 1, max(128, 8 * (FLOAT_ROWS // 8 + 1)))
 
 
 def random_state(rng) -> MachineState:
@@ -390,8 +389,7 @@ class TestProcessModelWrapper:
             model = as_process_model(PARAMS, 0.02, torque_mode)
             divide = torque_mode == DIVIDE_BY_SPEED
             variance = power_variance_map(PARAMS, sigmas)
-            crossovers = (FLOAT_ROWS, FLOAT_ROWS + 1, RK4_FLOAT_ROWS, RK4_FLOAT_ROWS + 1)
-            for size in (1, 8, *crossovers, 100):
+            for size in (1, 8, FLOAT_ROWS, FLOAT_ROWS + 1, 100):
                 states = [random_state(rng) for _ in range(size)]
                 points = np.array([astuple(s) for s in states])
                 u = np.array(astuple(random_inputs(rng)))
@@ -420,15 +418,11 @@ class TestProcessModelWrapper:
                 faulty = points.copy()
                 faulty[size // 2, 0] = math.inf
                 others = np.arange(size) != size // 2
-                for points_map, float_rows in (
-                    (model.transition_points, RK4_FLOAT_ROWS),
-                    (model.observe_points, FLOAT_ROWS),
-                    (variance, FLOAT_ROWS),
-                ):
+                for points_map in (model.transition_points, model.observe_points, variance):
                     got, clean = points_map(faulty, u), points_map(points, u)
                     np.testing.assert_array_equal(got[others], clean[others])
                     assert not np.isfinite(got[size // 2]).all()
-                    assert np.isnan(got[size // 2]).all() or size > float_rows
+                    assert np.isnan(got[size // 2]).all() or size > FLOAT_ROWS
 
     def test_dimensions(self):
         model = as_process_model(PARAMS, 0.02)
@@ -566,14 +560,14 @@ def bits(values):
 
 class TestTracedKernels:
     """The compiled float kernels against their formula evaluated on floats
-    with math: the same bits on every row, NaNs from rows and the same
-    exception from one where the formula raises."""
+    with math: the same bits on every row, and NaNs from rows where the
+    formula raises."""
 
     @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
     @pytest.mark.parametrize("name", KERNELS)
     def test_kernels_give_the_bits_of_the_float_formula(self, name, params):
         kernel, constants = traced_kernel(name, params)
-        rows, one, _ = kernel.make(*constants)
+        rows = kernel.make(*constants)[0]
         rng = np.random.default_rng(11)
         states, inputs = random_rows(rng, 200)
         points = [*states.tolist(), *(row for row, *_ in FAULT_ROWS.values())]
@@ -582,13 +576,8 @@ class TestTracedKernels:
         for point, u in zip(points, inputs):
             try:
                 want = kernel.formula(*point, *u, constants, math)
-            except (ArithmeticError, ValueError) as exc:
-                with pytest.raises(type(exc)) as info:
-                    one(*point, *u)
-                assert str(info.value) == str(exc)
+            except (ArithmeticError, ValueError):
                 want = (math.nan,) * kernel.width
-            else:
-                np.testing.assert_array_equal(bits(one(*point, *u)), bits(want))
             expected.extend(want)
         np.testing.assert_array_equal(bits(rows(points, inputs)), bits(expected))
 
@@ -634,12 +623,10 @@ class TestTracedKernels:
     def test_fault_rows_raise_where_named(self, fault):
         point, name, error = FAULT_ROWS[fault]
         kernel, constants = traced_kernel(name, PARAMS)
-        rows, one, _ = kernel.make(*constants)
+        rows = kernel.make(*constants)[0]
         u = (0.8, 2.0, 1.0, 0.0)
         with pytest.raises(error):
             kernel.formula(*point, *u, constants, math)
-        with pytest.raises(error):
-            one(*point, *u)
         assert np.isnan(rows([point], [u])).all()
 
     @pytest.mark.parametrize(

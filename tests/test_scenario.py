@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dsekit import machine, scenario
-from dsekit.config import build_scenario, default_config, load_config
+from dsekit.config import (
+    NOISE_PRESETS,
+    build_scenario,
+    default_config,
+    load_config,
+    with_noise_preset,
+)
 from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
 from dsekit.machine import (
@@ -455,7 +461,7 @@ class TestTruthKernel:
     def step_with(monkeypatch, formula, *constants):
         """Make simulate_truth step with formula, traced into the segment
         loop of a step kernel."""
-        steps = _kernel(formula, len(constants), steps=True).make(*constants)[2]
+        steps = _kernel(formula, len(constants), steps=True).make(*constants)[1]
         monkeypatch.setattr(scenario, "segment_steps", lambda *_: steps)
 
     @staticmethod
@@ -630,13 +636,13 @@ class TestSynthesizeMeasurements:
     def test_zero_noise_reproduces_clean(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        clean, corrupted = synthesize_measurements(truth, cfg)
+        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
         np.testing.assert_array_equal(clean, corrupted)
 
     def test_clean_channels_match_truth(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        clean, _ = synthesize_measurements(truth, cfg)
+        clean, _ = synthesize_measurements(truth, [cfg])
         np.testing.assert_array_equal(clean[:, 0], truth[:, 0])
         np.testing.assert_array_equal(clean[:, 1], 1.0 + truth[:, 1])
 
@@ -644,7 +650,7 @@ class TestSynthesizeMeasurements:
         # the measured power must be bit for bit the electrical power
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        clean, _ = synthesize_measurements(truth, cfg)
+        clean, _ = synthesize_measurements(truth, [cfg])
         times = time_grid(cfg)
         u_arr = cfg.profile.as_array(times)
         for k in range(0, len(times), 7):
@@ -667,7 +673,7 @@ class TestSynthesizeMeasurements:
             )
         assert cfg.noise[2] is None
         truth = simulate_truth(cfg)
-        clean, corrupted = synthesize_measurements(truth, cfg)
+        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
         u_arr = cfg.profile.as_array(time_grid(cfg))
         expected = observe_points(truth, u_arr, cfg.machine)
         std = np.sqrt(power_variance_map(cfg.machine, cfg.sigmas)(truth, u_arr))
@@ -683,7 +689,7 @@ class TestSynthesizeMeasurements:
             noise=(NoiseSpec(GAUSSIAN_WHITE, 0.0), NoiseSpec(GAUSSIAN_WHITE, 0.0), None),
         )
         truth = simulate_truth(cfg)
-        clean, corrupted = synthesize_measurements(truth, cfg)
+        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
         np.testing.assert_array_equal(clean[:, :2], corrupted[:, :2])
         assert not np.array_equal(clean[:, 2], corrupted[:, 2])
         # p.u. power noise from the voltage and phase stds is small
@@ -697,27 +703,83 @@ class TestSynthesizeMeasurements:
         )
         cfg = make_config(t_end=2.0, noise=noise)
         truth = simulate_truth(cfg)
-        _, a = synthesize_measurements(truth, cfg)
-        _, b = synthesize_measurements(truth, cfg)
-        _, c = synthesize_measurements(truth, replace(cfg, seed=43))
+        _, (a,) = synthesize_measurements(truth, [cfg])
+        _, (b,) = synthesize_measurements(truth, [cfg])
+        _, (c,) = synthesize_measurements(truth, [replace(cfg, seed=43)])
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_outliers_applied_last(self):
         cfg = make_config(t_end=2.0, outliers=OutlierSpec.single_at(1.0))
         truth = simulate_truth(cfg)
-        clean, corrupted = synthesize_measurements(truth, cfg)
+        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
         assert corrupted[50, 1] == clean[50, 1] * 1.1
         mask = np.ones(len(clean), dtype=bool)
         mask[50] = False
         np.testing.assert_array_equal(corrupted[mask], clean[mask])
+
+    def test_a_stack_gives_each_cell_the_bits_of_its_stack_of_one(self):
+        # 4 presets x 3 manners x 2 seeds on one truth
+        base = replace(build_scenario(default_config()), t_end=8.0)
+        manners = (OutlierSpec.none(), OutlierSpec.single_at(6.0), OutlierSpec.window(2.0, 3.0))
+        cells = [
+            replace(with_noise_preset(base, preset), outliers=spec, seed=seed)
+            for preset in NOISE_PRESETS for spec in manners for seed in (5, 6)
+        ]
+        truth = simulate_truth(base)
+        clean, stack = synthesize_measurements(truth, cells)
+        assert stack.shape == (24, len(truth), 3)
+        for cell, series in zip(cells, stack):
+            alone_clean, (alone,) = synthesize_measurements(truth, [cell])
+            np.testing.assert_array_equal(clean.view(np.uint64), alone_clean.view(np.uint64))
+            np.testing.assert_array_equal(series.view(np.uint64), alone.view(np.uint64))
+
+    @pytest.mark.parametrize("auto", [(), (1,), (0, 2)])
+    def test_the_power_std_is_mapped_once_if_a_cell_needs_it(self, monkeypatch, auto):
+        # cells whose power spec is None take the std of the power variance
+        cfg = build_scenario(load_config(ROOT / "configs" / "case2.json"))
+        explicit = (*cfg.noise[:2], NoiseSpec(GAUSSIAN_WHITE, 0.01))
+        cells = [
+            replace(cfg, seed=seed, noise=cfg.noise if seed in auto else explicit)
+            for seed in range(3)
+        ]
+        truth = simulate_truth(cfg)
+        alone = [synthesize_measurements(truth, [cell])[1][0] for cell in cells]
+        calls = []
+        variance_map = scenario.power_variance_map
+
+        def counted(*args):
+            variance = variance_map(*args)
+            return lambda x, u: calls.append(len(x)) or variance(x, u)
+
+        monkeypatch.setattr(scenario, "power_variance_map", counted)
+        _, stack = synthesize_measurements(truth, cells)
+        segments = len(scenario._input_segments(cfg, time_grid(cfg)))
+        assert len(calls) == (segments if auto else 0)
+        assert sum(calls) == (len(truth) if auto else 0)
+        for series, one in zip(stack, alone, strict=True):
+            np.testing.assert_array_equal(series.view(np.uint64), one.view(np.uint64))
+
+    @pytest.mark.parametrize("field", ["machine", "profile", "dt", "t_end", "sigmas"])
+    def test_cells_that_differ_in_what_the_clean_series_reads_raise(self, field):
+        cfg = make_config(t_end=2.0)
+        other = {
+            "machine": replace(PARAMS, damping=1.0),
+            "profile": build_fault_profile(BASE, None, 2.0),
+            "dt": 0.01,
+            "t_end": 2.5,
+            "sigmas": replace(cfg.sigmas, sigma_u=0.002),
+        }[field]
+        truth = simulate_truth(cfg)
+        with pytest.raises(ValueError, match=f"the cells of one truth differ in {field}"):
+            synthesize_measurements(truth, [cfg, replace(cfg, seed=7, **{field: other})])
 
 
 class TestInitialFilterState:
     def test_prior_from_first_measurement(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, (corrupted,) = synthesize_measurements(truth, [cfg])
         init = initial_filter_state(cfg, corrupted[None])
         eq0 = steady_state_init(BASE, PARAMS)
         assert init.x_hat.shape == (1, 4)
@@ -730,9 +792,7 @@ class TestInitialFilterState:
     def test_stack_prior_is_each_series_prior(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        series = np.stack([
-            synthesize_measurements(truth, replace(cfg, seed=seed))[1] for seed in (1, 2, 3)
-        ])
+        _, series = synthesize_measurements(truth, [replace(cfg, seed=seed) for seed in (1, 2, 3)])
         init = initial_filter_state(cfg, series)
         eq0 = equilibrium(cfg)
         assert init.x_hat.shape == (3, 4) and init.P.shape == (3, 4, 4)
@@ -747,7 +807,7 @@ class TestInitialFilterState:
         cfg = make_config(t_end=2.0)
         cfg = replace(cfg, init=InitSpec(eprime_bias=0.0))
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, (corrupted,) = synthesize_measurements(truth, [cfg])
         init = initial_filter_state(cfg, corrupted[None])
         eq0 = steady_state_init(BASE, PARAMS)
         assert init.x_hat[0, 2] == pytest.approx(eq0.e_q_prime, abs=1e-15)
@@ -780,7 +840,7 @@ class TestFilterSeries:
     def test_lockstep_variants_match_separate_runs(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, (corrupted,) = synthesize_measurements(truth, [cfg])
         together, _ = filter_series(cfg, corrupted[None])[0]
         for variant in (CKF, RCKF):
             alone, _ = filter_series(cfg, corrupted[None], variants=(variant,))[0]
@@ -789,7 +849,7 @@ class TestFilterSeries:
     def test_divergence_recorded_not_raised(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, (corrupted,) = synthesize_measurements(truth, [cfg])
         corrupted[10, 1] = math.nan
         estimates, failures = filter_series(cfg, corrupted[None], variants=(CKF,))[0]
         assert estimates == {}
@@ -799,7 +859,7 @@ class TestFilterSeries:
     def test_failures_are_listed_in_freeze_order(self):
         cfg = build_scenario(default_config())
         truth = simulate_truth(cfg)
-        _, corrupted = synthesize_measurements(truth, cfg)
+        _, (corrupted,) = synthesize_measurements(truth, [cfg])
         corrupted[6, 1] = 1e200
         corrupted[21, 1] = math.nan
         estimates, failures = filter_series(cfg, corrupted[None], (RCKF, CKF))[0]
@@ -813,9 +873,7 @@ class TestFilterSeries:
     def test_stack_of_series_gives_one_result_per_series(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        series = np.stack([
-            synthesize_measurements(truth, replace(cfg, seed=seed))[1] for seed in (1, 2)
-        ])
+        _, series = synthesize_measurements(truth, [replace(cfg, seed=seed) for seed in (1, 2)])
         results = filter_series(cfg, series)
         assert len(results) == 2
         for one, result in zip(series, results):
@@ -828,7 +886,7 @@ def run_pipeline(cfg):
     """Truth, measurements and both filters of one scenario:
     (truth, corrupted, estimates, failures)."""
     truth = simulate_truth(cfg)
-    _, corrupted = synthesize_measurements(truth, cfg)
+    _, (corrupted,) = synthesize_measurements(truth, [cfg])
     return (truth, corrupted, *filter_series(cfg, corrupted[None])[0])
 
 
