@@ -24,6 +24,7 @@ from .noise import SEED_LIMIT
 from .scenario import (
     ScenarioConfig,
     filter_series,
+    member_table,
     simulate_truth,
     synthesize_measurements,
     time_grid,
@@ -149,7 +150,7 @@ def cmd_estimate(args) -> int:
     if args.measurements:
         series = _read_measurements_csv(args.measurements, times)
     variants = (CKF, RCKF) if args.filter == "both" else (args.filter,)
-    estimates, failures = filter_series(cfg, series, variants)[0]
+    estimates, failures = filter_series(cfg, series, member_table(cfg, 1, variants))[0]
     if failures:
         # the first member to freeze; its message already begins with
         # "measurement index k: "

@@ -407,7 +407,7 @@ def rckf_update(
     model: ProcessModel,
     u: Array,
     r: Array,
-    config: HuberConfig | None = None,
+    config: HuberConfig,
 ) -> tuple[FilterState, UpdateIntermediates, HuberResult | None]:
     """Huber-robustified measurement update; with c infinite, the
     classical one.
@@ -429,8 +429,6 @@ def rckf_update(
             not finite or singular.
         NonFiniteState: a projected point or the posterior is not finite.
     """
-    if config is None:
-        config = HuberConfig()
     r = np.asarray(r, dtype=float)
     x, P = predicted.x_hat, predicted.P
     pts, z_hat, Zc = _mapped_points(
@@ -487,8 +485,8 @@ def iter_batch(
             point: step k predicts with row k and observes measurement k
             with row k + 1.
         measurements: (T, B, m), the measurement of each member per step.
-        Q: process noise covariance, fixed across steps; symmetrized
-            once, before the first step, as init.P is.
+        Q: process noise covariance, (n, n) shared or (B, n, n) one per
+            member, fixed across steps; symmetrized once, as init.P is.
         r: the measurement noise variance of each channel, R being
             diagonal: a fixed (m,) vector, or a callable
             (predicted_batch, observe_input) -> (A, m) with one row per

@@ -27,6 +27,7 @@ from .scenario import (
     ScenarioConfig,
     batch_filters,
     filter_series,
+    member_table,
     simulate_truth,
     synthesize_measurements,
     time_grid,
@@ -123,13 +124,12 @@ def _run_cells(item) -> list[Outcome]:
     and filter."""
     cfg, truth, cells, timing = item
     _, series = synthesize_measurements(truth, [cell_cfg for cell_cfg, *_ in cells])
-    variants = (CKF, RCKF)
+    table = member_table(cfg, len(cells))
     started = perf_counter_ns()
-    results = filter_series(cfg, series, variants)
+    results = filter_series(cfg, series, table)
     mean_ms = None
     if timing:
-        filters = len(variants) * len(cells)
-        mean_ms = (perf_counter_ns() - started) / 1e6 / ((len(truth) - 1) * filters)
+        mean_ms = (perf_counter_ns() - started) / 1e6 / ((len(truth) - 1) * len(table))
     out: list[Outcome] = []
     for (_, preset, manner, seed), corrupted, (estimates, failures) in zip(
         cells, series, results
@@ -264,8 +264,9 @@ def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
     truth = simulate_truth(bench_cfg)
     _, series = synthesize_measurements(truth, [bench_cfg])
     best: dict[str, np.ndarray] = {}
+    table = member_table(bench_cfg, 1)
     for _ in range(BENCH_PASSES):
-        runs = {variant: batch_filters(bench_cfg, series, (variant,))[1] for variant in (CKF, RCKF)}
+        runs = {member.label: batch_filters(bench_cfg, series, [member])[1] for member in table}
         times = {variant: np.empty(len(truth) - 1) for variant in runs}
         for k in range(len(truth) - 1):
             for variant, run in runs.items():

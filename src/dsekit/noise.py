@@ -107,13 +107,8 @@ def cauchy_from_uniform(location, scale, u2):
 
 
 def _uniform_open_pm1(gen: np.random.Generator, size: int) -> np.ndarray:
-    # [0, 1) doubled leaves -1 reachable; resample until the interval is open
-    u = 2.0 * gen.random(size) - 1.0
-    while True:
-        edge = np.abs(u) >= 1.0
-        if not edge.any():
-            return u
-        u[edge] = 2.0 * gen.random(int(edge.sum())) - 1.0
+    # random() gives multiples of 2**-53, so 2u - 1 is -1 exactly where u is 0
+    return 2.0 * _uniform_open_01(gen, size) - 1.0
 
 
 def _uniform_open_01(gen: np.random.Generator, size: int) -> np.ndarray:

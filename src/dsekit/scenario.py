@@ -1,11 +1,12 @@
 """Fault scenarios: input profiles, equilibrium initialization, truth
-simulation, measurement synthesis, and paired filter runs.
+simulation, measurement synthesis, and batched filter runs.
 
 A scenario lives on the uniform grid t_j = j * dt.  The truth trajectory
 starts from the pre-fault equilibrium and integrates through a terminal
 voltage dip.  Synthesis maps its clean measurements once for a stack of
-cells and corrupts them with each cell's noise and outliers; both filter
-variants run on the stack as one batch.  A single run is a stack of one.
+cells and corrupts them with each cell's noise and outliers.  A member
+table, one row (series, label, c, q_diag) per filter, runs on the stack
+as one batch.  A single run is a stack of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidWindow, NoConvergence, NonFiniteState
-from .filters import CKF, RCKF, VARIANTS, FilterState, HuberConfig, iter_batch
+from .filters import RCKF, VARIANTS, FilterState, HuberConfig, iter_batch
 from .machine import (
     DIVIDE_BY_SPEED,
     POWER_EQUALS_TORQUE,
@@ -464,10 +465,36 @@ def initial_filter_state(cfg: ScenarioConfig, series: np.ndarray) -> FilterState
     return FilterState(x_hat=x_hat, P=P)
 
 
-def batch_filters(cfg: ScenarioConfig, series: np.ndarray, variants: Sequence[str]):
-    """Every requested variant on every measurement series of a stack
-    (cells, rows, 3), as one batch; member c * len(variants) + v filters
-    series c with variant v.  The filters get the channel variances of
+@dataclass(frozen=True)
+class Member:
+    """One filter of a batch: the series it reads, its label in the results,
+    its Huber threshold c (math.inf for the CKF) and its Q diagonal."""
+
+    series: int
+    label: str
+    c: float
+    q_diag: tuple[float, float, float, float]
+
+
+def member_table(cfg: ScenarioConfig, count: int, variants: Sequence[str] = VARIANTS):
+    """The default table of Members: every variant on each of count series,
+    series by series, with cfg's threshold for the RCKF and cfg's Q for all."""
+    unknown = set(variants) - set(VARIANTS)
+    if unknown:
+        raise ValueError(f"unknown filter variant {sorted(unknown)[0]!r}")
+    if len(set(variants)) != len(variants):
+        raise ValueError(f"filter variants repeat: {tuple(variants)}")
+    return [
+        Member(cell, variant, cfg.huber.c if variant == RCKF else math.inf, cfg.init.q_diag)
+        for cell in range(count) for variant in variants
+    ]
+
+
+def batch_filters(cfg: ScenarioConfig, series: np.ndarray, table: Sequence[Member]):
+    """Each row of a member table on its series of a stack (cells, rows, 3),
+    as one batch; batch member i is row i, with its own prior, measurements,
+    threshold and Q.  A table that repeats a (series, label) pair raises
+    ValueError before any step.  The filters get the channel variances of
     the measurement noise; the power channel's is re-evaluated each step
     at the predicted state, never at the truth.
 
@@ -475,22 +502,18 @@ def batch_filters(cfg: ScenarioConfig, series: np.ndarray, variants: Sequence[st
         (prior, steps): the members' prior means (members, 4) and the
         filters.iter_batch iterator that advances them.
     """
-    unknown = set(variants) - set(VARIANTS)
-    if unknown:
-        raise ValueError(f"unknown filter variant {sorted(unknown)[0]!r}")
-    if len(set(variants)) != len(variants):
-        raise ValueError(f"filter variants repeat: {tuple(variants)}")
     times = time_grid(cfg)
     if series.ndim != 3 or series.shape[1] != len(times):
         raise ValueError(
             f"measurement stack has shape {series.shape}, expected (cells, {len(times)}, 3)"
         )
-    model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
-    u_arr = cfg.profile.as_array(times)
-    sigmas = cfg.sigmas
-    variance = power_variance_map(cfg.machine, sigmas)
-    base_r = np.array([(sigmas.sigma_delta**2, sigmas.sigma_omega**2, 0.0)])
-    r = base_r.repeat(len(series) * len(variants), axis=0)
+    keys = [(member.series, member.label) for member in table]
+    if len(set(keys)) != len(keys):
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"member table repeats (series, label) {repeated}")
+    variance = power_variance_map(cfg.machine, cfg.sigmas)
+    base_r = np.array([(cfg.sigmas.sigma_delta**2, cfg.sigmas.sigma_omega**2, 0.0)])
+    r = base_r.repeat(len(table), axis=0)
 
     def r_provider(predicted: FilterState, u_obs: np.ndarray) -> np.ndarray:
         # one (live members, 3) buffer, made anew only when members freeze
@@ -500,46 +523,43 @@ def batch_filters(cfg: ScenarioConfig, series: np.ndarray, variants: Sequence[st
         r[:, 2] = variance(predicted.x_hat, u_obs)
         return r
 
-    repeats = len(variants)
-    prior = initial_filter_state(cfg, series)
-    init = FilterState(
-        x_hat=np.repeat(prior.x_hat, repeats, axis=0), P=np.repeat(prior.P, repeats, axis=0)
-    )
-    thresholds = np.tile([cfg.huber.c if v == RCKF else math.inf for v in variants], len(series))
+    stack = series[[member.series for member in table]]
+    init = initial_filter_state(cfg, stack)
     steps = iter_batch(
-        model,
+        as_process_model(cfg.machine, cfg.dt, cfg.torque_mode),
         init,
-        u_arr,
-        np.repeat(series[:, 1:].transpose(1, 0, 2), repeats, axis=1),
-        np.diag(cfg.init.q_diag),
+        cfg.profile.as_array(times),
+        # (T, B, 3) C-contiguous: the engine's per-step slices stay dense
+        np.ascontiguousarray(stack[:, 1:].transpose(1, 0, 2)),
+        np.stack([np.diag(member.q_diag) for member in table]),
         r_provider,
-        HuberConfig(thresholds, cfg.huber.max_reweight_passes),
+        HuberConfig(np.array([member.c for member in table]), cfg.huber.max_reweight_passes),
     )
     return init.x_hat, steps
 
 
 def filter_series(
-    cfg: ScenarioConfig,
-    corrupted: np.ndarray,
-    variants: Sequence[str] = (CKF, RCKF),
+    cfg: ScenarioConfig, corrupted: np.ndarray, table: Sequence[Member] | None = None
 ):
-    """Run filter variants over corrupted measurement series, as one batch.
+    """Run a member table over corrupted measurement series, as one batch.
 
-    corrupted is a stack of series (cells, rows, 3) that share cfg's grid,
-    inputs and filter tuning; a single series is a stack of one.  Every
-    series gets every requested variant, and all of them advance in
-    lockstep as one batch (batch_filters); each member's estimates are the
-    bits it gets alone.  A member that diverges is dropped, and its
-    message goes to its series' failures map.
+    corrupted is a stack of series (cells, rows, 3) that share cfg's grid
+    and inputs; a single series is a stack of one.  table gives each
+    filter's row (batch_filters); None means member_table(cfg, cells).  All
+    members advance in lockstep as one batch, and each member's estimates
+    are the bits it gets alone.  A member that diverges is dropped, and
+    its message goes to its series' failures map.
 
     Returns:
         A list with one (estimates, failures) pair per series: estimates
-        maps each variant that finished to its (rows, 4) array, in the
-        order of variants; failures maps each variant that diverged to
-        its message, in the order the members froze.
+        maps the label of each of its members that finished to its
+        (rows, 4) array, in table order; failures maps the label of each
+        that diverged to its message, in the order the members froze.
     """
     series = np.asarray(corrupted, dtype=float)
-    prior, batch = batch_filters(cfg, series, variants)
+    if table is None:
+        table = member_table(cfg, len(series))
+    prior, batch = batch_filters(cfg, series, table)
     estimates = np.empty((len(prior), series.shape[1], 4))
     estimates[:, 0] = prior
     failed: dict[int, str] = {}
@@ -557,15 +577,10 @@ def filter_series(
             estimates[members[0], k + 1 : k + 1 + len(posteriors)] = np.stack(posteriors, axis=1)
         k += len(posteriors)
 
-    width = len(variants)
-    return [
-        (
-            {
-                variant: estimates[c * width + v]
-                for v, variant in enumerate(variants)
-                if c * width + v not in failed
-            },
-            {variants[m % width]: message for m, message in failed.items() if m // width == c},
-        )
-        for c in range(len(series))
-    ]
+    results = [({}, {}) for _ in series]
+    for i, member in enumerate(table):
+        if i not in failed:
+            results[member.series][0][member.label] = estimates[i]
+    for i, message in failed.items():
+        results[table[i].series][1][table[i].label] = message
+    return results

@@ -31,9 +31,11 @@ from dsekit.harness import run_experiment
 from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance_map
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
+    Member,
     batch_filters,
     filter_series,
     initial_filter_state,
+    member_table,
     simulate_truth,
     synthesize_measurements,
     time_grid,
@@ -94,22 +96,53 @@ def assert_same_member(got, want, variant):
 
 
 @settings(max_examples=25)
-@given(cells=CELLS, variants=VARIANTS)
-def test_members_match_their_batch_of_one_in_any_order(cells, variants):
+@given(cells=CELLS, variants=VARIANTS, order=st.randoms(use_true_random=False))
+def test_members_match_their_batch_of_one_in_any_order(cells, variants, order):
     series = corrupted_series(cells)
-    together = filter_series(CFG, series, variants)
-    reversed_ = filter_series(CFG, series[::-1], variants)[::-1]
+    table = member_table(CFG, len(cells), variants)
+    together = filter_series(CFG, series, table)
+    reversed_ = filter_series(CFG, series[::-1], table)[::-1]
+    # the same rows, no longer series by series
+    shuffled = filter_series(CFG, series, order.sample(table, len(table)))
     for i in range(len(cells)):
         for variant in variants:
-            alone = filter_series(CFG, series[i : i + 1], (variant,))[0]
+            alone = filter_series(CFG, series[i : i + 1], member_table(CFG, 1, (variant,)))[0]
             assert_same_member(together[i], alone, variant)
             assert_same_member(reversed_[i], alone, variant)
+            assert_same_member(shuffled[i], alone, variant)
+
+
+def test_rows_that_differ_in_q_and_threshold_run_as_one_batch():
+    series = corrupted_series([(41, 4, OutlierSpec.window(0.4, 0.6)), (42, 2, OutlierSpec.none())])
+    table = [
+        Member(0, "ckf", math.inf, (1e-6,) * 4),
+        Member(0, "ckf-q8", math.inf, (1e-8,) * 4),
+        Member(0, "rckf", 1.5, CFG.init.q_diag),
+        Member(0, "rckf-c3", 3.0, CFG.init.q_diag),
+        Member(1, "rckf", 1.5, CFG.init.q_diag),
+    ]
+    together = filter_series(CFG, series, table)
+    for member in table:
+        alone = filter_series(CFG, series, [member])[member.series]
+        assert_same_member(together[member.series], alone, member.label)
+    # each column reaches its member: the rows' estimates differ
+    estimates, failures = together[0]
+    assert not failures and list(estimates) == ["ckf", "ckf-q8", "rckf", "rckf-c3"]
+    assert not np.array_equal(estimates["ckf"], estimates["ckf-q8"])
+    assert not np.array_equal(estimates["rckf"], estimates["rckf-c3"])
+
+
+def test_a_repeated_series_and_label_raises_before_any_step():
+    series = corrupted_series([(51, 1, OutlierSpec.none()), (52, 1, OutlierSpec.none())])
+    table = [*member_table(CFG, 2), Member(1, RCKF, 3.0, CFG.init.q_diag)]
+    with pytest.raises(ValueError, match=r"repeats \(series, label\) \(1, 'rckf'\)"):
+        batch_filters(CFG, series, table)
 
 
 @settings(max_examples=15)
 @given(cells=CELLS, variants=VARIANTS)
 def test_every_posterior_covariance_is_symmetric_positive_definite(cells, variants):
-    _, steps = batch_filters(CFG, corrupted_series(cells), variants)
+    _, steps = batch_filters(CFG, corrupted_series(cells), member_table(CFG, len(cells), variants))
     for members, state, _ in steps:
         if not members.size:
             break
@@ -136,7 +169,7 @@ def test_nan_member_is_frozen_at_its_step_and_leaves_the_others_alone():
             assert_same_member(got, want, variant)
 
     # the engine reports the frozen members with their exception and step
-    _, steps = batch_filters(CFG, poisoned, (CKF, RCKF))
+    _, steps = batch_filters(CFG, poisoned, member_table(CFG, len(poisoned)))
     frozen = {}
     for step, (members, _, failed) in enumerate(steps):
         for member, exc in failed:
@@ -212,8 +245,8 @@ def test_nan_measurement_freezes_with_message_and_step():
     k = 5
     series = corrupted_series([(11, 4, OutlierSpec.none()), (12, 2, OutlierSpec.none())])
     series[1, k + 1, 0] = math.nan
-    paths, frozen = trajectories(batch_filters(CFG, series, (CKF, RCKF))[1])
-    alone, none_frozen = trajectories(batch_filters(CFG, series[:1], (CKF, RCKF))[1])
+    paths, frozen = trajectories(batch_filters(CFG, series, member_table(CFG, 2))[1])
+    alone, none_frozen = trajectories(batch_filters(CFG, series[:1], member_table(CFG, 1))[1])
     assert sorted(frozen) == [2, 3] and not none_frozen
     for member in (2, 3):
         assert_frozen(frozen, member, NonFiniteState, k, "corrected estimate is not finite")
@@ -228,8 +261,8 @@ def test_rk4_overflow_freezes_with_message_and_step(variants):
     # the array map
     series = corrupted_series([(21, 1, OutlierSpec.none()), (22, 3, OutlierSpec.none())])
     series[1, 0, 1] = 1e307
-    paths, frozen = trajectories(batch_filters(CFG, series, variants)[1])
-    alone, _ = trajectories(batch_filters(CFG, series[:1], variants)[1])
+    paths, frozen = trajectories(batch_filters(CFG, series, member_table(CFG, 2, variants))[1])
+    alone, _ = trajectories(batch_filters(CFG, series[:1], member_table(CFG, 1, variants))[1])
     width = len(variants)
     assert sorted(frozen) == list(range(width, 2 * width))
     for member in range(width, 2 * width):
@@ -251,8 +284,8 @@ def test_division_by_zero_speed_freezes_with_message_and_step(variants):
     series[1, 0, 1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths, frozen = trajectories(batch_filters(cfg, series, variants)[1])
-    alone, _ = trajectories(batch_filters(cfg, series[:1], variants)[1])
+        paths, frozen = trajectories(batch_filters(cfg, series, member_table(cfg, 2, variants))[1])
+    alone, _ = trajectories(batch_filters(cfg, series[:1], member_table(cfg, 1, variants))[1])
     width = len(variants)
     assert sorted(frozen) == list(range(width, 2 * width))
     for member in range(width, 2 * width):

@@ -363,7 +363,7 @@ class TestRckfUpdate:
             rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig(math.inf))
         )
         r_state, _, hub = member0(
-            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r)
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig())
         )
         assert np.all(hub.weights == 1.0)
         assert np.abs(c_state.x_hat - r_state.x_hat).max() <= 1e-15
@@ -377,7 +377,7 @@ class TestRckfUpdate:
             rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig(math.inf))
         )
         r_state, _, hub = member0(
-            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r)
+            rckf_update(batch_of_one(prior), z[None], model, np.zeros(1), r, HuberConfig())
         )
         assert hub.weights[1] < 1.0
         assert hub.r_bar[1] > r[1]

@@ -53,6 +53,7 @@ from dsekit.scenario import (
     equilibrium,
     filter_series,
     initial_filter_state,
+    member_table,
     simulate_truth,
     steady_state_init,
     synthesize_measurements,
@@ -828,14 +829,14 @@ class TestFilterSeries:
         cfg = make_config(t_end=2.0)
         series = np.zeros((1, len(time_grid(cfg)), 3))
         with pytest.raises(ValueError, match="unknown filter variant 'ukf'"):
-            filter_series(cfg, series, variants=(CKF, "ukf"))
+            filter_series(cfg, series, member_table(cfg, 1, (CKF, "ukf")))
 
     def test_repeated_variant(self):
         # two members of one variant would run and give one estimate
         cfg = make_config(t_end=2.0)
         series = np.zeros((1, len(time_grid(cfg)), 3))
         with pytest.raises(ValueError, match="filter variants repeat: \\('ckf', 'ckf'\\)"):
-            filter_series(cfg, series, variants=(CKF, CKF))
+            filter_series(cfg, series, member_table(cfg, 1, (CKF, CKF)))
 
     def test_lockstep_variants_match_separate_runs(self):
         cfg = make_config(t_end=2.0)
@@ -843,7 +844,7 @@ class TestFilterSeries:
         _, (corrupted,) = synthesize_measurements(truth, [cfg])
         together, _ = filter_series(cfg, corrupted[None])[0]
         for variant in (CKF, RCKF):
-            alone, _ = filter_series(cfg, corrupted[None], variants=(variant,))[0]
+            alone, _ = filter_series(cfg, corrupted[None], member_table(cfg, 1, (variant,)))[0]
             np.testing.assert_array_equal(together[variant], alone[variant])
 
     def test_divergence_recorded_not_raised(self):
@@ -851,7 +852,7 @@ class TestFilterSeries:
         truth = simulate_truth(cfg)
         _, (corrupted,) = synthesize_measurements(truth, [cfg])
         corrupted[10, 1] = math.nan
-        estimates, failures = filter_series(cfg, corrupted[None], variants=(CKF,))[0]
+        estimates, failures = filter_series(cfg, corrupted[None], member_table(cfg, 1, (CKF,)))[0]
         assert estimates == {}
         # grid row 10 is measurement index 9
         assert failures == {CKF: "measurement index 9: corrected estimate is not finite"}
@@ -862,7 +863,8 @@ class TestFilterSeries:
         _, (corrupted,) = synthesize_measurements(truth, [cfg])
         corrupted[6, 1] = 1e200
         corrupted[21, 1] = math.nan
-        estimates, failures = filter_series(cfg, corrupted[None], (RCKF, CKF))[0]
+        table = member_table(cfg, 1, (RCKF, CKF))
+        estimates, failures = filter_series(cfg, corrupted[None], table)[0]
         assert estimates == {}
         # the classical filter takes the spike (index 5) and freezes at the
         # next step; the robust one downweights it and freezes at the NaN
