@@ -5,8 +5,8 @@ A scenario lives on the uniform grid t_j = j * dt.  The truth trajectory
 starts from the pre-fault equilibrium and integrates through a terminal
 voltage dip.  Synthesis maps its clean measurements once for a stack of
 cells and corrupts them with each cell's noise and outliers.  A member
-table, one row (series, label, c, q_diag) per filter, runs on the stack
-as one batch.  A single run is a stack of one.
+table, one row (series, label, c) per filter, runs on the stack as one
+batch.  A single run is a stack of one.
 """
 
 from __future__ import annotations
@@ -467,36 +467,35 @@ def initial_filter_state(cfg: ScenarioConfig, series: np.ndarray) -> FilterState
 
 @dataclass(frozen=True)
 class Member:
-    """One filter of a batch: the series it reads, its label in the results,
-    its Huber threshold c (math.inf for the CKF) and its Q diagonal."""
+    """One filter of a batch: the index of the series it reads, its label in
+    the results and its Huber threshold c (math.inf for the CKF)."""
 
     series: int
     label: str
     c: float
-    q_diag: tuple[float, float, float, float]
 
 
 def member_table(cfg: ScenarioConfig, count: int, variants: Sequence[str] = VARIANTS):
     """The default table of Members: every variant on each of count series,
-    series by series, with cfg's threshold for the RCKF and cfg's Q for all."""
+    series by series, with cfg's threshold for the RCKF."""
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ValueError(f"unknown filter variant {sorted(unknown)[0]!r}")
     if len(set(variants)) != len(variants):
         raise ValueError(f"filter variants repeat: {tuple(variants)}")
     return [
-        Member(cell, variant, cfg.huber.c if variant == RCKF else math.inf, cfg.init.q_diag)
+        Member(cell, variant, cfg.huber.c if variant == RCKF else math.inf)
         for cell in range(count) for variant in variants
     ]
 
 
 def batch_filters(cfg: ScenarioConfig, series: np.ndarray, table: Sequence[Member]):
     """Each row of a member table on its series of a stack (cells, rows, 3),
-    as one batch; batch member i is row i, with its own prior, measurements,
-    threshold and Q.  A table that repeats a (series, label) pair raises
-    ValueError before any step.  The filters get the channel variances of
-    the measurement noise; the power channel's is re-evaluated each step
-    at the predicted state, never at the truth.
+    as one batch with cfg's Q: member i is row i, with its own prior,
+    measurements and threshold.  A table that repeats a (series, label) pair
+    or reads a series outside the stack raises ValueError before any step.
+    The filters get the measurement noise's channel variances, the power
+    channel's re-evaluated each step at the predicted state, never the truth.
 
     Returns:
         (prior, steps): the members' prior means (members, 4) and the
@@ -508,6 +507,8 @@ def batch_filters(cfg: ScenarioConfig, series: np.ndarray, table: Sequence[Membe
             f"measurement stack has shape {series.shape}, expected (cells, {len(times)}, 3)"
         )
     keys = [(member.series, member.label) for member in table]
+    if any(index not in range(len(series)) for index, _ in keys):
+        raise ValueError(f"member table reads a series outside its stack of {len(series)}")
     if len(set(keys)) != len(keys):
         repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
         raise ValueError(f"member table repeats (series, label) {repeated}")
@@ -531,7 +532,7 @@ def batch_filters(cfg: ScenarioConfig, series: np.ndarray, table: Sequence[Membe
         cfg.profile.as_array(times),
         # (T, B, 3) C-contiguous: the engine's per-step slices stay dense
         np.ascontiguousarray(stack[:, 1:].transpose(1, 0, 2)),
-        np.stack([np.diag(member.q_diag) for member in table]),
+        np.diag(cfg.init.q_diag),
         r_provider,
         HuberConfig(np.array([member.c for member in table]), cfg.huber.max_reweight_passes),
     )
@@ -543,8 +544,8 @@ def filter_series(
 ):
     """Run a member table over corrupted measurement series, as one batch.
 
-    corrupted is a stack of series (cells, rows, 3) that share cfg's grid
-    and inputs; a single series is a stack of one.  table gives each
+    corrupted is a stack of series (cells, rows, 3) that share cfg's grid,
+    inputs and Q; a single series is a stack of one.  table gives each
     filter's row (batch_filters); None means member_table(cfg, cells).  All
     members advance in lockstep as one batch, and each member's estimates
     are the bits it gets alone.  A member that diverges is dropped, and
@@ -557,8 +558,7 @@ def filter_series(
         that diverged to its message, in the order the members froze.
     """
     series = np.asarray(corrupted, dtype=float)
-    if table is None:
-        table = member_table(cfg, len(series))
+    table = member_table(cfg, len(series)) if table is None else table
     prior, batch = batch_filters(cfg, series, table)
     estimates = np.empty((len(prior), series.shape[1], 4))
     estimates[:, 0] = prior

@@ -112,31 +112,38 @@ def test_members_match_their_batch_of_one_in_any_order(cells, variants, order):
             assert_same_member(shuffled[i], alone, variant)
 
 
-def test_rows_that_differ_in_q_and_threshold_run_as_one_batch():
+def test_rows_that_differ_in_threshold_run_as_one_batch():
     series = corrupted_series([(41, 4, OutlierSpec.window(0.4, 0.6)), (42, 2, OutlierSpec.none())])
     table = [
-        Member(0, "ckf", math.inf, (1e-6,) * 4),
-        Member(0, "ckf-q8", math.inf, (1e-8,) * 4),
-        Member(0, "rckf", 1.5, CFG.init.q_diag),
-        Member(0, "rckf-c3", 3.0, CFG.init.q_diag),
-        Member(1, "rckf", 1.5, CFG.init.q_diag),
+        Member(0, "ckf", math.inf),
+        Member(0, "rckf", 1.5),
+        Member(0, "rckf-c3", 3.0),
+        Member(1, "rckf", 1.5),
     ]
     together = filter_series(CFG, series, table)
     for member in table:
         alone = filter_series(CFG, series, [member])[member.series]
         assert_same_member(together[member.series], alone, member.label)
-    # each column reaches its member: the rows' estimates differ
+    # each threshold reaches its member: the rows' estimates differ
     estimates, failures = together[0]
-    assert not failures and list(estimates) == ["ckf", "ckf-q8", "rckf", "rckf-c3"]
-    assert not np.array_equal(estimates["ckf"], estimates["ckf-q8"])
+    assert not failures and list(estimates) == ["ckf", "rckf", "rckf-c3"]
     assert not np.array_equal(estimates["rckf"], estimates["rckf-c3"])
 
 
-def test_a_repeated_series_and_label_raises_before_any_step():
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (Member(1, RCKF, 3.0), r"repeats \(series, label\) \(1, 'rckf'\)"),
+        (Member(2, "ckf-far", math.inf), "reads a series outside its stack of 2"),
+        # a negative index would read the last series and report under it
+        (Member(-1, "ckf-far", math.inf), "reads a series outside its stack of 2"),
+    ],
+    ids=["repeated", "past_the_stack", "negative"],
+)
+def test_a_bad_row_raises_before_any_step(row, message):
     series = corrupted_series([(51, 1, OutlierSpec.none()), (52, 1, OutlierSpec.none())])
-    table = [*member_table(CFG, 2), Member(1, RCKF, 3.0, CFG.init.q_diag)]
-    with pytest.raises(ValueError, match=r"repeats \(series, label\) \(1, 'rckf'\)"):
-        batch_filters(CFG, series, table)
+    with pytest.raises(ValueError, match=message):
+        batch_filters(CFG, series, [*member_table(CFG, 2), row])
 
 
 @settings(max_examples=15)
