@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     try:
         truth = simulate_truth(cfg)
-        _, series = synthesize_measurements(truth, [cfg])
+        _, series = synthesize_measurements(cfg, truth)
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -143,7 +143,9 @@ def cmd_estimate(args) -> int:
     times = time_grid(cfg)
     try:
         truth = simulate_truth(cfg)
-        _, series = synthesize_measurements(truth, [cfg])
+        # a file's series replaces the synthesized one, so none is made
+        if not args.measurements:
+            _, series = synthesize_measurements(cfg, truth)
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from typing import Any
 
 from .errors import ConfigError, InvalidConfig, InvalidWindow
@@ -354,12 +354,6 @@ def build_scenario(doc: dict) -> ScenarioConfig:
         huber=huber,
         torque_mode=torque_mode,
     )
-
-
-def with_noise_preset(cfg: ScenarioConfig, preset: int) -> ScenarioConfig:
-    return replace(cfg, noise=noise_preset(preset, cfg.sigmas))
-
-
 
 
 def default_config() -> dict:

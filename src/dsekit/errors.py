@@ -21,10 +21,6 @@ class DegenerateChannel(DsekitError):
     """A measurement channel has nonpositive predicted variance."""
 
 
-class ChannelMismatch(DsekitError):
-    """Series width and per-channel specification count disagree."""
-
-
 class OutOfRange(DsekitError):
     """A requested time lies outside the simulated horizon."""
 

@@ -1,14 +1,14 @@
 """Experiment matrix execution, benchmarking, and CSV serialization.
 
 The matrix crosses the four noise presets with the two outlier manners
-over a list of seeds and runs both filter variants on every cell.  The
-cells differ only in seed, noise and outliers, so they share one
-equilibrium and one truth trajectory, and all their filters run as one
-lockstep batch; with more than one job the batch is cut into one chunk per
-worker process; a chunk's cells share one clean series (one synthesis
-stack).  Rows merge in (noise, manner, seed) order either way, and a
-member's numbers do not depend on the batch or stack it ran in.  A
-matrix whose outliers cannot be placed raises before any work.
+over a list of seeds and runs both filter variants on every cell.  A
+cell is a scenario.Cell row (seed, noise, outliers), so the cells share
+the config's one equilibrium and truth trajectory, and all their filters
+run as one lockstep batch; with more than one job the batch is cut into
+one chunk per worker process; a chunk's cells share one clean series (one
+synthesis table).  Rows merge in (noise, manner, seed) order either way,
+and a member's numbers do not depend on the batch or table it ran in.  A
+matrix whose seeds or outliers are bad raises before any work.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from .config import NOISE_PRESETS, with_noise_preset
-from .errors import DsekitError, OutOfRange
+from .config import NOISE_PRESETS, noise_preset
+from .errors import DsekitError, InvalidConfig, OutOfRange
 from .evaluation import VARIABLES, format_float, report_from_run
 from .filters import CKF, RCKF
-from .noise import OutlierSpec, outlier_rows
+from .noise import SEED_LIMIT, OutlierSpec, outlier_rows
 from .scenario import (
+    Cell,
     ScenarioConfig,
     batch_filters,
     filter_series,
@@ -114,8 +115,8 @@ def manner_outliers(manner: str, base: OutlierSpec) -> OutlierSpec:
     raise ValueError(f"unknown outlier manner {manner!r}")
 
 
-def _cell_key(preset: int, manner: str, seed: int) -> str:
-    return f"noise{preset}/{manner}/seed{seed}"
+def _cell_key(preset: int, manner: str, cell: Cell) -> str:
+    return f"noise{preset}/{manner}/seed{cell.seed}"
 
 
 def _run_cells(item) -> list[Outcome]:
@@ -123,7 +124,7 @@ def _run_cells(item) -> list[Outcome]:
     batch.  With timing, every row gets the batch's wall time per step
     and filter."""
     cfg, truth, cells, timing = item
-    _, series = synthesize_measurements(truth, [cell_cfg for cell_cfg, *_ in cells])
+    _, series = synthesize_measurements(cfg, truth, [cell for *_, cell in cells])
     table = member_table(cfg, len(cells))
     started = perf_counter_ns()
     results = filter_series(cfg, series, table)
@@ -131,7 +132,7 @@ def _run_cells(item) -> list[Outcome]:
     if timing:
         mean_ms = (perf_counter_ns() - started) / 1e6 / ((len(truth) - 1) * len(table))
     out: list[Outcome] = []
-    for (_, preset, manner, seed), corrupted, (estimates, failures) in zip(
+    for (preset, manner, cell), corrupted, (estimates, failures) in zip(
         cells, series, results
     ):
         rows: list[MatrixRow] = []
@@ -139,12 +140,12 @@ def _run_cells(item) -> list[Outcome]:
             report = report_from_run(estimates[variant], truth, corrupted)
             rows.extend(
                 MatrixRow(
-                    preset, manner, variant, seed, variable,
+                    preset, manner, variant, cell.seed, variable,
                     report.epsilon1.get(variable), report.epsilon2.get(variable), mean_ms,
                 )
                 for variable in VARIABLES
             )
-        key = _cell_key(preset, manner, seed)
+        key = _cell_key(preset, manner, cell)
         out.append((rows, {f"{key}/{variant}": m for variant, m in failures.items()}))
     return out
 
@@ -154,8 +155,8 @@ def run_experiment(
 ) -> ExperimentMatrix:
     """Run the full noise-by-manner matrix over the given seeds.
 
-    Every manner's outlier placement is checked before any work, so a
-    matrix that cannot be placed raises and runs nothing.  Cell failures
+    The seeds and every manner's outlier placement are checked before any
+    work, so a matrix that cannot run raises and runs nothing.  Cell failures
     are collected, not raised; rows from failed cells are simply absent.
     With timing enabled each chunk's filter wall time per step and filter
     is recorded, which makes the output machine-dependent.
@@ -163,11 +164,17 @@ def run_experiment(
     Raises:
         OutOfRange: a manner's outliers fall off the horizon; the message
             names MATRIX_HORIZON and the configured t_end.
-        InvalidConfig: the outliers name no channel.
-        ValueError: jobs is below one.
+        InvalidConfig: the outliers name no channel, or a seed is outside
+            [0, 2**64).
+        ValueError: jobs is below one, or a seed repeats.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    seeds = sorted(int(s) for s in seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds repeat: {seeds}")
+    if seeds and not 0 <= seeds[0] <= seeds[-1] < SEED_LIMIT:
+        raise InvalidConfig(f"seeds must be in [0, 2**64), got {seeds[0]} to {seeds[-1]}")
     rows_on_grid = len(time_grid(cfg))
     specs = {manner: manner_outliers(manner, cfg.outliers) for manner in MANNERS}
     for spec in specs.values():
@@ -179,11 +186,10 @@ def run_experiment(
                 f"scenario.t_end is {cfg.t_end} s: {exc}"
             ) from exc
         spec.channel_index()
-    noise_cfgs = {preset: with_noise_preset(cfg, preset) for preset in NOISE_PRESETS}
-    seeds = sorted(int(s) for s in seeds)
+    noises = {preset: noise_preset(preset, cfg.sigmas) for preset in NOISE_PRESETS}
     # in (noise, manner, seed) order
     cells = [
-        (replace(noise_cfgs[preset], outliers=specs[manner], seed=seed), preset, manner, seed)
+        (preset, manner, Cell(seed, noises[preset], specs[manner]))
         for preset in NOISE_PRESETS for manner in MANNERS for seed in seeds
     ]
     outcomes: list[Outcome] = []
@@ -191,7 +197,7 @@ def run_experiment(
         try:
             truth = simulate_truth(cfg)
         except DsekitError as exc:
-            outcomes = [([], {_cell_key(*cell[1:]): str(exc)}) for cell in cells]
+            outcomes = [([], {_cell_key(*cell): str(exc)}) for cell in cells]
         else:
             # one chunk of the batch per worker
             splits = np.array_split(np.arange(len(cells)), min(jobs, len(cells)))
@@ -262,7 +268,7 @@ def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
     needed = (steps + BENCH_WARMUP) * cfg.dt
     bench_cfg = replace(cfg, t_end=max(cfg.t_end, needed))
     truth = simulate_truth(bench_cfg)
-    _, series = synthesize_measurements(truth, [bench_cfg])
+    _, series = synthesize_measurements(bench_cfg, truth)
     best: dict[str, np.ndarray] = {}
     table = member_table(bench_cfg, 1)
     for _ in range(BENCH_PASSES):

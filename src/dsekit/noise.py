@@ -5,7 +5,8 @@ Laplace and Cauchy variates are produced by inverse-transform expressions
 from uniform draws; the transforms are exposed as pure functions so a unit
 of noise can be checked against hand-picked uniforms.  Streams are
 counter-based, keyed by (seed, stream_id), so any (run, channel) pair can
-be regenerated in isolation and in any order.
+be regenerated in isolation and in any order; corrupt draws channel ch of
+a series from the stream (seed, (0, ch)).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ChannelMismatch, InvalidConfig, InvalidWindow, OutOfRange
+from .errors import InvalidConfig, InvalidWindow, OutOfRange
 
 GAUSSIAN_WHITE = "gaussian_white"
 GAUSSIAN_BIASED = "gaussian_biased"
@@ -143,52 +144,36 @@ def draw_cauchy(sigma, gen: np.random.Generator, size: int) -> np.ndarray:
     return cauchy_from_uniform(location, sigma, _uniform_open_01(gen, size))
 
 
-def _draw(spec: NoiseSpec, sigma, gen: np.random.Generator, size: int) -> np.ndarray:
+def _draw(spec: NoiseSpec | None, std, gen: np.random.Generator, size: int) -> np.ndarray:
+    if spec is None:
+        return draw_gaussian(0.0, std, gen, size)
     if spec.kind in (GAUSSIAN_WHITE, GAUSSIAN_BIASED):
-        return draw_gaussian(spec.mu, sigma, gen, size)
+        return draw_gaussian(spec.mu, spec.sigma, gen, size)
     if spec.kind == LAPLACE:
-        return draw_laplace(spec.mu, sigma, gen, size)
-    return spec.mu + draw_cauchy(sigma, gen, size)
+        return draw_laplace(spec.mu, spec.sigma, gen, size)
+    return spec.mu + draw_cauchy(spec.sigma, gen, size)
 
 
 def corrupt(
     series: np.ndarray,
-    specs: Sequence[NoiseSpec],
-    streams: Sequence[SeededStream],
-    per_step_sigma: dict[int, np.ndarray] | None = None,
+    specs: Sequence[NoiseSpec | None],
+    seed: int,
+    std: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Additively corrupt every channel of a clean series.
-
-    Args:
-        series: (steps, channels) clean values.
-        specs: one NoiseSpec per channel.
-        streams: one SeededStream per channel; each is opened fresh, so a
-            repeated call reproduces the same corruption.
-        per_step_sigma: optional channel index -> length-steps array that
-            overrides the spec sigma step by step.
+    """Additively corrupt each channel of a clean (steps, channels) series:
+    channel ch gets specs[ch]'s draws from SeededStream(seed, (0, ch)),
+    opened fresh, so a repeated call reproduces the same corruption.  A
+    None spec draws zero-mean Gaussian noise with the per-step std.
 
     Raises:
-        ChannelMismatch: spec or stream count differs from the channel count.
+        InvalidConfig: the seed is outside [0, 2**64).
+        ValueError: a None spec without a per-step std.
     """
-    series = np.asarray(series, dtype=float)
-    channels = series.shape[1]
-    if len(specs) != channels or len(streams) != channels:
-        raise ChannelMismatch(
-            f"series has {channels} channels, got {len(specs)} specs "
-            f"and {len(streams)} streams"
-        )
-    out = series.copy()
-    steps = series.shape[0]
-    for j in range(channels):
-        sigma = None if per_step_sigma is None else per_step_sigma.get(j)
-        if sigma is None:
-            sigma = specs[j].sigma
-        elif len(sigma) != steps:
-            raise ChannelMismatch(
-                f"per-step sigma for channel {j} has length {len(sigma)}, "
-                f"expected {steps}"
-            )
-        out[:, j] += _draw(specs[j], sigma, streams[j].generator(), steps)
+    if std is None and None in specs:
+        raise ValueError("a None noise spec needs the per-step std")
+    out = np.array(series, dtype=float)
+    for ch, spec in enumerate(specs):
+        out[:, ch] += _draw(spec, std, SeededStream(seed, (0, ch)).generator(), len(out))
     return out
 
 

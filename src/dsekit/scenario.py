@@ -3,10 +3,10 @@ simulation, measurement synthesis, and batched filter runs.
 
 A scenario lives on the uniform grid t_j = j * dt.  The truth trajectory
 starts from the pre-fault equilibrium and integrates through a terminal
-voltage dip.  Synthesis maps its clean measurements once for a stack of
-cells and corrupts them with each cell's noise and outliers.  A member
-table, one row (series, label, c) per filter, runs on the stack as one
-batch.  A single run is a stack of one.
+voltage dip.  Synthesis maps its clean measurements once and corrupts a
+copy per row of a cell table, one row (seed, noise, outliers) per series.
+A member table, one row (series, label, c) per filter, runs on the stack
+of series as one batch.  A single run is a table of one.
 """
 
 from __future__ import annotations
@@ -37,14 +37,7 @@ from .machine import (
     power_variance_map,
     segment_steps,
 )
-from .noise import (
-    GAUSSIAN_WHITE,
-    NoiseSpec,
-    OutlierSpec,
-    SeededStream,
-    corrupt,
-    inject_outliers,
-)
+from .noise import NoiseSpec, OutlierSpec, corrupt, inject_outliers
 
 # Rows per truth block: a list of every row of a long horizon outweighs its array.
 TRUTH_BLOCK_ROWS = 1024
@@ -292,7 +285,7 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one reproducible run needs."""
+    """Everything one reproducible run needs; seed, noise and outliers make its own Cell."""
 
     machine: MachineParams
     profile: InputProfile
@@ -400,29 +393,33 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
     return out
 
 
-def synthesize_measurements(
-    truth: np.ndarray, cells: Sequence[ScenarioConfig]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The clean measurement series of a truth trajectory, and a corrupted
-    one for each cell of a stack that shares the truth.
+@dataclass(frozen=True)
+class Cell:
+    """One corruption of a shared truth: the seed of its noise streams, its
+    three channel noise specs (a None power spec meaning Gaussian noise at
+    the per-step std of the power variance) and its outliers."""
 
-    The clean series, and the power variance if a cell needs it, map each
-    input segment's rows in one call, once for the stack.  A cell's noise
-    follows its specs and seed, a None power spec meaning Gaussian noise
-    with the per-step std of the power variance on the truth; its outliers
-    are injected last.
+    seed: int
+    noise: tuple[NoiseSpec, NoiseSpec, NoiseSpec | None]
+    outliers: OutlierSpec
+
+
+def synthesize_measurements(
+    cfg: ScenarioConfig, truth: np.ndarray, cells: Sequence[Cell] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clean measurement series of cfg's truth trajectory, and a
+    corrupted one for each row of a cell table; None means cfg's own cell.
+
+    The clean series, and the power std if a cell needs it, map each input
+    segment's rows in one call, once for the table.  A cell's noise follows
+    its specs and seed (noise.corrupt); its outliers are injected last.
 
     Returns:
         (clean, corrupted): (steps + 1, 3) and (cells, steps + 1, 3), each
-        cell's series the bits of its stack of one.
-
-    Raises:
-        ValueError: the cells differ in a field the clean series reads.
+        cell's series the bits of its table of one.
     """
-    cfg = cells[0]
-    for name in ("machine", "profile", "dt", "t_end", "sigmas"):
-        if any(getattr(cell, name) != getattr(cfg, name) for cell in cells):
-            raise ValueError(f"the cells of one truth differ in {name}")
+    if cells is None:
+        cells = [Cell(cfg.seed, cfg.noise, cfg.outliers)]
     clean = np.empty((len(truth), 3))
     std = None if all(cell.noise[2] for cell in cells) else np.empty(len(truth))
     variance = power_variance_map(cfg.machine, cfg.sigmas)
@@ -432,11 +429,8 @@ def synthesize_measurements(
             std[a:e] = np.sqrt(variance(truth[a:e], inputs))
     corrupted = np.empty((len(cells), *clean.shape))
     for c, cell in enumerate(cells):
-        per_step = None if cell.noise[2] else {2: std}
-        specs = [*cell.noise[:2], cell.noise[2] or NoiseSpec(kind=GAUSSIAN_WHITE, sigma=0.0)]
-        streams = [SeededStream(cell.seed, (0, ch)) for ch in range(3)]
-        series = corrupt(clean, specs, streams, per_step)
-        corrupted[c] = inject_outliers(series, cell.outliers, cell.dt)
+        series = corrupt(clean, cell.noise, cell.seed, std)
+        corrupted[c] = inject_outliers(series, cell.outliers, cfg.dt)
     return clean, corrupted
 
 

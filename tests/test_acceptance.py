@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from dsekit.cli import main
-from dsekit.config import build_scenario, default_config, with_noise_preset
+from dsekit.config import build_scenario, default_config, noise_preset
 from dsekit.evaluation import epsilon1, epsilon2, report_from_run
 from dsekit.filters import (
     CKF,
@@ -43,6 +43,7 @@ from dsekit.machine import (
 )
 from dsekit.noise import OutlierSpec, SeededStream, draw_cauchy, draw_laplace
 from dsekit.scenario import (
+    Cell,
     filter_series,
     initial_filter_state,
     simulate_truth,
@@ -57,7 +58,8 @@ def default_scenario():
 
 
 def white_noise_scenario(seed):
-    return replace(with_noise_preset(default_scenario(), 1), seed=seed)
+    cfg = default_scenario()
+    return replace(cfg, noise=noise_preset(1, cfg.sigmas), seed=seed)
 
 
 def test_linear_gaussian_equivalence():
@@ -145,7 +147,8 @@ def test_robust_variant_coincides_on_inliers():
     base = white_noise_scenario(seeds[0])
     truth = simulate_truth(base)
     times = time_grid(base)
-    _, corrupted = synthesize_measurements(truth, [white_noise_scenario(seed) for seed in seeds])
+    cells = [Cell(seed, base.noise, base.outliers) for seed in seeds]
+    _, corrupted = synthesize_measurements(base, truth, cells)
     eps2 = {CKF: {}, RCKF: {}}
     for series, (estimates, failures) in zip(corrupted, filter_series(base, corrupted)):
         assert not failures
@@ -240,11 +243,11 @@ def test_outlier_transient_containment():
     strictly closer to the truth than the classical one in at least 95 of
     100 seeded runs."""
     spec = OutlierSpec.single_at(6.0)
-    base = replace(with_noise_preset(default_scenario(), 1), outliers=spec)
+    base = replace(white_noise_scenario(0), outliers=spec)
     idx = 300  # 6.0 s on the 0.02 s grid
     truth = simulate_truth(base)
-    cells = [replace(base, seed=seed) for seed in range(100)]
-    _, corrupted = synthesize_measurements(truth, cells)
+    cells = [Cell(seed, base.noise, spec) for seed in range(100)]
+    _, corrupted = synthesize_measurements(base, truth, cells)
     truth_speed = truth[idx, 1]
     wins = 0
     for estimates, failures in filter_series(base, corrupted):

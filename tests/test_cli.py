@@ -286,6 +286,31 @@ class TestEstimate:
         for name in ("estimates_ckf.csv", "estimates_rckf.csv", "metrics_ckf.csv"):
             assert (internal / name).read_bytes() == (external / name).read_bytes()
 
+    def test_a_file_is_estimated_without_synthesizing(self, tmp_path, capsys):
+        # outliers off the horizon fail synthesis, which a file replaces
+        def off_horizon(doc):
+            doc["outliers"] = {"manner": "single", "time": 30.0}
+
+        cfg = write_config(tmp_path)
+        late = write_config(tmp_path, off_horizon, name="late.json")
+        path = measurements_file(tmp_path, cfg)
+        code = run("estimate", "--config", late, "--out-dir", str(tmp_path), "--quiet")
+        assert code == EXIT_SIMULATION
+        assert "simulation failed: outlier time 30.0 is outside" in capsys.readouterr().err
+        outputs = {}
+        for name, config in (("default", cfg), ("late", late)):
+            out = tmp_path / name
+            code = run(
+                "estimate", "--config", config, "--out-dir", str(out), "--quiet",
+                "--measurements", str(path),
+            )
+            assert code == EXIT_OK
+            outputs[name] = {
+                f"{kind}_{variant}.csv": (out / f"{kind}_{variant}.csv").read_bytes()
+                for kind in ("estimates", "metrics") for variant in ("ckf", "rckf")
+            }
+        assert outputs["late"] == outputs["default"]
+
     def test_wrong_header_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         sim = tmp_path / "sim"

@@ -14,7 +14,6 @@ from dsekit.config import (
     default_config,
     load_config,
     noise_preset,
-    with_noise_preset,
 )
 from dsekit.errors import ConfigError, InvalidConfig, InvalidWindow
 from dsekit.harness import manner_outliers
@@ -478,12 +477,6 @@ class TestShippedConfigs:
         assert inputs_at(cfg, 1.04) == (0.8, 2.0, 0.35, 0.0)
         assert inputs_at(cfg, 1.06) == (0.8, 2.0, 0.7, 0.0)
         assert inputs_at(cfg, 1.2) == (0.8, 2.0, 0.95, 0.0)
-
-
-class TestReplacements:
-    def test_with_noise_preset(self):
-        cfg = with_noise_preset(build(), 3)
-        assert cfg.noise[0].kind == LAPLACE
 
 
 def leaves(doc, prefix=""):

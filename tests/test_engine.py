@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsekit import filters
-from dsekit.config import build_scenario, default_config, load_config, with_noise_preset
+from dsekit.config import build_scenario, default_config, load_config, noise_preset
 from dsekit.errors import DecompositionFailure, DegenerateChannel, NonFiniteState
 from dsekit.filters import (
     CKF,
@@ -31,6 +31,7 @@ from dsekit.harness import run_experiment
 from dsekit.machine import DIVIDE_BY_SPEED, as_process_model, power_variance_map
 from dsekit.noise import OutlierSpec
 from dsekit.scenario import (
+    Cell,
     Member,
     batch_filters,
     filter_series,
@@ -78,11 +79,9 @@ VARIANTS = st.sampled_from([(CKF,), (RCKF,), (CKF, RCKF), (RCKF, CKF)])
 
 def corrupted_series(cells):
     return synthesize_measurements(
+        CFG,
         TRUTH,
-        [
-            replace(with_noise_preset(CFG, preset), outliers=spec, seed=seed)
-            for seed, preset, spec in cells
-        ],
+        [Cell(seed, noise_preset(preset, CFG.sigmas), spec) for seed, preset, spec in cells],
     )[1]
 
 
@@ -523,7 +522,8 @@ def test_iter_batch_is_the_composition_of_the_stages(thresholds, passes):
     cfg = estimate_like_config()
     truth = simulate_truth(cfg)
     seeds = range(31, 31 + len(thresholds))
-    _, series = synthesize_measurements(truth, [replace(cfg, seed=s) for s in seeds])
+    cells = [Cell(s, cfg.noise, cfg.outliers) for s in seeds]
+    _, series = synthesize_measurements(cfg, truth, cells)
     model = as_process_model(cfg.machine, cfg.dt, cfg.torque_mode)
     u_arr = cfg.profile.as_array(time_grid(cfg))
     Q = np.diag(cfg.init.q_diag)
@@ -582,7 +582,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def estimate_run(cfg):
     """One series of cfg, both variants: a batch of two on the float kernels."""
-    filter_series(cfg, synthesize_measurements(simulate_truth(cfg), [cfg])[1])
+    filter_series(cfg, synthesize_measurements(cfg, simulate_truth(cfg))[1])
 
 
 RUNS = {

@@ -134,6 +134,25 @@ class TestRunExperiment:
         with pytest.raises(error, match=message):
             run_experiment(cfg, seeds=[1, 2], jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "seeds, error, message",
+        [
+            # [3, 3] would run 16 cells, every row of seed 3 twice
+            ([3, 3], ValueError, "^seeds repeat: \\[3, 3\\]$"),
+            ([2, 1, 2], ValueError, "^seeds repeat: \\[1, 2, 2\\]$"),
+            ([-1, 4], InvalidConfig, "^seeds must be in \\[0, 2\\*\\*64\\), got -1 to 4$"),
+            ([0, 2**64], InvalidConfig, f"got 0 to {2**64}$"),
+        ],
+        ids=["repeated", "repeated_unsorted", "negative", "past_2_64"],
+    )
+    def test_bad_seeds_fail_before_any_work(self, monkeypatch, jobs, seeds, error, message):
+        import dsekit.harness as harness
+
+        monkeypatch.setattr(harness, "simulate_truth", no_truth)
+        with pytest.raises(error, match=message):
+            run_experiment(small_config(), seeds=seeds, jobs=jobs)
+
     def test_diverging_variants_fail_their_cells(self):
         # a dip to zero voltage makes the power channel's predicted
         # variance exactly 0: both variants of every cell freeze there

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dsekit.errors import ChannelMismatch, InvalidConfig, InvalidWindow, OutOfRange
+from dsekit.errors import InvalidConfig, InvalidWindow, OutOfRange
 from dsekit.noise import (
     CAUCHY,
     CAUCHY_LOCATION_SIGMAS,
@@ -198,13 +198,10 @@ class TestOpenUniforms:
 
 
 class TestCorrupt:
-    def _streams(self, seed=5):
-        return tuple(SeededStream(seed, (0, ch)) for ch in range(3))
-
     def test_zero_sigma_white_noise_is_identity(self):
         series = np.arange(12.0).reshape(4, 3)
         specs = tuple(NoiseSpec(GAUSSIAN_WHITE, 0.0) for _ in range(3))
-        out = corrupt(series, specs, self._streams())
+        out = corrupt(series, specs, 5)
         np.testing.assert_array_equal(out, series)
         assert out is not series
 
@@ -215,8 +212,8 @@ class TestCorrupt:
             NoiseSpec(LAPLACE, 0.01),
             NoiseSpec(CAUCHY, 0.02),
         )
-        a = corrupt(series, specs, self._streams())
-        b = corrupt(series, specs, self._streams())
+        a = corrupt(series, specs, 5)
+        b = corrupt(series, specs, 5)
         np.testing.assert_array_equal(a, b)
 
     def test_channels_are_independent_streams(self):
@@ -228,8 +225,8 @@ class TestCorrupt:
             NoiseSpec(GAUSSIAN_WHITE, 0.02),
         )
         swapped = (base[0], NoiseSpec(CAUCHY, 0.01), base[2])
-        a = corrupt(series, base, self._streams())
-        b = corrupt(series, swapped, self._streams())
+        a = corrupt(series, base, 5)
+        b = corrupt(series, swapped, 5)
         np.testing.assert_array_equal(a[:, 0], b[:, 0])
         np.testing.assert_array_equal(a[:, 2], b[:, 2])
         assert not np.array_equal(a[:, 1], b[:, 1])
@@ -237,37 +234,28 @@ class TestCorrupt:
     def test_biased_gaussian_shifts_mean(self):
         series = np.zeros((100_000, 1))
         specs = (NoiseSpec(GAUSSIAN_BIASED, 0.05, mu=0.3),)
-        out = corrupt(series, specs, (SeededStream(5, (0, 0)),))
+        out = corrupt(series, specs, 5)
         assert out[:, 0].mean() == pytest.approx(0.3, abs=0.001)
 
     def test_cauchy_mu_shifts_location(self):
         series = np.zeros((100_001, 1))
         sigma = 0.01
         specs = (NoiseSpec(CAUCHY, sigma, mu=0.5),)
-        out = corrupt(series, specs, (SeededStream(6, (0, 0)),))
+        out = corrupt(series, specs, 6)
         expected = 0.5 + CAUCHY_LOCATION_SIGMAS * sigma
         assert abs(np.median(out[:, 0]) - expected) < 0.05 * sigma
 
-    def test_per_step_sigma_override(self):
+    def test_a_none_spec_draws_with_the_per_step_std(self):
         series = np.zeros((200, 1))
-        specs = (NoiseSpec(GAUSSIAN_WHITE, 0.0),)
         ramp = np.linspace(0.0, 1.0, 200)
-        out = corrupt(series, specs, (SeededStream(7, (0, 0)),), {0: ramp})
+        out = corrupt(series, (None,), 7, ramp)
         # step 0 has sigma 0 so it stays clean; later steps spread out
         assert out[0, 0] == 0.0
         assert np.abs(out[100:, 0]).max() > np.abs(out[1:50, 0]).max()
 
-    def test_spec_count_mismatch(self):
-        series = np.zeros((4, 3))
-        specs = (NoiseSpec(GAUSSIAN_WHITE, 0.1),)
-        with pytest.raises(ChannelMismatch):
-            corrupt(series, specs, self._streams())
-
-    def test_per_step_sigma_length_mismatch(self):
-        series = np.zeros((4, 3))
-        specs = tuple(NoiseSpec(GAUSSIAN_WHITE, 0.1) for _ in range(3))
-        with pytest.raises(ChannelMismatch):
-            corrupt(series, specs, self._streams(), {0: np.ones(5)})
+    def test_a_none_spec_needs_the_per_step_std(self):
+        with pytest.raises(ValueError, match="a None noise spec needs the per-step std"):
+            corrupt(np.zeros((4, 3)), (NoiseSpec(GAUSSIAN_WHITE, 0.1), None, None), 5)
 
 
 class TestOutlierSpec:

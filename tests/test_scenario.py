@@ -18,7 +18,7 @@ from dsekit.config import (
     build_scenario,
     default_config,
     load_config,
-    with_noise_preset,
+    noise_preset,
 )
 from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
@@ -35,15 +35,22 @@ from dsekit.machine import (
     segment_steps,
 )
 from dsekit.noise import (
+    CAUCHY,
+    GAUSSIAN_BIASED,
     GAUSSIAN_WHITE,
+    LAPLACE,
     NoiseSpec,
     OutlierSpec,
     SeededStream,
     corrupt,
+    draw_cauchy,
+    draw_gaussian,
+    draw_laplace,
     inject_outliers,
 )
 from dsekit.scenario import (
     TRUTH_BLOCK_ROWS,
+    Cell,
     FaultSpec,
     InitSpec,
     InputProfile,
@@ -637,13 +644,13 @@ class TestSynthesizeMeasurements:
     def test_zero_noise_reproduces_clean(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
+        clean, (corrupted,) = synthesize_measurements(cfg, truth)
         np.testing.assert_array_equal(clean, corrupted)
 
     def test_clean_channels_match_truth(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        clean, _ = synthesize_measurements(truth, [cfg])
+        clean, _ = synthesize_measurements(cfg, truth)
         np.testing.assert_array_equal(clean[:, 0], truth[:, 0])
         np.testing.assert_array_equal(clean[:, 1], 1.0 + truth[:, 1])
 
@@ -651,7 +658,7 @@ class TestSynthesizeMeasurements:
         # the measured power must be bit for bit the electrical power
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        clean, _ = synthesize_measurements(truth, [cfg])
+        clean, _ = synthesize_measurements(cfg, truth)
         times = time_grid(cfg)
         u_arr = cfg.profile.as_array(times)
         for k in range(0, len(times), 7):
@@ -674,13 +681,11 @@ class TestSynthesizeMeasurements:
             )
         assert cfg.noise[2] is None
         truth = simulate_truth(cfg)
-        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
+        clean, (corrupted,) = synthesize_measurements(cfg, truth)
         u_arr = cfg.profile.as_array(time_grid(cfg))
         expected = observe_points(truth, u_arr, cfg.machine)
         std = np.sqrt(power_variance_map(cfg.machine, cfg.sigmas)(truth, u_arr))
-        streams = [SeededStream(cfg.seed, (0, ch)) for ch in range(3)]
-        specs = [*cfg.noise[:2], NoiseSpec(GAUSSIAN_WHITE, 0.0)]
-        noisy = inject_outliers(corrupt(expected, specs, streams, {2: std}), cfg.outliers, cfg.dt)
+        noisy = inject_outliers(corrupt(expected, cfg.noise, cfg.seed, std), cfg.outliers, cfg.dt)
         np.testing.assert_array_equal(clean.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(corrupted.view(np.uint64), noisy.view(np.uint64))
 
@@ -690,7 +695,7 @@ class TestSynthesizeMeasurements:
             noise=(NoiseSpec(GAUSSIAN_WHITE, 0.0), NoiseSpec(GAUSSIAN_WHITE, 0.0), None),
         )
         truth = simulate_truth(cfg)
-        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
+        clean, (corrupted,) = synthesize_measurements(cfg, truth)
         np.testing.assert_array_equal(clean[:, :2], corrupted[:, :2])
         assert not np.array_equal(clean[:, 2], corrupted[:, 2])
         # p.u. power noise from the voltage and phase stds is small
@@ -704,16 +709,42 @@ class TestSynthesizeMeasurements:
         )
         cfg = make_config(t_end=2.0, noise=noise)
         truth = simulate_truth(cfg)
-        _, (a,) = synthesize_measurements(truth, [cfg])
-        _, (b,) = synthesize_measurements(truth, [cfg])
-        _, (c,) = synthesize_measurements(truth, [replace(cfg, seed=43)])
+        _, (a,) = synthesize_measurements(cfg, truth)
+        _, (b,) = synthesize_measurements(cfg, truth)
+        _, (c,) = synthesize_measurements(cfg, truth, [Cell(43, cfg.noise, cfg.outliers)])
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("speed", [NoiseSpec(LAPLACE, 0.001, 0.01), NoiseSpec(CAUCHY, 0.001)])
+    def test_channel_ch_of_a_cell_draws_from_stream_0_ch_of_its_seed(self, speed):
+        # the stream-key layout every matrix digest rests on
+        cfg = build_scenario(default_config())
+        angle = NoiseSpec(GAUSSIAN_BIASED, 0.03, 0.2)
+        cell = Cell(2**64 - 3, (angle, speed, None), OutlierSpec.none())
+        truth = simulate_truth(cfg)
+        clean, (corrupted,) = synthesize_measurements(cfg, truth, [cell])
+        u_arr = cfg.profile.as_array(time_grid(cfg))
+        std = np.sqrt(power_variance_map(cfg.machine, cfg.sigmas)(truth, u_arr))
+        gens = [SeededStream(cell.seed, (0, ch)).generator() for ch in range(3)]
+        n = len(truth)
+        if speed.kind == LAPLACE:
+            speed_draw = draw_laplace(speed.mu, speed.sigma, gens[1], n)
+        else:
+            speed_draw = speed.mu + draw_cauchy(speed.sigma, gens[1], n)
+        draws = (
+            draw_gaussian(angle.mu, angle.sigma, gens[0], n),
+            speed_draw,
+            draw_gaussian(0.0, std, gens[2], n),
+        )
+        for ch, draw in enumerate(draws):
+            expected = clean[:, ch] + draw
+            bits = corrupted[:, ch].view(np.uint64)
+            np.testing.assert_array_equal(bits, expected.view(np.uint64))
 
     def test_outliers_applied_last(self):
         cfg = make_config(t_end=2.0, outliers=OutlierSpec.single_at(1.0))
         truth = simulate_truth(cfg)
-        clean, (corrupted,) = synthesize_measurements(truth, [cfg])
+        clean, (corrupted,) = synthesize_measurements(cfg, truth)
         assert corrupted[50, 1] == clean[50, 1] * 1.1
         mask = np.ones(len(clean), dtype=bool)
         mask[50] = False
@@ -724,14 +755,14 @@ class TestSynthesizeMeasurements:
         base = replace(build_scenario(default_config()), t_end=8.0)
         manners = (OutlierSpec.none(), OutlierSpec.single_at(6.0), OutlierSpec.window(2.0, 3.0))
         cells = [
-            replace(with_noise_preset(base, preset), outliers=spec, seed=seed)
+            Cell(seed, noise_preset(preset, base.sigmas), spec)
             for preset in NOISE_PRESETS for spec in manners for seed in (5, 6)
         ]
         truth = simulate_truth(base)
-        clean, stack = synthesize_measurements(truth, cells)
+        clean, stack = synthesize_measurements(base, truth, cells)
         assert stack.shape == (24, len(truth), 3)
         for cell, series in zip(cells, stack):
-            alone_clean, (alone,) = synthesize_measurements(truth, [cell])
+            alone_clean, (alone,) = synthesize_measurements(base, truth, [cell])
             np.testing.assert_array_equal(clean.view(np.uint64), alone_clean.view(np.uint64))
             np.testing.assert_array_equal(series.view(np.uint64), alone.view(np.uint64))
 
@@ -741,11 +772,11 @@ class TestSynthesizeMeasurements:
         cfg = build_scenario(load_config(ROOT / "configs" / "case2.json"))
         explicit = (*cfg.noise[:2], NoiseSpec(GAUSSIAN_WHITE, 0.01))
         cells = [
-            replace(cfg, seed=seed, noise=cfg.noise if seed in auto else explicit)
+            Cell(seed, cfg.noise if seed in auto else explicit, cfg.outliers)
             for seed in range(3)
         ]
         truth = simulate_truth(cfg)
-        alone = [synthesize_measurements(truth, [cell])[1][0] for cell in cells]
+        alone = [synthesize_measurements(cfg, truth, [cell])[1][0] for cell in cells]
         calls = []
         variance_map = scenario.power_variance_map
 
@@ -754,33 +785,19 @@ class TestSynthesizeMeasurements:
             return lambda x, u: calls.append(len(x)) or variance(x, u)
 
         monkeypatch.setattr(scenario, "power_variance_map", counted)
-        _, stack = synthesize_measurements(truth, cells)
+        _, stack = synthesize_measurements(cfg, truth, cells)
         segments = len(scenario._input_segments(cfg, time_grid(cfg)))
         assert len(calls) == (segments if auto else 0)
         assert sum(calls) == (len(truth) if auto else 0)
         for series, one in zip(stack, alone, strict=True):
             np.testing.assert_array_equal(series.view(np.uint64), one.view(np.uint64))
 
-    @pytest.mark.parametrize("field", ["machine", "profile", "dt", "t_end", "sigmas"])
-    def test_cells_that_differ_in_what_the_clean_series_reads_raise(self, field):
-        cfg = make_config(t_end=2.0)
-        other = {
-            "machine": replace(PARAMS, damping=1.0),
-            "profile": build_fault_profile(BASE, None, 2.0),
-            "dt": 0.01,
-            "t_end": 2.5,
-            "sigmas": replace(cfg.sigmas, sigma_u=0.002),
-        }[field]
-        truth = simulate_truth(cfg)
-        with pytest.raises(ValueError, match=f"the cells of one truth differ in {field}"):
-            synthesize_measurements(truth, [cfg, replace(cfg, seed=7, **{field: other})])
-
 
 class TestInitialFilterState:
     def test_prior_from_first_measurement(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, (corrupted,) = synthesize_measurements(truth, [cfg])
+        _, (corrupted,) = synthesize_measurements(cfg, truth)
         init = initial_filter_state(cfg, corrupted[None])
         eq0 = steady_state_init(BASE, PARAMS)
         assert init.x_hat.shape == (1, 4)
@@ -793,7 +810,8 @@ class TestInitialFilterState:
     def test_stack_prior_is_each_series_prior(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, series = synthesize_measurements(truth, [replace(cfg, seed=seed) for seed in (1, 2, 3)])
+        cells = [Cell(seed, cfg.noise, cfg.outliers) for seed in (1, 2, 3)]
+        _, series = synthesize_measurements(cfg, truth, cells)
         init = initial_filter_state(cfg, series)
         eq0 = equilibrium(cfg)
         assert init.x_hat.shape == (3, 4) and init.P.shape == (3, 4, 4)
@@ -808,7 +826,7 @@ class TestInitialFilterState:
         cfg = make_config(t_end=2.0)
         cfg = replace(cfg, init=InitSpec(eprime_bias=0.0))
         truth = simulate_truth(cfg)
-        _, (corrupted,) = synthesize_measurements(truth, [cfg])
+        _, (corrupted,) = synthesize_measurements(cfg, truth)
         init = initial_filter_state(cfg, corrupted[None])
         eq0 = steady_state_init(BASE, PARAMS)
         assert init.x_hat[0, 2] == pytest.approx(eq0.e_q_prime, abs=1e-15)
@@ -841,7 +859,7 @@ class TestFilterSeries:
     def test_lockstep_variants_match_separate_runs(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, (corrupted,) = synthesize_measurements(truth, [cfg])
+        _, (corrupted,) = synthesize_measurements(cfg, truth)
         together, _ = filter_series(cfg, corrupted[None])[0]
         for variant in (CKF, RCKF):
             alone, _ = filter_series(cfg, corrupted[None], member_table(cfg, 1, (variant,)))[0]
@@ -850,7 +868,7 @@ class TestFilterSeries:
     def test_divergence_recorded_not_raised(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, (corrupted,) = synthesize_measurements(truth, [cfg])
+        _, (corrupted,) = synthesize_measurements(cfg, truth)
         corrupted[10, 1] = math.nan
         estimates, failures = filter_series(cfg, corrupted[None], member_table(cfg, 1, (CKF,)))[0]
         assert estimates == {}
@@ -860,7 +878,7 @@ class TestFilterSeries:
     def test_failures_are_listed_in_freeze_order(self):
         cfg = build_scenario(default_config())
         truth = simulate_truth(cfg)
-        _, (corrupted,) = synthesize_measurements(truth, [cfg])
+        _, (corrupted,) = synthesize_measurements(cfg, truth)
         corrupted[6, 1] = 1e200
         corrupted[21, 1] = math.nan
         table = member_table(cfg, 1, (RCKF, CKF))
@@ -875,7 +893,8 @@ class TestFilterSeries:
     def test_stack_of_series_gives_one_result_per_series(self):
         cfg = make_config(t_end=2.0)
         truth = simulate_truth(cfg)
-        _, series = synthesize_measurements(truth, [replace(cfg, seed=seed) for seed in (1, 2)])
+        cells = [Cell(seed, cfg.noise, cfg.outliers) for seed in (1, 2)]
+        _, series = synthesize_measurements(cfg, truth, cells)
         results = filter_series(cfg, series)
         assert len(results) == 2
         for one, result in zip(series, results):
@@ -888,7 +907,7 @@ def run_pipeline(cfg):
     """Truth, measurements and both filters of one scenario:
     (truth, corrupted, estimates, failures)."""
     truth = simulate_truth(cfg)
-    _, (corrupted,) = synthesize_measurements(truth, [cfg])
+    _, (corrupted,) = synthesize_measurements(cfg, truth)
     return (truth, corrupted, *filter_series(cfg, corrupted[None])[0])
 
 
