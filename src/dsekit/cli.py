@@ -3,8 +3,9 @@
 Subcommands: simulate (truth and measurement CSVs), estimate (filter runs
 plus metrics), experiment (the noise-by-manner matrix), and bench (filter
 step timing).  Exit codes: 0 success, 2 configuration problem (including
-an experiment horizon too short for the matrix's outliers), 3 truth
-simulation failure, 4 filter divergence, 5 every experiment cell failed.
+outliers off the horizon, found before any work: the config's, or the
+matrix's in an experiment), 3 truth simulation failure, 4 filter
+divergence, 5 every experiment cell failed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .config import build_scenario, default_config, load_config
 from .errors import ConfigError, DsekitError, InvalidConfig, OutOfRange
 from .evaluation import VARIABLES, MetricsReport, format_float, format_rows, report_from_run
 from .filters import CKF, MEMBER_FAILURES, RCKF
-from .noise import SEED_LIMIT
+from .noise import SEED_LIMIT, outlier_rows
 from .scenario import (
     ScenarioConfig,
     filter_series,
@@ -123,13 +124,15 @@ def _say(args, message: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
+    times = time_grid(cfg)
+    # outliers off the horizon raise OutOfRange, a configuration problem to main
+    outlier_rows(cfg.outliers, cfg.dt, len(times))
     try:
         truth = simulate_truth(cfg)
         _, series = synthesize_measurements(cfg, truth)
     except DsekitError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    times = time_grid(cfg)
     truth_path = _out_path(args, "truth.csv")
     meas_path = _out_path(args, "measurements.csv")
     _write_series_csv(truth_path, TRUTH_HEADER, times, truth)
@@ -141,9 +144,11 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
     times = time_grid(cfg)
+    # a file's series replaces the synthesized one, so none is made
+    if not args.measurements:
+        outlier_rows(cfg.outliers, cfg.dt, len(times))
     try:
         truth = simulate_truth(cfg)
-        # a file's series replaces the synthesized one, so none is made
         if not args.measurements:
             _, series = synthesize_measurements(cfg, truth)
     except DsekitError as exc:
@@ -220,6 +225,8 @@ def cmd_bench(args) -> int:
     except MEMBER_FAILURES as exc:
         print(f"filter diverged during bench: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OutOfRange:  # outliers off the horizon: exit 2 in main
+        raise
     except DsekitError as exc:
         print(f"bench setup failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -300,7 +307,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -30,6 +30,7 @@ from .noise import (
     GAUSSIAN_WHITE,
     LAPLACE,
     NOISE_KINDS,
+    PLACEMENT_FIELDS,
     SEED_LIMIT,
     NoiseSpec,
     OutlierSpec,
@@ -50,10 +51,13 @@ _KINDS = {
 # channel, one percent of nominal speed on the speed channel.
 PRESET_MU_DELTA = math.radians(20.0)
 PRESET_MU_OMEGA = 0.01
-# The noise kind of each numbered preset; every kind but white noise
-# carries the preset biases.
-_PRESET_KINDS = {1: GAUSSIAN_WHITE, 2: GAUSSIAN_BIASED, 3: LAPLACE, 4: CAUCHY}
-NOISE_PRESETS = tuple(_PRESET_KINDS)
+# Each numbered preset's noise kind, and the locations of its angle and speed noise
+NOISE_PRESETS = {
+    1: (GAUSSIAN_WHITE, 0.0, 0.0),
+    2: (GAUSSIAN_BIASED, PRESET_MU_DELTA, PRESET_MU_OMEGA),
+    3: (LAPLACE, PRESET_MU_DELTA, PRESET_MU_OMEGA),
+    4: (CAUCHY, PRESET_MU_DELTA, PRESET_MU_OMEGA),
+}
 
 # scenario.sigmas key -> the MeasurementSigmas field it sets, and the
 # conversion from the key's unit
@@ -62,13 +66,6 @@ _SIGMA_KEYS = {
     "omega_pu": ("sigma_omega", float),
     "u_rel": ("sigma_u", float),
     "phi_deg": ("sigma_phi", math.radians),
-}
-
-# The outliers keys that place each manner's outliers
-_PLACEMENT_KEYS = {
-    "none": (),
-    "single": ("time",),
-    "window": ("t_start", "t_end"),
 }
 
 
@@ -170,28 +167,17 @@ def load_config(path) -> dict:
 
 
 def noise_preset(preset: int, sigmas: MeasurementSigmas):
-    """Per-channel noise specs for the numbered presets.
-
-    1: zero-mean Gaussian on angle and speed.
-    2: Gaussian with biases (20 degrees, 1 percent).
-    3: Laplace, same biases and stds.
-    4: Cauchy, scale equal to the channel std (location lands at bias).
-    The power channel is always synthesized from its propagated variance.
-    """
+    """Per-channel noise specs of a row of NOISE_PRESETS: its kind at the
+    angle and speed stds of sigmas, located where the row says.  The power
+    channel is always synthesized from its propagated variance."""
     if preset not in NOISE_PRESETS:
-        raise ConfigError("noise.preset", f"expected one of {NOISE_PRESETS}, got {preset}")
-    kind = _PRESET_KINDS[preset]
-    sd, so = sigmas.sigma_delta, sigmas.sigma_omega
-    if kind == GAUSSIAN_WHITE:
-        return (NoiseSpec(kind, sd), NoiseSpec(kind, so), None)
+        raise ConfigError("noise.preset", f"expected one of {tuple(NOISE_PRESETS)}, got {preset}")
+    kind, *locations = NOISE_PRESETS[preset]
     # a Cauchy draw is located CAUCHY_LOCATION_SIGMAS stds above mu, so mu
-    # takes that offset off to put the location on the bias
+    # takes that offset off to put the location where the row says
     offset = CAUCHY_LOCATION_SIGMAS if kind == CAUCHY else 0.0
-    return (
-        NoiseSpec(kind, sd, PRESET_MU_DELTA - offset * sd),
-        NoiseSpec(kind, so, PRESET_MU_OMEGA - offset * so),
-        None,
-    )
+    stds = (sigmas.sigma_delta, sigmas.sigma_omega)
+    return (*(NoiseSpec(kind, s, at - offset * s) for s, at in zip(stds, locations)), None)
 
 
 def _parse_machine(doc: dict) -> MachineParams:
@@ -262,9 +248,9 @@ def _parse_outliers(doc: dict) -> OutlierSpec:
     if channel not in CHANNELS:
         raise ConfigError("outliers.channel", f"expected one of {CHANNELS}, got {channel!r}")
     scale = _value(sec, "outliers", "scale", defaults.scale)
-    if manner not in _PLACEMENT_KEYS:
+    if manner not in PLACEMENT_FIELDS:
         raise ConfigError("outliers.manner", f"expected none, single, or window, got {manner!r}")
-    placement = _PLACEMENT_KEYS[manner]
+    placement = PLACEMENT_FIELDS[manner]
     for key in ("time", "t_start", "t_end"):
         if key in sec and key not in placement:
             raise ConfigError(f"outliers.{key}", f"not applicable to manner {manner!r}")

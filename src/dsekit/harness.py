@@ -1,11 +1,11 @@
 """Experiment matrix execution, benchmarking, and CSV serialization.
 
-The matrix crosses the four noise presets with the two outlier manners
-over a list of seeds and runs both filter variants on every cell.  A
-cell is a scenario.Cell row (seed, noise, outliers), so the cells share
-the config's one equilibrium and truth trajectory, and all their filters
-run as one lockstep batch; with more than one job the batch is cut into
-one chunk per worker process; a chunk's cells share one clean series (one
+The matrix crosses two tables, config.NOISE_PRESETS and MATRIX_OUTLIERS,
+over a list of seeds and runs both filter variants on every cell.  A cell
+is a scenario.Cell row (seed, noise, outliers), so the cells share the
+config's one equilibrium and truth trajectory, and all their filters run
+as one lockstep batch; with more than one job the batch is cut into one
+chunk per worker process; a chunk's cells share one clean series (one
 synthesis table).  Rows merge in (noise, manner, seed) order either way,
 and a member's numbers do not depend on the batch or table it ran in.  A
 matrix whose seeds or outliers are bad raises before any work.
@@ -13,6 +13,7 @@ matrix whose seeds or outliers are bad raises before any work.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from time import perf_counter_ns
 
@@ -34,13 +35,12 @@ from .scenario import (
     time_grid,
 )
 
-# Outlier placements used by the experiment matrix: one hit mid-run, and
-# a one-second burst shortly after the fault.
-SINGLE_OUTLIER_TIME = 6.0
-WINDOW_OUTLIER_SPAN = (2.0, 3.0)
-MANNERS = ("single", "window")
+# The experiment matrix's outlier manners in matrix order, each run on the
+# configured channel and scale: one hit mid-run, and a one-second burst
+# shortly after the fault.
+MATRIX_OUTLIERS = {"single": OutlierSpec.single_at(6.0), "window": OutlierSpec.window(2.0, 3.0)}
 # The shortest horizon that hosts every manner's outliers.
-MATRIX_HORIZON = max(SINGLE_OUTLIER_TIME, WINDOW_OUTLIER_SPAN[1])
+MATRIX_HORIZON = max(max(s.time or 0.0, s.t_end or 0.0) for s in MATRIX_OUTLIERS.values())
 
 # Passes over the series in bench_filters; each step reports its fastest.
 BENCH_PASSES = 5
@@ -104,15 +104,9 @@ class TimingReport:
 def manner_outliers(manner: str, base: OutlierSpec) -> OutlierSpec:
     """Outlier spec for one matrix manner, keeping the configured channel
     and scale."""
-    if manner == "single":
-        return OutlierSpec.single_at(
-            SINGLE_OUTLIER_TIME, channel=base.channel, scale=base.scale
-        )
-    if manner == "window":
-        return OutlierSpec.window(
-            *WINDOW_OUTLIER_SPAN, channel=base.channel, scale=base.scale
-        )
-    raise ValueError(f"unknown outlier manner {manner!r}")
+    if manner not in MATRIX_OUTLIERS:
+        raise ValueError(f"unknown outlier manner {manner!r}")
+    return replace(MATRIX_OUTLIERS[manner], channel=base.channel, scale=base.scale)
 
 
 def _cell_key(preset: int, manner: str, cell: Cell) -> str:
@@ -164,19 +158,22 @@ def run_experiment(
     Raises:
         OutOfRange: a manner's outliers fall off the horizon; the message
             names MATRIX_HORIZON and the configured t_end.
-        InvalidConfig: the outliers name no channel, or a seed is outside
-            [0, 2**64).
-        ValueError: jobs is below one, or a seed repeats.
+        InvalidConfig: a seed is outside [0, 2**64).
+        ValueError: jobs is below one, or a seed is not an integer or
+            repeats.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    seeds = sorted(int(s) for s in seeds)
+    seeds = list(seeds)
+    if not all(isinstance(s, numbers.Integral) for s in seeds):
+        raise ValueError(f"seeds must be integers, got {seeds}")
+    seeds = sorted(map(int, seeds))
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds repeat: {seeds}")
     if seeds and not 0 <= seeds[0] <= seeds[-1] < SEED_LIMIT:
         raise InvalidConfig(f"seeds must be in [0, 2**64), got {seeds[0]} to {seeds[-1]}")
     rows_on_grid = len(time_grid(cfg))
-    specs = {manner: manner_outliers(manner, cfg.outliers) for manner in MANNERS}
+    specs = {manner: manner_outliers(manner, cfg.outliers) for manner in MATRIX_OUTLIERS}
     for spec in specs.values():
         try:
             outlier_rows(spec, cfg.dt, rows_on_grid)
@@ -185,12 +182,11 @@ def run_experiment(
                 f"the experiment matrix needs a horizon of at least {MATRIX_HORIZON} s, "
                 f"scenario.t_end is {cfg.t_end} s: {exc}"
             ) from exc
-        spec.channel_index()
     noises = {preset: noise_preset(preset, cfg.sigmas) for preset in NOISE_PRESETS}
     # in (noise, manner, seed) order
     cells = [
         (preset, manner, Cell(seed, noises[preset], specs[manner]))
-        for preset in NOISE_PRESETS for manner in MANNERS for seed in seeds
+        for preset in NOISE_PRESETS for manner in MATRIX_OUTLIERS for seed in seeds
     ]
     outcomes: list[Outcome] = []
     if cells:
@@ -261,12 +257,13 @@ def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
     BENCH_PASSES times; each step keeps its fastest time, so a step slowed
     by preemption or other load in one pass is timed clean in another.
     Timing covers the predict-plus-update work only, not simulation or
-    synthesis.
+    synthesis.  Outliers off the extended horizon raise OutOfRange first.
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     needed = (steps + BENCH_WARMUP) * cfg.dt
     bench_cfg = replace(cfg, t_end=max(cfg.t_end, needed))
+    outlier_rows(cfg.outliers, cfg.dt, len(time_grid(bench_cfg)))
     truth = simulate_truth(bench_cfg)
     _, series = synthesize_measurements(bench_cfg, truth)
     best: dict[str, np.ndarray] = {}

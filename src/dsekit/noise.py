@@ -6,7 +6,8 @@ from uniform draws; the transforms are exposed as pure functions so a unit
 of noise can be checked against hand-picked uniforms.  Streams are
 counter-based, keyed by (seed, stream_id), so any (run, channel) pair can
 be regenerated in isolation and in any order; corrupt draws channel ch of
-a series from the stream (seed, (0, ch)).
+a series from the stream (seed, (0, ch)).  An OutlierSpec names the
+channel it scales, and PLACEMENT_FIELDS the fields that place a manner.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ NOISE_KINDS = (GAUSSIAN_WHITE, GAUSSIAN_BIASED, LAPLACE, CAUCHY)
 OUTLIER_NONE = "none"
 OUTLIER_SINGLE = "single"
 OUTLIER_WINDOW = "window"
+# The OutlierSpec fields that place each manner's outliers
+PLACEMENT_FIELDS = {
+    OUTLIER_NONE: (), OUTLIER_SINGLE: ("time",), OUTLIER_WINDOW: ("t_start", "t_end")
+}
 
 CHANNELS = ("delta", "omega", "pe")
 
@@ -97,14 +102,12 @@ def laplace_from_uniform(mu, scale, u1):
     r = mu - scale * sgn(u1) * ln(1 - |u1|); u1 == 0 maps exactly to mu.
     """
     u1 = np.asarray(u1, dtype=float)
-    out = mu - scale * np.sign(u1) * np.log1p(-np.abs(u1))
-    return float(out) if out.ndim == 0 else out
+    return mu - scale * np.sign(u1) * np.log1p(-np.abs(u1))
 
 def cauchy_from_uniform(location, scale, u2):
     """Inverse-transform Cauchy variate from u2 in the open (0, 1)."""
     u2 = np.asarray(u2, dtype=float)
-    out = location + scale * np.tan(math.pi * (u2 - 0.5))
-    return float(out) if out.ndim == 0 else out
+    return location + scale * np.tan(math.pi * (u2 - 0.5))
 
 
 def _uniform_open_pm1(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -124,9 +127,6 @@ def _uniform_open_01(gen: np.random.Generator, size: int) -> np.ndarray:
 def draw_gaussian(mu, sigma, gen: np.random.Generator, size: int) -> np.ndarray:
     """size Gaussian draws; sigma may be a scalar or a per-draw array.
     A zero sigma yields exactly mu."""
-    sigma = np.asarray(sigma, dtype=float)
-    if np.all(sigma == 0.0):
-        return np.full(size, float(mu)) if np.ndim(mu) == 0 else mu + np.zeros(size)
     return mu + sigma * gen.standard_normal(size)
 
 
@@ -139,9 +139,7 @@ def draw_laplace(mu, sigma, gen: np.random.Generator, size: int) -> np.ndarray:
 def draw_cauchy(sigma, gen: np.random.Generator, size: int) -> np.ndarray:
     """size Cauchy draws, scale sigma, located at 10 sigma.  Heavy tails
     are kept as-is: no clamping."""
-    sigma = np.asarray(sigma, dtype=float)
-    location = CAUCHY_LOCATION_SIGMAS * sigma
-    return cauchy_from_uniform(location, sigma, _uniform_open_01(gen, size))
+    return cauchy_from_uniform(CAUCHY_LOCATION_SIGMAS * sigma, sigma, _uniform_open_01(gen, size))
 
 
 def _draw(spec: NoiseSpec | None, std, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -181,7 +179,7 @@ def corrupt(
 class OutlierSpec:
     """Multiplicative outlier placement.
 
-    manner is one of "none", "single", "window"; channel is an index or
+    manner is one of PLACEMENT_FIELDS, placed by its fields; channel is
     one of the channel names; scale multiplies the affected samples.
     single_at and window keep the channel and scale defaults unless given.
     """
@@ -190,35 +188,27 @@ class OutlierSpec:
     time: float | None = None
     t_start: float | None = None
     t_end: float | None = None
-    channel: int | str = "omega"
+    channel: str = "omega"
     scale: float = 1.1
 
     def __post_init__(self):
-        if self.manner not in (OUTLIER_NONE, OUTLIER_SINGLE, OUTLIER_WINDOW):
+        if self.manner not in PLACEMENT_FIELDS:
             raise InvalidConfig(f"unknown outlier manner {self.manner!r}")
+        if self.channel not in CHANNELS:
+            raise InvalidConfig(f"unknown channel name {self.channel!r}")
         if not self.scale > 0.0:
             raise InvalidConfig(f"outlier scale must be positive, got {self.scale}")
-        if self.manner == OUTLIER_SINGLE and self.time is None:
-            raise InvalidConfig("single outlier needs a time")
-        if self.manner == OUTLIER_WINDOW:
-            if self.t_start is None or self.t_end is None:
-                raise InvalidConfig("window outlier needs t_start and t_end")
-            if not self.t_start < self.t_end:
-                raise InvalidWindow(
-                    f"window [{self.t_start}, {self.t_end}] is empty or inverted"
-                )
+        placement = PLACEMENT_FIELDS[self.manner]
+        if any(getattr(self, name) is None for name in placement):
+            raise InvalidConfig(f"{self.manner} outlier needs {' and '.join(placement)}")
+        if self.manner == OUTLIER_WINDOW and not self.t_start < self.t_end:
+            raise InvalidWindow(f"window [{self.t_start}, {self.t_end}] is empty or inverted")
         numbers = (self.scale, self.time, self.t_start, self.t_end)
         if not all(x is None or math.isfinite(x) for x in numbers):
             raise InvalidConfig(f"outlier scale and times must be finite, got {numbers}")
 
     def channel_index(self) -> int:
-        if isinstance(self.channel, str):
-            if self.channel not in CHANNELS:
-                raise InvalidConfig(f"unknown channel name {self.channel!r}")
-            return CHANNELS.index(self.channel)
-        if not 0 <= self.channel < len(CHANNELS):
-            raise InvalidConfig(f"channel index out of range: {self.channel}")
-        return self.channel
+        return CHANNELS.index(self.channel)
 
     @classmethod
     def none(cls) -> "OutlierSpec":

@@ -403,6 +403,14 @@ class Cell:
     noise: tuple[NoiseSpec, NoiseSpec, NoiseSpec | None]
     outliers: OutlierSpec
 
+    def __post_init__(self):
+        match self.noise:
+            case (NoiseSpec(), NoiseSpec(), NoiseSpec() | None):
+                return
+        raise ValueError(
+            f"cell noise must be (NoiseSpec, NoiseSpec, NoiseSpec or None), got {self.noise!r}"
+        )
+
 
 def synthesize_measurements(
     cfg: ScenarioConfig, truth: np.ndarray, cells: Sequence[Cell] | None = None

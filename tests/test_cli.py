@@ -70,6 +70,15 @@ def set_cell(path, line, column, text):
     path.write_text("\n".join(lines) + "\n")
 
 
+def outlier_at(time):
+    """A config mutation that places a single outlier at the given time."""
+    return lambda doc: doc.update(outliers={"manner": "single", "time": time})
+
+
+def no_truth(*args, **kwargs):
+    raise AssertionError("truth integrated for outliers off the horizon")
+
+
 def zero_torque(doc):
     # unloaded: the angle and e'_d truth rows are exactly 0 until the fault
     doc["scenario"]["base_inputs"]["t_m"] = 0.0
@@ -211,6 +220,18 @@ class TestSimulate:
         assert err.startswith("simulation failed: " + message)
         assert not out.exists()
 
+    def test_outliers_off_the_horizon_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import dsekit.cli as cli
+
+        monkeypatch.setattr(cli, "simulate_truth", no_truth)
+        cfg = write_config(tmp_path, outlier_at(30.0))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out-dir", str(out), "--quiet") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: outlier time 30.0 is outside the simulated horizon of 101 steps at dt=0.02\n"
+        )
+        assert not (out / "truth.csv").exists()
+
     def test_progress_line_without_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -287,16 +308,14 @@ class TestEstimate:
             assert (internal / name).read_bytes() == (external / name).read_bytes()
 
     def test_a_file_is_estimated_without_synthesizing(self, tmp_path, capsys):
-        # outliers off the horizon fail synthesis, which a file replaces
-        def off_horizon(doc):
-            doc["outliers"] = {"manner": "single", "time": 30.0}
-
+        # outliers off the horizon are a configuration error where they are
+        # synthesized, which a file replaces
         cfg = write_config(tmp_path)
-        late = write_config(tmp_path, off_horizon, name="late.json")
+        late = write_config(tmp_path, outlier_at(30.0), name="late.json")
         path = measurements_file(tmp_path, cfg)
         code = run("estimate", "--config", late, "--out-dir", str(tmp_path), "--quiet")
-        assert code == EXIT_SIMULATION
-        assert "simulation failed: outlier time 30.0 is outside" in capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "error: outlier time 30.0 is outside" in capsys.readouterr().err
         outputs = {}
         for name, config in (("default", cfg), ("late", late)):
             out = tmp_path / name
@@ -710,6 +729,24 @@ class TestBench:
         assert capsys.readouterr().err.startswith(
             "bench setup failed: mechanical torque 1.2 exceeds the pull-out power"
         )
+
+    def test_outliers_off_the_extended_horizon_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import dsekit.harness as harness
+
+        monkeypatch.setattr(harness, "simulate_truth", no_truth)
+        cfg = write_config(tmp_path, outlier_at(30.0))
+        assert run("bench", "--config", cfg, "--steps", "100") == EXIT_CONFIG
+        # 100 timed steps after a 100-step warmup stretch the 2 s horizon to 4 s
+        assert capsys.readouterr().err == (
+            "error: outlier time 30.0 is outside the simulated horizon of 201 steps at dt=0.02\n"
+        )
+
+    def test_outliers_on_the_extended_horizon_run(self, tmp_path):
+        # off the configured 2 s horizon, but on the 4 s one that bench times
+        cfg = write_config(tmp_path, outlier_at(3.0))
+        assert run("bench", "--config", cfg, "--steps", "100") == EXIT_OK
 
     def test_too_few_steps_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -12,11 +12,10 @@ from dsekit.errors import InvalidConfig, OutOfRange
 from dsekit.evaluation import format_float
 from dsekit.filters import CKF, RCKF
 from dsekit.harness import (
-    MANNERS,
     MATRIX_HEADER,
-    SINGLE_OUTLIER_TIME,
+    MATRIX_HORIZON,
+    MATRIX_OUTLIERS,
     SUMMARY_HEADER,
-    WINDOW_OUTLIER_SPAN,
     ExperimentMatrix,
     MatrixRow,
     TimingReport,
@@ -47,13 +46,23 @@ class TestMannerOutliers:
         base = OutlierSpec.none()
         spec = manner_outliers("single", base)
         assert spec.manner == "single"
-        assert spec.time == SINGLE_OUTLIER_TIME
+        assert spec.time == 6.0
         assert spec.channel == base.channel
         assert spec.scale == base.scale
 
     def test_window_span(self):
         spec = manner_outliers("window", OutlierSpec.none())
-        assert (spec.t_start, spec.t_end) == WINDOW_OUTLIER_SPAN
+        assert (spec.t_start, spec.t_end) == (2.0, 3.0)
+
+    def test_keeps_the_configured_channel_and_scale(self):
+        base = OutlierSpec(channel="pe", scale=3.0)
+        for manner, spec in MATRIX_OUTLIERS.items():
+            assert manner_outliers(manner, base) == replace(spec, channel="pe", scale=3.0)
+
+    def test_horizon_is_the_latest_placement(self):
+        # the single outlier at 6 s lands after the 2-3 s window
+        assert list(MATRIX_OUTLIERS) == ["single", "window"]
+        assert MATRIX_HORIZON == 6.0
 
     def test_unknown_manner(self):
         with pytest.raises(ValueError):
@@ -112,27 +121,28 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
-        "t_end, outliers, error, message",
+        "t_end, message",
         [
             # neither the 6 s single outlier nor the 2-3 s window fits
-            (1.5, None, OutOfRange, "needs a horizon of at least 6.0 s, scenario.t_end is 1.5 s: "),
+            (1.5, "needs a horizon of at least 6.0 s, scenario.t_end is 1.5 s: "),
             # the window fits, the single outlier does not
-            (4.0, None, OutOfRange, "needs a horizon of at least 6.0 s, scenario.t_end is 4.0 s: "),
-            (8.0, OutlierSpec(channel=7), InvalidConfig, "^channel index out of range: 7$"),
+            (4.0, "needs a horizon of at least 6.0 s, scenario.t_end is 4.0 s: "),
         ],
-        ids=["no_manner_fits", "single_does_not_fit", "bad_channel"],
+        ids=["no_manner_fits", "single_does_not_fit"],
     )
-    def test_unplaceable_outliers_fail_before_any_work(
-        self, monkeypatch, jobs, t_end, outliers, error, message
-    ):
+    def test_unplaceable_outliers_fail_before_any_work(self, monkeypatch, jobs, t_end, message):
         import dsekit.harness as harness
 
         monkeypatch.setattr(harness, "simulate_truth", no_truth)
-        cfg = small_config(t_end=t_end)
-        if outliers is not None:
-            cfg = replace(cfg, outliers=outliers)
-        with pytest.raises(error, match=message):
-            run_experiment(cfg, seeds=[1, 2], jobs=jobs)
+        with pytest.raises(OutOfRange, match=message):
+            run_experiment(small_config(t_end=t_end), seeds=[1, 2], jobs=jobs)
+
+    @pytest.mark.parametrize("channel", [7, "volts", None])
+    def test_an_unknown_outlier_channel_cannot_be_made(self, channel):
+        # the matrix places its outliers on the configured channel, which is
+        # checked when the spec is made, before any experiment can run
+        with pytest.raises(InvalidConfig, match=f"^unknown channel name {channel!r}$"):
+            OutlierSpec(channel=channel)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
@@ -143,8 +153,14 @@ class TestRunExperiment:
             ([2, 1, 2], ValueError, "^seeds repeat: \\[1, 2, 2\\]$"),
             ([-1, 4], InvalidConfig, "^seeds must be in \\[0, 2\\*\\*64\\), got -1 to 4$"),
             ([0, 2**64], InvalidConfig, f"got 0 to {2**64}$"),
+            # int() would run seed 1.7 as seed 1, and call 1 and 1.5 a repeat
+            ([1.7], ValueError, "^seeds must be integers, got \\[1.7\\]$"),
+            ([1, 1.5], ValueError, "^seeds must be integers, got \\[1, 1.5\\]$"),
         ],
-        ids=["repeated", "repeated_unsorted", "negative", "past_2_64"],
+        ids=[
+            "repeated", "repeated_unsorted", "negative", "past_2_64",
+            "fraction", "fraction_after_int",
+        ],
     )
     def test_bad_seeds_fail_before_any_work(self, monkeypatch, jobs, seeds, error, message):
         import dsekit.harness as harness
@@ -163,7 +179,7 @@ class TestRunExperiment:
             f"noise{p}/{m}/seed1/{v}": (
                 "measurement index 59: channel 2 has nonpositive predicted variance 0.0"
             )
-            for p in (1, 2, 3, 4) for m in MANNERS for v in (CKF, RCKF)
+            for p in (1, 2, 3, 4) for m in MATRIX_OUTLIERS for v in (CKF, RCKF)
         }
 
     def test_one_equilibrium_for_the_truth_and_one_per_chunk(self, monkeypatch):

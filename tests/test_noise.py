@@ -296,11 +296,8 @@ class TestOutlierSpec:
 
     def test_channel_name_resolution(self):
         assert OutlierSpec.single_at(1.0, channel="omega").channel_index() == 1
-        assert OutlierSpec.single_at(1.0, channel=2).channel_index() == 2
         with pytest.raises(InvalidConfig):
-            OutlierSpec.single_at(1.0, channel="volts").channel_index()
-        with pytest.raises(InvalidConfig):
-            OutlierSpec.single_at(1.0, channel=3).channel_index()
+            OutlierSpec.single_at(1.0, channel="volts")
 
 
 class TestInjectOutliers:

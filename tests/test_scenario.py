@@ -640,6 +640,34 @@ class TestTruthKernel:
         )
 
 
+class TestCell:
+    ANGLE = NoiseSpec(GAUSSIAN_WHITE, 0.035)
+    SPEED = NoiseSpec(GAUSSIAN_WHITE, 0.001)
+
+    @pytest.mark.parametrize("power", [None, NoiseSpec(GAUSSIAN_WHITE, 0.01)])
+    def test_three_specs_make_a_cell(self, power):
+        cell = Cell(1, (self.ANGLE, self.SPEED, power), OutlierSpec.none())
+        assert cell.noise == (self.ANGLE, self.SPEED, power)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            # None on angle would draw at the power channel's per-step std
+            (None, None, None),
+            (None, SPEED, None),
+            (ANGLE, None, None),
+            (ANGLE, SPEED),
+            (ANGLE, SPEED, None, None),
+            (ANGLE, SPEED, "auto"),
+            ANGLE,
+        ],
+        ids=["all_none", "angle_none", "speed_none", "two", "four", "power_str", "bare_spec"],
+    )
+    def test_anything_else_is_refused_when_made(self, noise):
+        with pytest.raises(ValueError, match="^cell noise must be"):
+            Cell(1, noise, OutlierSpec.none())
+
+
 class TestSynthesizeMeasurements:
     def test_zero_noise_reproduces_clean(self):
         cfg = make_config(t_end=2.0)
