@@ -11,6 +11,7 @@ divergence, 5 every experiment cell failed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -89,16 +90,18 @@ def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:
         if len(parts) != len(MEASUREMENTS_HEADER):
             raise ConfigError(str(path), f"line {i}: expected {len(MEASUREMENTS_HEADER)} columns")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise ConfigError(str(path), f"line {i}: non-numeric value") from None
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(str(path), f"line {i}: non-finite value")
+        rows.append(row)
     data = np.asarray(rows)
     if data.shape[0] != times.size:
         raise ConfigError(
             str(path),
             f"expected {times.size} rows to match the configured grid, got {data.shape[0]}",
         )
-    # written so that a NaN time, which compares False, is rejected too
     if not (np.abs(data[:, 0] - times) <= 1e-9).all():
         raise ConfigError(str(path), "time column does not match the configured grid")
     return data[None, :, 1:]

@@ -30,7 +30,6 @@ from .noise import (
     GAUSSIAN_WHITE,
     LAPLACE,
     NOISE_KINDS,
-    PLACEMENT_FIELDS,
     SEED_LIMIT,
     NoiseSpec,
     OutlierSpec,
@@ -58,6 +57,9 @@ NOISE_PRESETS = {
     3: (LAPLACE, PRESET_MU_DELTA, PRESET_MU_OMEGA),
     4: (CAUCHY, PRESET_MU_DELTA, PRESET_MU_OMEGA),
 }
+# The keys that place each outlier manner, in window order: a single hit is
+# the window (time, time)
+OUTLIER_MANNERS = {"none": (), "single": ("time",), "window": ("t_start", "t_end")}
 
 # scenario.sigmas key -> the MeasurementSigmas field it sets, and the
 # conversion from the key's unit
@@ -248,15 +250,21 @@ def _parse_outliers(doc: dict) -> OutlierSpec:
     if channel not in CHANNELS:
         raise ConfigError("outliers.channel", f"expected one of {CHANNELS}, got {channel!r}")
     scale = _value(sec, "outliers", "scale", defaults.scale)
-    if manner not in PLACEMENT_FIELDS:
+    if manner not in OUTLIER_MANNERS:
         raise ConfigError("outliers.manner", f"expected none, single, or window, got {manner!r}")
-    placement = PLACEMENT_FIELDS[manner]
+    placement = OUTLIER_MANNERS[manner]
     for key in ("time", "t_start", "t_end"):
         if key in sec and key not in placement:
             raise ConfigError(f"outliers.{key}", f"not applicable to manner {manner!r}")
-    spec = {"manner": manner, "channel": channel, "scale": scale}
-    spec.update((key, _value(sec, "outliers", key)) for key in placement)
-    return _build(OutlierSpec, "outliers", (InvalidConfig, InvalidWindow), **spec)
+    times = [_value(sec, "outliers", key) for key in placement]
+    window = (times[0], times[-1]) if times else None
+    spec = _build(
+        OutlierSpec, "outliers", (InvalidConfig, InvalidWindow),
+        window=window, channel=channel, scale=scale,
+    )
+    if manner == "window" and window[0] == window[1]:
+        raise ConfigError("outliers", f"window [{window[0]}, {window[1]}] is empty")
+    return spec
 
 
 def _parse_filter(doc: dict) -> tuple[HuberConfig, str]:

@@ -6,13 +6,14 @@ from uniform draws; the transforms are exposed as pure functions so a unit
 of noise can be checked against hand-picked uniforms.  Streams are
 counter-based, keyed by (seed, stream_id), so any (run, channel) pair can
 be regenerated in isolation and in any order; corrupt draws channel ch of
-a series from the stream (seed, (0, ch)).  An OutlierSpec names the
-channel it scales, and PLACEMENT_FIELDS the fields that place a manner.
+a series from the stream (seed, (0, ch)).  An OutlierSpec is the closed
+time window whose rows it scales, on the channel it names.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,14 +26,6 @@ GAUSSIAN_BIASED = "gaussian_biased"
 LAPLACE = "laplace"
 CAUCHY = "cauchy"
 NOISE_KINDS = (GAUSSIAN_WHITE, GAUSSIAN_BIASED, LAPLACE, CAUCHY)
-
-OUTLIER_NONE = "none"
-OUTLIER_SINGLE = "single"
-OUTLIER_WINDOW = "window"
-# The OutlierSpec fields that place each manner's outliers
-PLACEMENT_FIELDS = {
-    OUTLIER_NONE: (), OUTLIER_SINGLE: ("time",), OUTLIER_WINDOW: ("t_start", "t_end")
-}
 
 CHANNELS = ("delta", "omega", "pe")
 
@@ -69,6 +62,15 @@ class NoiseSpec:
             raise InvalidConfig("gaussian_white requires mu == 0")
 
 
+def check_seed(seed) -> None:
+    """Raises InvalidConfig unless seed is an integer in [0, 2**64); a bool
+    is not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidConfig(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """Counter-based random stream keyed by (seed, stream_id).
@@ -81,8 +83,7 @@ class SeededStream:
     stream_id: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
     def generator(self) -> np.random.Generator:
         run, channel = self.stream_id
@@ -177,50 +178,32 @@ def corrupt(
 
 @dataclass(frozen=True)
 class OutlierSpec:
-    """Multiplicative outlier placement.
-
-    manner is one of PLACEMENT_FIELDS, placed by its fields; channel is
-    one of the channel names; scale multiplies the affected samples.
-    single_at and window keep the channel and scale defaults unless given.
+    """Multiplicative outliers: scale multiplies the grid rows of the
+    closed time window (t_start, t_end) on the named channel.  A single
+    hit is the window (t, t); None hits no row.
     """
 
-    manner: str = OUTLIER_NONE
-    time: float | None = None
-    t_start: float | None = None
-    t_end: float | None = None
+    window: tuple[float, float] | None = None
     channel: str = "omega"
     scale: float = 1.1
 
     def __post_init__(self):
-        if self.manner not in PLACEMENT_FIELDS:
-            raise InvalidConfig(f"unknown outlier manner {self.manner!r}")
         if self.channel not in CHANNELS:
             raise InvalidConfig(f"unknown channel name {self.channel!r}")
-        if not self.scale > 0.0:
-            raise InvalidConfig(f"outlier scale must be positive, got {self.scale}")
-        placement = PLACEMENT_FIELDS[self.manner]
-        if any(getattr(self, name) is None for name in placement):
-            raise InvalidConfig(f"{self.manner} outlier needs {' and '.join(placement)}")
-        if self.manner == OUTLIER_WINDOW and not self.t_start < self.t_end:
-            raise InvalidWindow(f"window [{self.t_start}, {self.t_end}] is empty or inverted")
-        numbers = (self.scale, self.time, self.t_start, self.t_end)
-        if not all(x is None or math.isfinite(x) for x in numbers):
-            raise InvalidConfig(f"outlier scale and times must be finite, got {numbers}")
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise InvalidConfig(f"outlier scale must be positive and finite, got {self.scale}")
+        if self.window is None:
+            return
+        t_start, t_end = self.window
+        # a tuple, so that equal windows compare equal and the spec hashes
+        object.__setattr__(self, "window", (t_start, t_end))
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
+            raise InvalidConfig(f"outlier times must be finite, got {self.window}")
+        if not t_start <= t_end:
+            raise InvalidWindow(f"window [{t_start}, {t_end}] is inverted")
 
     def channel_index(self) -> int:
         return CHANNELS.index(self.channel)
-
-    @classmethod
-    def none(cls) -> "OutlierSpec":
-        return cls(manner=OUTLIER_NONE)
-
-    @classmethod
-    def single_at(cls, time: float, **kwargs) -> "OutlierSpec":
-        return cls(manner=OUTLIER_SINGLE, time=time, **kwargs)
-
-    @classmethod
-    def window(cls, t_start: float, t_end: float, **kwargs) -> "OutlierSpec":
-        return cls(manner=OUTLIER_WINDOW, t_start=t_start, t_end=t_end, **kwargs)
 
 
 def _grid_index(t: float, dt: float, steps: int, what: str) -> int:
@@ -237,16 +220,17 @@ def outlier_rows(spec: OutlierSpec, dt: float, steps: int) -> tuple[int, int] | 
     given length, or None for no outliers.
 
     Raises:
-        OutOfRange: a requested time falls off the simulated horizon.
+        OutOfRange: a window time falls off the simulated horizon.
     """
-    if spec.manner == OUTLIER_NONE:
+    if spec.window is None:
         return None
-    if spec.manner == OUTLIER_SINGLE:
-        idx = _grid_index(spec.time, dt, steps, "outlier time")
+    t_start, t_end = spec.window
+    if t_start == t_end:
+        idx = _grid_index(t_start, dt, steps, "outlier time")
         return idx, idx
     return (
-        _grid_index(spec.t_start, dt, steps, "window start"),
-        _grid_index(spec.t_end, dt, steps, "window end"),
+        _grid_index(t_start, dt, steps, "window start"),
+        _grid_index(t_end, dt, steps, "window end"),
     )
 
 
@@ -254,11 +238,11 @@ def inject_outliers(series: np.ndarray, spec: OutlierSpec, dt: float) -> np.ndar
     """Scale the selected channel over the selected steps; everything else
     is returned bit for bit.
 
-    Single placement hits the one step nearest the requested time; a
-    window covers both endpoints inclusively.
+    A window covers the steps nearest both its ends inclusively, so a
+    single hit (t, t) scales the one step nearest t.
 
     Raises:
-        OutOfRange: a requested time falls off the simulated horizon.
+        OutOfRange: a window time falls off the simulated horizon.
     """
     series = np.asarray(series, dtype=float)
     out = series.copy()

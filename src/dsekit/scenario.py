@@ -37,7 +37,7 @@ from .machine import (
     power_variance_map,
     segment_steps,
 )
-from .noise import NoiseSpec, OutlierSpec, corrupt, inject_outliers
+from .noise import NoiseSpec, OutlierSpec, check_seed, corrupt, inject_outliers
 
 # Rows per truth block: a list of every row of a long horizon outweighs its array.
 TRUTH_BLOCK_ROWS = 1024
@@ -293,7 +293,7 @@ class ScenarioConfig:
     t_end: float
     seed: int
     noise: tuple[NoiseSpec, NoiseSpec, NoiseSpec | None]
-    outliers: OutlierSpec = field(default_factory=OutlierSpec.none)
+    outliers: OutlierSpec = field(default_factory=OutlierSpec)
     sigmas: MeasurementSigmas = field(default_factory=MeasurementSigmas)
     init: InitSpec = field(default_factory=InitSpec)
     huber: HuberConfig = field(default_factory=HuberConfig)
@@ -397,13 +397,15 @@ def simulate_truth(cfg: ScenarioConfig, x0: MachineState | None = None) -> np.nd
 class Cell:
     """One corruption of a shared truth: the seed of its noise streams, its
     three channel noise specs (a None power spec meaning Gaussian noise at
-    the per-step std of the power variance) and its outliers."""
+    the per-step std of the power variance) and its outliers.  A seed that
+    is not an integer in [0, 2**64) raises InvalidConfig when made."""
 
     seed: int
     noise: tuple[NoiseSpec, NoiseSpec, NoiseSpec | None]
     outliers: OutlierSpec
 
     def __post_init__(self):
+        check_seed(self.seed)
         match self.noise:
             case (NoiseSpec(), NoiseSpec(), NoiseSpec() | None):
                 return

@@ -242,7 +242,7 @@ def test_outlier_transient_containment():
     """At the single-outlier step the robust speed estimate must sit
     strictly closer to the truth than the classical one in at least 95 of
     100 seeded runs."""
-    spec = OutlierSpec.single_at(6.0)
+    spec = OutlierSpec((6.0, 6.0))
     base = replace(white_noise_scenario(0), outliers=spec)
     idx = 300  # 6.0 s on the 0.02 s grid
     truth = simulate_truth(base)

@@ -374,58 +374,16 @@ class TestEstimate:
         )
         assert code == EXIT_CONFIG
 
-    def test_nan_time_cell_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        sim = tmp_path / "sim"
-        run("simulate", "--config", cfg, "--out-dir", str(sim), "--quiet")
-        path = sim / "measurements.csv"
-        lines = path.read_text().splitlines()
-        parts = lines[5].split(",")
-        parts[0] = "nan"
-        lines[5] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        code = run(
-            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
-            "--measurements", str(path),
-        )
-        assert code == EXIT_CONFIG
-        assert "time column does not match the configured grid" in capsys.readouterr().err
-
-    def test_non_finite_measurement_exits_4(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        sim = tmp_path / "sim"
-        run("simulate", "--config", cfg, "--out-dir", str(sim), "--quiet")
-        path = sim / "measurements.csv"
-        lines = path.read_text().splitlines()
-        parts = lines[10].split(",")
-        parts[2] = "nan"
-        lines[10] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        code = run(
-            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
-            "--measurements", str(path),
-        )
-        assert code == EXIT_DIVERGENCE
-        assert "measurement index" in capsys.readouterr().err
-
-    def test_infinite_measurement_exits_4(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        path = measurements_file(tmp_path, cfg)
-        set_cell(path, 10, 2, "inf")
-        code = run(
-            "estimate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet",
-            "--measurements", str(path),
-        )
-        assert code == EXIT_DIVERGENCE
-        assert capsys.readouterr().err == (
-            "filter diverged: measurement index 8: matrix contains non-finite entries\n"
-        )
-
     @pytest.mark.parametrize(
         "blank, line, column, text, message",
         [
             (False, 7, 3, None, "line 8: expected 4 columns"),
             (False, 4, 1, "abc", "line 5: non-numeric value"),
+            # a non-finite value is a bad row, not a diverged filter
+            (False, 5, 0, "nan", "line 6: non-finite value"),
+            (False, 40, 2, "nan", "line 41: non-finite value"),
+            (False, 10, 2, "inf", "line 11: non-finite value"),
+            (False, 10, 3, "-inf", "line 11: non-finite value"),
             # a blank line after the header is line 2 of the file
             (True, 3, 3, None, "line 4: expected 4 columns"),
         ],

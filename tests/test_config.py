@@ -125,7 +125,7 @@ class TestDefaults:
         assert cfg.sigmas.sigma_phi == pytest.approx(math.radians(0.1), abs=0.0)
         assert cfg.noise[0].kind == GAUSSIAN_WHITE
         assert cfg.noise[2] is None
-        assert cfg.outliers.manner == "none"
+        assert cfg.outliers == OutlierSpec()
         assert cfg.huber.c == 1.5
         assert cfg.huber.max_reweight_passes == 1
         assert cfg.torque_mode == "power_equals_torque"
@@ -380,21 +380,23 @@ class TestExplicitNoise:
 
 
 class TestOutliersSection:
-    def test_single(self):
-        cfg = build(
-            lambda d: d.update(
-                outliers={"manner": "single", "time": 6.0, "channel": "omega", "scale": 1.1}
-            )
-        )
-        assert cfg.outliers.manner == "single"
-        assert cfg.outliers.time == 6.0
+    @pytest.mark.parametrize(
+        "outliers, window",
+        [
+            ({"manner": "none"}, None),
+            ({"manner": "single", "time": 6.0}, (6.0, 6.0)),
+            ({"manner": "single", "time": 6}, (6.0, 6.0)),
+            ({"manner": "window", "t_start": 2.0, "t_end": 3.0}, (2.0, 3.0)),
+        ],
+        ids=["none", "single", "single-int", "window"],
+    )
+    def test_each_manner_parses_to_the_window_it_means(self, outliers, window):
+        cfg = build(lambda d: d.update(outliers={**outliers, "channel": "pe", "scale": 3.0}))
+        assert cfg.outliers == OutlierSpec(window, "pe", 3.0)
 
-    def test_window(self):
-        cfg = build(
-            lambda d: d.update(outliers={"manner": "window", "t_start": 2.0, "t_end": 3.0})
-        )
-        assert cfg.outliers.t_start == 2.0
-        assert cfg.outliers.channel == "omega"
+    def test_channel_and_scale_default(self):
+        cfg = build(lambda d: d.update(outliers={"manner": "single", "time": 6.0}))
+        assert cfg.outliers == OutlierSpec((6.0, 6.0), "omega", 1.1)
 
     def test_single_needs_time(self):
         expect_error("outliers.time", lambda d: d.update(outliers={"manner": "single"}))
@@ -412,11 +414,15 @@ class TestOutliersSection:
             lambda d: d.update(outliers={"manner": "single", "time": 6.0, "channel": "amps"}),
         )
 
-    def test_inverted_window(self):
-        expect_error(
+    @pytest.mark.parametrize("t_start, t_end", [(3.0, 2.0), (2.0, 2.0)], ids=["inverted", "empty"])
+    def test_inverted_or_empty_window(self, t_start, t_end):
+        # a window of one instant is a single outlier, which has its own manner
+        err = expect_error(
             "outliers",
-            lambda d: d.update(outliers={"manner": "window", "t_start": 3.0, "t_end": 2.0}),
+            lambda d: d.update(outliers={"manner": "window", "t_start": t_start, "t_end": t_end}),
         )
+        assert err.key == "outliers"
+        assert f"window [{t_start}, {t_end}] is" in str(err)
 
 
 class TestFilterSection:
@@ -554,7 +560,7 @@ class TestOutlierPlacementKeys:
         cfg = build(
             lambda d: d.update(outliers={"manner": "none", "channel": "delta", "scale": 10.0})
         )
-        assert cfg.outliers == OutlierSpec(manner="none", channel="delta", scale=10.0)
+        assert cfg.outliers == OutlierSpec(None, "delta", 10.0)
         # the experiment matrix places its outliers on the configured channel
         spec = manner_outliers("single", cfg.outliers)
         assert (spec.channel, spec.scale) == ("delta", 10.0)

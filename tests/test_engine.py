@@ -54,17 +54,10 @@ CFG = short_config()
 TRUTH = simulate_truth(CFG)
 
 OUTLIERS = st.one_of(
-    st.just(OutlierSpec.none()),
+    st.just(OutlierSpec()),
     st.builds(
-        OutlierSpec.single_at,
-        st.sampled_from([0.1, 0.5, 0.98]),
-        channel=st.sampled_from(["delta", "omega", "pe"]),
-        scale=st.sampled_from([1.1, 10.0, 1e6]),
-    ),
-    st.builds(
-        OutlierSpec.window,
-        st.just(0.4),
-        st.just(0.6),
+        OutlierSpec,
+        st.sampled_from([(0.1, 0.1), (0.5, 0.5), (0.98, 0.98), (0.4, 0.6)]),
         channel=st.sampled_from(["delta", "omega", "pe"]),
         scale=st.sampled_from([1.1, 10.0, 1e6]),
     ),
@@ -112,7 +105,7 @@ def test_members_match_their_batch_of_one_in_any_order(cells, variants, order):
 
 
 def test_rows_that_differ_in_threshold_run_as_one_batch():
-    series = corrupted_series([(41, 4, OutlierSpec.window(0.4, 0.6)), (42, 2, OutlierSpec.none())])
+    series = corrupted_series([(41, 4, OutlierSpec((0.4, 0.6))), (42, 2, OutlierSpec())])
     table = [
         Member(0, "ckf", math.inf),
         Member(0, "rckf", 1.5),
@@ -140,7 +133,7 @@ def test_rows_that_differ_in_threshold_run_as_one_batch():
     ids=["repeated", "past_the_stack", "negative"],
 )
 def test_a_bad_row_raises_before_any_step(row, message):
-    series = corrupted_series([(51, 1, OutlierSpec.none()), (52, 1, OutlierSpec.none())])
+    series = corrupted_series([(51, 1, OutlierSpec()), (52, 1, OutlierSpec())])
     with pytest.raises(ValueError, match=message):
         batch_filters(CFG, series, [*member_table(CFG, 2), row])
 
@@ -159,8 +152,8 @@ def test_every_posterior_covariance_is_symmetric_positive_definite(cells, varian
 
 def test_nan_member_is_frozen_at_its_step_and_leaves_the_others_alone():
     k = 7
-    series = corrupted_series([(1, 4, OutlierSpec.none()), (2, 3, OutlierSpec.none()),
-                               (3, 1, OutlierSpec.window(0.4, 0.6))])
+    series = corrupted_series([(1, 4, OutlierSpec()), (2, 3, OutlierSpec()),
+                               (3, 1, OutlierSpec((0.4, 0.6)))])
     poisoned = series.copy()
     poisoned[1, k + 1, 1] = math.nan  # measurement index k is grid row k + 1
     results = filter_series(CFG, poisoned)
@@ -249,7 +242,7 @@ LINEAR_X0 = [[0.1, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1000.0]]
 
 def test_nan_measurement_freezes_with_message_and_step():
     k = 5
-    series = corrupted_series([(11, 4, OutlierSpec.none()), (12, 2, OutlierSpec.none())])
+    series = corrupted_series([(11, 4, OutlierSpec()), (12, 2, OutlierSpec())])
     series[1, k + 1, 0] = math.nan
     paths, frozen = trajectories(batch_filters(CFG, series, member_table(CFG, 2))[1])
     alone, none_frozen = trajectories(batch_filters(CFG, series[:1], member_table(CFG, 1))[1])
@@ -265,7 +258,7 @@ def test_rk4_overflow_freezes_with_message_and_step(variants):
     # a prior speed deviation of 1e307 overflows the first RK4 step; one
     # variant keeps the batch on the row-by-row float map, two put it on
     # the array map
-    series = corrupted_series([(21, 1, OutlierSpec.none()), (22, 3, OutlierSpec.none())])
+    series = corrupted_series([(21, 1, OutlierSpec()), (22, 3, OutlierSpec())])
     series[1, 0, 1] = 1e307
     paths, frozen = trajectories(batch_filters(CFG, series, member_table(CFG, 2, variants))[1])
     alone, _ = trajectories(batch_filters(CFG, series[:1], member_table(CFG, 1, variants))[1])
@@ -286,7 +279,7 @@ def test_division_by_zero_speed_freezes_with_message_and_step(variants):
     # on the row-by-row float map, two put it on the array map, and both
     # freeze the member the same way
     cfg = replace(CFG, torque_mode=DIVIDE_BY_SPEED)
-    series = corrupted_series([(31, 1, OutlierSpec.none()), (32, 3, OutlierSpec.none())])
+    series = corrupted_series([(31, 1, OutlierSpec()), (32, 3, OutlierSpec())])
     series[1, 0, 1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -2,7 +2,6 @@
 bench, and CSV serialization."""
 
 import multiprocessing
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,30 +42,26 @@ def no_truth(*args, **kwargs):
 
 class TestMannerOutliers:
     def test_single_keeps_channel_and_scale(self):
-        base = OutlierSpec.none()
+        base = OutlierSpec()
         spec = manner_outliers("single", base)
-        assert spec.manner == "single"
-        assert spec.time == 6.0
-        assert spec.channel == base.channel
-        assert spec.scale == base.scale
+        assert spec == OutlierSpec((6.0, 6.0), base.channel, base.scale)
 
     def test_window_span(self):
-        spec = manner_outliers("window", OutlierSpec.none())
-        assert (spec.t_start, spec.t_end) == (2.0, 3.0)
+        assert manner_outliers("window", OutlierSpec()).window == (2.0, 3.0)
 
     def test_keeps_the_configured_channel_and_scale(self):
         base = OutlierSpec(channel="pe", scale=3.0)
-        for manner, spec in MATRIX_OUTLIERS.items():
-            assert manner_outliers(manner, base) == replace(spec, channel="pe", scale=3.0)
+        for manner, window in MATRIX_OUTLIERS.items():
+            assert manner_outliers(manner, base) == OutlierSpec(window, "pe", 3.0)
 
-    def test_horizon_is_the_latest_placement(self):
+    def test_horizon_is_the_latest_window_end(self):
         # the single outlier at 6 s lands after the 2-3 s window
-        assert list(MATRIX_OUTLIERS) == ["single", "window"]
+        assert MATRIX_OUTLIERS == {"single": (6.0, 6.0), "window": (2.0, 3.0)}
         assert MATRIX_HORIZON == 6.0
 
     def test_unknown_manner(self):
         with pytest.raises(ValueError):
-            manner_outliers("burst", OutlierSpec.none())
+            manner_outliers("burst", OutlierSpec())
 
 
 class TestTimingReport:

@@ -5,6 +5,7 @@ seeded streams so every assertion is reproducible.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dsekit.noise import (
     draw_laplace,
     inject_outliers,
     laplace_from_uniform,
+    outlier_rows,
 )
 
 
@@ -100,10 +102,24 @@ class TestSeededStream:
         with pytest.raises(InvalidConfig, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
             SeededStream(seed)
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, 1.0, np.float64(1.0), "1", None, True],
+        ids=["fraction", "whole-float", "numpy-float", "string", "none", "bool"],
+    )
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        # int(1.5) would silently draw seed 1's stream
+        with pytest.raises(InvalidConfig, match=r"seed must be an integer, got "):
+            SeededStream(seed)
+
     def test_largest_seed_accepted(self):
         a = SeededStream(2**64 - 1).generator().random(8)
         b = SeededStream(0).generator().random(8)
         assert not np.array_equal(a, b)
+
+    def test_numpy_integer_seeds_accepted(self):
+        expect = SeededStream(7).generator().random(8)
+        for seed in (np.int64(7), np.uint64(7)):
+            np.testing.assert_array_equal(SeededStream(seed).generator().random(8), expect)
 
     def test_run_channel_packing_has_no_collisions(self):
         # (run, channel) pairs map to distinct 64-bit words
@@ -259,45 +275,71 @@ class TestCorrupt:
 
 
 class TestOutlierSpec:
-    def test_single_needs_time(self):
-        with pytest.raises(InvalidConfig):
-            OutlierSpec(manner="single")
+    def test_holds_its_window_channel_and_scale_only(self):
+        assert [f.name for f in fields(OutlierSpec)] == ["window", "channel", "scale"]
 
-    def test_window_needs_both_ends(self):
-        with pytest.raises(InvalidConfig):
-            OutlierSpec(manner="window", t_start=1.0)
+    def test_a_window_is_kept_as_a_tuple(self):
+        spec = OutlierSpec([2.0, 3.0])
+        assert spec == OutlierSpec((2.0, 3.0)) and hash(spec) == hash(OutlierSpec((2.0, 3.0)))
 
     def test_inverted_window_rejected(self):
-        with pytest.raises(InvalidWindow):
-            OutlierSpec.window(3.0, 2.0)
-
-    def test_unknown_manner(self):
-        with pytest.raises(InvalidConfig):
-            OutlierSpec(manner="burst", time=1.0)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(InvalidConfig):
-            OutlierSpec.single_at(1.0, scale=0.0)
+        with pytest.raises(InvalidWindow, match=r"window \[3.0, 2.0\] is inverted"):
+            OutlierSpec((3.0, 2.0))
 
     @pytest.mark.parametrize(
-        "make",
+        "kwargs",
         [
-            lambda: OutlierSpec.single_at(math.nan),
-            lambda: OutlierSpec.single_at(math.inf),
-            lambda: OutlierSpec.window(1.0, math.inf),
-            lambda: OutlierSpec.window(-math.inf, 1.0),
-            lambda: OutlierSpec.single_at(1.0, scale=math.inf),
+            {"window": (math.nan, math.nan)},
+            {"window": (math.inf, math.inf)},
+            {"window": (1.0, math.inf)},
+            {"window": (-math.inf, 1.0)},
+            {"window": (math.nan, 1.0)},
+            {"scale": math.inf},
+            {"scale": math.nan},
+            {"scale": 0.0},
+            {"scale": -1.1},
+            {"channel": "volts"},
         ],
-        ids=["single-nan", "single-inf", "window-end-inf", "window-start-inf", "scale-inf"],
+        ids=[
+            "nan-instant", "inf-instant", "end-inf", "start-minus-inf", "start-nan",
+            "scale-inf", "scale-nan", "scale-zero", "scale-negative", "channel",
+        ],
     )
-    def test_rejects_non_finite_values(self, make):
-        with pytest.raises(InvalidConfig, match="outlier scale and times must be finite"):
-            make()
+    def test_rejects_a_non_finite_time_a_bad_scale_or_an_unknown_channel(self, kwargs):
+        # InvalidWindow is not an InvalidConfig: a NaN window fails as not finite
+        with pytest.raises(InvalidConfig):
+            OutlierSpec(**kwargs)
+
+    def test_a_window_of_one_instant_scales_one_row(self):
+        series = np.ones((1001, 3))
+        spec = OutlierSpec((6.0, 6.0), channel="pe", scale=3.0)
+        assert outlier_rows(spec, 0.02, len(series)) == (300, 300)
+        touched = inject_outliers(series, spec, 0.02) != series
+        assert touched.sum() == 1 and touched[300, 2]
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ((6.0, 6.0), "outlier time 6.0 is outside"),
+            ((1.0, 3.0), "window end 3.0 is outside"),
+            ((-0.5, 1.0), "window start -0.5 is outside"),
+        ],
+    )
+    def test_off_horizon_names_the_time(self, window, message):
+        with pytest.raises(OutOfRange, match=message):
+            outlier_rows(OutlierSpec(window), 0.02, 100)
+
+    def test_no_window_is_a_clean_copy(self):
+        series = np.arange(30.0).reshape(10, 3)
+        spec = OutlierSpec()
+        assert spec.window is None and outlier_rows(spec, 0.02, len(series)) is None
+        out = inject_outliers(series, spec, 0.02)
+        np.testing.assert_array_equal(out, series)
+        assert out is not series
 
     def test_channel_name_resolution(self):
-        assert OutlierSpec.single_at(1.0, channel="omega").channel_index() == 1
-        with pytest.raises(InvalidConfig):
-            OutlierSpec.single_at(1.0, channel="volts")
+        assert OutlierSpec(channel="omega").channel_index() == 1
+        assert OutlierSpec((1.0, 1.0), channel="pe").channel_index() == 2
 
 
 class TestInjectOutliers:
@@ -307,15 +349,9 @@ class TestInjectOutliers:
         base[:, 2] = 0.8
         return base
 
-    def test_none_is_a_clean_copy(self):
-        series = self._series()
-        out = inject_outliers(series, OutlierSpec.none(), 0.02)
-        np.testing.assert_array_equal(out, series)
-        assert out is not series
-
     def test_single_hits_one_sample(self):
         series = self._series()
-        out = inject_outliers(series, OutlierSpec.single_at(6.0), 0.02)
+        out = inject_outliers(series, OutlierSpec((6.0, 6.0)), 0.02)
         idx = 300
         assert out[idx, 1] == pytest.approx(1.1, abs=0.0)
         mask = np.ones(series.shape[0], dtype=bool)
@@ -325,7 +361,7 @@ class TestInjectOutliers:
 
     def test_window_covers_endpoints(self):
         series = self._series()
-        out = inject_outliers(series, OutlierSpec.window(2.0, 3.0), 0.02)
+        out = inject_outliers(series, OutlierSpec((2.0, 3.0)), 0.02)
         lo, hi = 100, 150
         touched = out[:, 1] != series[:, 1]
         assert touched.sum() == 51
@@ -335,22 +371,22 @@ class TestInjectOutliers:
 
     def test_other_channels_untouched(self):
         series = self._series()
-        out = inject_outliers(series, OutlierSpec.window(2.0, 3.0, channel="pe"), 0.02)
+        out = inject_outliers(series, OutlierSpec((2.0, 3.0), channel="pe"), 0.02)
         np.testing.assert_array_equal(out[:, :2], series[:, :2])
 
     def test_time_snaps_to_grid(self):
         series = self._series()
-        out = inject_outliers(series, OutlierSpec.single_at(6.004), 0.02)
+        out = inject_outliers(series, OutlierSpec((6.004, 6.004)), 0.02)
         assert out[300, 1] == pytest.approx(1.1, abs=0.0)
 
     def test_time_off_horizon(self):
         series = self._series(steps=100)
         with pytest.raises(OutOfRange):
-            inject_outliers(series, OutlierSpec.single_at(6.0), 0.02)
+            inject_outliers(series, OutlierSpec((6.0, 6.0)), 0.02)
         with pytest.raises(OutOfRange):
-            inject_outliers(series, OutlierSpec.single_at(-0.5), 0.02)
+            inject_outliers(series, OutlierSpec((-0.5, -0.5)), 0.02)
 
     def test_window_off_horizon(self):
         series = self._series(steps=100)
         with pytest.raises(OutOfRange):
-            inject_outliers(series, OutlierSpec.window(1.0, 3.0), 0.02)
+            inject_outliers(series, OutlierSpec((1.0, 3.0)), 0.02)

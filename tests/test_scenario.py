@@ -20,7 +20,7 @@ from dsekit.config import (
     load_config,
     noise_preset,
 )
-from dsekit.errors import InvalidWindow, NoConvergence, NonFiniteState
+from dsekit.errors import InvalidConfig, InvalidWindow, NoConvergence, NonFiniteState
 from dsekit.filters import CKF, RCKF
 from dsekit.machine import (
     DIVIDE_BY_SPEED,
@@ -97,7 +97,7 @@ def make_config(
         t_end=t_end,
         seed=seed,
         noise=zero_noise() if noise is None else noise,
-        outliers=OutlierSpec.none() if outliers is None else outliers,
+        outliers=OutlierSpec() if outliers is None else outliers,
     )
 
 
@@ -646,7 +646,7 @@ class TestCell:
 
     @pytest.mark.parametrize("power", [None, NoiseSpec(GAUSSIAN_WHITE, 0.01)])
     def test_three_specs_make_a_cell(self, power):
-        cell = Cell(1, (self.ANGLE, self.SPEED, power), OutlierSpec.none())
+        cell = Cell(1, (self.ANGLE, self.SPEED, power), OutlierSpec())
         assert cell.noise == (self.ANGLE, self.SPEED, power)
 
     @pytest.mark.parametrize(
@@ -665,7 +665,24 @@ class TestCell:
     )
     def test_anything_else_is_refused_when_made(self, noise):
         with pytest.raises(ValueError, match="^cell noise must be"):
-            Cell(1, noise, OutlierSpec.none())
+            Cell(1, noise, OutlierSpec())
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "seed must be an integer, got 1.5"),
+            (np.float64(2.0), "seed must be an integer, got"),
+            (True, "seed must be an integer, got True"),
+            (-1, r"seed must be in \[0, 2\*\*64\), got -1"),
+            (2**64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        ],
+        ids=["fraction", "numpy-float", "bool", "negative", "2**64"],
+    )
+    def test_a_bad_seed_is_refused_when_made(self, seed, message):
+        # Cell(1.5, ...) once drew seed 1's series, and Cell(-1, ...) failed
+        # only in synthesis, after the truth was integrated
+        with pytest.raises(InvalidConfig, match=message):
+            Cell(seed, (self.ANGLE, self.SPEED, None), OutlierSpec())
 
 
 class TestSynthesizeMeasurements:
@@ -748,7 +765,7 @@ class TestSynthesizeMeasurements:
         # the stream-key layout every matrix digest rests on
         cfg = build_scenario(default_config())
         angle = NoiseSpec(GAUSSIAN_BIASED, 0.03, 0.2)
-        cell = Cell(2**64 - 3, (angle, speed, None), OutlierSpec.none())
+        cell = Cell(2**64 - 3, (angle, speed, None), OutlierSpec())
         truth = simulate_truth(cfg)
         clean, (corrupted,) = synthesize_measurements(cfg, truth, [cell])
         u_arr = cfg.profile.as_array(time_grid(cfg))
@@ -770,7 +787,7 @@ class TestSynthesizeMeasurements:
             np.testing.assert_array_equal(bits, expected.view(np.uint64))
 
     def test_outliers_applied_last(self):
-        cfg = make_config(t_end=2.0, outliers=OutlierSpec.single_at(1.0))
+        cfg = make_config(t_end=2.0, outliers=OutlierSpec((1.0, 1.0)))
         truth = simulate_truth(cfg)
         clean, (corrupted,) = synthesize_measurements(cfg, truth)
         assert corrupted[50, 1] == clean[50, 1] * 1.1
@@ -781,7 +798,7 @@ class TestSynthesizeMeasurements:
     def test_a_stack_gives_each_cell_the_bits_of_its_stack_of_one(self):
         # 4 presets x 3 manners x 2 seeds on one truth
         base = replace(build_scenario(default_config()), t_end=8.0)
-        manners = (OutlierSpec.none(), OutlierSpec.single_at(6.0), OutlierSpec.window(2.0, 3.0))
+        manners = (OutlierSpec(), OutlierSpec((6.0, 6.0)), OutlierSpec((2.0, 3.0)))
         cells = [
             Cell(seed, noise_preset(preset, base.sigmas), spec)
             for preset in NOISE_PRESETS for spec in manners for seed in (5, 6)
