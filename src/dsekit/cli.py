@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import build_scenario, default_config, load_config
 from .errors import ConfigError, DsekitError, InvalidConfig, OutOfRange
-from .evaluation import VARIABLES, MetricsReport, format_float, format_rows, report_from_run
+from .evaluation import VARIABLES, MetricsReport, format_rows, report_from_run, write_rows
 from .filters import CKF, MEMBER_FAILURES, RCKF
 from .noise import SEED_LIMIT, outlier_rows
 from .scenario import (
@@ -59,13 +59,11 @@ def _write_series_csv(path, header, times, table) -> None:
 
 
 def _write_metrics_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(METRICS_HEADER) + "\n")
-        for variable in VARIABLES:
-            fh.write(
-                f"{variable},{format_float(report.epsilon1.get(variable))},"
-                f"{format_float(report.epsilon2.get(variable))}\n"
-            )
+    write_rows(
+        path,
+        METRICS_HEADER,
+        ((v, report.epsilon1.get(v), report.epsilon2.get(v)) for v in VARIABLES),
+    )
 
 
 def _read_measurements_csv(path, times: np.ndarray) -> np.ndarray:

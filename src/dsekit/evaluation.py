@@ -1,4 +1,4 @@
-"""Accuracy indicators for filter runs, and the float text of the CSVs.
+"""Accuracy indicators for filter runs, and the text of the CSVs.
 
 Two indicators per state variable: a ratio of estimation-error energy to
 measurement-error energy (computable only where a measurement channel
@@ -29,6 +29,16 @@ def format_float(value) -> str:
     if value is None:
         return ""
     return FLOAT_FORMAT % value
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV of a header and rows of cells: a float or None as
+    format_float writes it, any other value, such as a header name or a
+    label, as str writes it."""
+    with open(path, "w", newline="") as fh:
+        for row in (header, *rows):
+            cells = (format_float(v) if v is None or isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 # format_rows computes the digits of |v| in [_FAST_MIN, _FAST_MAX) with

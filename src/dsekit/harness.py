@@ -13,17 +13,17 @@ matrix whose seeds or outliers are bad raises before any work.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from time import perf_counter_ns
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import NOISE_PRESETS, noise_preset
-from .errors import DsekitError, InvalidConfig, OutOfRange
-from .evaluation import VARIABLES, format_float, report_from_run
-from .filters import CKF, RCKF
-from .noise import SEED_LIMIT, OutlierSpec, outlier_rows
+from .errors import DsekitError, OutOfRange
+from .evaluation import VARIABLES, report_from_run, write_rows
+from .filters import VARIANTS
+from .noise import OutlierSpec, check_seed, outlier_rows
 from .scenario import (
     Cell,
     ScenarioConfig,
@@ -47,18 +47,15 @@ BENCH_PASSES = 5
 # Leading steps of each bench_filters series whose times are discarded.
 BENCH_WARMUP = 100
 
-MATRIX_HEADER = (
-    "noise", "manner", "filter", "seed", "variable",
-    "epsilon1", "epsilon2", "mean_step_ms",
-)
 SUMMARY_HEADER = (
     "noise", "manner", "variable", "indicator",
     "ckf_median", "rckf_median", "improvement_pct",
 )
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(NamedTuple):
+    """One row of matrix.csv, its fields the columns."""
+
     noise: int
     manner: str
     filter: str
@@ -68,6 +65,8 @@ class MatrixRow:
     epsilon2: float | None
     mean_step_ms: float | None
 
+
+MATRIX_HEADER = MatrixRow._fields
 
 # A cell's rows and its failures, keyed like the matrix's failures.
 Outcome = tuple[list[MatrixRow], dict[str, str]]
@@ -158,20 +157,18 @@ def run_experiment(
     Raises:
         OutOfRange: a manner's outliers fall off the horizon; the message
             names MATRIX_HORIZON and the configured t_end.
-        InvalidConfig: a seed is outside [0, 2**64).
-        ValueError: jobs is below one, or a seed is not an integer or
-            repeats.
+        InvalidConfig: a seed is not an integer in [0, 2**64)
+            (noise.check_seed).
+        ValueError: jobs is below one, or a seed repeats.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = list(seeds)
-    if not all(isinstance(s, numbers.Integral) for s in seeds):
-        raise ValueError(f"seeds must be integers, got {seeds}")
+    for seed in seeds:
+        check_seed(seed)
     seeds = sorted(map(int, seeds))
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds repeat: {seeds}")
-    if seeds and not 0 <= seeds[0] <= seeds[-1] < SEED_LIMIT:
-        raise InvalidConfig(f"seeds must be in [0, 2**64), got {seeds[0]} to {seeds[-1]}")
     rows_on_grid = len(time_grid(cfg))
     specs = {manner: manner_outliers(manner, cfg.outliers) for manner in MATRIX_OUTLIERS}
     for spec in specs.values():
@@ -218,32 +215,22 @@ def run_experiment(
 
 def summarize(matrix: ExperimentMatrix) -> list[tuple]:
     """Median indicators per (noise, manner, variable) across seeds, with
-    the robust variant's relative improvement where defined."""
-    groups: dict[tuple, dict[str, dict[str, list[float]]]] = {}
+    the robust variant's relative improvement where defined.  A line needs
+    values of both variants; a row of any other filter counts in none."""
+    values: dict[tuple, list[float]] = {}
     for row in matrix.rows:
-        cell = groups.setdefault(
-            (row.noise, row.manner, row.variable),
-            {CKF: {"epsilon1": [], "epsilon2": []}, RCKF: {"epsilon1": [], "epsilon2": []}},
-        )
         for indicator, value in (("epsilon1", row.epsilon1), ("epsilon2", row.epsilon2)):
             if value is not None:
-                cell[row.filter][indicator].append(value)
+                key = (row.noise, row.manner, VARIABLES.index(row.variable), indicator)
+                values.setdefault((*key, row.filter), []).append(value)
     out: list[tuple] = []
-    for (noise, manner, variable) in sorted(
-        groups, key=lambda k: (k[0], k[1], VARIABLES.index(k[2]))
-    ):
-        cell = groups[(noise, manner, variable)]
-        for indicator in ("epsilon1", "epsilon2"):
-            ckf_vals = cell[CKF][indicator]
-            rckf_vals = cell[RCKF][indicator]
-            if not ckf_vals or not rckf_vals:
-                continue
-            ckf_med = float(np.median(ckf_vals))
-            rckf_med = float(np.median(rckf_vals))
-            improvement = (
-                100.0 * (ckf_med - rckf_med) / ckf_med if ckf_med > 0.0 else None
-            )
-            out.append((noise, manner, variable, indicator, ckf_med, rckf_med, improvement))
+    for noise, manner, variable, indicator in sorted({key[:-1] for key in values}):
+        pair = [values.get((noise, manner, variable, indicator, v)) for v in VARIANTS]
+        if not all(pair):
+            continue
+        ckf_med, rckf_med = (float(np.median(vals)) for vals in pair)
+        improvement = 100.0 * (ckf_med - rckf_med) / ckf_med if ckf_med > 0.0 else None
+        out.append((noise, manner, VARIABLES[variable], indicator, ckf_med, rckf_med, improvement))
     return out
 
 
@@ -287,22 +274,8 @@ def bench_filters(cfg: ScenarioConfig, steps: int) -> dict[str, TimingReport]:
 
 
 def write_matrix_csv(path, matrix: ExperimentMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(MATRIX_HEADER) + "\n")
-        for r in matrix.rows:
-            fh.write(
-                f"{r.noise},{r.manner},{r.filter},{r.seed},{r.variable},"
-                f"{format_float(r.epsilon1)},{format_float(r.epsilon2)},"
-                f"{format_float(r.mean_step_ms)}\n"
-            )
+    write_rows(path, MATRIX_HEADER, matrix.rows)
 
 
 def write_summary_csv(path, matrix: ExperimentMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SUMMARY_HEADER) + "\n")
-        for noise, manner, variable, indicator, ckf_med, rckf_med, impr in summarize(matrix):
-            fh.write(
-                f"{noise},{manner},{variable},{indicator},"
-                f"{format_float(ckf_med)},{format_float(rckf_med)},"
-                f"{format_float(impr)}\n"
-            )
+    write_rows(path, SUMMARY_HEADER, summarize(matrix))

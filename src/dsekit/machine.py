@@ -318,8 +318,8 @@ _KERNEL_GLOBALS = {
 
 
 class _Kernel(NamedTuple):
-    """A formula(d, w, eq, ed, tm, ef, ut, phi, constants, xp) of width
-    outputs traced into straight-line code.  make(*constants) -> (rows,
+    """Straight-line code traced from a formula(d, w, eq, ed, tm, ef, ut,
+    phi, constants, xp) of width outputs.  make(*constants) -> (rows,
     steps) is its float evaluation: rows(points, inputs) gives the outputs
     of every row of points under the matching row of inputs as one flat
     list, NaNs for a row whose evaluation raises one of _FLOAT_FAULTS;
@@ -330,7 +330,6 @@ class _Kernel(NamedTuple):
     overflows or divides by zero comes out not finite, with NumPy's
     warning unless np.errstate ignores it."""
 
-    formula: Callable
     make: Callable
     array: Callable
     width: int
@@ -380,7 +379,6 @@ def _kernel(formula, n_constants: int, steps: bool = False) -> _Kernel:
 
     tape, leaves, outputs = _trace(formula, n_constants)
     return _Kernel(
-        formula,
         compiled(_float_source(tape, leaves, outputs, steps), "", _KERNEL_GLOBALS),
         lambda *constants: array()(*constants),
         len(outputs),

@@ -285,7 +285,8 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one reproducible run needs; seed, noise and outliers make its own Cell."""
+    """Everything one reproducible run needs; seed, noise and outliers make
+    its own Cell, which is checked when the config is made."""
 
     machine: MachineParams
     profile: InputProfile
@@ -305,6 +306,7 @@ class ScenarioConfig:
         if not self.t_end >= self.dt:
             raise ValueError("t_end must cover at least one step")
         _check_torque_mode(self.torque_mode)
+        Cell(self.seed, self.noise, self.outliers)
 
 
 def time_grid(cfg: ScenarioConfig) -> np.ndarray:

@@ -16,6 +16,7 @@ from dsekit.evaluation import (
     epsilon1,
     epsilon2,
     report_from_run,
+    write_rows,
 )
 from dsekit.filters import CKF
 from dsekit.noise import GAUSSIAN_WHITE, NoiseSpec
@@ -118,3 +119,22 @@ class TestReportFromRun:
         report = report_from_run(estimates, truth, corrupted)
         assert report.epsilon2["delta"] == pytest.approx(0.0, abs=1e-12)
         assert report.epsilon1["delta"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_write_rows_cell_rule(tmp_path):
+    # a float (np.float64 is one) or None goes through format_float, so an
+    # integral 1.0 is written "1"; any other cell is written as str writes it
+    path = tmp_path / "rows.csv"
+    write_rows(
+        path,
+        ("label", "name", "a", "b", "c", "d"),
+        [
+            (3, "single", 0.1, np.float64(0.25), None, 1.0),
+            (0, "x", -2.5, np.float64(1e-5), 1.0, None),
+        ],
+    )
+    assert path.read_bytes() == (
+        b"label,name,a,b,c,d\n"
+        b"3,single,0.10000000000000001,0.25,,1\n"
+        b"0,x,-2.5,1.0000000000000001e-05,1,\n"
+    )

@@ -146,15 +146,18 @@ class TestRunExperiment:
             # [3, 3] would run 16 cells, every row of seed 3 twice
             ([3, 3], ValueError, "^seeds repeat: \\[3, 3\\]$"),
             ([2, 1, 2], ValueError, "^seeds repeat: \\[1, 2, 2\\]$"),
-            ([-1, 4], InvalidConfig, "^seeds must be in \\[0, 2\\*\\*64\\), got -1 to 4$"),
-            ([0, 2**64], InvalidConfig, f"got 0 to {2**64}$"),
-            # int() would run seed 1.7 as seed 1, and call 1 and 1.5 a repeat
-            ([1.7], ValueError, "^seeds must be integers, got \\[1.7\\]$"),
-            ([1, 1.5], ValueError, "^seeds must be integers, got \\[1, 1.5\\]$"),
+            # each seed is checked by noise.check_seed, as a Cell's is
+            ([-1, 4], InvalidConfig, "^seed must be in \\[0, 2\\*\\*64\\), got -1$"),
+            ([0, 2**64], InvalidConfig, f"^seed must be in \\[0, 2\\*\\*64\\), got {2**64}$"),
+            # int() would run seed 1.7 or True as seed 1, and call 1 and 1.5
+            # a repeat
+            ([1.7], InvalidConfig, "^seed must be an integer, got 1.7$"),
+            ([1, 1.5], InvalidConfig, "^seed must be an integer, got 1.5$"),
+            ([True], InvalidConfig, "^seed must be an integer, got True$"),
         ],
         ids=[
             "repeated", "repeated_unsorted", "negative", "past_2_64",
-            "fraction", "fraction_after_int",
+            "fraction", "fraction_after_int", "bool",
         ],
     )
     def test_bad_seeds_fail_before_any_work(self, monkeypatch, jobs, seeds, error, message):
@@ -278,6 +281,17 @@ class TestSummarize:
         out = summarize(self._matrix())
         variables = [v for _, _, v, _, _, _, _ in out]
         assert variables == sorted(variables, key=["delta", "omega", "eqp", "edp"].index)
+
+    def test_rows_of_another_filter_count_in_no_line(self):
+        # only the two variants of filters.VARIANTS are paired; a row of
+        # any other filter is left out, and a line it alone would make is
+        # not written
+        rows = self._matrix().rows + (
+            MatrixRow(1, "single", "ukf", 3, "delta", 100.0, 100.0, None),
+            MatrixRow(1, "window", "ukf", 1, "delta", 0.5, 0.5, None),
+        )
+        out = summarize(ExperimentMatrix(rows, {}, 3, 0))
+        assert out == summarize(self._matrix())
 
 
 class TestBenchFilters:

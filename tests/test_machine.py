@@ -22,9 +22,12 @@ from dsekit.machine import (
     MeasurementSigmas,
     _derivative,
     _kernel,
+    _measurement,
     _MEASUREMENT_KERNEL,
     _params_tuple,
+    _step_formula,
     _step_kernel,
+    _variance,
     _VARIANCE_KERNEL,
     _Vec,
     as_process_model,
@@ -544,14 +547,15 @@ VECTOR_FORMULAS = (state_itself, repeated_vectors, mixed_components, buffer_read
 
 
 def traced_kernel(name, params):
-    """The traced kernel named in KERNELS and its constants under params."""
+    """The traced kernel named in KERNELS, its formula and its constants
+    under params."""
     pt = _params_tuple(params)
     sigmas = MeasurementSigmas()
     if name == "measurement":
-        return _MEASUREMENT_KERNEL, pt[:3]
+        return _MEASUREMENT_KERNEL, _measurement, pt[:3]
     if name == "variance":
-        return _VARIANCE_KERNEL, (*pt[:3], sigmas.sigma_u, sigmas.sigma_phi)
-    return _step_kernel(name), (*pt, 0.02)
+        return _VARIANCE_KERNEL, _variance, (*pt[:3], sigmas.sigma_u, sigmas.sigma_phi)
+    return _step_kernel(name), _step_formula(name == DIVIDE_BY_SPEED), (*pt, 0.02)
 
 
 def bits(values):
@@ -566,7 +570,7 @@ class TestTracedKernels:
     @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
     @pytest.mark.parametrize("name", KERNELS)
     def test_kernels_give_the_bits_of_the_float_formula(self, name, params):
-        kernel, constants = traced_kernel(name, params)
+        kernel, formula, constants = traced_kernel(name, params)
         rows = kernel.make(*constants)[0]
         rng = np.random.default_rng(11)
         states, inputs = random_rows(rng, 200)
@@ -575,7 +579,7 @@ class TestTracedKernels:
         expected = []
         for point, u in zip(points, inputs):
             try:
-                want = kernel.formula(*point, *u, constants, math)
+                want = formula(*point, *u, constants, math)
             except (ArithmeticError, ValueError):
                 want = (math.nan,) * kernel.width
             expected.extend(want)
@@ -586,7 +590,7 @@ class TestTracedKernels:
     def test_array_kernels_give_the_bits_of_the_float_kernels(self, name, params):
         # under one input vector and under one input row per state; a row
         # whose float evaluation raises comes out not finite
-        kernel, constants = traced_kernel(name, params)
+        kernel, _, constants = traced_kernel(name, params)
         rows = kernel.make(*constants)[0]
         run = kernel.array(*constants)
         rng = np.random.default_rng(12)
@@ -615,18 +619,18 @@ class TestTracedKernels:
         for u in (inputs[0], inputs):
             per_row = u.tolist() if u.ndim == 2 else [u.tolist()] * len(points)
             expected = [
-                kernel.formula(*p, *r, (0.3,), math) for p, r in zip(points.tolist(), per_row)
+                formula(*p, *r, (0.3,), math) for p, r in zip(points.tolist(), per_row)
             ]
             np.testing.assert_array_equal(bits(run(points, u)), bits(expected))
 
     @pytest.mark.parametrize("fault", FAULT_ROWS)
     def test_fault_rows_raise_where_named(self, fault):
         point, name, error = FAULT_ROWS[fault]
-        kernel, constants = traced_kernel(name, PARAMS)
+        kernel, formula, constants = traced_kernel(name, PARAMS)
         rows = kernel.make(*constants)[0]
         u = (0.8, 2.0, 1.0, 0.0)
         with pytest.raises(error):
-            kernel.formula(*point, *u, constants, math)
+            formula(*point, *u, constants, math)
         assert np.isnan(rows([point], [u])).all()
 
     @pytest.mark.parametrize(
@@ -666,7 +670,7 @@ class TestTracedKernels:
                 calls.append(("/", other))
                 return float.__truediv__(self, other)
 
-        kernel, constants = traced_kernel(POWER_EQUALS_TORQUE, PARAMS)
+        kernel, _, constants = traced_kernel(POWER_EQUALS_TORQUE, PARAMS)
         rows = kernel.make(*constants[:-1], Dt(0.02))[0]
         assert sorted(calls) == [("*", 0.5), ("/", 6.0)]
         calls.clear()

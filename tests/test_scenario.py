@@ -684,6 +684,25 @@ class TestCell:
         with pytest.raises(InvalidConfig, match=message):
             Cell(seed, (self.ANGLE, self.SPEED, None), OutlierSpec())
 
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"seed": -1}, InvalidConfig, "^seed must be in"),
+            ({"seed": 1.5}, InvalidConfig, "^seed must be an integer"),
+            ({"noise": (None, None, None)}, ValueError, "^cell noise must be"),
+        ],
+        ids=["negative_seed", "fraction_seed", "all_none_noise"],
+    )
+    def test_a_config_checks_its_cell_when_made(self, monkeypatch, change, error, message):
+        # a config with a bad cell cannot be made, so no truth is integrated
+        # for it and synthesis never sees it
+        def no_truth(*args, **kwargs):
+            raise AssertionError("truth integrated for a config with a bad cell")
+
+        monkeypatch.setattr(scenario, "simulate_truth", no_truth)
+        with pytest.raises(error, match=message):
+            scenario.simulate_truth(replace(make_config(t_end=2.0), **change))
+
 
 class TestSynthesizeMeasurements:
     def test_zero_noise_reproduces_clean(self):
